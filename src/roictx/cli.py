@@ -12,11 +12,10 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import attacks, gradcheck as gc, losses, mining, roi_ops, synth
+from . import attacks, gradcheck as gc, losses, mining, synth
 from .errors import FormatError, RoictxError, ShapeError
 from .geometry import Box, generate_anchors, load_roi_csv, nms, save_roi_csv
 from .tensor import load_ften, save_ften
@@ -27,13 +26,6 @@ def _default_jobs() -> int:
         return max(1, int(os.environ.get("ROICTX_JOBS", "1")))
     except ValueError:
         return 1
-
-
-def _pmap(fn, items, jobs):
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
 
 
 def _boxes(path) -> list[Box]:
@@ -68,21 +60,16 @@ def _load_scorer(path, d, ph, pw) -> mining.ContextScorer:
     return mining.ContextScorer(vec[:-1].copy(), float(vec[-1]))
 
 
-def _cmd_roipool(args) -> int:
-    F = load_ften(args.features)
-    boxes = _boxes(args.rois)
-    maps = _pmap(lambda r: roi_ops.roi_pool(F, r, args.ph, args.pw).data,
-                 boxes, args.jobs)
-    save_ften(args.out, np.stack(maps))
-    return 0
+def _config(args, **extra) -> mining.MiningConfig:
+    return mining.MiningConfig(ph=args.ph, pw=args.pw, backbone=args.backbone,
+                               samples_per_bin=args.samples, **extra)
 
 
-def _cmd_roialign(args) -> int:
+def _cmd_roi_op(args) -> int:
     F = load_ften(args.features)
-    boxes = _boxes(args.rois)
-    maps = _pmap(lambda r: roi_ops.roi_align(F, r, args.ph, args.pw,
-                                             args.samples).data,
-                 boxes, args.jobs)
+    config = _config(args)
+    maps = mining.parallel_map(lambda r: mining.roi_map(F, r, config).data,
+                               _boxes(args.rois), args.jobs)
     save_ften(args.out, np.stack(maps))
     return 0
 
@@ -91,9 +78,7 @@ def _cmd_ctxmine(args) -> int:
     F = load_ften(args.features)
     boxes = _boxes(args.rois)
     scorer = _load_scorer(args.scorer, F.shape[0], args.ph, args.pw)
-    config = mining.MiningConfig(ph=args.ph, pw=args.pw, backbone=args.backbone,
-                                 samples_per_bin=args.samples)
-    mined = mining.mine_many(F, boxes, scorer, config, jobs=args.jobs)
+    mined = mining.mine_many(F, boxes, scorer, _config(args), jobs=args.jobs)
     save_ften(args.out, np.stack([m.feature for m in mined]))
     if args.report:
         _write_json(args.report, [mining.mined_to_record(m) for m in mined])
@@ -102,13 +87,10 @@ def _cmd_ctxmine(args) -> int:
 
 def _cmd_variant(args) -> int:
     F = load_ften(args.features)
-    boxes = _boxes(args.rois)
-    config = mining.MiningConfig(ph=args.ph, pw=args.pw, backbone=args.backbone,
-                                 samples_per_bin=args.samples,
-                                 local_scale=args.local_scale)
-    feats = _pmap(lambda r: mining.fixed_context_variant(F, r, args.variant,
-                                                         config),
-                  boxes, args.jobs)
+    config = _config(args, local_scale=args.local_scale)
+    feats = mining.parallel_map(
+        lambda r: mining.fixed_context_variant(F, r, args.variant, config),
+        _boxes(args.rois), args.jobs)
     save_ften(args.out, np.stack(feats))
     return 0
 
@@ -126,8 +108,8 @@ def _cmd_enumerate(args) -> int:
         print("error: cell anchor falls outside the bounds (empty pool)",
               file=sys.stderr)
         return 1
-    save_roi_csv(args.out, pool.candidates)
-    print(f"pool_size={len(pool.candidates)}")
+    save_roi_csv(args.out, pool)
+    print(f"pool_size={len(pool)}")
     return 0
 
 
@@ -148,11 +130,25 @@ def _cmd_anchors(args) -> int:
     return 0
 
 
+def _check_manifest(path, entries) -> None:
+    """Every entry must be an object naming its in, boxes and out files."""
+    if not isinstance(entries, list):
+        raise FormatError(f"{path}: manifest must be a JSON list of "
+                          f"{{in, boxes, out}} objects")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise FormatError(f"{path}: entry {i} is not a JSON object")
+        missing = [k for k in ("in", "boxes", "out") if k not in entry]
+        if missing:
+            raise FormatError(f"{path}: entry {i} lacks {', '.join(missing)}")
+
+
 def _cmd_attack(args) -> int:
     patch = load_ften(args.patch) if args.patch else None
     if args.manifest:
         with open(args.manifest, "r", encoding="utf-8") as fh:
             entries = json.load(fh)
+        _check_manifest(args.manifest, entries)
         root = attacks.SplitMix64(args.seed)
         for i, entry in enumerate(entries):
             image = load_ften(entry["in"])
@@ -174,33 +170,23 @@ def _gradcheck_instance(op: str, seed: int):
     """Seeded random instance of one differentiable operator: returns
     (f, x, analytic_grad, records_fn)."""
     rng = np.random.default_rng([seed, 0x6d5a])
-    if op == "roipool":
+    if op in ("roipool", "roialign"):
+        pool = op == "roipool"
         F = rng.normal(0.0, 3.0, (2, 12, 12)).astype(np.float32)
-        r = Box(1.3, 2.1, 9.6, 10.2)
+        r = Box(1.3, 2.1, 9.6, 10.2) if pool else Box(1.7, 0.9, 10.4, 9.8)
+        config = mining.MiningConfig(ph=5, pw=5,
+                                     backbone="pool" if pool else "align")
         w = rng.normal(0.0, 1.0, (2, 5, 5)).astype(np.float32)
-        roi_map = roi_ops.roi_pool(F, r, 5, 5)
-        grad = roi_ops.roi_pool_backward(w, roi_map, F.shape)
+        grad = mining._backward_one(w, mining.roi_map(F, r, config), F.shape)
 
         def f(x):
             return float((w.astype(np.float64)
-                          * roi_ops.roi_pool(x, r, 5, 5).data).sum())
+                          * mining.roi_map(x, r, config).data).sum())
 
         def records(x):
-            return roi_ops.roi_pool(x, r, 5, 5).argmax.tobytes()
+            return mining.roi_map(x, r, config).argmax.tobytes()
 
-        return f, F, grad, records
-    if op == "roialign":
-        F = rng.normal(0.0, 3.0, (2, 12, 12)).astype(np.float32)
-        r = Box(1.7, 0.9, 10.4, 9.8)
-        w = rng.normal(0.0, 1.0, (2, 5, 5)).astype(np.float32)
-        roi_map = roi_ops.roi_align(F, r, 5, 5, 2)
-        grad = roi_ops.roi_align_backward(w, roi_map, F.shape)
-
-        def f(x):
-            return float((w.astype(np.float64)
-                          * roi_ops.roi_align(x, r, 5, 5, 2).data).sum())
-
-        return f, F, grad, None
+        return f, F, grad, records if pool else None
     if op == "ctxmine":
         F = rng.normal(0.0, 3.0, (2, 24, 24)).astype(np.float32)
         r = Box(9.2, 8.7, 14.9, 15.3)
@@ -306,12 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("roipool", help="max-pool RoIs to fixed grids")
     _add_io(sp)
-    sp.set_defaults(func=_cmd_roipool)
+    sp.set_defaults(func=_cmd_roi_op, backbone="pool", samples=2)
 
     sp = sub.add_parser("roialign", help="bilinear-sample RoIs to fixed grids")
     _add_io(sp)
     sp.add_argument("--samples", type=int, default=2)
-    sp.set_defaults(func=_cmd_roialign)
+    sp.set_defaults(func=_cmd_roi_op, backbone="align")
 
     sp = sub.add_parser("ctxmine", help="mine 8 surrounding context RoIs per RoI")
     _add_io(sp)

@@ -16,11 +16,12 @@ same concatenation contract.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
-from .errors import DegenerateBoxError, ShapeError
+from .errors import DegenerateBoxError, NumericError, ShapeError
 from .geometry import Box
 from .roi_ops import RangeMaxTable, RoIMap, roi_align, roi_align_backward, \
     roi_pool, roi_pool_backward
@@ -95,18 +96,6 @@ class CandidateGridSpec:
         return (len(self.offset_fracs) * len(self.size_fracs)) ** 2
 
 
-DEFAULT_GRID = CandidateGridSpec()
-
-
-@dataclass
-class CandidatePool:
-    """Filtered candidates for one cell; the anchor, when included, is first."""
-
-    cell_direction: str
-    candidates: list
-    anchor_index: int
-
-
 def _constraints_ok(x1, y1, x2, y2, ax1, ay1, ax2, ay2, cell_w: float,
                     cell_h: float, grid: CandidateGridSpec) -> np.ndarray:
     """Vectorized check of the three pool constraints for corner arrays;
@@ -126,21 +115,15 @@ def _constraints_ok(x1, y1, x2, y2, ax1, ay1, ax2, ay2, cell_w: float,
     return ok
 
 
-_GRID_COMBOS: dict = {}
-
-
+@cache
 def _grid_combos(grid: CandidateGridSpec):
     """Cell-relative (oy, ox, sh, sw) flat arrays of the raw grid, in the
     documented nested order; cached per spec."""
-    combos = _GRID_COMBOS.get(grid)
-    if combos is None:
-        offs = np.asarray(grid.offset_fracs, dtype=np.float64)
-        sizes = np.asarray(grid.size_fracs, dtype=np.float64)
-        oy, ox, sh, sw = np.meshgrid(offs, offs, sizes, sizes, indexing="ij")
-        combos = (oy.reshape(-1).copy(), ox.reshape(-1).copy(),
-                  sh.reshape(-1).copy(), sw.reshape(-1).copy())
-        _GRID_COMBOS[grid] = combos
-    return combos
+    offs = np.asarray(grid.offset_fracs, dtype=np.float64)
+    sizes = np.asarray(grid.size_fracs, dtype=np.float64)
+    oy, ox, sh, sw = np.meshgrid(offs, offs, sizes, sizes, indexing="ij")
+    return (oy.reshape(-1).copy(), ox.reshape(-1).copy(),
+            sh.reshape(-1).copy(), sw.reshape(-1).copy())
 
 
 def _candidate_arrays(cell: Box, grid: CandidateGridSpec,
@@ -194,9 +177,10 @@ def _candidate_arrays(cell: Box, grid: CandidateGridSpec,
     return survivors
 
 
-def candidate_pool_for_cell(cell: Box, grid: CandidateGridSpec, map_bounds,
-                            direction: str = "") -> CandidatePool | None:
-    """Enumerate and filter the candidate pool of one cell.
+def candidate_pool_for_cell(cell: Box, grid: CandidateGridSpec,
+                            map_bounds) -> list[Box] | None:
+    """Enumerate and filter the candidate pool of one cell, as a list of
+    boxes with the anchor first when grid.include_anchor is set.
 
     Raw candidates come from the offset x size grid in the documented
     nested order (oy, ox, sh, sw).  They are filtered by the three pool
@@ -216,8 +200,7 @@ def candidate_pool_for_cell(cell: Box, grid: CandidateGridSpec, map_bounds,
     arr = _candidate_arrays(cell, grid, map_bounds)
     if arr is None:
         return None
-    boxes = [Box(float(a), float(b), float(c), float(d)) for a, b, c, d in arr]
-    return CandidatePool(direction, boxes, 0 if grid.include_anchor else FALLBACK)
+    return [Box(float(a), float(b), float(c), float(d)) for a, b, c, d in arr]
 
 
 @dataclass
@@ -248,27 +231,6 @@ class ContextScorer:
                          self.weights.astype(np.float64)) + float(self.bias)
 
 
-def score_candidates(F: np.ndarray, pool: CandidatePool, scorer: ContextScorer,
-                     ph: int, pw: int, backbone: str = "pool",
-                     samples_per_bin: int = 2):
-    """Score every candidate in a pool: dot(weights, flatten(map)) + bias.
-
-    Returns (scores, maps); the per-candidate RoI maps are retained for
-    selection and backward.
-    """
-    if not pool.candidates:
-        raise ShapeError("cannot score an empty candidate pool")
-    if backbone == "pool":
-        maps = [roi_pool(F, b, ph, pw) for b in pool.candidates]
-    elif backbone == "align":
-        maps = [roi_align(F, b, ph, pw, samples_per_bin) for b in pool.candidates]
-    else:
-        raise ValueError(f"backbone must be pool|align, got {backbone!r}")
-    flats = np.stack([m.data.reshape(-1) for m in maps])
-    scores = scorer.score_flat(flats)
-    return [float(s) for s in scores], maps
-
-
 @dataclass(frozen=True)
 class MiningConfig:
     """Knobs of the mining operator and the fixed-context variants."""
@@ -278,7 +240,6 @@ class MiningConfig:
     backbone: str = "pool"
     samples_per_bin: int = 2
     grid: CandidateGridSpec = field(default_factory=CandidateGridSpec)
-    lambda_ctx: float = 1.0
     local_scale: float = 1.5
 
     def __post_init__(self):
@@ -287,6 +248,26 @@ class MiningConfig:
 
 
 DEFAULT_CONFIG = MiningConfig()
+
+
+def roi_map(F: np.ndarray, box: Box, config: MiningConfig) -> RoIMap:
+    """The configured RoI operator (pool or align) applied to one box.
+
+    roi_pool and roi_align are looked up when called, not bound once at
+    import, so wrappers installed on the module's names see every call.
+    """
+    if config.backbone == "pool":
+        return roi_pool(F, box, config.ph, config.pw)
+    return roi_align(F, box, config.ph, config.pw, config.samples_per_bin)
+
+
+def parallel_map(fn, items, jobs: int) -> list:
+    """[fn(x) for x in items], on `jobs` threads when jobs > 1; results
+    keep the input order."""
+    if jobs <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -324,13 +305,16 @@ class ContextMiner:
 
     Builds the range-max table once (pool backbone), then mines any
     number of RoIs against it.  mine() is pure and thread-safe: the map,
-    table, and scorer are only read.
+    table, and scorer are only read.  A map holding NaN or inf raises
+    NumericError, since argmax selection would silently pick a NaN.
     """
 
     def __init__(self, F: np.ndarray, scorer: ContextScorer,
                  config: MiningConfig = DEFAULT_CONFIG):
         if F.ndim != 3:
             raise ShapeError(f"feature map must be rank 3, got {F.shape}")
+        if not np.isfinite(F).all():
+            raise NumericError("feature map holds NaN or inf values")
         d = F.shape[0]
         if scorer.weights.shape != (d * config.ph * config.pw,):
             raise ShapeError(
@@ -341,25 +325,19 @@ class ContextMiner:
         self.config = config
         self._table = RangeMaxTable(F) if config.backbone == "pool" else None
 
-    def _op(self, box: Box) -> RoIMap:
-        cfg = self.config
-        if cfg.backbone == "pool":
-            return roi_pool(self.F, box, cfg.ph, cfg.pw)
-        return roi_align(self.F, box, cfg.ph, cfg.pw, cfg.samples_per_bin)
-
     def _pool_flat(self, xyxy: np.ndarray) -> np.ndarray:
         """Flattened (K, D*ph*pw) pooled features of already-clipped boxes."""
         cfg = self.config
         if self._table is not None:
             return self._table.pool_xyxy(xyxy, cfg.ph, cfg.pw).reshape(
                 xyxy.shape[0], -1)
-        maps = [self._op(Box(*row)) for row in xyxy]
-        return np.stack([m.data.reshape(-1) for m in maps])
+        return np.stack([roi_map(self.F, Box(*row), cfg).data.reshape(-1)
+                         for row in xyxy])
 
     def mine(self, r: Box) -> MinedRoIFeature:
         _, H, W = self.F.shape
         cfg = self.config
-        object_map = self._op(r)
+        object_map = roi_map(self.F, r, cfg)
         layout = build_layout(r)
         blocks = [object_map.data]
         selected: list[SelectionRecord] = []
@@ -373,11 +351,11 @@ class ContextMiner:
             scores = self.scorer.score_flat(self._pool_flat(xyxy))
             idx = int(np.argmax(scores))
             box = Box(*(float(v) for v in xyxy[idx]))
-            roi_map = self._op(box)
-            selected.append(SelectionRecord(direction, idx, box, roi_map,
+            picked = roi_map(self.F, box, cfg)
+            selected.append(SelectionRecord(direction, idx, box, picked,
                                             float(scores[idx]),
                                             xyxy.shape[0]))
-            blocks.append(roi_map.data)
+            blocks.append(picked.data)
         return MinedRoIFeature(concat_channels(blocks), object_map, selected)
 
 
@@ -391,17 +369,32 @@ def mine_many(F: np.ndarray, rois, scorer: ContextScorer,
               config: MiningConfig = DEFAULT_CONFIG, jobs: int = 1) -> list[MinedRoIFeature]:
     """Mine many RoIs against one shared table; output order matches input
     order regardless of the worker count."""
-    miner = ContextMiner(F, scorer, config)
-    if jobs <= 1:
-        return [miner.mine(r) for r in rois]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(miner.mine, rois))
+    return parallel_map(ContextMiner(F, scorer, config).mine, rois, jobs)
 
 
 def _backward_one(grad_block: np.ndarray, roi_map: RoIMap, F_dims) -> np.ndarray:
     if roi_map.argmax is not None:
         return roi_pool_backward(grad_block, roi_map, F_dims)
     return roi_align_backward(grad_block, roi_map, F_dims)
+
+
+def scorer_gradient(scorer: ContextScorer, grad_blocks, maps,
+                    lambda_ctx: float):
+    """float64 gradient of the loss with respect to the shared scorer
+    through the selected candidates' scores.
+
+    For each pair of a selected candidate's map x_i and the loss gradient
+    g_i on that map, u_i = <g_i, x_i>; grad_w sums lambda_ctx * u_i * x_i
+    and grad_b sums lambda_ctx * u_i.  Returns (grad_w, grad_b).
+    """
+    grad_w = np.zeros(scorer.weights.shape[0], dtype=np.float64)
+    grad_b = 0.0
+    for g, x in zip(grad_blocks, maps):
+        x = x.reshape(-1).astype(np.float64)
+        u = float(np.dot(g.reshape(-1).astype(np.float64), x))
+        grad_w += lambda_ctx * u * x
+        grad_b += lambda_ctx * u
+    return grad_w, grad_b
 
 
 def mine_context_backward(grad_feature: np.ndarray, mined: MinedRoIFeature,
@@ -412,10 +405,8 @@ def mine_context_backward(grad_feature: np.ndarray, mined: MinedRoIFeature,
     Block 0's gradient routes through the object map; block i's routes
     through cell i's selected map (or the object map again for fallback
     cells).  The scorer receives a training signal through each selected
-    candidate's score path: with u_i = <grad_block_i, selected_map_i>,
-    grad_w accumulates lambda_ctx * u_i * flatten(map_i) and grad_b
-    lambda_ctx * u_i.  Selection argmaxes themselves are treated as
-    piecewise constant and pass no gradient.
+    candidate's score path (scorer_gradient).  Selection argmaxes
+    themselves are treated as piecewise constant and pass no gradient.
 
     Returns (grad_F, (grad_weights, grad_bias)).
     """
@@ -429,18 +420,16 @@ def mine_context_backward(grad_feature: np.ndarray, mined: MinedRoIFeature,
 
     grad_F = np.zeros(tuple(F_dims), dtype=np.float32)
     grad_F += _backward_one(grad_feature[:d], mined.object_map, F_dims)
-    grad_w = np.zeros(scorer.weights.shape[0], dtype=np.float64)
-    grad_b = 0.0
+    blocks, maps = [], []
     for i, rec in enumerate(mined.selected):
         block = grad_feature[(i + 1) * d:(i + 2) * d]
         if rec.fallback:
             grad_F += _backward_one(block, mined.object_map, F_dims)
             continue
         grad_F += _backward_one(block, rec.roi_map, F_dims)
-        u = float(np.dot(block.reshape(-1).astype(np.float64),
-                         rec.roi_map.data.reshape(-1).astype(np.float64)))
-        grad_w += lambda_ctx * u * rec.roi_map.data.reshape(-1).astype(np.float64)
-        grad_b += lambda_ctx * u
+        blocks.append(block)
+        maps.append(rec.roi_map.data)
+    grad_w, grad_b = scorer_gradient(scorer, blocks, maps, lambda_ctx)
     return grad_F, (grad_w.astype(np.float32), float(grad_b))
 
 
@@ -455,9 +444,7 @@ def _cell_block(F: np.ndarray, cell: Box, fallback: np.ndarray,
     _, H, W = F.shape
     if cell.clip(W, H).area <= 0.0:
         return fallback
-    if config.backbone == "pool":
-        return roi_pool(F, cell, config.ph, config.pw).data
-    return roi_align(F, cell, config.ph, config.pw, config.samples_per_bin).data
+    return roi_map(F, cell, config).data
 
 
 def fixed_context_variant(F: np.ndarray, r: Box, variant: str,
@@ -475,10 +462,7 @@ def fixed_context_variant(F: np.ndarray, r: Box, variant: str,
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     _, H, W = F.shape
-    if config.backbone == "pool":
-        obj = roi_pool(F, r, config.ph, config.pw).data
-    else:
-        obj = roi_align(F, r, config.ph, config.pw, config.samples_per_bin).data
+    obj = roi_map(F, r, config).data
     if variant == "none":
         return obj.copy()
     if variant == "local":

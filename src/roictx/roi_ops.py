@@ -48,6 +48,19 @@ def _check_grid(ph: int, pw: int) -> None:
         raise ShapeError(f"grid extents must be >= 1, got {ph}x{pw}")
 
 
+def _check_grad(grad_out: np.ndarray, roi_map: RoIMap, F_dims) -> None:
+    """A backward pass's output gradient must match the map, and F_dims
+    the map it was pooled from."""
+    D, H, W = F_dims
+    if grad_out.shape != roi_map.data.shape:
+        raise ShapeError(
+            f"grad shape {grad_out.shape} != map shape {roi_map.data.shape}")
+    if (H, W) != roi_map.map_hw or D != roi_map.data.shape[0]:
+        raise ShapeError(
+            f"F_dims {tuple(F_dims)} inconsistent with map "
+            f"({roi_map.data.shape[0]}, {roi_map.map_hw})")
+
+
 def _clipped_or_raise(r: Box, width: int, height: int) -> Box:
     clipped = r.clip(width, height)
     if clipped.area <= 0.0:
@@ -56,30 +69,19 @@ def _clipped_or_raise(r: Box, width: int, height: int) -> Box:
     return clipped
 
 
-def bin_edges(lo: float, extent: float, bins: int, limit: int):
+def bin_edges(lo, extent, bins: int, limit: int):
     """Integerized bin boundaries along one axis.
 
     Bin i spans the continuous interval [lo + (i*extent)/bins,
     lo + ((i+1)*extent)/bins); its integer range is floor of the start to
-    ceil of the end, clamped to [0, limit).
+    ceil of the end, clamped to [0, limit).  lo and extent are scalars or
+    (K,) arrays; the bins run along the last axis of the result.
     """
     idx = np.arange(bins + 1, dtype=np.float64)
-    bounds = lo + (idx * extent) / bins
-    starts = np.maximum(np.floor(bounds[:-1]), 0.0).astype(np.int64)
-    ends = np.minimum(np.ceil(bounds[1:]), float(limit)).astype(np.int64)
-    return starts, ends
-
-
-def bin_edges_batch(lo: np.ndarray, extent: np.ndarray, bins: int, limit: int):
-    """bin_edges for K boxes at once; lo and extent are (K,) float64.
-
-    Element arithmetic is identical to bin_edges, so the integer ranges
-    match the scalar path bit-exactly.
-    """
-    idx = np.arange(bins + 1, dtype=np.float64)
-    bounds = lo[:, None] + (idx[None, :] * extent[:, None]) / bins
-    starts = np.maximum(np.floor(bounds[:, :-1]), 0.0).astype(np.int64)
-    ends = np.minimum(np.ceil(bounds[:, 1:]), float(limit)).astype(np.int64)
+    bounds = (np.asarray(lo, dtype=np.float64)[..., None]
+              + (idx * np.asarray(extent, dtype=np.float64)[..., None]) / bins)
+    starts = np.maximum(np.floor(bounds[..., :-1]), 0.0).astype(np.int64)
+    ends = np.minimum(np.ceil(bounds[..., 1:]), float(limit)).astype(np.int64)
     return starts, ends
 
 
@@ -119,13 +121,7 @@ def roi_pool_backward(grad_out: np.ndarray, roi_map: RoIMap, F_dims) -> np.ndarr
     D, H, W = F_dims
     if roi_map.argmax is None:
         raise ShapeError("RoIMap carries no argmax records (not from roi_pool)")
-    if grad_out.shape != roi_map.data.shape:
-        raise ShapeError(
-            f"grad shape {grad_out.shape} != map shape {roi_map.data.shape}")
-    if (H, W) != roi_map.map_hw or D != roi_map.data.shape[0]:
-        raise ShapeError(
-            f"F_dims {tuple(F_dims)} inconsistent with map "
-            f"({roi_map.data.shape[0]}, {roi_map.map_hw})")
+    _check_grad(grad_out, roi_map, F_dims)
     grad = np.zeros((D, H, W), dtype=np.float32)
     valid = roi_map.argmax >= 0
     if valid.any():
@@ -194,13 +190,7 @@ def roi_align_backward(grad_out: np.ndarray, roi_map: RoIMap, F_dims) -> np.ndar
     D, H, W = F_dims
     if roi_map.samples is None:
         raise ShapeError("RoIMap carries no sample records (not from roi_align)")
-    if grad_out.shape != roi_map.data.shape:
-        raise ShapeError(
-            f"grad shape {grad_out.shape} != map shape {roi_map.data.shape}")
-    if (H, W) != roi_map.map_hw or D != roi_map.data.shape[0]:
-        raise ShapeError(
-            f"F_dims {tuple(F_dims)} inconsistent with map "
-            f"({roi_map.data.shape[0]}, {roi_map.map_hw})")
+    _check_grad(grad_out, roi_map, F_dims)
     ph, pw, s2, _ = roi_map.samples.shape
     flat = roi_map.samples.reshape(-1, 2)
     corners, weights = _bilinear_corners(flat, H, W)
@@ -229,27 +219,27 @@ class RangeMaxTable:
             k1 -= 1
         while (1 << (k2 - 1)) > W:
             k2 -= 1
-        table = np.empty((k1, k2, D, H, W), dtype=np.float32)
-        table[0, 0] = F
+        # Built in its gather layout: row (level-a, level-b, y, x) holds the
+        # D channels, so queries index one flat view and no copy is kept.
+        table = np.empty((k1, k2, H, W, D), dtype=np.float32)
+        table[0, 0] = F.transpose(1, 2, 0)
         for b in range(1, k2):
             span = 1 << b
             prev = table[0, b - 1]
             table[0, b] = prev
             n = W - span + 1
-            table[0, b, :, :, :n] = np.maximum(
-                prev[:, :, :n], prev[:, :, span // 2:span // 2 + n])
+            table[0, b, :, :n] = np.maximum(
+                prev[:, :n], prev[:, span // 2:span // 2 + n])
         for a in range(1, k1):
             span = 1 << a
             n = H - span + 1
             for b in range(k2):
                 prev = table[a - 1, b]
                 table[a, b] = prev
-                table[a, b, :, :n, :] = np.maximum(
-                    prev[:, :n, :], prev[:, span // 2:span // 2 + n, :])
-        # gather-friendly layout: row (level-a, level-b, y, x) -> D channels
+                table[a, b, :n] = np.maximum(
+                    prev[:n], prev[span // 2:span // 2 + n])
         self._k2 = k2
-        self._flat = np.ascontiguousarray(
-            table.transpose(0, 1, 3, 4, 2).reshape(-1, D))
+        self._flat = table.reshape(-1, D)
         # floor(log2(n)) for n = 1..max(H, W)
         self._log2 = np.zeros(max(H, W) + 1, dtype=np.int64)
         for n in range(2, max(H, W) + 1):
@@ -285,8 +275,8 @@ class RangeMaxTable:
         clipped boxes)."""
         D, H, W = self.dims
         K = xyxy.shape[0]
-        ys, ye = bin_edges_batch(xyxy[:, 1], xyxy[:, 3] - xyxy[:, 1], ph, H)
-        xs, xe = bin_edges_batch(xyxy[:, 0], xyxy[:, 2] - xyxy[:, 0], pw, W)
+        ys, ye = bin_edges(xyxy[:, 1], xyxy[:, 3] - xyxy[:, 1], ph, H)
+        xs, xe = bin_edges(xyxy[:, 0], xyxy[:, 2] - xyxy[:, 0], pw, W)
         y0 = np.repeat(ys[:, :, None], pw, axis=2).reshape(-1)
         y1 = np.repeat(ye[:, :, None], pw, axis=2).reshape(-1)
         x0 = np.repeat(xs[:, None, :], ph, axis=1).reshape(-1)

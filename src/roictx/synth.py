@@ -20,7 +20,8 @@ from .errors import TrainingError
 from .geometry import Box, iou
 from .losses import softmax
 from .mining import CandidateGridSpec, ContextScorer, MiningConfig, \
-    DIRECTIONS, build_layout, candidate_pool_for_cell, fixed_context_variant
+    DIRECTIONS, build_layout, candidate_pool_for_cell, \
+    fixed_context_variant, scorer_gradient
 from .roi_ops import RangeMaxTable, roi_pool
 
 TRAIN_VARIANTS = ("none", "neigh8", "mining")
@@ -51,7 +52,7 @@ class SynthConfig:
 
     def mining_config(self) -> MiningConfig:
         return MiningConfig(ph=self.ph, pw=self.pw, backbone="pool",
-                            grid=self.grid, lambda_ctx=self.lambda_ctx)
+                            grid=self.grid)
 
 
 DEFAULT_SYNTH = SynthConfig()
@@ -135,11 +136,10 @@ class _MiningFeatures:
         size = cfg.map_size
         self.cells = []
         for direction in DIRECTIONS:
-            pool = candidate_pool_for_cell(layout.cells[direction], mc.grid,
-                                           (size, size), direction)
-            flats = table.pool_boxes(pool.candidates, mc.ph, mc.pw)
-            self.cells.append((pool.candidates,
-                               flats.reshape(len(pool.candidates), -1)))
+            boxes = candidate_pool_for_cell(layout.cells[direction], mc.grid,
+                                            (size, size))
+            flats = table.pool_boxes(boxes, mc.ph, mc.pw)
+            self.cells.append((boxes, flats.reshape(len(boxes), -1)))
 
     def select(self, scorer: ContextScorer):
         """Argmax candidate per cell under the current scorer."""
@@ -151,15 +151,6 @@ class _MiningFeatures:
 
     def feature(self, picks) -> np.ndarray:
         return np.concatenate([self.object_flat] + [p[2] for p in picks])
-
-
-def _variant_feature(scene: SynthScene, variant: str, cfg: SynthConfig) -> np.ndarray:
-    mc = cfg.mining_config()
-    if variant == "none":
-        return roi_pool(scene.feature, scene.object_roi,
-                        mc.ph, mc.pw).data.reshape(-1)
-    return fixed_context_variant(scene.feature, scene.object_roi,
-                                 "neigh8", mc).reshape(-1)
 
 
 def train_head(scenes, variant: str, epochs: int = 30, lr: float = 0.05,
@@ -193,7 +184,9 @@ def train_head(scenes, variant: str, epochs: int = 30, lr: float = 0.05,
         dim = 9 * block
         scorer = ContextScorer.zeros(config.channels, mc.ph, mc.pw)
     else:
-        cache = {int(i): _variant_feature(scenes[int(i)], variant, config)
+        cache = {int(i): fixed_context_variant(scenes[int(i)].feature,
+                                               scenes[int(i)].object_roi,
+                                               variant, mc).reshape(-1)
                  for i in np.concatenate([train_idx, test_idx])}
         dim = cache[int(train_idx[0])].shape[0]
         scorer = None
@@ -219,14 +212,10 @@ def train_head(scenes, variant: str, epochs: int = 30, lr: float = 0.05,
             g = p.copy()
             g[scene.label] -= 1.0
             if mining:
-                grad_w = np.zeros(block, dtype=np.float64)
-                grad_b = 0.0
-                for cell_i, (_, _, flat) in enumerate(picks):
-                    lo = (cell_i + 1) * block
-                    g_block = head_w[:, lo:lo + block].T @ g
-                    u = float(g_block @ flat.astype(np.float64))
-                    grad_w += config.lambda_ctx * u * flat.astype(np.float64)
-                    grad_b += config.lambda_ctx * u
+                g_blocks = [head_w[:, (c + 1) * block:(c + 2) * block].T @ g
+                            for c in range(len(picks))]
+                grad_w, grad_b = scorer_gradient(
+                    scorer, g_blocks, [p[2] for p in picks], config.lambda_ctx)
                 scorer.weights = (scorer.weights.astype(np.float64)
                                   - lr * grad_w).astype(np.float32)
                 scorer.bias = float(scorer.bias - lr * grad_b)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from roictx.errors import DegenerateBoxError, ShapeError
+from roictx.errors import DegenerateBoxError, NumericError, ShapeError
 from roictx.geometry import Box, iou
 from roictx.gradcheck import check
 from roictx.mining import CandidateGridSpec, ContextScorer, DIRECTIONS, \
-    MiningConfig, build_layout, candidate_pool_for_cell, \
+    ContextMiner, MiningConfig, build_layout, candidate_pool_for_cell, \
     fixed_context_variant, mine_context, mine_context_backward, mine_many, \
-    mined_to_record, score_candidates, selection_indices
+    mined_to_record, selection_indices
 from roictx.roi_ops import roi_pool
 
 
@@ -120,8 +120,8 @@ class TestCandidatePool:
         grid = CandidateGridSpec()
         pool = candidate_pool_for_cell(Box(20, 20, 30, 28), grid, (64, 64))
         want = pool_oracle_for_cell(Box(20, 20, 30, 28), grid, (64, 64))
-        assert pool.candidates == want
-        assert pool.anchor_index == 0
+        assert pool == want
+        assert pool[0] == Box(22.5, 22.0, 27.5, 26.0)
 
     def test_matches_brute_force_oracle_random_cells(self):
         rng = np.random.default_rng(13)
@@ -137,19 +137,19 @@ class TestCandidatePool:
             if pool is None:
                 assert want is None
             else:
-                assert pool.candidates == want
+                assert pool == want
 
     def test_interior_survivors_satisfy_iou_constraint(self):
         pool = candidate_pool_for_cell(Box(20, 20, 30, 28),
                                        CandidateGridSpec(), (64, 64))
-        anchor = pool.candidates[0]
-        for b in pool.candidates[1:]:
+        anchor = pool[0]
+        for b in pool[1:]:
             assert iou(b, anchor) >= 0.3
 
     def test_anchor_is_half_cell_centered(self):
         pool = candidate_pool_for_cell(Box(0, 0, 8, 4), CandidateGridSpec(),
                                        None)
-        assert pool.candidates[0] == Box(2, 1, 6, 3)
+        assert pool[0] == Box(2, 1, 6, 3)
 
     def test_anchor_fully_outside_gives_fallback(self):
         cell = Box(-20, -20, -10, -12)
@@ -166,8 +166,8 @@ class TestCandidatePool:
                                  anchor_iou_min=0.0, include_anchor=False)
         cell = Box(12.0, 8.0, 20.0, 14.0)
         pool = candidate_pool_for_cell(cell, grid, (64, 64))
-        assert len(pool.candidates) == 1
-        got = pool.candidates[0]
+        assert len(pool) == 1
+        got = pool[0]
         for a, b in zip((got.x1, got.y1, got.x2, got.y2),
                         (cell.x1, cell.y1, cell.x2, cell.y2)):
             assert a == pytest.approx(b, abs=1e-12)
@@ -179,30 +179,28 @@ class TestScoreCandidates:
         F = rng.normal(0, 1, (3, 32, 32)).astype(np.float32)
         cell = Box(10.0, 12.0, 18.0, 19.0)
         pool = candidate_pool_for_cell(cell, CandidateGridSpec(), (32, 32))
-        return rng, F, pool
+        flats = np.stack([roi_pool(F, b, 5, 5).data.reshape(-1) for b in pool])
+        return rng, flats
 
     def test_zero_scorer_gives_zero_scores(self):
-        _, F, pool = self._setup()
-        scorer = ContextScorer.zeros(3, 5, 5)
-        scores, maps = score_candidates(F, pool, scorer, 5, 5)
+        _, flats = self._setup()
+        scores = ContextScorer.zeros(3, 5, 5).score_flat(flats)
+        assert scores.shape == (flats.shape[0],)
         assert all(s == 0.0 for s in scores)
-        assert len(maps) == len(pool.candidates)
 
     def test_one_hot_weights_pick_out_one_element(self):
-        _, F, pool = self._setup()
+        _, flats = self._setup()
         w = np.zeros(3 * 5 * 5, dtype=np.float32)
         w[31] = 1.0
-        scores, maps = score_candidates(F, pool, ContextScorer(w, 0.0), 5, 5)
-        for s, m in zip(scores, maps):
-            assert s == pytest.approx(float(m.data.reshape(-1)[31]), rel=1e-12)
+        scores = ContextScorer(w, 0.0).score_flat(flats)
+        for s, flat in zip(scores, flats):
+            assert s == pytest.approx(float(flat[31]), rel=1e-12)
 
     def test_matches_matvec_oracle(self):
-        rng, F, pool = self._setup()
+        rng, flats = self._setup()
         w = rng.normal(0, 1, 3 * 5 * 5).astype(np.float32)
-        scorer = ContextScorer(w, 0.25)
-        scores, maps = score_candidates(F, pool, scorer, 5, 5)
-        flats = np.stack([m.data.reshape(-1) for m in maps]).astype(np.float64)
-        want = flats @ w.astype(np.float64) + 0.25
+        scores = ContextScorer(w, 0.25).score_flat(flats)
+        want = flats.astype(np.float64) @ w.astype(np.float64) + 0.25
         assert np.allclose(scores, want, rtol=1e-10, atol=1e-12)
 
 
@@ -315,6 +313,19 @@ class TestMineContext:
         assert not by_dir["right"].fallback
         i = DIRECTIONS.index("left-top") + 1
         assert np.array_equal(mined.feature[2 * i:2 * i + 2], mined.feature[:2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_map_rejected(self, bad):
+        F = np.random.default_rng(7).normal(0, 1, (4, 20, 20)).astype(np.float32)
+        F[2, 11, 3] = bad
+        r = Box(7.0, 7.0, 12.0, 12.0)
+        scorer = ContextScorer.zeros(4, 7, 7)
+        with pytest.raises(NumericError):
+            mine_context(F, r, scorer)
+        with pytest.raises(NumericError):
+            mine_many(F, [r, r], scorer, jobs=2)
+        with pytest.raises(NumericError):
+            ContextMiner(F, scorer, MiningConfig(backbone="align"))
 
     def test_degenerate_roi_rejected(self):
         F = np.zeros((1, 16, 16), dtype=np.float32)
