@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DegenerateBoxError, NumericError, ShapeError
 from .geometry import Box
 from .roi_ops import RangeMaxTable, RoIMap, roi_align, roi_align_backward, \
-    roi_pool, roi_pool_backward
+    roi_align_bin_sums, roi_pool, roi_pool_backward
 from .tensor import concat_channels
 
 DIRECTIONS = ("left-top", "top", "right-top", "left", "right",
@@ -300,22 +300,60 @@ class MinedRoIFeature:
     selected: list[SelectionRecord]
 
 
+def _box_at(xyxy: np.ndarray, k) -> Box:
+    return Box(*(float(v) for v in xyxy[k]))
+
+
+def _require_finite(F: np.ndarray) -> None:
+    """Argmax selection would silently pick a NaN, so maps holding NaN or
+    inf are refused."""
+    if not np.isfinite(F).all():
+        raise NumericError("feature map holds NaN or inf values")
+
+
 class ContextMiner:
     """Reusable mining engine for one feature map.
 
-    Builds the range-max table once (pool backbone), then mines any
-    number of RoIs against it.  mine() is pure and thread-safe: the map,
-    table, and scorer are only read.  A map holding NaN or inf raises
-    NumericError, since argmax selection would silently pick a NaN.
+    Builds what selection needs once per map, then mines any number of
+    RoIs against it.  mine() is pure and thread-safe: the map, the tables
+    and the scorer are only read.  A map holding NaN or inf raises
+    NumericError.
+
+    Pool backbone: every candidate is max-pooled through a range-max
+    table and scored.
+
+    Align backbone: roi_align and the scorer are both linear in F, so a
+    candidate's score is sum over bins b of mean_s bilinear(G_b, p_s) + c,
+    with G = W_b^T F one float64 plane per bin (W_b the scorer's weights
+    of bin b over the D channels) and c the bias.  The miner builds G and
+    the bound planes A = |W_b|^T |F| once.  Per cell it then filters:
+    each candidate k gets the approximate score s~_k from G and the bound
+
+        t_k = 2^-22 * sum_b mean_s bilinear(A_b) + |c| * 2^-50
+              + sum_i |w_i| * 2^-149.
+
+    The exact path rounds each map element a_i to float32, which moves
+    the score by at most 2^-24 * sum_i |w_i| |a_i|, and the first term
+    bounds that sum four times over; the spare factor of 3 covers the
+    float64 reassociation of both paths (about 1e-12 relative).  The
+    |c| term covers the rounding of adding the bias, the last term the
+    absolute error (at most 2^-150) of rounding a subnormal element.
+    So |score_k - s~_k| <= t_k, and every candidate that can reach the
+    maximum satisfies s~_k + t_k >= max_j (s~_j - t_j).  Only those candidates, in pool order, are
+    scored exactly (roi_align, then ContextScorer.score_flat); the argmax
+    among them is the argmax of the pool, exact ties included, and its
+    map is the one kept.  Selections and scores are bit-identical to
+    exhaustive scoring; s~ only filters and never decides.  When the
+    filter is not finite (overflow, or a non-finite scorer) every
+    candidate is scored.  G and A hold 2*ph*pw*H*W float64 values.
     """
 
     def __init__(self, F: np.ndarray, scorer: ContextScorer,
                  config: MiningConfig = DEFAULT_CONFIG):
         if F.ndim != 3:
             raise ShapeError(f"feature map must be rank 3, got {F.shape}")
-        if not np.isfinite(F).all():
-            raise NumericError("feature map holds NaN or inf values")
-        d = F.shape[0]
+        _require_finite(F)
+        d, H, W = F.shape
         if scorer.weights.shape != (d * config.ph * config.pw,):
             raise ShapeError(
                 f"scorer weight length {scorer.weights.shape} does not match "
@@ -323,16 +361,54 @@ class ContextMiner:
         self.F = F
         self.scorer = scorer
         self.config = config
-        self._table = RangeMaxTable(F) if config.backbone == "pool" else None
+        self._table = None
+        if config.backbone == "pool":
+            self._table = RangeMaxTable(F)
+            return
+        w = scorer.weights.astype(np.float64).reshape(d, -1)
+        flat = F.reshape(d, H * W).astype(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            planes = np.stack([w.T @ flat, np.abs(w).T @ np.abs(flat)], axis=-1)
+        self._planes = planes.reshape(config.ph, config.pw, H, W, 2)
+        self._w_abs_sum = float(np.abs(w).sum())
 
-    def _pool_flat(self, xyxy: np.ndarray) -> np.ndarray:
-        """Flattened (K, D*ph*pw) pooled features of already-clipped boxes."""
+    def _near_top(self, xyxy: np.ndarray) -> np.ndarray:
+        """Pool indices, in order, whose exact score can reach the pool's
+        maximum (see the class docstring); all of them when the filter
+        is not finite."""
+        bias = float(self.scorer.bias)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = roi_align_bin_sums(self._planes, xyxy,
+                                      self.config.samples_per_bin)
+            approx = sums[:, 0] + bias
+            slack = (2.0 ** -22 * sums[:, 1] + abs(bias) * 2.0 ** -50
+                     + self._w_abs_sum * 2.0 ** -149)
+            lo, hi = approx - slack, approx + slack
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            return np.arange(xyxy.shape[0])
+        return np.flatnonzero(hi >= lo.max())
+
+    def _select(self, xyxy: np.ndarray):
+        """(index, score, map) of the pool's best-scoring candidate; the
+        first one in pool order among equal scores."""
         cfg = self.config
+        K = xyxy.shape[0]
         if self._table is not None:
-            return self._table.pool_xyxy(xyxy, cfg.ph, cfg.pw).reshape(
-                xyxy.shape[0], -1)
-        return np.stack([roi_map(self.F, Box(*row), cfg).data.reshape(-1)
-                         for row in xyxy])
+            feats = self._table.pool_xyxy(xyxy, cfg.ph, cfg.pw)
+            scores = self.scorer.score_flat(feats.reshape(K, -1))
+            idx = int(np.argmax(scores))
+            return idx, float(scores[idx]), roi_map(self.F, _box_at(xyxy, idx), cfg)
+        keep = self._near_top(xyxy)
+        maps = [roi_map(self.F, _box_at(xyxy, k), cfg) for k in keep]
+        rows = [m.data.reshape(-1) for m in maps]
+        if len(rows) == 1 and K > 1:
+            # einsum reduces a lone row longer than its 8192-element buffer
+            # in another order than a row of a matrix; a repeated row keeps
+            # the summation of the whole pool's matrix.
+            rows *= 2
+        scores = self.scorer.score_flat(np.stack(rows))[:len(maps)]
+        j = int(np.argmax(scores))
+        return int(keep[j]), float(scores[j]), maps[j]
 
     def mine(self, r: Box) -> MinedRoIFeature:
         _, H, W = self.F.shape
@@ -348,13 +424,9 @@ class ContextMiner:
                                                 None, None, 0))
                 blocks.append(object_map.data)
                 continue
-            scores = self.scorer.score_flat(self._pool_flat(xyxy))
-            idx = int(np.argmax(scores))
-            box = Box(*(float(v) for v in xyxy[idx]))
-            picked = roi_map(self.F, box, cfg)
-            selected.append(SelectionRecord(direction, idx, box, picked,
-                                            float(scores[idx]),
-                                            xyxy.shape[0]))
+            idx, score, picked = self._select(xyxy)
+            selected.append(SelectionRecord(direction, idx, picked.source_roi,
+                                            picked, score, xyxy.shape[0]))
             blocks.append(picked.data)
         return MinedRoIFeature(concat_channels(blocks), object_map, selected)
 
@@ -458,9 +530,11 @@ def fixed_context_variant(F: np.ndarray, r: Box, variant: str,
     neigh8 -> object + all 8 surrounding cells in DIRECTIONS order
 
     Cells fully outside the map fall back to the object map, as in mining.
+    A map holding NaN or inf raises NumericError.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    _require_finite(F)
     _, H, W = F.shape
     obj = roi_map(F, r, config).data
     if variant == "none":

@@ -132,30 +132,26 @@ def roi_pool_backward(grad_out: np.ndarray, roi_map: RoIMap, F_dims) -> np.ndarr
     return grad
 
 
-def _align_sample_coords(r: Box, ph: int, pw: int, s: int,
-                         H: int, W: int) -> np.ndarray:
-    """Clamped (y, x) sample coordinates, shape ph x pw x s^2 x 2."""
+def _align_axis_coords(lo, extent, bins: int, s: int, limit: int) -> np.ndarray:
+    """Clamped sample coordinates along one axis of K boxes with (K,)
+    starts and extents: s per bin, shape K x bins x s."""
     si = (np.arange(s, dtype=np.float64) + 0.5) / s
-    ys = r.y1 + (np.arange(ph, dtype=np.float64)[:, None] + si[None, :]) * r.h / ph
-    xs = r.x1 + (np.arange(pw, dtype=np.float64)[:, None] + si[None, :]) * r.w / pw
-    ys = np.clip(ys, 0.0, float(H - 1))
-    xs = np.clip(xs, 0.0, float(W - 1))
-    grid = np.empty((ph, pw, s, s, 2), dtype=np.float64)
-    grid[..., 0] = ys[:, None, :, None]
-    grid[..., 1] = xs[None, :, None, :]
-    return grid.reshape(ph, pw, s * s, 2)
+    c = lo[:, None, None] + (np.arange(bins, dtype=np.float64)[:, None]
+                             + si[None, :]) * extent[:, None, None] / bins
+    return np.clip(c, 0.0, float(limit - 1))
+
+
+def _linear_taps(c: np.ndarray, limit: int):
+    """Lower and upper grid neighbours of coordinates c in [0, limit-1],
+    and the upper neighbour's interpolation weight."""
+    lo = np.clip(np.floor(c).astype(np.int64), 0, limit - 1)
+    return lo, np.minimum(lo + 1, limit - 1), c - lo
 
 
 def _bilinear_corners(samples: np.ndarray, H: int, W: int):
     """Corner indices and weights for a flat (N, 2) array of (y, x) points."""
-    y = samples[:, 0]
-    x = samples[:, 1]
-    y0 = np.clip(np.floor(y).astype(np.int64), 0, H - 1)
-    x0 = np.clip(np.floor(x).astype(np.int64), 0, W - 1)
-    y1 = np.minimum(y0 + 1, H - 1)
-    x1 = np.minimum(x0 + 1, W - 1)
-    ly = y - y0
-    lx = x - x0
+    y0, y1, ly = _linear_taps(samples[:, 0], H)
+    x0, x1, lx = _linear_taps(samples[:, 1], W)
     weights = ((1 - ly) * (1 - lx), (1 - ly) * lx, ly * (1 - lx), ly * lx)
     corners = ((y0, x0), (y0, x1), (y1, x0), (y1, x1))
     return corners, weights
@@ -175,7 +171,12 @@ def roi_align(F: np.ndarray, r: Box, ph: int, pw: int,
         raise ShapeError(f"samples_per_bin must be >= 1, got {samples_per_bin}")
     _clipped_or_raise(r, W, H)
 
-    samples = _align_sample_coords(r, ph, pw, samples_per_bin, H, W)
+    s = samples_per_bin
+    y1, x1, h, w = np.array([[r.y1, r.x1, r.h, r.w]], dtype=np.float64).T
+    samples = np.empty((ph, pw, s, s, 2), dtype=np.float64)
+    samples[..., 0] = _align_axis_coords(y1, h, ph, s, H)[0][:, None, :, None]
+    samples[..., 1] = _align_axis_coords(x1, w, pw, s, W)[0][None, :, None, :]
+    samples = samples.reshape(ph, pw, s * s, 2)
     flat = samples.reshape(-1, 2)
     corners, weights = _bilinear_corners(flat, H, W)
     acc = np.zeros((D, flat.shape[0]), dtype=np.float64)
@@ -195,10 +196,52 @@ def roi_align_backward(grad_out: np.ndarray, roi_map: RoIMap, F_dims) -> np.ndar
     flat = roi_map.samples.reshape(-1, 2)
     corners, weights = _bilinear_corners(flat, H, W)
     g = np.repeat(grad_out.reshape(D, ph * pw).astype(np.float64) / s2, s2, axis=1)
-    grad = np.zeros((D, H, W), dtype=np.float64)
-    for (cy, cx), wgt in zip(corners, weights):
-        np.add.at(grad, (slice(None), cy, cx), g * wgt[None, :])
-    return grad.astype(np.float32)
+    # One bincount over the four corners in turn, each in C order over
+    # (D, N): the same float64 terms added from zero in the same sequence
+    # as one np.add.at per corner, so the sums are bit-identical.
+    chan = np.arange(D, dtype=np.int64)[:, None] * (H * W)
+    index = np.concatenate([(chan + cy * W + cx).reshape(-1)
+                            for cy, cx in corners])
+    terms = np.concatenate([(g * wgt[None, :]).reshape(-1) for wgt in weights])
+    grad = np.bincount(index, weights=terms, minlength=D * H * W)
+    return grad.reshape(D, H, W).astype(np.float32)
+
+
+def roi_align_bin_sums(planes: np.ndarray, xyxy: np.ndarray,
+                       samples_per_bin: int = 2) -> np.ndarray:
+    """RoIAlign of K boxes in which each bin samples its own plane, summed
+    over the bins.
+
+    planes is ph x pw x H x W x C float64: bin (i, j) reads planes[i, j],
+    with the sample coordinates and bilinear weights of roi_align.  xyxy
+    is an (K, 4) x1,y1,x2,y2 array.  Returns (K, C): for each box and
+    column, the sum over bins of the bin's mean sample.  RoIAlign is
+    linear in the map, so with planes[i, j] = sum_d w[d, i, j] * F[d] a
+    row equals <w, roi_align(F, box).data> up to rounding.
+    """
+    if planes.ndim != 5:
+        raise ShapeError(f"planes must be rank 5 (ph,pw,H,W,C), got {planes.shape}")
+    ph, pw, H, W, C = planes.shape
+    s = samples_per_bin
+    K = xyxy.shape[0]
+    ys = _align_axis_coords(xyxy[:, 1], xyxy[:, 3] - xyxy[:, 1], ph, s, H)
+    xs = _align_axis_coords(xyxy[:, 0], xyxy[:, 2] - xyxy[:, 0], pw, s, W)
+    y0, y1, ly = _linear_taps(ys, H)
+    x0, x1, lx = _linear_taps(xs, W)
+    # Bilinear taps are separable: the (bin row, sample, corner) taps of
+    # the y axis meet those of the x axis, and tap ((i, a, u), (j, b, v))
+    # reads flat element ((i*pw + j)*H + y)*W + x of the planes with
+    # weight wy[i, a, u] * wx[j, b, v].
+    rows = (np.stack([y0, y1], axis=-1)
+            + (np.arange(ph, dtype=np.int64) * (pw * H))[:, None, None]) * W
+    cols = (np.stack([x0, x1], axis=-1)
+            + (np.arange(pw, dtype=np.int64) * (H * W))[:, None, None])
+    wy = np.stack([1 - ly, ly], axis=-1)
+    wx = np.stack([1 - lx, lx], axis=-1)
+    index = rows.reshape(K, -1, 1) + cols.reshape(K, 1, -1)
+    weight = wy.reshape(K, -1, 1) * wx.reshape(K, 1, -1)
+    taps = np.take(planes.reshape(-1, C), index.reshape(-1), axis=0)
+    return (weight.reshape(K, 1, -1) @ taps.reshape(K, -1, C))[:, 0] / (s * s)
 
 
 class RangeMaxTable:

@@ -113,6 +113,19 @@ class TestCtxmine:
         assert not (tmp / "m.ften").exists()
 
 
+class TestVariant:
+    def test_nan_map_exits_1(self, tmp_path, capsys):
+        F = np.random.default_rng(5).normal(0, 1, (4, 20, 20)).astype(np.float32)
+        F[2, 11, 3] = np.nan
+        save_ften(tmp_path / "F.ften", F)
+        with open(tmp_path / "rois.csv", "w", encoding="utf-8") as fh:
+            fh.write("7.0,7.0,12.0,12.0\n")
+        args = ["variant", "--variant", "neigh8"] + _io(tmp_path, "v.ften")
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "v.ften").exists()
+
+
 class TestEnumerate:
     def test_csv_lists_the_pool(self, tmp_path, capsys):
         out = tmp_path / "pool.csv"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from roictx import mining
 from roictx.errors import DegenerateBoxError, NumericError, ShapeError
 from roictx.geometry import Box, iou
 from roictx.gradcheck import check
@@ -8,7 +9,7 @@ from roictx.mining import CandidateGridSpec, ContextScorer, DIRECTIONS, \
     ContextMiner, MiningConfig, build_layout, candidate_pool_for_cell, \
     fixed_context_variant, mine_context, mine_context_backward, mine_many, \
     mined_to_record, selection_indices
-from roictx.roi_ops import roi_pool
+from roictx.roi_ops import roi_align, roi_pool
 
 
 def interior_roi(rng, size, lo_frac=0.34, hi_frac=0.66, min_wh=3.0, max_wh=10.0):
@@ -355,6 +356,126 @@ class TestMineContext:
             assert cell["fallback"] is False
 
 
+class TestAlignSelection:
+    """The align backbone scores only the candidates whose exact score can
+    reach the pool's maximum; selections and scores must still equal
+    scoring every candidate through roi_align and score_flat."""
+
+    CONFIG = MiningConfig(ph=5, pw=5, backbone="align")
+
+    def _exhaustive_scores(self, F, cell, scorer, cfg=CONFIG):
+        _, H, W = F.shape
+        pool = pool_oracle_for_cell(cell, cfg.grid, (float(W), float(H)))
+        if pool is None:
+            return None, None
+        flats = np.stack([roi_align(F, b, cfg.ph, cfg.pw,
+                                    cfg.samples_per_bin).data.reshape(-1)
+                          for b in pool])
+        return pool, scorer.score_flat(flats)
+
+    def _check_oracle(self, F, r, scorer, cfg=CONFIG):
+        mined = mine_context(F, r, scorer, cfg)
+        layout = build_layout(r)
+        for rec in mined.selected:
+            pool, scores = self._exhaustive_scores(F, layout.cells[rec.direction],
+                                                   scorer, cfg)
+            if pool is None:
+                assert rec.fallback
+                continue
+            assert rec.index == int(np.argmax(scores))
+            assert rec.box == pool[rec.index]
+            assert rec.score == float(scores[rec.index])
+            want = roi_align(F, rec.box, cfg.ph, cfg.pw, cfg.samples_per_bin)
+            assert np.array_equal(rec.roi_map.data, want.data)
+        return mined
+
+    def test_selection_matches_rescoring_oracle(self):
+        rng = np.random.default_rng(97)
+        for _ in range(4):
+            F = rng.normal(0, 1, (3, 40, 40)).astype(np.float32)
+            scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32),
+                                   float(rng.normal()))
+            self._check_oracle(F, interior_roi(rng, 40), scorer)
+
+    def test_rows_longer_than_einsum_buffer(self):
+        """D*ph*pw = 8232 > 8192: a lone exactly-scored row must still get
+        the score its row in the whole pool's matrix gets."""
+        rng = np.random.default_rng(113)
+        F = rng.normal(0, 1, (168, 30, 30)).astype(np.float32)
+        scorer = ContextScorer(rng.normal(0, 1, 168 * 49).astype(np.float32), 0.2)
+        config = MiningConfig(ph=7, pw=7, backbone="align")
+        self._check_oracle(F, Box(11.0, 12.0, 17.5, 18.0), scorer, config)
+
+    def test_constant_map_ties_pick_first_candidate(self):
+        rng = np.random.default_rng(101)
+        # 1/3 has a full mantissa: bilinear weights move the float64 sums
+        # of different candidates apart by an ulp or so, but every map
+        # rounds to the same float32 values, so the exact scores all tie
+        F = np.full((3, 40, 40), 1.0 / 3.0, dtype=np.float32)
+        scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), 0.5)
+        mined = self._check_oracle(F, interior_roi(rng, 40), scorer)
+        assert [rec.index for rec in mined.selected] == [0] * 8
+
+    def test_near_constant_map_near_ties_resolved_exactly(self):
+        """Scores a few float32 ulps apart: many candidates pass the filter
+        and the exact scores, not the approximate ones, pick among them."""
+        rng = np.random.default_rng(127)
+        ulp = np.spacing(np.float32(1.0 / 3.0))
+        F = (np.float32(1.0 / 3.0)
+             + ulp * rng.integers(-3, 4, (3, 40, 40))).astype(np.float32)
+        scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), 0.5)
+        mined = self._check_oracle(F, interior_roi(rng, 40), scorer)
+        assert any(rec.index != 0 for rec in mined.selected)
+
+    def test_zero_scorer_ties_pick_first_candidate(self):
+        rng = np.random.default_rng(103)
+        F = rng.normal(0, 1, (3, 40, 40)).astype(np.float32)
+        mined = self._check_oracle(F, interior_roi(rng, 40),
+                                   ContextScorer.zeros(3, 5, 5))
+        assert [rec.index for rec in mined.selected] == [0] * 8
+        assert [rec.score for rec in mined.selected] == [0.0] * 8
+
+    def test_large_magnitude_border_roi_with_fallbacks(self):
+        rng = np.random.default_rng(107)
+        F = (1e4 * rng.normal(0, 1, (3, 40, 40))).astype(np.float32)
+        scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), -2.0)
+        mined = self._check_oracle(F, Box(0.5, 1.0, 7.0, 9.0), scorer)
+        assert 0 < sum(rec.fallback for rec in mined.selected) < 8
+
+    def test_roi_align_calls_bounded_by_near_ties(self, monkeypatch):
+        """1 object map plus one map per cell, plus one per near-tie: a
+        fall-back to scoring every candidate would make hundreds."""
+        rng = np.random.default_rng(109)
+        F = rng.normal(0, 1, (3, 40, 40)).astype(np.float32)
+        scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), 0.1)
+        w_abs = np.abs(scorer.weights.astype(np.float64))
+        rois = [interior_roi(rng, 40) for _ in range(3)]
+        near_ties = []
+        for r in rois:
+            ties = 0
+            for cell in build_layout(r).cells.values():
+                pool, scores = self._exhaustive_scores(F, cell, scorer)
+                top = scores.max()
+                ties += int(np.sum(scores >= top - 1e-4 * w_abs.sum())) - 1
+            near_ties.append(ties)
+        miner = ContextMiner(F, scorer, self.CONFIG)
+        calls = []
+        real = mining.roi_align
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mining, "roi_align", counting)
+        for r, ties in zip(rois, near_ties):
+            calls.clear()
+            miner.mine(r)
+            assert len(calls) <= 1 + 8 + ties
+        # a random scorer leaves no near-tie: exactly the 9 kept maps
+        assert near_ties == [0] * len(rois)
+        assert len(calls) == 9
+
+
 class TestMineContextBackward:
     def _mined(self, seed=67, size=32):
         rng = np.random.default_rng(seed)
@@ -488,6 +609,14 @@ class TestFixedVariants:
         _, F, r = self._data()
         with pytest.raises(ValueError):
             fixed_context_variant(F, r, "bogus")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_map_rejected(self, bad):
+        _, F, r = self._data()
+        F[1, 30, 2] = bad
+        for variant in ("none", "neigh8"):
+            with pytest.raises(NumericError):
+                fixed_context_variant(F, r, variant)
 
     def test_outside_cells_fall_back_to_object_map(self):
         rng = np.random.default_rng(83)

@@ -7,7 +7,7 @@ from roictx.errors import DegenerateBoxError, ShapeError
 from roictx.geometry import Box
 from roictx.gradcheck import check
 from roictx.roi_ops import EMPTY_BIN, RangeMaxTable, roi_align, \
-    roi_align_backward, roi_pool, roi_pool_backward
+    roi_align_backward, roi_align_bin_sums, roi_pool, roi_pool_backward
 
 
 def random_roi(rng, width, height, min_size=1.0, max_size=None):
@@ -251,6 +251,27 @@ class TestRoiAlignForward:
             roi_align(F, Box(20, 20, 30, 30), 2, 2, 2)
 
 
+class TestRoiAlignBinSums:
+    def test_linear_scores_of_every_box(self):
+        """planes[i, j] = sum_d w[d, i, j] F[d] gives <w, roi_align(F, box)>
+        for every box, in float64 up to rounding."""
+        rng = np.random.default_rng(47)
+        D, H, W, ph, pw = 4, 17, 19, 3, 4
+        F = rng.normal(0, 1, (D, H, W)).astype(np.float32)
+        w = rng.normal(0, 1, (D, ph, pw))
+        G = np.einsum("dij,dyx->ijyx", w, F.astype(np.float64))
+        boxes = [random_roi(rng, W, H) for _ in range(6)]
+        boxes.append(Box(-2.0, 14.5, 6.0, 20.0))         # samples clamped
+        xyxy = np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes])
+        for s in (1, 2, 3):
+            got = roi_align_bin_sums(np.stack([G, -G], axis=-1), xyxy, s)
+            want = [float((w * roi_align(F, b, ph, pw, s).data).sum())
+                    for b in boxes]
+            assert got.shape == (len(boxes), 2)
+            assert np.allclose(got[:, 0], want, rtol=1e-6, atol=1e-6)
+            assert np.array_equal(got[:, 1], -got[:, 0])
+
+
 class TestRoiAlignBackward:
     def test_gradient_mass_preserved_for_interior_roi(self):
         F = np.zeros((2, 20, 20), dtype=np.float32)
@@ -274,6 +295,30 @@ class TestRoiAlignBackward:
 
         report = check(f, F, analytic, h=1e-2, probes=150)
         assert report.max_rel_error <= 1e-3
+
+    def test_bit_identical_to_add_at_accumulation(self):
+        """The documented summation: per corner, np.add.at in C order over
+        (D, samples), starting from zero."""
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            F = rng.normal(0, 1, (3, 11, 13)).astype(np.float32)
+            r = random_roi(rng, 13, 11)
+            m = roi_align(F, r, 4, 3, 2)
+            g = (rng.normal(0, 1, (3, 4, 3))
+                 * 10.0 ** rng.integers(-4, 5, (3, 4, 3))).astype(np.float32)
+            y, x = m.samples.reshape(-1, 2).T
+            y0 = np.minimum(np.floor(y).astype(np.int64), 10)
+            x0 = np.minimum(np.floor(x).astype(np.int64), 12)
+            y1, x1 = np.minimum(y0 + 1, 10), np.minimum(x0 + 1, 12)
+            ly, lx = y - y0, x - x0
+            corners = [(y0, x0, (1 - ly) * (1 - lx)), (y0, x1, (1 - ly) * lx),
+                       (y1, x0, ly * (1 - lx)), (y1, x1, ly * lx)]
+            per_sample = np.repeat(g.reshape(3, 12).astype(np.float64) / 4, 4, axis=1)
+            want = np.zeros((3, 11, 13))
+            for cy, cx, wgt in corners:
+                np.add.at(want, (slice(None), cy, cx), per_sample * wgt[None, :])
+            got = roi_align_backward(g, m, F.shape)
+            assert got.tobytes() == want.astype(np.float32).tobytes()
 
     def test_shape_mismatch_rejected(self):
         F = np.zeros((1, 8, 8), dtype=np.float32)
