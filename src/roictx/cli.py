@@ -96,7 +96,7 @@ def _cmd_variant(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    cell = Box(*_parse_floats(args.cell, 4, "--cell"))
+    cell = Box(*_parse_floats(",".join(args.cell), 4, "--cell"))
     bounds = None
     if args.bounds is not None:
         w, h = _parse_floats(args.bounds, 2, "--bounds")
@@ -318,7 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_variant)
 
     sp = sub.add_parser("enumerate", help="list one cell's candidate pool")
-    sp.add_argument("--cell", required=True, help="x1,y1,x2,y2")
+    sp.add_argument("--cell", required=True, nargs="+",
+                    help="x1,y1,x2,y2 or x1 y1 x2 y2; a comma list that"
+                         " starts with '-' needs the --cell=-20,-20,-10,-12"
+                         " form")
     sp.add_argument("--bounds", help="map bounds W,H (candidates clipped)")
     sp.add_argument("--min-iou", type=float, default=0.3)
     sp.add_argument("--short-edge-frac", type=float, default=1.0 / 3.0)

@@ -222,13 +222,19 @@ class ContextScorer:
     def score_flat(self, flat_feats: np.ndarray) -> np.ndarray:
         """Scores for a (K, D*ph*pw) feature matrix, computed in float64
         through einsum's fixed reduction order for run-to-run and
-        thread-count determinism."""
+        thread-count determinism.  A row scores the same alone as inside
+        any matrix: einsum sums a lone row longer than its 8192-element
+        buffer in another order than a row of a matrix, so a lone row is
+        scored as a matrix of two copies."""
         if flat_feats.shape[1] != self.weights.shape[0]:
             raise ShapeError(
                 f"scorer expects {self.weights.shape[0]} features, "
                 f"got {flat_feats.shape[1]}")
-        return np.einsum("kn,n->k", flat_feats.astype(np.float64),
-                         self.weights.astype(np.float64)) + float(self.bias)
+        rows = flat_feats.astype(np.float64)
+        if rows.shape[0] == 1:
+            rows = np.repeat(rows, 2, axis=0)
+        scores = np.einsum("kn,n->k", rows, self.weights.astype(np.float64))
+        return scores[:flat_feats.shape[0]] + float(self.bias)
 
 
 @dataclass(frozen=True)
@@ -319,15 +325,43 @@ class ContextMiner:
     and the scorer are only read.  A map holding NaN or inf raises
     NumericError.
 
-    Pool backbone: every candidate is max-pooled through a range-max
-    table and scored.
+    Selection filters, then rescores.  Each candidate k of a cell gets an
+    approximate score s~_k and a bound t_k >= |score_k - s~_k|, where
+    score_k is what ContextScorer.score_flat gives its exact map.  Every
+    candidate that can reach the pool's maximum satisfies
+    s~_k + t_k >= max_j (s~_j - t_j) (rounding both sides to float64
+    cannot break this: rounding is monotone and exact scores are float64
+    values).  Only those candidates, in pool order, are scored exactly;
+    the argmax among them is the argmax of the pool, exact ties
+    included, and its map is the one kept.  Selections and scores are
+    bit-identical to exhaustive scoring; s~ only filters and never
+    decides.  When the filter is not finite (overflow, or a non-finite
+    scorer) every candidate is scored.  With c the bias, w the scorer
+    and W_b its weights of bin b over the D channels:
+
+    Pool backbone: a pooled value is a float32 map element, and the
+    product of two float32 values is exact in float64, so any two
+    float64 scorings of a candidate sum the same n = D*ph*pw exact terms
+    and differ only in the order.  Summed in any order they err by at
+    most gamma_n * S, S = sum_i |w_i x_i| and gamma_n = n u / (1 - n u)
+    with u = 2^-53 (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 4), and adding c errs by at most u (|sum| + |c|).
+    Per cell the miner queries each distinct bin rectangle of the pool
+    once (R rectangles, V their R x D maxima), computes P = V W and
+    A = |V| |W| with W = [W_b] the D x (ph*pw) scorer, and sets
+
+        s~_k = sum_b P[rect(k, b), b] + c,
+        t_k = 3 * gamma_n * sum_b A[rect(k, b), b] + |c| * 2^-51.
+
+    The two paths differ by at most 2 gamma_n S + 2 u |c|; the computed
+    A sum is at least (1 - gamma_n) S, so for n u < 1/4 the first term
+    exceeds 2 gamma_n S with room for its own rounding, and the second
+    is 2 u |c| twice over.  W and |W| hold 2*D*ph*pw float64 values.
 
     Align backbone: roi_align and the scorer are both linear in F, so a
     candidate's score is sum over bins b of mean_s bilinear(G_b, p_s) + c,
-    with G = W_b^T F one float64 plane per bin (W_b the scorer's weights
-    of bin b over the D channels) and c the bias.  The miner builds G and
-    the bound planes A = |W_b|^T |F| once.  Per cell it then filters:
-    each candidate k gets the approximate score s~_k from G and the bound
+    with G = W_b^T F one float64 plane per bin.  The miner builds G and
+    the bound planes A = |W_b|^T |F| once, and s~_k comes from G with
 
         t_k = 2^-22 * sum_b mean_s bilinear(A_b) + |c| * 2^-50
               + sum_i |w_i| * 2^-149.
@@ -337,15 +371,8 @@ class ContextMiner:
     bounds that sum four times over; the spare factor of 3 covers the
     float64 reassociation of both paths (about 1e-12 relative).  The
     |c| term covers the rounding of adding the bias, the last term the
-    absolute error (at most 2^-150) of rounding a subnormal element.
-    So |score_k - s~_k| <= t_k, and every candidate that can reach the
-    maximum satisfies s~_k + t_k >= max_j (s~_j - t_j).  Only those candidates, in pool order, are
-    scored exactly (roi_align, then ContextScorer.score_flat); the argmax
-    among them is the argmax of the pool, exact ties included, and its
-    map is the one kept.  Selections and scores are bit-identical to
-    exhaustive scoring; s~ only filters and never decides.  When the
-    filter is not finite (overflow, or a non-finite scorer) every
-    candidate is scored.  G and A hold 2*ph*pw*H*W float64 values.
+    absolute error (at most 2^-150) of rounding a subnormal element.  G
+    and A hold 2*ph*pw*H*W float64 values.
     """
 
     def __init__(self, F: np.ndarray, scorer: ContextScorer,
@@ -362,53 +389,68 @@ class ContextMiner:
         self.scorer = scorer
         self.config = config
         self._table = None
+        w = scorer.weights.astype(np.float64).reshape(d, -1)
         if config.backbone == "pool":
             self._table = RangeMaxTable(F)
+            self._w, self._w_abs = w, np.abs(w)
+            nu = w.size * 2.0 ** -53
+            self._gamma = nu / (1.0 - nu)
             return
-        w = scorer.weights.astype(np.float64).reshape(d, -1)
         flat = F.reshape(d, H * W).astype(np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
             planes = np.stack([w.T @ flat, np.abs(w).T @ np.abs(flat)], axis=-1)
         self._planes = planes.reshape(config.ph, config.pw, H, W, 2)
         self._w_abs_sum = float(np.abs(w).sum())
 
+    def _bounds(self, xyxy: np.ndarray):
+        """(s~, t) of every candidate (see the class docstring)."""
+        cfg = self.config
+        bias = float(self.scorer.bias)
+        if self._table is not None:
+            V, ids = self._table.pool_unique(xyxy, cfg.ph, cfg.pw)
+            V = V.astype(np.float64)
+            # element (ids[k, b], b) of an (R, ph*pw) matrix
+            at = ids * ids.shape[1] + np.arange(ids.shape[1])
+            approx = np.take(V @ self._w, at).sum(axis=1) + bias
+            mags = np.take(np.abs(V) @ self._w_abs, at).sum(axis=1)
+            return approx, 3.0 * self._gamma * mags + abs(bias) * 2.0 ** -51
+        sums = roi_align_bin_sums(self._planes, xyxy, cfg.samples_per_bin)
+        return (sums[:, 0] + bias,
+                2.0 ** -22 * sums[:, 1] + abs(bias) * 2.0 ** -50
+                + self._w_abs_sum * 2.0 ** -149)
+
     def _near_top(self, xyxy: np.ndarray) -> np.ndarray:
         """Pool indices, in order, whose exact score can reach the pool's
-        maximum (see the class docstring); all of them when the filter
-        is not finite."""
-        bias = float(self.scorer.bias)
+        maximum; all of them when the filter is not finite."""
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = roi_align_bin_sums(self._planes, xyxy,
-                                      self.config.samples_per_bin)
-            approx = sums[:, 0] + bias
-            slack = (2.0 ** -22 * sums[:, 1] + abs(bias) * 2.0 ** -50
-                     + self._w_abs_sum * 2.0 ** -149)
+            approx, slack = self._bounds(xyxy)
             lo, hi = approx - slack, approx + slack
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             return np.arange(xyxy.shape[0])
         return np.flatnonzero(hi >= lo.max())
 
+    def _exact(self, xyxy: np.ndarray):
+        """Exact flat maps of the given candidates, as a (K, D*ph*pw)
+        matrix, and their RoIMaps where those are made anyway (align)."""
+        cfg = self.config
+        if self._table is not None:
+            feats = self._table.pool_xyxy(xyxy, cfg.ph, cfg.pw)
+            return feats.reshape(xyxy.shape[0], -1), None
+        maps = [roi_map(self.F, _box_at(xyxy, k), cfg)
+                for k in range(xyxy.shape[0])]
+        return np.stack([m.data.reshape(-1) for m in maps]), maps
+
     def _select(self, xyxy: np.ndarray):
         """(index, score, map) of the pool's best-scoring candidate; the
         first one in pool order among equal scores."""
-        cfg = self.config
-        K = xyxy.shape[0]
-        if self._table is not None:
-            feats = self._table.pool_xyxy(xyxy, cfg.ph, cfg.pw)
-            scores = self.scorer.score_flat(feats.reshape(K, -1))
-            idx = int(np.argmax(scores))
-            return idx, float(scores[idx]), roi_map(self.F, _box_at(xyxy, idx), cfg)
         keep = self._near_top(xyxy)
-        maps = [roi_map(self.F, _box_at(xyxy, k), cfg) for k in keep]
-        rows = [m.data.reshape(-1) for m in maps]
-        if len(rows) == 1 and K > 1:
-            # einsum reduces a lone row longer than its 8192-element buffer
-            # in another order than a row of a matrix; a repeated row keeps
-            # the summation of the whole pool's matrix.
-            rows *= 2
-        scores = self.scorer.score_flat(np.stack(rows))[:len(maps)]
+        rows, maps = self._exact(xyxy[keep])
+        scores = self.scorer.score_flat(rows)
         j = int(np.argmax(scores))
-        return int(keep[j]), float(scores[j]), maps[j]
+        k = int(keep[j])
+        picked = (maps[j] if maps is not None
+                  else roi_map(self.F, _box_at(xyxy, k), self.config))
+        return k, float(scores[j]), picked
 
     def mine(self, r: Box) -> MinedRoIFeature:
         _, H, W = self.F.shape
@@ -480,7 +522,8 @@ def mine_context_backward(grad_feature: np.ndarray, mined: MinedRoIFeature,
     candidate's score path (scorer_gradient).  Selection argmaxes
     themselves are treated as piecewise constant and pass no gradient.
 
-    Returns (grad_F, (grad_weights, grad_bias)).
+    Returns (grad_F, (grad_weights, grad_bias)); raises NumericError when
+    the scorer gradient overflows float32 or is not finite.
     """
     d = F_dims[0]
     ph, pw = mined.object_map.data.shape[1:]
@@ -502,7 +545,11 @@ def mine_context_backward(grad_feature: np.ndarray, mined: MinedRoIFeature,
         blocks.append(block)
         maps.append(rec.roi_map.data)
     grad_w, grad_b = scorer_gradient(scorer, blocks, maps, lambda_ctx)
-    return grad_F, (grad_w.astype(np.float32), float(grad_b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad_w = grad_w.astype(np.float32)
+    if not (np.isfinite(grad_w).all() and np.isfinite(grad_b)):
+        raise NumericError("scorer gradient is not finite in float32")
+    return grad_F, (grad_w, float(grad_b))
 
 
 def selection_indices(mined: MinedRoIFeature) -> tuple:

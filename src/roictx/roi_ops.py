@@ -327,6 +327,27 @@ class RangeMaxTable:
         vals = self.query(y0, y1, x0, x1)              # (K*ph*pw, D)
         return vals.reshape(K, ph, pw, D).transpose(0, 3, 1, 2)
 
+    def pool_unique(self, xyxy: np.ndarray, ph: int, pw: int):
+        """pool_xyxy with each distinct bin rectangle queried once.
+
+        Returns (V, ids): V holds the (R, D) maxima of the R distinct bin
+        rectangles of the K boxes, and ids the (K, ph*pw) row of V of each
+        box's bins, so V[ids[k]] is pool_xyxy's box k as (ph*pw, D).
+        """
+        _, H, W = self.dims
+        K = xyxy.shape[0]
+        ys, ye = bin_edges(xyxy[:, 1], xyxy[:, 3] - xyxy[:, 1], ph, H)
+        xs, xe = bin_edges(xyxy[:, 0], xyxy[:, 2] - xyxy[:, 0], pw, W)
+        # One integer per bin rectangle: its (y0, y1, x0, x1) in mixed radix.
+        code = ((ys * (H + 1) + ye)[:, :, None] * (W + 1)
+                + xs[:, None, :]) * (W + 1) + xe[:, None, :]
+        rects, ids = np.unique(code, return_inverse=True)
+        rects, x1 = np.divmod(rects, W + 1)
+        rects, x0 = np.divmod(rects, W + 1)
+        y0, y1 = np.divmod(rects, H + 1)
+        V = self.query(y0, y1, x0, x1)
+        return V, ids.reshape(K, ph * pw)
+
     def pool_boxes(self, boxes, ph: int, pw: int) -> np.ndarray:
         """pool_xyxy for a sequence of Box objects."""
         xyxy = np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes],

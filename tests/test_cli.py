@@ -138,6 +138,23 @@ class TestEnumerate:
             rows = [tuple(float(v) for v in line.split(",")) for line in fh]
         assert rows == [(b.x1, b.y1, b.x2, b.y2) for b in pool]
 
+    @pytest.mark.parametrize("cell", [["--cell", "-20", "-20", "-10", "-12"],
+                                      ["--cell=-20,-20,-10,-12"]])
+    def test_negative_cell_coordinates_parse(self, tmp_path, capsys, cell):
+        out = tmp_path / "pool.csv"
+        assert cli.main(["enumerate"] + cell + ["--out", str(out)]) == 0
+        pool = candidate_pool_for_cell(Box(-20, -20, -10, -12),
+                                       CandidateGridSpec(), None)
+        assert capsys.readouterr().out == f"pool_size={len(pool)}\n"
+        with open(out, encoding="utf-8") as fh:
+            rows = [tuple(float(v) for v in line.split(",")) for line in fh]
+        assert rows == [(b.x1, b.y1, b.x2, b.y2) for b in pool]
+
+    def test_cell_needs_four_values(self, tmp_path, capsys):
+        assert cli.main(["enumerate", "--cell", "1", "2", "3", "--out",
+                         str(tmp_path / "p.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_lost_anchor_exits_1(self, tmp_path, capsys):
         assert cli.main(["enumerate", "--cell=-20,-20,-10,-12", "--bounds",
                          "64,64", "--out", str(tmp_path / "p.csv")]) == 1

@@ -197,6 +197,16 @@ class TestScoreCandidates:
         for s, flat in zip(scores, flats):
             assert s == pytest.approx(float(flat[31]), rel=1e-12)
 
+    def test_lone_row_scores_as_in_matrix(self):
+        """D*ph*pw = 12544 exceeds einsum's 8192-element buffer."""
+        rng = np.random.default_rng(41)
+        X = rng.normal(0, 1, (12, 256 * 49)).astype(np.float32)
+        scorer = ContextScorer(rng.normal(0, 1, 256 * 49).astype(np.float32), 0.3)
+        whole = scorer.score_flat(X)
+        for k in range(X.shape[0]):
+            assert scorer.score_flat(X[k:k + 1])[0] == whole[k]
+            assert scorer.score_flat(X[k:k + 2])[0] == whole[k]
+
     def test_matches_matvec_oracle(self):
         rng, flats = self._setup()
         w = rng.normal(0, 1, 3 * 5 * 5).astype(np.float32)
@@ -476,6 +486,154 @@ class TestAlignSelection:
         assert len(calls) == 9
 
 
+class TestPoolSelection:
+    """The pool backbone scores only the candidates whose exact score can
+    reach the pool's maximum; selections, scores and maps must still equal
+    max-pooling every candidate through roi_pool and scoring the whole
+    pool with score_flat."""
+
+    CONFIG = MiningConfig(ph=5, pw=5, backbone="pool")
+
+    def _exhaustive_scores(self, F, cell, scorer, cfg=CONFIG):
+        _, H, W = F.shape
+        pool = pool_oracle_for_cell(cell, cfg.grid, (float(W), float(H)))
+        if pool is None:
+            return None, None
+        flats = np.stack([roi_pool(F, b, cfg.ph, cfg.pw).data.reshape(-1)
+                          for b in pool])
+        return pool, scorer.score_flat(flats)
+
+    def _check_oracle(self, F, r, scorer, cfg=CONFIG):
+        mined = mine_context(F, r, scorer, cfg)
+        layout = build_layout(r)
+        for rec in mined.selected:
+            pool, scores = self._exhaustive_scores(F, layout.cells[rec.direction],
+                                                   scorer, cfg)
+            if pool is None:
+                assert rec.fallback
+                continue
+            assert rec.index == int(np.argmax(scores))
+            assert rec.box == pool[rec.index]
+            assert rec.score == float(scores[rec.index])
+            want = roi_pool(F, rec.box, cfg.ph, cfg.pw)
+            assert np.array_equal(rec.roi_map.data, want.data)
+            assert np.array_equal(rec.roi_map.argmax, want.argmax)
+        return mined
+
+    def _score_rows(self, monkeypatch):
+        """Rows passed to ContextScorer.score_flat, one entry per call."""
+        rows = []
+        real = ContextScorer.score_flat
+
+        def counting(self, flat_feats):
+            rows.append(flat_feats.shape[0])
+            return real(self, flat_feats)
+
+        monkeypatch.setattr(ContextScorer, "score_flat", counting)
+        return rows
+
+    def test_selection_matches_rescoring_oracle(self):
+        rng = np.random.default_rng(131)
+        for _ in range(4):
+            F = rng.normal(0, 1, (3, 40, 40)).astype(np.float32)
+            scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32),
+                                   float(rng.normal()))
+            self._check_oracle(F, interior_roi(rng, 40), scorer)
+
+    def test_rows_longer_than_einsum_buffer(self):
+        """D*ph*pw = 8232 > 8192: a lone exactly-scored row must still get
+        the score its row in the whole pool's matrix gets."""
+        rng = np.random.default_rng(137)
+        F = rng.normal(0, 1, (168, 30, 30)).astype(np.float32)
+        scorer = ContextScorer(rng.normal(0, 1, 168 * 49).astype(np.float32), 0.2)
+        config = MiningConfig(ph=7, pw=7, backbone="pool")
+        self._check_oracle(F, Box(11.0, 12.0, 17.5, 18.0), scorer, config)
+
+    def test_constant_map_ties_pick_first_candidate(self):
+        rng = np.random.default_rng(139)
+        F = np.full((3, 40, 40), 1.0 / 3.0, dtype=np.float32)
+        scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), 0.5)
+        mined = self._check_oracle(F, interior_roi(rng, 40), scorer)
+        assert [rec.index for rec in mined.selected] == [0] * 8
+
+    def test_near_constant_map_near_ties_resolved_exactly(self, monkeypatch):
+        """Scores a few float32 ulps apart: many candidates pass the filter
+        and the exact scores, not the approximate ones, pick among them."""
+        rng = np.random.default_rng(149)
+        # pooled maxima are exact, so near ties need contributions within
+        # the filter's bound: channel 0 is constant, and channels 1 and 2
+        # move each score by a few float64 ulps at most
+        F = np.full((3, 40, 40), 1.0 / 3.0, dtype=np.float32)
+        F[1:] = 2.0 ** -52 * rng.integers(-3, 4, (2, 40, 40))
+        scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), 0.5)
+        r = interior_roi(rng, 40)
+        rows = self._score_rows(monkeypatch)
+        mine_context(F, r, scorer, self.CONFIG)
+        assert sum(rows) > 8 * 8
+        monkeypatch.undo()
+        mined = self._check_oracle(F, r, scorer)
+        assert any(rec.index != 0 for rec in mined.selected)
+
+    def test_zero_scorer_ties_pick_first_candidate(self):
+        rng = np.random.default_rng(151)
+        F = rng.normal(0, 1, (3, 40, 40)).astype(np.float32)
+        mined = self._check_oracle(F, interior_roi(rng, 40),
+                                   ContextScorer.zeros(3, 5, 5))
+        assert [rec.index for rec in mined.selected] == [0] * 8
+        assert [rec.score for rec in mined.selected] == [0.0] * 8
+
+    def test_large_magnitude_border_roi_with_fallbacks(self):
+        rng = np.random.default_rng(157)
+        F = (1e30 * rng.normal(0, 1, (3, 40, 40))).astype(np.float32)
+        scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), -2.0)
+        mined = self._check_oracle(F, Box(0.5, 1.0, 7.0, 9.0), scorer)
+        assert 0 < sum(rec.fallback for rec in mined.selected) < 8
+
+    def test_bound_covers_exact_scores(self):
+        """|score_k - s~_k| <= t_k on terms spanning 2^-60 to 2^60, where
+        reassociation errs the most."""
+        rng = np.random.default_rng(167)
+
+        def wide(shape):
+            return (rng.choice([-1.0, 1.0], shape)
+                    * 2.0 ** rng.integers(-30, 30, shape)).astype(np.float32)
+
+        scorer = ContextScorer(wide(16 * 25), 2.0 ** 20 / 3.0)
+        miner = ContextMiner(wide((16, 40, 40)), scorer, self.CONFIG)
+        for cell in build_layout(Box(14.0, 13.0, 23.5, 22.0)).cells.values():
+            xyxy = mining._candidate_arrays(cell, self.CONFIG.grid, (40, 40))
+            approx, slack = miner._bounds(xyxy)
+            feats = miner._table.pool_xyxy(xyxy, 5, 5).reshape(len(xyxy), -1)
+            assert np.all(np.abs(scorer.score_flat(feats) - approx) <= slack)
+
+    def test_scored_rows_bounded_by_near_ties(self, monkeypatch):
+        """One row per cell, plus one per near-tie: a fall-back to scoring
+        every candidate would pass hundreds."""
+        rng = np.random.default_rng(163)
+        F = rng.normal(0, 1, (3, 40, 40)).astype(np.float32)
+        scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), 0.1)
+        w_abs = np.abs(scorer.weights.astype(np.float64))
+        rois = [interior_roi(rng, 40) for _ in range(3)]
+        near_ties = []
+        for r in rois:
+            ties = 0
+            for cell in build_layout(r).cells.values():
+                pool, scores = self._exhaustive_scores(F, cell, scorer)
+                top = scores.max()
+                ties += int(np.sum(scores >= top - 1e-4 * w_abs.sum())) - 1
+            near_ties.append(ties)
+        miner = ContextMiner(F, scorer, self.CONFIG)
+        rows = self._score_rows(monkeypatch)
+        for r, ties in zip(rois, near_ties):
+            rows.clear()
+            miner.mine(r)
+            assert sum(rows) <= 8 + ties
+            if ties == 0:
+                assert rows == [1] * 8
+        # with a random scorer only boxes that pool to the same bins tie
+        assert near_ties.count(0) >= 2
+
+
 class TestMineContextBackward:
     def _mined(self, seed=67, size=32):
         rng = np.random.default_rng(seed)
@@ -555,6 +713,19 @@ class TestMineContextBackward:
         assert len(ys) > 0
         assert ys.max() <= 6 and xs.max() <= 6
         assert not gw.any() and gb == 0.0
+
+    @pytest.mark.parametrize("backbone", ["pool", "align"])
+    def test_scorer_gradient_overflow_raises(self, backbone):
+        """A map of scale 1e30 is finite in float32, but its scorer
+        gradient (about map squared) is not."""
+        rng = np.random.default_rng(73)
+        F = (1e30 * rng.normal(0, 1, (3, 30, 30))).astype(np.float32)
+        scorer = ContextScorer(rng.normal(0, 1, 3 * 49).astype(np.float32), 0.1)
+        config = MiningConfig(backbone=backbone)
+        mined = mine_context(F, Box(11.0, 12.0, 17.5, 18.0), scorer, config)
+        g = rng.normal(0, 1, (27, 7, 7)).astype(np.float32)
+        with pytest.raises(NumericError):
+            mine_context_backward(g, mined, F.shape, scorer)
 
     def test_shape_mismatch_rejected(self):
         _, F, _, scorer, _, mined = self._mined()

@@ -351,3 +351,19 @@ class TestRangeMaxTable:
         batch = table.pool_boxes(boxes, 7, 7)
         for k, b in enumerate(boxes):
             assert np.array_equal(batch[k], roi_pool(F, b, 7, 7).data)
+
+    def test_pool_unique_bit_equals_pool_xyxy(self):
+        rng = np.random.default_rng(61)
+        F = rng.normal(0, 1, (5, 29, 31)).astype(np.float32)
+        table = RangeMaxTable(F)
+        boxes = [random_roi(rng, 31, 29, min_size=2.0).clip(31, 29)
+                 for _ in range(40)]
+        # repeat boxes so that many bins share a rectangle
+        boxes += boxes[:10]
+        xyxy = np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes])
+        V, ids = table.pool_unique(xyxy, 6, 4)
+        assert ids.shape == (50, 24) and V.shape[1] == 5
+        assert V.shape[0] == len(np.unique(ids)) < 50 * 24
+        want = table.pool_xyxy(xyxy, 6, 4)
+        got = V[ids].reshape(50, 6, 4, 5).transpose(0, 3, 1, 2)
+        assert np.array_equal(got, want)
