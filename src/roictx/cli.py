@@ -67,6 +67,7 @@ def _config(args, **extra) -> mining.MiningConfig:
 
 def _cmd_roi_op(args) -> int:
     F = load_ften(args.features)
+    mining._require_finite(F)
     config = _config(args)
     maps = mining.parallel_map(lambda r: mining.roi_map(F, r, config).data,
                                _boxes(args.rois), args.jobs)

@@ -342,21 +342,28 @@ class ContextMiner:
     Pool backbone: a pooled value is a float32 map element, and the
     product of two float32 values is exact in float64, so any two
     float64 scorings of a candidate sum the same n = D*ph*pw exact terms
-    and differ only in the order.  Summed in any order they err by at
-    most gamma_n * S, S = sum_i |w_i x_i| and gamma_n = n u / (1 - n u)
-    with u = 2^-53 (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 4), and adding c errs by at most u (|sum| + |c|).
-    Per cell the miner queries each distinct bin rectangle of the pool
-    once (R rectangles, V their R x D maxima), computes P = V W and
-    A = |V| |W| with W = [W_b] the D x (ph*pw) scorer, and sets
+    and differ only in the order.  With S = sum_i |w_i x_i|, u = 2^-53
+    and gamma_n = n u / (1 - n u) (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3-4), a sum in any order errs by at most
+    gamma_{n-1} S and adding c by a further u (|sum| + |c|), so each
+    scoring errs by at most gamma_n S + u |c|.  Per cell the miner
+    queries each distinct bin rectangle of the pool once (R rectangles,
+    V their R x D maxima), computes P = V W with W = [W_b] the
+    D x (ph*pw) scorer, and sets
 
         s~_k = sum_b P[rect(k, b), b] + c,
-        t_k = 3 * gamma_n * sum_b A[rect(k, b), b] + |c| * 2^-51.
+        t_k = 3 * gamma_n * M_k + |c| * 2^-51,
+        M_k = sum_b max_d |V[rect(k, b), d]| * ||W_b||_1.
 
-    The two paths differ by at most 2 gamma_n S + 2 u |c|; the computed
-    A sum is at least (1 - gamma_n) S, so for n u < 1/4 the first term
-    exceeds 2 gamma_n S with room for its own rounding, and the second
-    is 2 u |c| twice over.  W and |W| hold 2*D*ph*pw float64 values.
+    M_k >= S_k: the terms of bin b sum to at most the bin's largest |x_d|
+    times ||W_b||_1.  The two paths differ by at most 2 gamma_n S + 2 u |c|.
+    The maxima are exact, and computing M_k (a norm of D terms, one
+    product, a sum of ph*pw terms) loses at most a factor
+    1 - gamma_{D+ph*pw-1} >= 1 - gamma_n.  So for n u <= 1/5 the first
+    term of t_k exceeds 2 gamma_n S with room for its own rounding, and
+    the second is 2 u |c| twice over.  The bound needs the ph*pw float64
+    column norms ||W_b||_1 beside the D*ph*pw float64 values of W, and per
+    cell one max over D of each of the R rectangles.
 
     Align backbone: roi_align and the scorer are both linear in F, so a
     candidate's score is sum over bins b of mean_s bilinear(G_b, p_s) + c,
@@ -392,7 +399,7 @@ class ContextMiner:
         w = scorer.weights.astype(np.float64).reshape(d, -1)
         if config.backbone == "pool":
             self._table = RangeMaxTable(F)
-            self._w, self._w_abs = w, np.abs(w)
+            self._w, self._w_norms = w, np.abs(w).sum(axis=0)
             nu = w.size * 2.0 ** -53
             self._gamma = nu / (1.0 - nu)
             return
@@ -408,11 +415,12 @@ class ContextMiner:
         bias = float(self.scorer.bias)
         if self._table is not None:
             V, ids = self._table.pool_unique(xyxy, cfg.ph, cfg.pw)
+            peaks = np.abs(V).max(axis=1).astype(np.float64)
             V = V.astype(np.float64)
             # element (ids[k, b], b) of an (R, ph*pw) matrix
             at = ids * ids.shape[1] + np.arange(ids.shape[1])
             approx = np.take(V @ self._w, at).sum(axis=1) + bias
-            mags = np.take(np.abs(V) @ self._w_abs, at).sum(axis=1)
+            mags = np.take(peaks, ids) @ self._w_norms
             return approx, 3.0 * self._gamma * mags + abs(bias) * 2.0 ** -51
         sums = roi_align_bin_sums(self._planes, xyxy, cfg.samples_per_bin)
         return (sums[:, 0] + bias,

@@ -88,8 +88,16 @@ def bin_edges(lo, extent, bins: int, limit: int):
 def roi_pool(F: np.ndarray, r: Box, ph: int, pw: int) -> RoIMap:
     """Max-pool the RoI (clipped to the map) onto a ph x pw grid.
 
-    Empty bins emit 0 with an EMPTY_BIN argmax sentinel; within a bin,
-    max ties resolve to the lowest (y, x) in row-major order.
+    Empty bins emit 0 with an EMPTY_BIN argmax sentinel.  Within a bin
+    the argmax is the first maximum in row-major (y, x) order, as
+    np.argmax picks it: a NaN beats every number and the first NaN wins,
+    and -0.0 and +0.0 tie.  data holds the map element at the argmax
+    (cast to float32), so signed zeros and NaN payloads pass unchanged.
+
+    All bins are read in one gather of padded windows: each bin gets
+    mh x mw slots, the largest bin extents, and a slot past its bin's
+    extent repeats the bin's last row or column.  A repeated slot comes
+    after the slot it copies, so it is never the first maximum.
     """
     D, H, W = _check_feature_map(F)
     _check_grid(ph, pw)
@@ -97,23 +105,30 @@ def roi_pool(F: np.ndarray, r: Box, ph: int, pw: int) -> RoIMap:
 
     ys, ye = bin_edges(clipped.y1, clipped.h, ph, H)
     xs, xe = bin_edges(clipped.x1, clipped.w, pw, W)
-    data = np.zeros((D, ph, pw), dtype=np.float32)
-    argmax = np.full((D, ph, pw), EMPTY_BIN, dtype=np.int64)
-    for i in range(ph):
-        y0, y1 = int(ys[i]), int(ye[i])
-        if y0 >= y1:
-            continue
-        for j in range(pw):
-            x0, x1 = int(xs[j]), int(xe[j])
-            if x0 >= x1:
-                continue
-            sub = F[:, y0:y1, x0:x1].reshape(D, -1)
-            flat = sub.argmax(axis=1)
-            data[:, i, j] = sub[np.arange(D), flat]
-            ay = y0 + flat // (x1 - x0)
-            ax = x0 + flat % (x1 - x0)
-            argmax[:, i, j] = ay * W + ax
-    return RoIMap(data, r, (H, W), argmax=argmax)
+    rows = _window_slots(ys, ye, H)                    # (ph, mh)
+    cols = _window_slots(xs, xe, W)                    # (pw, mw)
+    slots = (rows[:, None, :, None] * W + cols[None, :, None, :]).reshape(
+        ph * pw, -1)
+    windows = np.take(F.reshape(D, H * W), slots, axis=1)
+    first = windows.argmax(axis=2)                     # (D, ph*pw)
+    data = np.take_along_axis(windows, first[..., None], axis=2)[..., 0]
+    argmax = slots[np.arange(ph * pw), first]
+    empty = ((ye <= ys)[:, None] | (xe <= xs)[None, :]).reshape(-1)
+    data = data.astype(np.float32, copy=False)
+    data[:, empty] = 0.0
+    argmax[:, empty] = EMPTY_BIN
+    return RoIMap(data.reshape(D, ph, pw), r, (H, W),
+                  argmax=argmax.reshape(D, ph, pw))
+
+
+def _window_slots(starts, ends, limit: int) -> np.ndarray:
+    """Grid coordinates of the padded window slots of each bin along one
+    axis: slot a of bin i reads starts[i] + min(a, extent - 1), and an
+    empty bin reads a valid placeholder."""
+    extent = np.maximum(ends - starts, 1)
+    a = np.arange(int(extent.max()))
+    return np.minimum(starts[:, None] + np.minimum(a, extent[:, None] - 1),
+                      limit - 1)
 
 
 def roi_pool_backward(grad_out: np.ndarray, roi_map: RoIMap, F_dims) -> np.ndarray:

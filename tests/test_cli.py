@@ -91,6 +91,18 @@ class TestRoiOpCommands:
         want = np.stack([roi_align(F, Box(*r), 7, 7, 2).data for r in ROIS])
         assert np.array_equal(load_ften(tmp / "a.ften"), want)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("command", ["roipool", "roialign"])
+    def test_non_finite_map_exits_1(self, inputs, capsys, command, bad):
+        tmp, F = inputs
+        F = F.copy()
+        F[1, 7, 9] = bad
+        save_ften(tmp / "F.ften", F)
+        assert cli.main([command] + _io(tmp, "o.ften")) == 1
+        assert capsys.readouterr().err == (
+            "error: feature map holds NaN or inf values\n")
+        assert not (tmp / "o.ften").exists()
+
 
 class TestCtxmine:
     def test_report_lists_every_roi(self, inputs):

@@ -26,7 +26,11 @@ def random_roi(rng, width, height, min_size=1.0, max_size=None):
 
 def pool_oracle(F, r, ph, pw):
     """Per-bin max re-derived point by point: clip the box, split each
-    axis proportionally, floor/ceil to integers, scan every cell."""
+    axis proportionally, floor/ceil to integers, scan every cell in
+    row-major order.  Returns (data, argmax): a NaN beats every number
+    and the first NaN stays, otherwise only a strictly greater value
+    replaces the best, so -0.0 and +0.0 tie and the first of equal
+    maxima wins."""
     D, H, W = F.shape
     x1 = min(max(r.x1, 0.0), float(W))
     y1 = min(max(r.y1, 0.0), float(H))
@@ -34,6 +38,7 @@ def pool_oracle(F, r, ph, pw):
     y2 = min(max(r.y2, 0.0), float(H))
     hh, ww = y2 - y1, x2 - x1
     out = np.zeros((D, ph, pw), dtype=np.float32)
+    arg = np.full((D, ph, pw), EMPTY_BIN, dtype=np.int64)
     for d in range(D):
         for i in range(ph):
             ys = max(0, math.floor(y1 + (i * hh) / ph))
@@ -45,10 +50,16 @@ def pool_oracle(F, r, ph, pw):
                 for y in range(ys, ye):
                     for x in range(xs, xe):
                         v = F[d, y, x]
-                        if best is None or v > best:
+                        if best is None or (not math.isnan(best) and (
+                                math.isnan(v) or v > best)):
                             best = v
+                            arg[d, i, j] = y * W + x
                 out[d, i, j] = 0.0 if best is None else best
-    return out
+    return out, arg
+
+
+POOL_CASE_KINDS = ("ints", "signed-zeros", "nan-inf", "float64", "whole-map",
+                   "empty-bins")
 
 
 class TestRoiPoolForward:
@@ -74,9 +85,57 @@ class TestRoiPoolForward:
             r = random_roi(rng, W, H)
             ph = int(rng.integers(1, 8))
             pw = int(rng.integers(1, 8))
-            got = roi_pool(F, r, ph, pw).data
-            want = pool_oracle(F, r, ph, pw)
-            assert np.array_equal(got, want)
+            got = roi_pool(F, r, ph, pw)
+            data, arg = pool_oracle(F, r, ph, pw)
+            assert np.array_equal(got.data, data)
+            assert np.array_equal(got.argmax, arg)
+
+    @staticmethod
+    def _bit_identity_case(rng, kind):
+        D = int(rng.integers(1, 4))
+        H, W = int(rng.integers(4, 20)), int(rng.integers(4, 20))
+        ph, pw = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        r = random_roi(rng, W, H)
+        if kind == "ints":
+            F = rng.integers(-1, 2, (D, H, W)).astype(np.float32)
+        elif kind == "signed-zeros":
+            F = rng.choice(np.array([0.0, -0.0], dtype=np.float32), (D, H, W))
+        elif kind == "nan-inf":
+            F = rng.normal(0, 1, (D, H, W)).astype(np.float32)
+            u = rng.random((D, H, W))
+            F[u < 0.25] = -np.inf
+            # quiet NaNs with distinct payloads, to see which one is kept
+            nan = u > 0.85
+            F.view(np.uint32)[nan] = 0x7FC00000 + rng.integers(
+                1, 1 << 16, int(nan.sum())).astype(np.uint32)
+        elif kind == "float64":
+            F = rng.normal(0, 1, (D, H, W)) * 10.0 ** rng.integers(-40, 40)
+        elif kind == "whole-map":
+            H, W = int(rng.integers(16, 25)), int(rng.integers(16, 25))
+            F = rng.integers(0, 3, (D, H, W)).astype(np.float32)
+            ph, pw = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            r = Box(0.0, 0.0, float(W), float(H))
+        else:  # "empty-bins": a box one ulp tall at an integer y1
+            F = rng.normal(0, 1, (D, H, W)).astype(np.float32)
+            y1 = float(rng.integers(1, H))
+            x1 = float(rng.uniform(0.0, W - 2.0))
+            ph = int(rng.integers(2, 8))
+            r = Box(x1, y1, x1 + 1.5, float(np.nextafter(y1, np.inf)))
+        return F, r, ph, pw
+
+    @pytest.mark.parametrize("kind", POOL_CASE_KINDS)
+    def test_bit_identical_to_oracle(self, kind):
+        rng = np.random.default_rng(90 + POOL_CASE_KINDS.index(kind))
+        empty = 0
+        for _ in range(40):
+            F, r, ph, pw = self._bit_identity_case(rng, kind)
+            got = roi_pool(F, r, ph, pw)
+            data, arg = pool_oracle(F, r, ph, pw)
+            assert got.data.dtype == np.float32
+            assert got.data.tobytes() == data.tobytes()
+            assert np.array_equal(got.argmax, arg)
+            empty += int((arg == EMPTY_BIN).any())
+        assert (empty == 40) if kind == "empty-bins" else (empty == 0)
 
     def test_output_within_clipped_roi_range(self):
         rng = np.random.default_rng(19)

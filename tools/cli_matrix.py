@@ -1,0 +1,142 @@
+"""Byte-identity matrix of the roictx command line: 80 output files.
+
+    python tools/cli_matrix.py [--src DIR] [--out digests.json]
+
+Runs the CLI in this process, from the `roictx` package under DIR (by
+default the `src/` next to this directory), on seeded inputs in a
+temporary directory, and writes one JSON object mapping each output
+file's name to its sha256.  Run it on two source trees and diff the two
+files: a change that keeps every CLI output byte-identical gives no diff.
+
+The matrix:
+  - ctxmine, FTEN output plus --report, on D=4, 64 and 256 maps, both
+    backbones, with a random scorer and with the default zero scorer, at
+    --jobs 1 and 2 (48 files);
+  - variant, all five layouts on both backbones, at --jobs 1 and 2 (20);
+  - roipool and roialign at --jobs 1 and 2 (4);
+  - synth-demo for none, neigh8 and mining at 80 scenes and 10 epochs (3);
+  - gradcheck for all four operators (4);
+  - enumerate on one border cell (1).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# D -> (H, W) of the mined maps: the benchmark's two shapes plus a tiny one.
+MAPS = {4: (40, 40), 64: (50, 50), 256: (38, 38)}
+# x1,y1,x2,y2 as fractions of the map: interior, border and overhanging.
+ROI_FRACS = [(0.26, 0.28, 0.47, 0.49), (0.01, 0.03, 0.18, 0.23),
+             (0.75, 0.71, 0.99, 0.98), (0.38, 0.12, 0.63, 0.30),
+             (0.08, 0.50, 0.32, 0.69), (-0.05, 0.40, 0.15, 0.62)]
+
+
+def import_cli(src: Path):
+    sys.path.insert(0, str(src))
+    import roictx.cli
+    got = Path(roictx.cli.__file__).resolve().parent
+    if got != (src / "roictx").resolve():
+        raise SystemExit(f"imported roictx from {got}, not {src}")
+    return roictx.cli
+
+
+def write_inputs(tmp: Path, save_ften) -> None:
+    rng = np.random.default_rng(20261018)
+    for d, (h, w) in MAPS.items():
+        save_ften(tmp / f"F{d}.ften",
+                  rng.normal(0.0, 1.0, (d, h, w)).astype(np.float32))
+        save_ften(tmp / f"scorer{d}.ften",
+                  rng.normal(0.0, 1.0, d * 49 + 1).astype(np.float32))
+        with open(tmp / f"rois{d}.csv", "w", encoding="utf-8") as fh:
+            for fx1, fy1, fx2, fy2 in ROI_FRACS:
+                box = (fx1 * w, fy1 * h, fx2 * w, fy2 * h)
+                fh.write(",".join(repr(round(v, 3)) for v in box) + "\n")
+
+
+def commands(tmp: Path):
+    """(output files, argv) of every run of the matrix."""
+    def io_args(d, out):
+        return ["--features", str(tmp / f"F{d}.ften"),
+                "--rois", str(tmp / f"rois{d}.csv"), "--out", str(tmp / out)]
+
+    for jobs in (1, 2):
+        j = ["--jobs", str(jobs)]
+        for d in MAPS:
+            for backbone in ("pool", "align"):
+                for scorer in ("scorer", "zeros"):
+                    name = f"ctxmine-d{d}-{backbone}-{scorer}-j{jobs}"
+                    argv = (["ctxmine", "--backbone", backbone,
+                             "--report", str(tmp / f"{name}.json")]
+                            + io_args(d, f"{name}.ften") + j)
+                    if scorer == "scorer":
+                        argv += ["--scorer", str(tmp / f"scorer{d}.ften")]
+                    yield [f"{name}.ften", f"{name}.json"], argv
+        for variant in ("none", "local", "global", "neigh4", "neigh8"):
+            for backbone in ("pool", "align"):
+                name = f"variant-{variant}-{backbone}-j{jobs}.ften"
+                yield [name], (["variant", "--variant", variant,
+                                "--backbone", backbone]
+                               + io_args(64, name) + j)
+        for op in ("roipool", "roialign"):
+            name = f"{op}-j{jobs}.ften"
+            yield [name], [op] + io_args(64, name) + j
+    for variant in ("none", "neigh8", "mining"):
+        name = f"synth-demo-{variant}.json"
+        yield [name], ["synth-demo", "--variant", variant, "--seed", "3",
+                       "--scenes", "80", "--epochs", "10",
+                       "--out", str(tmp / name)]
+    for op in ("roipool", "roialign", "ctxmine", "loss"):
+        name = f"gradcheck-{op}.json"
+        yield [name], ["gradcheck", "--op", op, "--seed", "5",
+                       "--out", str(tmp / name)]
+    yield ["enumerate.csv"], ["enumerate", "--cell", "-6", "3.5", "10", "17",
+                              "--bounds", "40,40",
+                              "--out", str(tmp / "enumerate.csv")]
+
+
+def run_matrix(src: Path) -> dict:
+    cli = import_cli(src)
+    from roictx.tensor import save_ften
+
+    digests = {}
+    with tempfile.TemporaryDirectory() as td:
+        tmp = Path(td)
+        write_inputs(tmp, save_ften)
+        for outputs, argv in commands(tmp):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            if code != 0:
+                raise SystemExit(f"exit {code}: roictx {' '.join(argv)}")
+            for name in outputs:
+                digests[name] = hashlib.sha256(
+                    (tmp / name).read_bytes()).hexdigest()
+    return digests
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
+                    help="directory holding the roictx package")
+    ap.add_argument("--out", help="JSON output path; standard output if absent")
+    args = ap.parse_args(argv)
+    text = json.dumps(run_matrix(args.src), indent=1, sort_keys=True) + "\n"
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
