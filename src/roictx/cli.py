@@ -2,15 +2,13 @@
 
 Three file formats total: FTEN for tensors, the RoI CSV for box lists,
 and JSON for structured reports.  Identical invocations on identical
-inputs produce byte-identical outputs, and `--jobs N` parallelism never
-changes output order or content.
+inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -19,13 +17,6 @@ from . import attacks, gradcheck as gc, losses, mining, synth
 from .errors import FormatError, RoictxError, ShapeError
 from .geometry import Box, generate_anchors, load_roi_csv, nms, save_roi_csv
 from .tensor import load_ften, save_ften
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("ROICTX_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _boxes(path) -> list[Box]:
@@ -69,8 +60,7 @@ def _cmd_roi_op(args) -> int:
     F = load_ften(args.features)
     mining._require_finite(F)
     config = _config(args)
-    maps = mining.parallel_map(lambda r: mining.roi_map(F, r, config).data,
-                               _boxes(args.rois), args.jobs)
+    maps = [mining.roi_map(F, r, config).data for r in _boxes(args.rois)]
     save_ften(args.out, np.stack(maps))
     return 0
 
@@ -79,7 +69,7 @@ def _cmd_ctxmine(args) -> int:
     F = load_ften(args.features)
     boxes = _boxes(args.rois)
     scorer = _load_scorer(args.scorer, F.shape[0], args.ph, args.pw)
-    mined = mining.mine_many(F, boxes, scorer, _config(args), jobs=args.jobs)
+    mined = mining.mine_many(F, boxes, scorer, _config(args))
     save_ften(args.out, np.stack([m.feature for m in mined]))
     if args.report:
         _write_json(args.report, [mining.mined_to_record(m) for m in mined])
@@ -89,9 +79,8 @@ def _cmd_ctxmine(args) -> int:
 def _cmd_variant(args) -> int:
     F = load_ften(args.features)
     config = _config(args, local_scale=args.local_scale)
-    feats = mining.parallel_map(
-        lambda r: mining.fixed_context_variant(F, r, args.variant, config),
-        _boxes(args.rois), args.jobs)
+    feats = [mining.fixed_context_variant(F, r, args.variant, config)
+             for r in _boxes(args.rois)]
     save_ften(args.out, np.stack(feats))
     return 0
 
@@ -280,8 +269,6 @@ def _add_io(sp, rois=True):
     sp.add_argument("--out", required=True, help="output FTEN path")
     sp.add_argument("--ph", type=int, default=7)
     sp.add_argument("--pw", type=int, default=7)
-    sp.add_argument("--jobs", type=int, default=_default_jobs(),
-                    help="parallel workers (output order is unaffected)")
 
 
 def build_parser() -> argparse.ArgumentParser:

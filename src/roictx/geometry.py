@@ -290,6 +290,8 @@ def load_roi_csv(path) -> list[tuple]:
                 vals = [float(p) for p in parts]
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: non-numeric field") from exc
+            if not all(math.isfinite(v) for v in vals):
+                raise FormatError(f"{path}:{lineno}: non-finite field")
             box = Box(*vals[:4])
             if box.x2 < box.x1 or box.y2 < box.y1:
                 raise FormatError(f"{path}:{lineno}: inverted box {box}")

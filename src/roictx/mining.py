@@ -15,7 +15,6 @@ same concatenation contract.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -221,11 +220,11 @@ class ContextScorer:
 
     def score_flat(self, flat_feats: np.ndarray) -> np.ndarray:
         """Scores for a (K, D*ph*pw) feature matrix, computed in float64
-        through einsum's fixed reduction order for run-to-run and
-        thread-count determinism.  A row scores the same alone as inside
-        any matrix: einsum sums a lone row longer than its 8192-element
-        buffer in another order than a row of a matrix, so a lone row is
-        scored as a matrix of two copies."""
+        through einsum's fixed reduction order for run-to-run determinism.
+        A row scores the same alone as inside any matrix: einsum sums a
+        lone row longer than its 8192-element buffer in another order than
+        a row of a matrix, so a lone row is scored as a matrix of two
+        copies."""
         if flat_feats.shape[1] != self.weights.shape[0]:
             raise ShapeError(
                 f"scorer expects {self.weights.shape[0]} features, "
@@ -265,15 +264,6 @@ def roi_map(F: np.ndarray, box: Box, config: MiningConfig) -> RoIMap:
     if config.backbone == "pool":
         return roi_pool(F, box, config.ph, config.pw)
     return roi_align(F, box, config.ph, config.pw, config.samples_per_bin)
-
-
-def parallel_map(fn, items, jobs: int) -> list:
-    """[fn(x) for x in items], on `jobs` threads when jobs > 1; results
-    keep the input order."""
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -321,9 +311,8 @@ class ContextMiner:
     """Reusable mining engine for one feature map.
 
     Builds what selection needs once per map, then mines any number of
-    RoIs against it.  mine() is pure and thread-safe: the map, the tables
-    and the scorer are only read.  A map holding NaN or inf raises
-    NumericError.
+    RoIs against it.  mine() is pure: the map, the tables and the scorer
+    are only read.  A map holding NaN or inf raises NumericError.
 
     Selection filters, then rescores.  Each candidate k of a cell gets an
     approximate score s~_k and a bound t_k >= |score_k - s~_k|, where
@@ -488,10 +477,10 @@ def mine_context(F: np.ndarray, r: Box, scorer: ContextScorer,
 
 
 def mine_many(F: np.ndarray, rois, scorer: ContextScorer,
-              config: MiningConfig = DEFAULT_CONFIG, jobs: int = 1) -> list[MinedRoIFeature]:
-    """Mine many RoIs against one shared table; output order matches input
-    order regardless of the worker count."""
-    return parallel_map(ContextMiner(F, scorer, config).mine, rois, jobs)
+              config: MiningConfig = DEFAULT_CONFIG) -> list[MinedRoIFeature]:
+    """Mine many RoIs against one shared table, in input order."""
+    miner = ContextMiner(F, scorer, config)
+    return [miner.mine(r) for r in rois]
 
 
 def _backward_one(grad_block: np.ndarray, roi_map: RoIMap, F_dims) -> np.ndarray:

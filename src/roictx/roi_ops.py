@@ -10,6 +10,7 @@ passes need.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +63,8 @@ def _check_grad(grad_out: np.ndarray, roi_map: RoIMap, F_dims) -> None:
 
 
 def _clipped_or_raise(r: Box, width: int, height: int) -> Box:
+    if not all(math.isfinite(v) for v in (r.x1, r.y1, r.x2, r.y2)):
+        raise DegenerateBoxError(f"RoI {r} has a non-finite corner")
     clipped = r.clip(width, height)
     if clipped.area <= 0.0:
         raise DegenerateBoxError(

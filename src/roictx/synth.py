@@ -21,8 +21,8 @@ from .geometry import Box, iou
 from .losses import softmax
 from .mining import CandidateGridSpec, ContextScorer, MiningConfig, \
     DIRECTIONS, build_layout, candidate_pool_for_cell, \
-    fixed_context_variant, scorer_gradient
-from .roi_ops import RangeMaxTable, roi_pool
+    fixed_context_variant, roi_map, scorer_gradient
+from .roi_ops import RangeMaxTable
 
 TRAIN_VARIANTS = ("none", "neigh8", "mining")
 
@@ -130,8 +130,8 @@ class _MiningFeatures:
     def __init__(self, scene: SynthScene, cfg: SynthConfig):
         mc = cfg.mining_config()
         table = RangeMaxTable(scene.feature)
-        self.object_flat = roi_pool(scene.feature, scene.object_roi,
-                                    mc.ph, mc.pw).data.reshape(-1)
+        self.object_flat = roi_map(scene.feature, scene.object_roi,
+                                   mc).data.reshape(-1)
         layout = build_layout(scene.object_roi)
         size = cfg.map_size
         self.cells = []

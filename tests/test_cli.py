@@ -38,7 +38,7 @@ def _read(path):
         return fh.read()
 
 
-JOBS_CASES = {
+RUN_CASES = {
     "roipool": ["roipool"],
     "roialign": ["roialign", "--samples", "3"],
     "ctxmine-pool": ["ctxmine", "--backbone", "pool", "--scorer", "{scorer}",
@@ -52,22 +52,37 @@ JOBS_CASES = {
 }
 
 
-class TestJobsInvariance:
-    @pytest.mark.parametrize("case", sorted(JOBS_CASES))
-    def test_jobs_1_and_2_byte_identical(self, inputs, case):
+class TestDeterminism:
+    @pytest.mark.parametrize("case", sorted(RUN_CASES))
+    def test_repeated_runs_byte_identical(self, inputs, case):
         tmp, _ = inputs
         outputs = []
-        for jobs in (1, 2):
+        for run in (1, 2):
             args = [a.format(scorer=tmp / "scorer.ften",
-                             report=tmp / f"report-{jobs}.json")
-                    for a in JOBS_CASES[case]]
-            out = f"out-{jobs}.ften"
-            assert cli.main(args + _io(tmp, out) + ["--jobs", str(jobs)]) == 0
+                             report=tmp / f"report-{run}.json")
+                    for a in RUN_CASES[case]]
+            out = f"out-{run}.ften"
+            assert cli.main(args + _io(tmp, out)) == 0
             files = [_read(tmp / out)]
             if "--report" in args:
-                files.append(_read(tmp / f"report-{jobs}.json"))
+                files.append(_read(tmp / f"report-{run}.json"))
             outputs.append(files)
         assert outputs[0] == outputs[1]
+
+
+class TestNonFiniteRois:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("case", ["roipool", "roialign", "ctxmine-pool",
+                                      "ctxmine-align", "variant-neigh8-pool"])
+    def test_exits_1(self, inputs, capsys, case, bad):
+        tmp, _ = inputs
+        with open(tmp / "rois.csv", "a", encoding="utf-8") as fh:
+            fh.write(f"1.0,{bad},5.0,5.0\n")
+        args = [a.format(scorer=tmp / "scorer.ften", report=tmp / "r.json")
+                for a in RUN_CASES[case]]
+        assert cli.main(args + _io(tmp, "o.ften")) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp / "o.ften").exists()
 
 
 class TestRoiOpCommands:

@@ -272,6 +272,14 @@ class TestRoiCsv:
         with pytest.raises(FormatError):
             load_roi_csv(path)
 
+    @pytest.mark.parametrize("line", ["nan,1,5,5", "1,1,inf,5", "-inf,1,5,5",
+                                      "1,1,5,5,nan", "1,1,5,5,0.5,inf"])
+    def test_non_finite_field_rejected(self, tmp_path, line):
+        path = tmp_path / "rois.csv"
+        path.write_text(f"1,1,5,5\n{line}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"rois\.csv:2: non-finite field"):
+            load_roi_csv(path)
+
     def test_written_floats_are_exact(self, tmp_path):
         b = Box(math.pi, math.e, 10.0 + math.sqrt(2), 11.0)
         path = tmp_path / "rois.csv"

@@ -302,15 +302,20 @@ class TestMineContext:
         assert a.feature.tobytes() == b.feature.tobytes()
         assert selection_indices(a) == selection_indices(b)
 
-    def test_mine_many_parallel_matches_serial(self):
+    def test_mine_many_equals_mine_context_per_roi(self):
         rng = np.random.default_rng(47)
         F = rng.normal(0, 1, (2, 48, 48)).astype(np.float32)
         rois = [interior_roi(rng, 48) for _ in range(12)]
         scorer = ContextScorer(rng.normal(0, 1, 2 * 49).astype(np.float32), 0.2)
-        serial = mine_many(F, rois, scorer, jobs=1)
-        parallel = mine_many(F, rois, scorer, jobs=4)
-        for a, b in zip(serial, parallel):
+        many = mine_many(F, rois, scorer)
+        assert len(many) == len(rois)
+        for r, a in zip(rois, many):
+            b = mine_context(F, r, scorer)
             assert a.feature.tobytes() == b.feature.tobytes()
+            assert ([(rec.index, rec.score) for rec in a.selected]
+                    == [(rec.index, rec.score) for rec in b.selected])
+            assert ([rec.box for rec in a.selected]
+                    == [rec.box for rec in b.selected])
 
     def test_corner_object_falls_back_to_object_map(self):
         rng = np.random.default_rng(53)
@@ -334,7 +339,7 @@ class TestMineContext:
         with pytest.raises(NumericError):
             mine_context(F, r, scorer)
         with pytest.raises(NumericError):
-            mine_many(F, [r, r], scorer, jobs=2)
+            mine_many(F, [r, r], scorer)
         with pytest.raises(NumericError):
             ContextMiner(F, scorer, MiningConfig(backbone="align"))
 
@@ -342,6 +347,18 @@ class TestMineContext:
         F = np.zeros((1, 16, 16), dtype=np.float32)
         with pytest.raises(DegenerateBoxError):
             mine_context(F, Box(40, 40, 44, 44), ContextScorer.zeros(1, 7, 7))
+
+    @pytest.mark.parametrize("backbone", ["pool", "align"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_roi_rejected(self, bad, backbone):
+        F = np.random.default_rng(7).normal(0, 1, (2, 20, 20)).astype(np.float32)
+        scorer = ContextScorer.zeros(2, 7, 7)
+        config = MiningConfig(backbone=backbone)
+        for corner in range(4):
+            xyxy = [7.0, 7.0, 12.0, 12.0]
+            xyxy[corner] = float(bad)
+            with pytest.raises(DegenerateBoxError):
+                mine_context(F, Box(*xyxy), scorer, config)
 
     def test_align_backbone_runs(self):
         rng = np.random.default_rng(59)
@@ -666,12 +683,21 @@ class TestMineContextBackward:
         w = rng.normal(0, 1, (18, 3, 3)).astype(np.float32)
         grad_F, _ = mine_context_backward(w, mined, F.shape, scorer)
 
+        last = {}
+
+        def mined_at(x):
+            # gradcheck calls f, then records, on each perturbed map
+            key = x.tobytes()
+            if key not in last:
+                last.clear()
+                last[key] = mine_context(x, r, scorer, config)
+            return last[key]
+
         def f(x):
-            return float((w.astype(np.float64)
-                          * mine_context(x, r, scorer, config).feature).sum())
+            return float((w.astype(np.float64) * mined_at(x).feature).sum())
 
         def records(x):
-            return selection_indices(mine_context(x, r, scorer, config))
+            return selection_indices(mined_at(x))
 
         report = check(f, F, grad_F, h=1e-2, probes=200, records_fn=records)
         assert report.max_rel_error <= 1e-3
@@ -788,6 +814,16 @@ class TestFixedVariants:
         for variant in ("none", "neigh8"):
             with pytest.raises(NumericError):
                 fixed_context_variant(F, r, variant)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_roi_rejected(self, bad):
+        _, F, _ = self._data()
+        for corner in range(4):
+            xyxy = [7.0, 7.0, 12.0, 12.0]
+            xyxy[corner] = float(bad)
+            for variant in mining.VARIANTS:
+                with pytest.raises(DegenerateBoxError):
+                    fixed_context_variant(F, Box(*xyxy), variant)
 
     def test_outside_cells_fall_back_to_object_map(self):
         rng = np.random.default_rng(83)

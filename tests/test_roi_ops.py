@@ -62,6 +62,14 @@ POOL_CASE_KINDS = ("ints", "signed-zeros", "nan-inf", "float64", "whole-map",
                    "empty-bins")
 
 
+def non_finite_boxes(bad):
+    """Box(1, 1, 5, 5) with each corner coordinate in turn set to bad."""
+    for corner in range(4):
+        xyxy = [1.0, 1.0, 5.0, 5.0]
+        xyxy[corner] = bad
+        yield Box(*xyxy)
+
+
 class TestRoiPoolForward:
     def test_constant_map_pools_to_constant(self):
         F = np.full((2, 10, 10), 3.25, dtype=np.float32)
@@ -161,6 +169,13 @@ class TestRoiPoolForward:
         F = np.zeros((1, 8, 8), dtype=np.float32)
         with pytest.raises(DegenerateBoxError):
             roi_pool(F, Box(10.0, 10.0, 14.0, 14.0), 2, 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_roi_rejected(self, bad):
+        F = np.zeros((1, 8, 8), dtype=np.float32)
+        for box in non_finite_boxes(bad):
+            with pytest.raises(DegenerateBoxError):
+                roi_pool(F, box, 2, 2)
 
     def test_argmax_points_inside_clipped_roi(self):
         rng = np.random.default_rng(27)
@@ -308,6 +323,13 @@ class TestRoiAlignForward:
         F = np.zeros((1, 8, 8), dtype=np.float32)
         with pytest.raises(DegenerateBoxError):
             roi_align(F, Box(20, 20, 30, 30), 2, 2, 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_roi_rejected(self, bad):
+        F = np.zeros((1, 8, 8), dtype=np.float32)
+        for box in non_finite_boxes(bad):
+            with pytest.raises(DegenerateBoxError):
+                roi_align(F, box, 2, 2, 2)
 
 
 class TestRoiAlignBinSums:

@@ -1,4 +1,4 @@
-"""Byte-identity matrix of the roictx command line: 80 output files.
+"""Byte-identity matrix of the roictx command line: 44 output files.
 
     python tools/cli_matrix.py [--src DIR] [--out digests.json]
 
@@ -10,10 +10,10 @@ files: a change that keeps every CLI output byte-identical gives no diff.
 
 The matrix:
   - ctxmine, FTEN output plus --report, on D=4, 64 and 256 maps, both
-    backbones, with a random scorer and with the default zero scorer, at
-    --jobs 1 and 2 (48 files);
-  - variant, all five layouts on both backbones, at --jobs 1 and 2 (20);
-  - roipool and roialign at --jobs 1 and 2 (4);
+    backbones, with a random scorer and with the default zero scorer
+    (24 files);
+  - variant, all five layouts on both backbones (10);
+  - roipool and roialign (2);
   - synth-demo for none, neigh8 and mining at 80 scenes and 10 epochs (3);
   - gradcheck for all four operators (4);
   - enumerate on one border cell (1).
@@ -70,27 +70,24 @@ def commands(tmp: Path):
         return ["--features", str(tmp / f"F{d}.ften"),
                 "--rois", str(tmp / f"rois{d}.csv"), "--out", str(tmp / out)]
 
-    for jobs in (1, 2):
-        j = ["--jobs", str(jobs)]
-        for d in MAPS:
-            for backbone in ("pool", "align"):
-                for scorer in ("scorer", "zeros"):
-                    name = f"ctxmine-d{d}-{backbone}-{scorer}-j{jobs}"
-                    argv = (["ctxmine", "--backbone", backbone,
-                             "--report", str(tmp / f"{name}.json")]
-                            + io_args(d, f"{name}.ften") + j)
-                    if scorer == "scorer":
-                        argv += ["--scorer", str(tmp / f"scorer{d}.ften")]
-                    yield [f"{name}.ften", f"{name}.json"], argv
-        for variant in ("none", "local", "global", "neigh4", "neigh8"):
-            for backbone in ("pool", "align"):
-                name = f"variant-{variant}-{backbone}-j{jobs}.ften"
-                yield [name], (["variant", "--variant", variant,
-                                "--backbone", backbone]
-                               + io_args(64, name) + j)
-        for op in ("roipool", "roialign"):
-            name = f"{op}-j{jobs}.ften"
-            yield [name], [op] + io_args(64, name) + j
+    for d in MAPS:
+        for backbone in ("pool", "align"):
+            for scorer in ("scorer", "zeros"):
+                name = f"ctxmine-d{d}-{backbone}-{scorer}"
+                argv = (["ctxmine", "--backbone", backbone,
+                         "--report", str(tmp / f"{name}.json")]
+                        + io_args(d, f"{name}.ften"))
+                if scorer == "scorer":
+                    argv += ["--scorer", str(tmp / f"scorer{d}.ften")]
+                yield [f"{name}.ften", f"{name}.json"], argv
+    for variant in ("none", "local", "global", "neigh4", "neigh8"):
+        for backbone in ("pool", "align"):
+            name = f"variant-{variant}-{backbone}.ften"
+            yield [name], (["variant", "--variant", variant,
+                            "--backbone", backbone] + io_args(64, name))
+    for op in ("roipool", "roialign"):
+        name = f"{op}.ften"
+        yield [name], [op] + io_args(64, name)
     for variant in ("none", "neigh8", "mining"):
         name = f"synth-demo-{variant}.json"
         yield [name], ["synth-demo", "--variant", variant, "--seed", "3",
