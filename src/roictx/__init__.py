@@ -17,7 +17,6 @@ from .roi_ops import RangeMaxTable, RoIMap, roi_align, roi_align_backward, \
 from .attacks import SplitMix64, apply_patch, apply_patches, patch_region, \
     region_pixel_window
 from .synth import SynthConfig, SynthScene, TrainResult, generate, train_head
-from .tensor import as_tensor, channel_block, concat_channels, load_ften, \
-    save_ften, zeros
+from .tensor import concat_channels, load_ften, save_ften
 
 __version__ = "0.1.0"

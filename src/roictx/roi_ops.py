@@ -266,45 +266,37 @@ class RangeMaxTable:
     """Sparse-table range-max over the spatial axes of a D x H x W map.
 
     Answers per-channel maxima over integer rectangles in O(1) numpy
-    gathers after an O(D*H*W*logH*logW) build.  Maxima are bit-exact
-    equal to direct np.max over the same rectangle, so pooled values
-    computed through this table match roi_pool exactly.
+    gathers after an O(D*H*W*logH*logW) build.  Maxima equal direct
+    np.max over the same rectangle, bit for bit unless the maximum is a
+    zero: ties of -0.0 and +0.0 keep whichever zero the comparison order
+    gives.  So pooled values computed through this table equal roi_pool's
+    in value, and a zero's sign may differ, as roi_pool keeps the first
+    of tied elements.
     """
 
     def __init__(self, F: np.ndarray):
         D, H, W = _check_feature_map(F)
         self.dims = (D, H, W)
-        k1 = max(1, int(np.log2(H)) + 1)
-        k2 = max(1, int(np.log2(W)) + 1)
-        while (1 << (k1 - 1)) > H:
-            k1 -= 1
-        while (1 << (k2 - 1)) > W:
-            k2 -= 1
+        k1, k2 = H.bit_length(), W.bit_length()
         # Built in its gather layout: row (level-a, level-b, y, x) holds the
         # D channels, so queries index one flat view and no copy is kept.
-        table = np.empty((k1, k2, H, W, D), dtype=np.float32)
+        # Level (a, b) holds the max of the 2^a x 2^b window at (y, x) where
+        # that window fits in the map, and zero elsewhere.  query reads a
+        # level only at windows inside its rectangle, so never at a row
+        # >= H - 2^a + 1 or a column >= W - 2^b + 1.
+        table = np.zeros((k1, k2, H, W, D), dtype=np.float32)
         table[0, 0] = F.transpose(1, 2, 0)
         for b in range(1, k2):
-            span = 1 << b
+            half, n = 1 << (b - 1), W - (1 << b) + 1
             prev = table[0, b - 1]
-            table[0, b] = prev
-            n = W - span + 1
-            table[0, b, :, :n] = np.maximum(
-                prev[:, :n], prev[:, span // 2:span // 2 + n])
+            np.maximum(prev[:, :n], prev[:, half:half + n],
+                       out=table[0, b, :, :n])
         for a in range(1, k1):
-            span = 1 << a
-            n = H - span + 1
-            for b in range(k2):
-                prev = table[a - 1, b]
-                table[a, b] = prev
-                table[a, b, :n] = np.maximum(
-                    prev[:n], prev[span // 2:span // 2 + n])
+            half, n = 1 << (a - 1), H - (1 << a) + 1
+            prev = table[a - 1]
+            np.maximum(prev[:, :n], prev[:, half:half + n], out=table[a, :, :n])
         self._k2 = k2
         self._flat = table.reshape(-1, D)
-        # floor(log2(n)) for n = 1..max(H, W)
-        self._log2 = np.zeros(max(H, W) + 1, dtype=np.int64)
-        for n in range(2, max(H, W) + 1):
-            self._log2[n] = self._log2[n // 2] + 1
 
     def query(self, y0, y1, x0, x1) -> np.ndarray:
         """Per-channel max over rectangles [y0,y1) x [x0,x1); returns (N, D).
@@ -317,8 +309,9 @@ class RangeMaxTable:
         y1 = np.asarray(y1, dtype=np.int64)
         x0 = np.asarray(x0, dtype=np.int64)
         x1 = np.asarray(x1, dtype=np.int64)
-        ka = self._log2[y1 - y0]
-        kb = self._log2[x1 - x0]
+        # floor(log2(n)), exact: n = m * 2^e with 0.5 <= m < 1
+        ka = np.frexp(y1 - y0)[1].astype(np.int64) - 1
+        kb = np.frexp(x1 - x0)[1].astype(np.int64) - 1
         ya = y1 - (1 << ka)
         xb = x1 - (1 << kb)
         base = ((ka * self._k2 + kb) * H) * W
@@ -331,26 +324,19 @@ class RangeMaxTable:
 
     def pool_xyxy(self, xyxy: np.ndarray, ph: int, pw: int) -> np.ndarray:
         """Max-pool K boxes given as an (K, 4) x1,y1,x2,y2 float64 array;
-        returns (K, D, ph, pw).  Uses the same bin integerization as
-        roi_pool; bins must be non-empty (guaranteed for positive-area
-        clipped boxes)."""
-        D, H, W = self.dims
-        K = xyxy.shape[0]
-        ys, ye = bin_edges(xyxy[:, 1], xyxy[:, 3] - xyxy[:, 1], ph, H)
-        xs, xe = bin_edges(xyxy[:, 0], xyxy[:, 2] - xyxy[:, 0], pw, W)
-        y0 = np.repeat(ys[:, :, None], pw, axis=2).reshape(-1)
-        y1 = np.repeat(ye[:, :, None], pw, axis=2).reshape(-1)
-        x0 = np.repeat(xs[:, None, :], ph, axis=1).reshape(-1)
-        x1 = np.repeat(xe[:, None, :], ph, axis=1).reshape(-1)
-        vals = self.query(y0, y1, x0, x1)              # (K*ph*pw, D)
-        return vals.reshape(K, ph, pw, D).transpose(0, 3, 1, 2)
+        returns pool_unique's maxima per box as (K, D, ph, pw)."""
+        V, ids = self.pool_unique(xyxy, ph, pw)
+        K, D = ids.shape[0], self.dims[0]
+        return V[ids].reshape(K, ph, pw, D).transpose(0, 3, 1, 2)
 
     def pool_unique(self, xyxy: np.ndarray, ph: int, pw: int):
-        """pool_xyxy with each distinct bin rectangle queried once.
+        """Max-pool K boxes with each distinct bin rectangle queried once.
 
-        Returns (V, ids): V holds the (R, D) maxima of the R distinct bin
+        Uses the same bin integerization as roi_pool; bins must be
+        non-empty (guaranteed for positive-area clipped boxes).  Returns
+        (V, ids): V holds the (R, D) maxima of the R distinct bin
         rectangles of the K boxes, and ids the (K, ph*pw) row of V of each
-        box's bins, so V[ids[k]] is pool_xyxy's box k as (ph*pw, D).
+        box's bins, so V[ids[k]] is box k's pooled map as (ph*pw, D).
         """
         _, H, W = self.dims
         K = xyxy.shape[0]

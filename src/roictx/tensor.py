@@ -2,8 +2,8 @@
 
 Tensors are plain numpy float32 arrays in C (row-major) order, rank 1..4.
 Everything downstream (feature maps D x H x W, RoI maps D x ph x pw,
-gradients) is carried this way.  This module owns construction, channel
-concatenation, and the FTEN v1 file format.
+gradients) is carried this way.  This module owns channel concatenation and
+the FTEN v1 file format.
 """
 
 from __future__ import annotations
@@ -24,20 +24,6 @@ def _check_dims(dims) -> tuple[int, ...]:
     return dims
 
 
-def zeros(dims) -> np.ndarray:
-    """Allocate a zero-filled float32 tensor of the given extents."""
-    return np.zeros(_check_dims(dims), dtype=np.float32)
-
-
-def as_tensor(data, dims=None) -> np.ndarray:
-    """Coerce nested lists or an array to a validated float32 tensor."""
-    arr = np.ascontiguousarray(data, dtype=np.float32)
-    if dims is not None:
-        arr = arr.reshape(_check_dims(dims))
-    _check_dims(arr.shape)
-    return arr
-
-
 def concat_channels(parts) -> np.ndarray:
     """Stack rank-3 maps of identical shape D x ph x pw along channels.
 
@@ -56,16 +42,6 @@ def concat_channels(parts) -> np.ndarray:
                 f"mismatched part shapes: {first.shape} vs {p.shape}")
     return np.concatenate([np.asarray(p, dtype=np.float32) for p in parts],
                           axis=0)
-
-
-def channel_block(tensor: np.ndarray, index: int, block_size: int) -> np.ndarray:
-    """Slice channel block `index` of width `block_size` out of a rank-3 tensor."""
-    lo = index * block_size
-    hi = lo + block_size
-    if tensor.ndim != 3 or hi > tensor.shape[0]:
-        raise ShapeError(
-            f"block {index} of size {block_size} out of range for {tensor.shape}")
-    return tensor[lo:hi]
 
 
 def save_ften(path, tensor: np.ndarray) -> None:

@@ -410,18 +410,26 @@ class TestRoiAlignBackward:
 
 class TestRangeMaxTable:
     def test_query_matches_direct_max(self):
+        """Every rectangle of each map: level counts and extents at and
+        next to powers of two, and negative data, so a read of a cell the
+        build never wrote (a zero) shows."""
         rng = np.random.default_rng(53)
-        F = rng.normal(0, 1, (3, 17, 23)).astype(np.float32)
-        table = RangeMaxTable(F)
-        for _ in range(300):
-            y0 = int(rng.integers(0, 16))
-            y1 = int(rng.integers(y0 + 1, 18))
-            x0 = int(rng.integers(0, 22))
-            x1 = int(rng.integers(x0 + 1, 24))
-            got = table.query(np.array([y0]), np.array([y1]),
-                              np.array([x0]), np.array([x1]))[0]
-            want = F[:, y0:y1, x0:x1].max(axis=(1, 2))
-            assert np.array_equal(got, want)
+        for H, W in [(1, 1), (1, 5), (5, 1), (2, 2), (3, 7), (8, 8),
+                     (9, 17), (16, 15), (33, 4)]:
+            normal = rng.normal(0, 1, (3, H, W)).astype(np.float32)
+            ints = rng.integers(-3, 2, (3, H, W)).astype(np.float32)
+            signed = rng.choice(np.float32([-1.0, -0.0, 0.0, 1.0]), (3, H, W))
+            rects = np.array([(y0, y1, x0, x1)
+                              for y0 in range(H) for y1 in range(y0 + 1, H + 1)
+                              for x0 in range(W) for x1 in range(x0 + 1, W + 1)])
+            for F in (normal, ints, signed):
+                got = RangeMaxTable(F).query(*rects.T)
+                want = np.stack([F[:, y0:y1, x0:x1].max(axis=(1, 2))
+                                 for y0, y1, x0, x1 in rects])
+                assert np.array_equal(got, want)
+                # np.max may keep the other zero of a -0.0 / +0.0 tie
+                if F is not signed:
+                    assert got.tobytes() == want.tobytes()
 
     def test_pool_boxes_bit_equals_roi_pool(self):
         rng = np.random.default_rng(59)
@@ -432,6 +440,17 @@ class TestRangeMaxTable:
         batch = table.pool_boxes(boxes, 7, 7)
         for k, b in enumerate(boxes):
             assert np.array_equal(batch[k], roi_pool(F, b, 7, 7).data)
+
+    def test_pool_boxes_equals_roi_pool_on_signed_zeros(self):
+        """Equal in value; the sign of a zero maximum may differ."""
+        rng = np.random.default_rng(67)
+        F = rng.choice(np.float32([-1.0, -0.0, 0.0, 1.0]), (2, 6, 7))
+        boxes = [random_roi(rng, 7, 6, min_size=1.0).clip(7, 6)
+                 for _ in range(50)]
+        batch = RangeMaxTable(F).pool_boxes(boxes, 3, 2)
+        want = np.stack([roi_pool(F, b, 3, 2).data for b in boxes])
+        assert np.array_equal(batch, want)
+        assert (want == 0).any()
 
     def test_pool_unique_bit_equals_pool_xyxy(self):
         rng = np.random.default_rng(61)

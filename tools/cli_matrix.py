@@ -1,4 +1,4 @@
-"""Byte-identity matrix of the roictx command line: 44 output files.
+"""Byte-identity matrix of the roictx command line: 46 output files.
 
     python tools/cli_matrix.py [--src DIR] [--out digests.json]
 
@@ -12,6 +12,9 @@ The matrix:
   - ctxmine, FTEN output plus --report, on D=4, 64 and 256 maps, both
     backbones, with a random scorer and with the default zero scorer
     (24 files);
+  - ctxmine, FTEN output plus --report, pool backbone, random scorer, on
+    a D=4 map of values in {-1, -0.0, +0.0, 1}, whose ties RoI pooling
+    and the range-max table break by different rules (2);
   - variant, all five layouts on both backbones (10);
   - roipool and roialign (2);
   - synth-demo for none, neigh8 and mining at 80 scenes and 10 epochs (3);
@@ -62,6 +65,9 @@ def write_inputs(tmp: Path, save_ften) -> None:
             for fx1, fy1, fx2, fy2 in ROI_FRACS:
                 box = (fx1 * w, fy1 * h, fx2 * w, fy2 * h)
                 fh.write(",".join(repr(round(v, 3)) for v in box) + "\n")
+    h, w = MAPS[4]
+    save_ften(tmp / "F4ties.ften",
+              rng.choice(np.float32([-1.0, -0.0, 0.0, 1.0]), (4, h, w)))
 
 
 def commands(tmp: Path):
@@ -80,6 +86,12 @@ def commands(tmp: Path):
                 if scorer == "scorer":
                     argv += ["--scorer", str(tmp / f"scorer{d}.ften")]
                 yield [f"{name}.ften", f"{name}.json"], argv
+    name = "ctxmine-d4ties-pool-scorer"
+    yield [f"{name}.ften", f"{name}.json"], [
+        "ctxmine", "--backbone", "pool", "--report", str(tmp / f"{name}.json"),
+        "--scorer", str(tmp / "scorer4.ften"),
+        "--features", str(tmp / "F4ties.ften"), "--rois", str(tmp / "rois4.csv"),
+        "--out", str(tmp / f"{name}.ften")]
     for variant in ("none", "local", "global", "neigh4", "neigh8"):
         for backbone in ("pool", "align"):
             name = f"variant-{variant}-{backbone}.ften"
