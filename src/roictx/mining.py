@@ -199,7 +199,7 @@ def candidate_pool_for_cell(cell: Box, grid: CandidateGridSpec,
     arr = _candidate_arrays(cell, grid, map_bounds)
     if arr is None:
         return None
-    return [Box(float(a), float(b), float(c), float(d)) for a, b, c, d in arr]
+    return [Box(*row) for row in arr.tolist()]
 
 
 @dataclass
@@ -273,7 +273,6 @@ class SelectionRecord:
 
     direction: str
     index: int
-    box: Box | None
     roi_map: RoIMap | None
     score: float | None
     pool_size: int
@@ -281,6 +280,11 @@ class SelectionRecord:
     @property
     def fallback(self) -> bool:
         return self.index == FALLBACK
+
+    @property
+    def box(self) -> Box | None:
+        """The kept map's source RoI; None for a fallback."""
+        return None if self.roi_map is None else self.roi_map.source_roi
 
 
 @dataclass
@@ -325,8 +329,11 @@ class ContextMiner:
     included, and its map is the one kept.  Selections and scores are
     bit-identical to exhaustive scoring; s~ only filters and never
     decides.  When the filter is not finite (overflow, or a non-finite
-    scorer) every candidate is scored.  With c the bias, w the scorer
-    and W_b its weights of bin b over the D channels:
+    scorer) every candidate is scored.  When every kept t_k is 0 (a zero
+    scorer, or zero bias and maps that are zero where the scorer is not;
+    a nonzero term of t_k is at least 2^-298), exact scores equal s~ in
+    value and only the first largest s~ is scored.  With c the bias, w
+    the scorer and W_b its weights of bin b over the D channels:
 
     Pool backbone: a pooled value is a float32 map element, and the
     product of two float32 values is exact in float64, so any two
@@ -352,7 +359,8 @@ class ContextMiner:
     term of t_k exceeds 2 gamma_n S with room for its own rounding, and
     the second is 2 u |c| twice over.  The bound needs the ph*pw float64
     column norms ||W_b||_1 beside the D*ph*pw float64 values of W, and per
-    cell one max over D of each of the R rectangles.
+    cell one max over D of each of the R rectangles.  The rescored maps
+    are rows of V, so a cell's bin rectangles are pooled once.
 
     Align backbone: roi_align and the scorer are both linear in F, so a
     candidate's score is sum over bins b of mean_s bilinear(G_b, p_s) + c,
@@ -399,49 +407,43 @@ class ContextMiner:
         self._w_abs_sum = float(np.abs(w).sum())
 
     def _bounds(self, xyxy: np.ndarray):
-        """(s~, t) of every candidate (see the class docstring)."""
+        """(s~, t, exact) of every candidate (see the class docstring):
+        exact(keep) gives the exact flat maps of candidates keep, and their
+        RoIMaps where those are made anyway (align)."""
         cfg = self.config
         bias = float(self.scorer.bias)
         if self._table is not None:
-            V, ids = self._table.pool_unique(xyxy, cfg.ph, cfg.pw)
+            V, ids = self._table.pool_xyxy(xyxy, cfg.ph, cfg.pw)
             peaks = np.abs(V).max(axis=1).astype(np.float64)
-            V = V.astype(np.float64)
             # element (ids[k, b], b) of an (R, ph*pw) matrix
             at = ids * ids.shape[1] + np.arange(ids.shape[1])
-            approx = np.take(V @ self._w, at).sum(axis=1) + bias
+            approx = np.take(V.astype(np.float64) @ self._w, at).sum(axis=1)
             mags = np.take(peaks, ids) @ self._w_norms
-            return approx, 3.0 * self._gamma * mags + abs(bias) * 2.0 ** -51
+            slack = 3.0 * self._gamma * mags + abs(bias) * 2.0 ** -51
+            # exact rows are the maxima the filter read, in D-major order
+            return approx + bias, slack, lambda keep: (
+                V[ids[keep]].transpose(0, 2, 1).reshape(len(keep), -1), None)
         sums = roi_align_bin_sums(self._planes, xyxy, cfg.samples_per_bin)
-        return (sums[:, 0] + bias,
-                2.0 ** -22 * sums[:, 1] + abs(bias) * 2.0 ** -50
-                + self._w_abs_sum * 2.0 ** -149)
 
-    def _near_top(self, xyxy: np.ndarray) -> np.ndarray:
-        """Pool indices, in order, whose exact score can reach the pool's
-        maximum; all of them when the filter is not finite."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            approx, slack = self._bounds(xyxy)
-            lo, hi = approx - slack, approx + slack
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            return np.arange(xyxy.shape[0])
-        return np.flatnonzero(hi >= lo.max())
+        def exact(keep):
+            maps = [roi_map(self.F, _box_at(xyxy, k), cfg) for k in keep]
+            return np.stack([m.data.reshape(-1) for m in maps]), maps
 
-    def _exact(self, xyxy: np.ndarray):
-        """Exact flat maps of the given candidates, as a (K, D*ph*pw)
-        matrix, and their RoIMaps where those are made anyway (align)."""
-        cfg = self.config
-        if self._table is not None:
-            feats = self._table.pool_xyxy(xyxy, cfg.ph, cfg.pw)
-            return feats.reshape(xyxy.shape[0], -1), None
-        maps = [roi_map(self.F, _box_at(xyxy, k), cfg)
-                for k in range(xyxy.shape[0])]
-        return np.stack([m.data.reshape(-1) for m in maps]), maps
+        return (sums[:, 0] + bias, 2.0 ** -22 * sums[:, 1]
+                + abs(bias) * 2.0 ** -50 + self._w_abs_sum * 2.0 ** -149, exact)
 
     def _select(self, xyxy: np.ndarray):
         """(index, score, map) of the pool's best-scoring candidate; the
         first one in pool order among equal scores."""
-        keep = self._near_top(xyxy)
-        rows, maps = self._exact(xyxy[keep])
+        with np.errstate(over="ignore", invalid="ignore"):
+            approx, slack, exact = self._bounds(xyxy)
+            lo, hi = approx - slack, approx + slack
+        keep = np.arange(xyxy.shape[0])
+        if np.isfinite(lo).all() and np.isfinite(hi).all():
+            keep = np.flatnonzero(hi >= lo.max())
+            if not slack[keep].any():
+                keep = keep[[np.argmax(approx[keep])]]
+        rows, maps = exact(keep)
         scores = self.scorer.score_flat(rows)
         j = int(np.argmax(scores))
         k = int(keep[j])
@@ -460,12 +462,12 @@ class ContextMiner:
             xyxy = _candidate_arrays(layout.cells[direction], cfg.grid, (W, H))
             if xyxy is None:
                 selected.append(SelectionRecord(direction, FALLBACK, None,
-                                                None, None, 0))
+                                                None, 0))
                 blocks.append(object_map.data)
                 continue
             idx, score, picked = self._select(xyxy)
-            selected.append(SelectionRecord(direction, idx, picked.source_roi,
-                                            picked, score, xyxy.shape[0]))
+            selected.append(SelectionRecord(direction, idx, picked, score,
+                                            xyxy.shape[0]))
             blocks.append(picked.data)
         return MinedRoIFeature(concat_channels(blocks), object_map, selected)
 

@@ -322,15 +322,9 @@ class RangeMaxTable:
         np.maximum(out, flat[base + ya * W + xb], out=out)
         return out
 
-    def pool_xyxy(self, xyxy: np.ndarray, ph: int, pw: int) -> np.ndarray:
-        """Max-pool K boxes given as an (K, 4) x1,y1,x2,y2 float64 array;
-        returns pool_unique's maxima per box as (K, D, ph, pw)."""
-        V, ids = self.pool_unique(xyxy, ph, pw)
-        K, D = ids.shape[0], self.dims[0]
-        return V[ids].reshape(K, ph, pw, D).transpose(0, 3, 1, 2)
-
-    def pool_unique(self, xyxy: np.ndarray, ph: int, pw: int):
-        """Max-pool K boxes with each distinct bin rectangle queried once.
+    def pool_xyxy(self, xyxy: np.ndarray, ph: int, pw: int):
+        """Max-pool K boxes given as an (K, 4) x1,y1,x2,y2 float64 array,
+        querying each distinct bin rectangle once.
 
         Uses the same bin integerization as roi_pool; bins must be
         non-empty (guaranteed for positive-area clipped boxes).  Returns
@@ -353,7 +347,10 @@ class RangeMaxTable:
         return V, ids.reshape(K, ph * pw)
 
     def pool_boxes(self, boxes, ph: int, pw: int) -> np.ndarray:
-        """pool_xyxy for a sequence of Box objects."""
+        """Max-pool a sequence of Box objects through pool_xyxy; returns
+        the pooled maps as (K, D, ph, pw)."""
         xyxy = np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes],
                         dtype=np.float64).reshape(len(boxes), 4)
-        return self.pool_xyxy(xyxy, ph, pw)
+        V, ids = self.pool_xyxy(xyxy, ph, pw)
+        K, D = ids.shape[0], self.dims[0]
+        return V[ids].reshape(K, ph, pw, D).transpose(0, 3, 1, 2)

@@ -9,7 +9,7 @@ from roictx.mining import CandidateGridSpec, ContextScorer, DIRECTIONS, \
     ContextMiner, MiningConfig, build_layout, candidate_pool_for_cell, \
     fixed_context_variant, mine_context, mine_context_backward, mine_many, \
     mined_to_record, selection_indices
-from roictx.roi_ops import roi_align, roi_pool
+from roictx.roi_ops import RangeMaxTable, roi_align, roi_pool
 
 
 def interior_roi(rng, size, lo_frac=0.34, hi_frac=0.66, min_wh=3.0, max_wh=10.0):
@@ -222,6 +222,30 @@ class TestMineContext:
         r = interior_roi(rng, 48)
         mined = mine_context(F, r, ContextScorer.zeros(2, 7, 7))
         assert selection_indices(mined) == (0,) * 8
+
+    @pytest.mark.parametrize("backbone", ["pool", "align"])
+    def test_zero_scorer_rescores_one_row_per_cell(self, backbone,
+                                                   monkeypatch):
+        """Every candidate ties at zero with zero slack: one row per cell
+        is scored exactly, not the whole pool."""
+        rng = np.random.default_rng(59)
+        F = rng.normal(0, 1, (3, 40, 40)).astype(np.float32)
+        config = MiningConfig(ph=5, pw=5, backbone=backbone)
+        rows = []
+        real = ContextScorer.score_flat
+
+        def counting(self, flat_feats):
+            rows.append(flat_feats.shape[0])
+            return real(self, flat_feats)
+
+        monkeypatch.setattr(ContextScorer, "score_flat", counting)
+        for r in (interior_roi(rng, 40), Box(0.5, 1.0, 7.0, 9.0)):
+            rows.clear()
+            mined = mine_context(F, r, ContextScorer.zeros(3, 5, 5), config)
+            kept = [rec for rec in mined.selected if not rec.fallback]
+            assert rows == [1] * len(kept)
+            assert ([(rec.index, rec.score) for rec in kept]
+                    == [(0, 0.0)] * len(kept))
 
     def test_feature_shape_is_9d(self):
         rng = np.random.default_rng(23)
@@ -616,12 +640,61 @@ class TestPoolSelection:
                     * 2.0 ** rng.integers(-30, 30, shape)).astype(np.float32)
 
         scorer = ContextScorer(wide(16 * 25), 2.0 ** 20 / 3.0)
-        miner = ContextMiner(wide((16, 40, 40)), scorer, self.CONFIG)
+        F = wide((16, 40, 40))
+        miner = ContextMiner(F, scorer, self.CONFIG)
         for cell in build_layout(Box(14.0, 13.0, 23.5, 22.0)).cells.values():
             xyxy = mining._candidate_arrays(cell, self.CONFIG.grid, (40, 40))
-            approx, slack = miner._bounds(xyxy)
-            feats = miner._table.pool_xyxy(xyxy, 5, 5).reshape(len(xyxy), -1)
+            approx, slack, _ = miner._bounds(xyxy)
+            feats = np.stack([roi_pool(F, Box(*b), 5, 5).data.reshape(-1)
+                              for b in xyxy.tolist()])
             assert np.all(np.abs(scorer.score_flat(feats) - approx) <= slack)
+
+    def test_zero_region_mixes_zero_and_nonzero_slack(self):
+        """Zero bias; the scored channel is zero but in one corner, the
+        unscored one in the left half.  Near the RoI every score ties at
+        zero, and cells keep zero-slack candidates beside ones that the
+        unscored channel gives slack, so the whole pool is rescored; cells
+        wholly in the zero region rescore one candidate."""
+        rng = np.random.default_rng(173)
+        F = np.zeros((2, 40, 40), dtype=np.float32)
+        F[1, :, 20:] = np.maximum(rng.normal(0, 1, (40, 20)), 0.0)
+        F[0, 30:, 30:] = rng.normal(0, 1, (10, 10))
+        w = np.zeros((2, 25), dtype=np.float32)
+        w[0] = rng.normal(0, 1, 25)
+        scorer = ContextScorer(w.reshape(-1), 0.0)
+        r = Box(16.0, 14.0, 24.0, 21.0)
+        miner = ContextMiner(F, scorer, self.CONFIG)
+        mixed = 0
+        for cell in build_layout(r).cells.values():
+            xyxy = mining._candidate_arrays(cell, self.CONFIG.grid, (40, 40))
+            approx, slack, _ = miner._bounds(xyxy)
+            kept = slack[approx + slack >= (approx - slack).max()]
+            mixed += bool((kept == 0).any() and (kept > 0).any())
+        assert mixed >= 2
+        for roi in (r, Box(24.0, 24.0, 31.0, 30.5), Box(3.0, 25.0, 9.0, 33.0)):
+            self._check_oracle(F, roi, scorer)
+
+    def test_one_table_pass_per_cell(self, monkeypatch):
+        """Each non-fallback cell pools its bin rectangles once: one
+        pool_xyxy and one query call, none for the rescored rows."""
+        rng = np.random.default_rng(179)
+        F = rng.normal(0, 1, (3, 40, 40)).astype(np.float32)
+        scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), 0.1)
+        miner = ContextMiner(F, scorer, self.CONFIG)
+        calls = []
+        for name in ("pool_xyxy", "query"):
+            real = getattr(RangeMaxTable, name)
+
+            def counting(self, *args, _name=name, _real=real):
+                calls.append(_name)
+                return _real(self, *args)
+
+            monkeypatch.setattr(RangeMaxTable, name, counting)
+        for r in (interior_roi(rng, 40), Box(0.5, 1.0, 7.0, 9.0)):
+            calls.clear()
+            mined = miner.mine(r)
+            cells = sum(not rec.fallback for rec in mined.selected)
+            assert calls == ["pool_xyxy", "query"] * cells
 
     def test_scored_rows_bounded_by_near_ties(self, monkeypatch):
         """One row per cell, plus one per near-tie: a fall-back to scoring

@@ -6,8 +6,9 @@ import pytest
 from roictx.errors import DegenerateBoxError, ShapeError
 from roictx.geometry import Box
 from roictx.gradcheck import check
-from roictx.roi_ops import EMPTY_BIN, RangeMaxTable, roi_align, \
-    roi_align_backward, roi_align_bin_sums, roi_pool, roi_pool_backward
+from roictx.roi_ops import EMPTY_BIN, RangeMaxTable, bin_edges, \
+    roi_align, roi_align_backward, roi_align_bin_sums, roi_pool, \
+    roi_pool_backward
 
 
 def random_roi(rng, width, height, min_size=1.0, max_size=None):
@@ -452,7 +453,9 @@ class TestRangeMaxTable:
         assert np.array_equal(batch, want)
         assert (want == 0).any()
 
-    def test_pool_unique_bit_equals_pool_xyxy(self):
+    def test_pool_boxes_equals_pool_xyxy_rows(self):
+        """pool_xyxy gives one row of V per distinct bin rectangle, and
+        pool_boxes expands V[ids] to (K, D, ph, pw)."""
         rng = np.random.default_rng(61)
         F = rng.normal(0, 1, (5, 29, 31)).astype(np.float32)
         table = RangeMaxTable(F)
@@ -461,9 +464,20 @@ class TestRangeMaxTable:
         # repeat boxes so that many bins share a rectangle
         boxes += boxes[:10]
         xyxy = np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes])
-        V, ids = table.pool_unique(xyxy, 6, 4)
+        V, ids = table.pool_xyxy(xyxy, 6, 4)
         assert ids.shape == (50, 24) and V.shape[1] == 5
-        assert V.shape[0] == len(np.unique(ids)) < 50 * 24
-        want = table.pool_xyxy(xyxy, 6, 4)
-        got = V[ids].reshape(50, 6, 4, 5).transpose(0, 3, 1, 2)
-        assert np.array_equal(got, want)
+        ys, ye = bin_edges(xyxy[:, 1], xyxy[:, 3] - xyxy[:, 1], 6, 29)
+        xs, xe = bin_edges(xyxy[:, 0], xyxy[:, 2] - xyxy[:, 0], 4, 31)
+        rects = [(ys[k, i], ye[k, i], xs[k, j], xe[k, j])
+                 for k in range(50) for i in range(6) for j in range(4)]
+        # a row per distinct rectangle, each holding that rectangle's maxima
+        row_of = dict(zip(rects, ids.reshape(-1).tolist()))
+        assert sorted(row_of.values()) == list(range(len(V)))
+        assert len(V) < 50 * 24
+        for (y0, y1, x0, x1), row in row_of.items():
+            assert np.array_equal(V[row], F[:, y0:y1, x0:x1].max(axis=(1, 2)))
+        assert all(row_of[rect] == row for rect, row
+                   in zip(rects, ids.reshape(-1).tolist()))
+        got = table.pool_boxes(boxes, 6, 4)
+        want = V[ids].reshape(50, 6, 4, 5).transpose(0, 3, 1, 2)
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()

@@ -1,4 +1,4 @@
-"""Byte-identity matrix of the roictx command line: 46 output files.
+"""Byte-identity matrix of the roictx command line: 48 output files.
 
     python tools/cli_matrix.py [--src DIR] [--out digests.json]
 
@@ -15,6 +15,8 @@ The matrix:
   - ctxmine, FTEN output plus --report, pool backbone, random scorer, on
     a D=4 map of values in {-1, -0.0, +0.0, 1}, whose ties RoI pooling
     and the range-max table break by different rules (2);
+  - the same on a D=4 map whose left quarter is zero, like letterbox
+    padding: whole pools tie there and pass the filter together (2);
   - variant, all five layouts on both backbones (10);
   - roipool and roialign (2);
   - synth-demo for none, neigh8 and mining at 80 scenes and 10 epochs (3);
@@ -68,6 +70,9 @@ def write_inputs(tmp: Path, save_ften) -> None:
     h, w = MAPS[4]
     save_ften(tmp / "F4ties.ften",
               rng.choice(np.float32([-1.0, -0.0, 0.0, 1.0]), (4, h, w)))
+    padded = rng.normal(0.0, 1.0, (4, h, w)).astype(np.float32)
+    padded[:, :, :w // 4] = 0.0
+    save_ften(tmp / "F4pad.ften", padded)
 
 
 def commands(tmp: Path):
@@ -86,12 +91,14 @@ def commands(tmp: Path):
                 if scorer == "scorer":
                     argv += ["--scorer", str(tmp / f"scorer{d}.ften")]
                 yield [f"{name}.ften", f"{name}.json"], argv
-    name = "ctxmine-d4ties-pool-scorer"
-    yield [f"{name}.ften", f"{name}.json"], [
-        "ctxmine", "--backbone", "pool", "--report", str(tmp / f"{name}.json"),
-        "--scorer", str(tmp / "scorer4.ften"),
-        "--features", str(tmp / "F4ties.ften"), "--rois", str(tmp / "rois4.csv"),
-        "--out", str(tmp / f"{name}.ften")]
+    for special in ("ties", "pad"):
+        name = f"ctxmine-d4{special}-pool-scorer"
+        yield [f"{name}.ften", f"{name}.json"], [
+            "ctxmine", "--backbone", "pool",
+            "--report", str(tmp / f"{name}.json"),
+            "--scorer", str(tmp / "scorer4.ften"),
+            "--features", str(tmp / f"F4{special}.ften"),
+            "--rois", str(tmp / "rois4.csv"), "--out", str(tmp / f"{name}.ften")]
     for variant in ("none", "local", "global", "neigh4", "neigh8"):
         for backbone in ("pool", "align"):
             name = f"variant-{variant}-{backbone}.ften"
