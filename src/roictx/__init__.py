@@ -2,8 +2,8 @@
 
 from .errors import DegenerateBoxError, FormatError, NumericError, \
     RoictxError, ShapeError, TrainingError
-from .geometry import Box, LabeledAssignment, RegressionTarget, assign_labels, \
-    decode, encode, generate_anchors, iou, load_roi_csv, nms, save_roi_csv
+from .geometry import Box, RegressionTarget, generate_anchors, iou, \
+    load_roi_csv, nms, save_roi_csv
 from .gradcheck import GradCheckReport, check
 from .losses import LabeledSample, cls_loss, loss_backward, multitask_loss, \
     smooth_l1, softmax

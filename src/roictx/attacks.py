@@ -104,14 +104,12 @@ def _random_source(rng: SplitMix64, gt: Box, ph: int, pw: int,
 
 
 def apply_patch(image: np.ndarray, gt: Box, kind: str, rng_seed: int,
-                patch: np.ndarray | None = None, info: dict | None = None) -> np.ndarray:
+                patch: np.ndarray | None = None) -> np.ndarray:
     """Return a copy of the image with the center patch applied.
 
     image is C x H x W float32.  For kind="adversarial" a patch tensor is
-    required and resized to the region by nearest neighbor.  Pass a dict
-    as `info` to receive the seeded decisions (flip axis, random source
-    window, black fallback flag).  Identical arguments give bit-identical
-    results.
+    required and resized to the region by nearest neighbor.  Identical
+    arguments give bit-identical results.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown patch kind {kind!r}, expected one of {KINDS}")
@@ -139,20 +137,13 @@ def apply_patch(image: np.ndarray, gt: Box, kind: str, rng_seed: int,
         if axis in ("vertical", "both"):
             window = window[:, ::-1, :]
         out[:, y0:y1, x0:x1] = window
-        if info is not None:
-            info["flip_axis"] = axis
     elif kind == "random":
         found = _random_source(rng, gt, y1 - y0, x1 - x0, height, width)
         if found is None:
             out[:, y0:y1, x0:x1] = 0.0
-            if info is not None:
-                info["black_fallback"] = True
         else:
             sy, sx = found
             out[:, y0:y1, x0:x1] = image[:, sy:sy + (y1 - y0), sx:sx + (x1 - x0)]
-            if info is not None:
-                info["black_fallback"] = False
-                info["source_window"] = [sy, sy + (y1 - y0), sx, sx + (x1 - x0)]
     else:
         if patch is None:
             raise ValueError("kind='adversarial' requires a patch tensor")
@@ -161,8 +152,6 @@ def apply_patch(image: np.ndarray, gt: Box, kind: str, rng_seed: int,
                 f"patch shape {patch.shape} incompatible with image {image.shape}")
         out[:, y0:y1, x0:x1] = _nearest_resize(
             np.asarray(patch, dtype=np.float32), y1 - y0, x1 - x0)
-    if info is not None:
-        info["window"] = [y0, y1, x0, x1]
     return out
 
 

@@ -28,9 +28,12 @@ def _parse_floats(text, n, what):
     if n is not None and len(parts) != n:
         raise FormatError(f"{what} needs {n} comma-separated values, got {len(parts)}")
     try:
-        return [float(p) for p in parts]
+        vals = [float(p) for p in parts]
     except ValueError as exc:
         raise FormatError(f"{what}: non-numeric value in {text!r}") from exc
+    if not np.isfinite(vals).all():
+        raise FormatError(f"{what}: non-finite value in {text!r}")
+    return vals
 
 
 def _write_json(path, payload) -> None:

@@ -1,9 +1,10 @@
 """Box arithmetic on continuous feature-map coordinates.
 
 Boxes are axis-aligned (x1, y1, x2, y2) corner rectangles with no +1 pixel
-convention.  Provides IoU, clipping, greedy NMS, the standard center/size
-bounding-box regression parameterization, translation-invariant anchor
-generation, and IoU-based positive/negative label assignment.
+convention.  Provides IoU, clipping, greedy NMS, translation-invariant
+anchor generation, the RoI CSV format, and the (tx, ty, tw, th) target
+record the regression loss reads.  There is no regression encoding and no
+label assignment.
 """
 
 from __future__ import annotations
@@ -11,10 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateBoxError, FormatError
-
-IGNORE = -1
-NEGATIVE = 0
+from .errors import FormatError
 
 
 @dataclass(frozen=True)
@@ -95,32 +93,6 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
-def encode(gt: Box, ref: Box) -> RegressionTarget:
-    """Encode gt relative to ref in center/size form:
-    tx=(gx-rx)/rw, ty=(gy-ry)/rh, tw=log(gw/rw), th=log(gh/rh)."""
-    if ref.w <= 0.0 or ref.h <= 0.0:
-        raise DegenerateBoxError(f"reference box has zero size: {ref}")
-    if gt.w <= 0.0 or gt.h <= 0.0:
-        raise DegenerateBoxError(f"target box has zero size: {gt}")
-    return RegressionTarget(
-        tx=(gt.cx - ref.cx) / ref.w,
-        ty=(gt.cy - ref.cy) / ref.h,
-        tw=math.log(gt.w / ref.w),
-        th=math.log(gt.h / ref.h),
-    )
-
-
-def decode(t: RegressionTarget, ref: Box) -> Box:
-    """Exact inverse of encode for a positive-size reference."""
-    if ref.w <= 0.0 or ref.h <= 0.0:
-        raise DegenerateBoxError(f"reference box has zero size: {ref}")
-    cx = t.tx * ref.w + ref.cx
-    cy = t.ty * ref.h + ref.cy
-    w = math.exp(t.tw) * ref.w
-    h = math.exp(t.th) * ref.h
-    return Box.from_center(cx, cy, w, h)
-
-
 def nms(boxes_scores, iou_threshold: float) -> list[int]:
     """Greedy non-maximum suppression.
 
@@ -173,73 +145,6 @@ def generate_anchors(feature_h: int, feature_w: int, scales, ratios,
             dx, dy = j * stride, i * stride
             anchors.extend(b.shifted(dx, dy) for b in base)
     return anchors
-
-
-@dataclass(frozen=True)
-class LabeledAssignment:
-    """Assignment outcome for one anchor.
-
-    label is IGNORE (-1), NEGATIVE (0), or the matched gt's class (>= 1);
-    gt_index and target are set only for positives.
-    """
-
-    label: int
-    gt_index: int | None = None
-    target: RegressionTarget | None = None
-
-
-def assign_labels(anchors, gt, pos_iou: float, neg_iou: float) -> list[LabeledAssignment]:
-    """Assign anchors to ground-truth boxes by IoU.
-
-    An anchor is positive when its best IoU reaches pos_iou, negative when
-    below neg_iou, ignored in between.  Additionally each gt's single argmax
-    anchor (lowest index on ties) is forced positive whenever that gt
-    overlaps any anchor at all, so no overlapped gt goes unmatched.
-    """
-    if not pos_iou > neg_iou:
-        raise ValueError(f"need pos_iou > neg_iou, got {pos_iou} <= {neg_iou}")
-    n, m = len(anchors), len(gt)
-    if m == 0:
-        return [LabeledAssignment(NEGATIVE) for _ in range(n)]
-    overlaps = [[iou(a, g_box) for (g_box, _cls) in gt] for a in anchors]
-
-    best_gt = [0] * n
-    best_iou = [0.0] * n
-    for i in range(n):
-        for j in range(m):
-            if overlaps[i][j] > best_iou[i]:
-                best_iou[i] = overlaps[i][j]
-                best_gt[i] = j
-
-    # Force the argmax anchor per gt positive; on collision keep the gt
-    # with the larger IoU (then lower gt index).
-    forced: dict[int, int] = {}
-    for j in range(m):
-        top = max((overlaps[i][j] for i in range(n)), default=0.0)
-        if top <= 0.0:
-            continue
-        i_star = next(i for i in range(n) if overlaps[i][j] == top)
-        if i_star in forced:
-            k = forced[i_star]
-            if overlaps[i_star][j] <= overlaps[i_star][k]:
-                continue
-        forced[i_star] = j
-
-    out = []
-    for i in range(n):
-        if i in forced:
-            j = forced[i]
-        elif best_iou[i] >= pos_iou:
-            j = best_gt[i]
-        elif best_iou[i] < neg_iou:
-            out.append(LabeledAssignment(NEGATIVE))
-            continue
-        else:
-            out.append(LabeledAssignment(IGNORE))
-            continue
-        g_box, g_cls = gt[j]
-        out.append(LabeledAssignment(int(g_cls), j, encode(g_box, anchors[i])))
-    return out
 
 
 def _fmt(v: float) -> str:

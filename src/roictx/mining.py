@@ -47,27 +47,23 @@ class ContextLayout:
 
     Every cell shares the object RoI's width and height; cell centers sit
     at the object center displaced by (+-w, 0), (0, +-h), (+-w, +-h).
-    Each cell's anchor is centered in the cell with half its width and
-    height.
+    The layout holds no anchors: candidate enumeration makes each cell's
+    anchor, centered in the cell with half its width and height.
     """
 
     object_roi: Box
     cells: dict[str, Box]
-    anchors: dict[str, Box]
 
 
 def build_layout(r: Box) -> ContextLayout:
     if r.w <= 0.0 or r.h <= 0.0:
         raise DegenerateBoxError(f"object RoI has no area: {r}")
     cells = {}
-    anchors = {}
     for direction in DIRECTIONS:
         mx, my = _OFFSETS[direction]
-        cx = r.cx + mx * r.w
-        cy = r.cy + my * r.h
-        cells[direction] = Box.from_center(cx, cy, r.w, r.h)
-        anchors[direction] = Box.from_center(cx, cy, 0.5 * r.w, 0.5 * r.h)
-    return ContextLayout(r, cells, anchors)
+        cells[direction] = Box.from_center(r.cx + mx * r.w, r.cy + my * r.h,
+                                           r.w, r.h)
+    return ContextLayout(r, cells)
 
 
 @dataclass(frozen=True)
@@ -89,10 +85,6 @@ class CandidateGridSpec:
     anchor_iou_min: float = 0.3
     short_edge_frac: float = 1.0 / 3.0
     include_anchor: bool = True
-
-    @property
-    def raw_count(self) -> int:
-        return (len(self.offset_fracs) * len(self.size_fracs)) ** 2
 
 
 def _constraints_ok(x1, y1, x2, y2, ax1, ay1, ax2, ay2, cell_w: float,
@@ -214,10 +206,6 @@ class ContextScorer:
     def zeros(d: int, ph: int, pw: int) -> "ContextScorer":
         return ContextScorer(np.zeros(d * ph * pw, dtype=np.float32), 0.0)
 
-    def scaled(self, factor: float) -> "ContextScorer":
-        return ContextScorer(self.weights * np.float32(factor),
-                             float(self.bias) * factor)
-
     def score_flat(self, flat_feats: np.ndarray) -> np.ndarray:
         """Scores for a (K, D*ph*pw) feature matrix, computed in float64
         through einsum's fixed reduction order for run-to-run determinism.
@@ -316,7 +304,8 @@ class ContextMiner:
 
     Builds what selection needs once per map, then mines any number of
     RoIs against it.  mine() is pure: the map, the tables and the scorer
-    are only read.  A map holding NaN or inf raises NumericError.
+    are only read.  A map or a scorer holding NaN or inf raises
+    NumericError.
 
     Selection filters, then rescores.  Each candidate k of a cell gets an
     approximate score s~_k and a bound t_k >= |score_k - s~_k|, where
@@ -328,12 +317,13 @@ class ContextMiner:
     the argmax among them is the argmax of the pool, exact ties
     included, and its map is the one kept.  Selections and scores are
     bit-identical to exhaustive scoring; s~ only filters and never
-    decides.  When the filter is not finite (overflow, or a non-finite
-    scorer) every candidate is scored.  When every kept t_k is 0 (a zero
-    scorer, or zero bias and maps that are zero where the scorer is not;
-    a nonzero term of t_k is at least 2^-298), exact scores equal s~ in
-    value and only the first largest s~ is scored.  With c the bias, w
-    the scorer and W_b its weights of bin b over the D channels:
+    decides.  When the filter is not finite (overflow) every candidate is
+    scored.  When every kept t_k is 0, exact scores equal s~ in value and
+    only the first largest s~ is scored: on either backbone this happens
+    for a zero scorer, and on the pool backbone for any candidate whose
+    pooled maps are zero wherever the scorer is not (see M_k below).  With
+    c the bias, w the scorer and W_b its weights of bin b over the D
+    channels:
 
     Pool backbone: a pooled value is a float32 map element, and the
     product of two float32 values is exact in float64, so any two
@@ -348,7 +338,7 @@ class ContextMiner:
     D x (ph*pw) scorer, and sets
 
         s~_k = sum_b P[rect(k, b), b] + c,
-        t_k = 3 * gamma_n * M_k + |c| * 2^-51,
+        t_k = 3 * gamma_n * M_k + |c| * 2^-51   (t_k = 0 when M_k = 0),
         M_k = sum_b max_d |V[rect(k, b), d]| * ||W_b||_1.
 
     M_k >= S_k: the terms of bin b sum to at most the bin's largest |x_d|
@@ -361,6 +351,12 @@ class ContextMiner:
     column norms ||W_b||_1 beside the D*ph*pw float64 values of W, and per
     cell one max over D of each of the R rectangles.  The rescored maps
     are rows of V, so a cell's bin rectangles are pooled once.
+
+    The computed M_k is 0 only when all its terms are: a nonzero term is
+    at least 2^-149 * 2^-149, above float64's underflow, and a rounded sum
+    of nonnegative values is at least its largest term.  Then each bin's
+    maxima or weights are all zero, every product w_i x_i of candidate k
+    is an exact zero on both paths, and both scores are exactly c.
 
     Align backbone: roi_align and the scorer are both linear in F, so a
     candidate's score is sum over bins b of mean_s bilinear(G_b, p_s) + c,
@@ -389,6 +385,9 @@ class ContextMiner:
             raise ShapeError(
                 f"scorer weight length {scorer.weights.shape} does not match "
                 f"D*ph*pw = {d * config.ph * config.pw}")
+        if not (np.isfinite(scorer.weights).all()
+                and np.isfinite(scorer.bias)):
+            raise NumericError("scorer holds NaN or inf values")
         self.F = F
         self.scorer = scorer
         self.config = config
@@ -419,7 +418,8 @@ class ContextMiner:
             at = ids * ids.shape[1] + np.arange(ids.shape[1])
             approx = np.take(V.astype(np.float64) @ self._w, at).sum(axis=1)
             mags = np.take(peaks, ids) @ self._w_norms
-            slack = 3.0 * self._gamma * mags + abs(bias) * 2.0 ** -51
+            slack = (3.0 * self._gamma * mags
+                     + np.where(mags > 0.0, abs(bias) * 2.0 ** -51, 0.0))
             # exact rows are the maxima the filter read, in D-major order
             return approx + bias, slack, lambda keep: (
                 V[ids[keep]].transpose(0, 2, 1).reshape(len(keep), -1), None)

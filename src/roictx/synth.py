@@ -63,7 +63,6 @@ class SynthScene:
     feature: np.ndarray
     object_roi: Box
     label: int
-    seed: int
     blob_direction: str
     blob_box: Box
 
@@ -107,7 +106,7 @@ def _make_scene(label: int, seed: int, index: int, cfg: SynthConfig) -> SynthSce
     by0, by1 = int(round(by)), int(round(by + bs))
     bx0, bx1 = int(round(bx)), int(round(bx + bs))
     F[label, by0:by1, bx0:bx1] = cfg.blob_value
-    return SynthScene(F, object_roi, label, index, direction, blob)
+    return SynthScene(F, object_roi, label, direction, blob)
 
 
 @dataclass

@@ -1,10 +1,14 @@
-"""Golden vectors for the attack generator and the attacked images.
+"""Golden vectors for the attack generator and the attacked images, and
+checks of the attacks module's other claims.
 
 The attacks module promises attacked datasets that stay bit-identical
-across library versions.  These values pin that promise: SplitMix64's
+across library versions.  Golden values pin that promise: SplitMix64's
 published reference outputs, and the sha256 of apply_patches' output for
 the black, flip and random kinds on a fixed image built from integers
-alone (no random generator whose stream could change).
+alone (no random generator whose stream could change).  The other tests
+check that pixels outside the patch region are never touched, that the
+adversarial kind is a nearest-neighbor resize of its patch, and that bad
+arguments raise typed errors.
 """
 
 import hashlib
@@ -12,7 +16,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from roictx.attacks import SplitMix64, apply_patches
+from roictx.attacks import KINDS, SplitMix64, apply_patch, apply_patches, \
+    patch_region, region_pixel_window
+from roictx.errors import DegenerateBoxError, ShapeError
 from roictx.geometry import Box
 
 # Vigna's reference outputs of splitmix64 seeded with 1234567.
@@ -66,3 +72,58 @@ def test_random_black_fallback_golden_digest():
     out = apply_patches(golden_image(), [Box(1.0, 1.0, 31.0, 23.0)],
                         "random", SEED)
     assert digest(out) == RANDOM_FALLBACK_DIGEST
+
+
+def adversarial_patch():
+    return (np.arange(3 * 5 * 7, dtype=np.float32).reshape(3, 5, 7) - 50.0) / 4.0
+
+
+def nearest_oracle(patch, out_h, out_w):
+    """Output pixel (i, j) takes patch pixel (floor(i h / out_h),
+    floor(j w / out_w)), written out pixel by pixel."""
+    c, h, w = patch.shape
+    out = np.empty((c, out_h, out_w), dtype=np.float32)
+    for i in range(out_h):
+        for j in range(out_w):
+            out[:, i, j] = patch[:, i * h // out_h, j * w // out_w]
+    return out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pixels_outside_region_untouched(kind):
+    image = golden_image()
+    for gt in BOXES + [Box(1.0, 1.0, 31.0, 23.0)]:
+        out = apply_patch(image, gt, kind, SEED, adversarial_patch())
+        y0, y1, x0, x1 = region_pixel_window(patch_region(gt), 24, 32)
+        outside = np.ones((24, 32), dtype=bool)
+        outside[y0:y1, x0:x1] = False
+        assert outside.sum() < 24 * 32
+        assert out[:, outside].tobytes() == image[:, outside].tobytes()
+
+
+def test_adversarial_equals_nearest_neighbor_oracle():
+    image = golden_image()
+    patch = adversarial_patch()
+    for gt in BOXES + [Box(1.0, 1.0, 31.0, 23.0)]:
+        out = apply_patch(image, gt, "adversarial", SEED, patch)
+        y0, y1, x0, x1 = region_pixel_window(patch_region(gt), 24, 32)
+        want = nearest_oracle(patch, y1 - y0, x1 - x0)
+        assert out[:, y0:y1, x0:x1].tobytes() == want.tobytes()
+
+
+def test_adversarial_without_patch_rejected():
+    with pytest.raises(ValueError, match="patch"):
+        apply_patch(golden_image(), BOXES[0], "adversarial", SEED)
+
+
+def test_patch_with_wrong_channel_count_rejected():
+    with pytest.raises(ShapeError):
+        apply_patch(golden_image(), BOXES[0], "adversarial", SEED,
+                    adversarial_patch()[:2])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_region_outside_image_rejected(kind):
+    with pytest.raises(DegenerateBoxError):
+        apply_patch(golden_image(), Box(40.0, 30.0, 52.0, 44.0), kind, SEED,
+                    adversarial_patch())

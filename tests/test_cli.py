@@ -140,6 +140,21 @@ class TestCtxmine:
         assert not (tmp / "m.ften").exists()
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["weights", "bias"])
+    def test_non_finite_scorer_exits_1(self, inputs, capsys, where, bad):
+        tmp, _ = inputs
+        vec = load_ften(tmp / "scorer.ften")
+        vec[5 if where == "weights" else -1] = bad
+        save_ften(tmp / "scorer.ften", vec)
+        args = (["ctxmine", "--scorer", str(tmp / "scorer.ften"), "--report",
+                 str(tmp / "r.json")] + _io(tmp, "m.ften"))
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp / "m.ften").exists()
+        assert not (tmp / "r.json").exists()
+
+
 class TestVariant:
     def test_nan_map_exits_1(self, tmp_path, capsys):
         F = np.random.default_rng(5).normal(0, 1, (4, 20, 20)).astype(np.float32)
@@ -186,6 +201,21 @@ class TestEnumerate:
         assert cli.main(["enumerate", "--cell=-20,-20,-10,-12", "--bounds",
                          "64,64", "--out", str(tmp_path / "p.csv")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestFloatLists:
+    @pytest.mark.parametrize("args", [
+        ["enumerate", "--cell", "nan,0,10,10"],
+        ["enumerate", "--cell", "0", "0", "inf", "10"],
+        ["enumerate", "--cell", "0,0,10,10", "--bounds", "40,nan"],
+        ["anchors", "--height", "2", "--width", "2", "--scales", "8,inf"],
+        ["anchors", "--height", "2", "--width", "2", "--ratios=1,-inf"],
+    ], ids=["cell-nan", "cell-inf", "bounds-nan", "scales-inf", "ratios-inf"])
+    def test_non_finite_value_exits_1(self, tmp_path, capsys, args):
+        out = tmp_path / "o.csv"
+        assert cli.main(args + ["--out", str(out)]) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGradcheck:

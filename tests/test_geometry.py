@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from roictx.errors import DegenerateBoxError, FormatError
-from roictx.geometry import Box, IGNORE, NEGATIVE, RegressionTarget, \
-    assign_labels, decode, encode, generate_anchors, iou, load_roi_csv, \
-    nms, save_roi_csv
+from roictx.errors import FormatError
+from roictx.geometry import Box, generate_anchors, iou, load_roi_csv, nms, \
+    save_roi_csv
 
 
 def random_box(rng, lo=0.0, hi=50.0, min_size=0.5):
@@ -69,31 +68,6 @@ class TestIoU:
 
     def test_degenerate_box_gives_zero(self):
         assert iou(Box(1, 1, 1, 5), Box(0, 0, 2, 2)) == 0.0
-
-
-class TestEncodeDecode:
-    def test_identity_pair_encodes_to_zero(self):
-        b = Box(4.0, 5.0, 14.0, 11.0)
-        assert encode(b, b) == RegressionTarget(0.0, 0.0, 0.0, 0.0)
-
-    def test_zero_target_decodes_to_reference(self):
-        ref = Box(4.0, 5.0, 14.0, 11.0)
-        assert decode(RegressionTarget(0, 0, 0, 0), ref) == ref
-
-    def test_decode_inverts_encode(self):
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            gt, ref = random_box(rng), random_box(rng)
-            back = decode(encode(gt, ref), ref)
-            for got, want in zip((back.x1, back.y1, back.x2, back.y2),
-                                 (gt.x1, gt.y1, gt.x2, gt.y2)):
-                assert got == pytest.approx(want, rel=1e-5, abs=1e-5)
-
-    def test_zero_size_reference_rejected(self):
-        with pytest.raises(DegenerateBoxError):
-            encode(Box(0, 0, 1, 1), Box(2, 2, 2, 5))
-        with pytest.raises(DegenerateBoxError):
-            decode(RegressionTarget(0, 0, 0, 0), Box(2, 2, 2, 5))
 
 
 class TestNms:
@@ -167,80 +141,6 @@ class TestGenerateAnchors:
         (a,) = generate_anchors(1, 1, (16,), (2.0,), 1.0)
         assert a.area == pytest.approx(256.0)
         assert a.h / a.w == pytest.approx(2.0)
-
-
-def assign_oracle(anchors, gt, pos_iou, neg_iou):
-    """Exhaustive re-derivation of the assignment rules."""
-    labels = []
-    if not gt:
-        return [NEGATIVE] * len(anchors)
-    table = [[iou_oracle(a, g) for g, _ in gt] for a in anchors]
-    forced = {}
-    for j in range(len(gt)):
-        col = [table[i][j] for i in range(len(anchors))]
-        top = max(col)
-        if top <= 0:
-            continue
-        i_star = col.index(top)
-        if i_star in forced and table[i_star][forced[i_star]] >= top:
-            continue
-        forced[i_star] = j
-    for i, a in enumerate(anchors):
-        best = max(table[i])
-        if i in forced:
-            labels.append(gt[forced[i]][1])
-        elif best >= pos_iou:
-            labels.append(gt[table[i].index(best)][1])
-        elif best < neg_iou:
-            labels.append(NEGATIVE)
-        else:
-            labels.append(IGNORE)
-    return labels
-
-
-class TestAssignLabels:
-    def test_exact_match_is_positive_with_zero_target(self):
-        g = Box(5, 5, 15, 15)
-        out = assign_labels([g], [(g, 3)], 0.7, 0.3)
-        assert out[0].label == 3
-        assert out[0].target == RegressionTarget(0, 0, 0, 0)
-
-    def test_disjoint_anchor_is_negative(self):
-        out = assign_labels([Box(0, 0, 1, 1)], [(Box(30, 30, 40, 40), 1)],
-                            0.7, 0.3)
-        assert out[0].label == NEGATIVE
-
-    def test_intermediate_iou_is_ignored(self):
-        # IoU = 0.5: between neg 0.3 and pos 0.7, and the gt's argmax anchor
-        # is the exact-match one, so the half-overlap anchor stays ignored.
-        g = Box(0, 0, 10, 10)
-        half = Box(0, 0, 5, 10)
-        out = assign_labels([g, half], [(g, 2)], 0.7, 0.3)
-        assert out[0].label == 2
-        assert out[1].label == IGNORE
-
-    def test_every_overlapped_gt_gets_a_positive(self):
-        anchors = [Box(0, 0, 4, 4), Box(10, 10, 14, 14)]
-        gt = [(Box(1, 1, 5, 5), 1), (Box(9, 9, 13, 13), 2)]
-        out = assign_labels(anchors, gt, 0.7, 0.3)
-        assert out[0].label == 1 and out[1].label == 2
-
-    def test_matches_exhaustive_oracle(self):
-        rng = np.random.default_rng(41)
-        for _ in range(40):
-            anchors = [random_box(rng, hi=30.0) for _ in range(25)]
-            gt = [(random_box(rng, hi=30.0), int(rng.integers(1, 5)))
-                  for _ in range(int(rng.integers(1, 5)))]
-            got = [a.label for a in assign_labels(anchors, gt, 0.6, 0.25)]
-            assert got == assign_oracle(anchors, gt, 0.6, 0.25)
-
-    def test_no_gt_all_negative(self):
-        out = assign_labels([Box(0, 0, 1, 1)], [], 0.7, 0.3)
-        assert out[0].label == NEGATIVE
-
-    def test_bad_thresholds_rejected(self):
-        with pytest.raises(ValueError):
-            assign_labels([], [], 0.3, 0.3)
 
 
 class TestRoiCsv:

@@ -83,7 +83,9 @@ class TestBuildLayout:
     def test_right_cell_and_anchor_arithmetic(self):
         layout = build_layout(Box(10, 10, 20, 20))
         assert layout.cells["right"] == Box(20, 10, 30, 20)
-        assert layout.anchors["right"] == Box(22.5, 12.5, 27.5, 17.5)
+        pool = candidate_pool_for_cell(layout.cells["right"],
+                                       CandidateGridSpec(), None)
+        assert pool[0] == Box(22.5, 12.5, 27.5, 17.5)
 
     def test_unit_square_left_top_cell(self):
         layout = build_layout(Box(0, 0, 1, 1))
@@ -115,7 +117,9 @@ class TestBuildLayout:
 
 class TestCandidatePool:
     def test_default_grid_has_400_raw_candidates(self):
-        assert CandidateGridSpec().raw_count == 400
+        grid = CandidateGridSpec()
+        assert (len(grid.offset_fracs) * len(grid.size_fracs)) ** 2 == 400
+        assert all(a.size == 400 for a in mining._grid_combos(grid))
 
     def test_matches_brute_force_oracle_interior(self):
         grid = CandidateGridSpec()
@@ -291,7 +295,9 @@ class TestMineContext:
             r = interior_roi(rng, 48)
             base = selection_indices(mine_context(F, r, scorer))
             for lam in (0.5, 3.0):
-                got = selection_indices(mine_context(F, r, scorer.scaled(lam)))
+                scaled = ContextScorer(scorer.weights * np.float32(lam),
+                                       scorer.bias * lam)
+                got = selection_indices(mine_context(F, r, scaled))
                 assert got == base
 
     def test_mined_boxes_reverify_pool_constraints(self):
@@ -310,7 +316,8 @@ class TestMineContext:
                 if rec.fallback:
                     continue
                 cell = layout.cells[rec.direction]
-                anchor = layout.anchors[rec.direction].clip(40, 40)
+                anchor = Box.from_center(cell.cx, cell.cy, 0.5 * cell.w,
+                                         0.5 * cell.h).clip(40, 40)
                 b = rec.box
                 assert min(b.w, b.h) >= grid.short_edge_frac * min(cell.w, cell.h)
                 assert max(b.w, b.h) <= max(cell.w, cell.h)
@@ -366,6 +373,23 @@ class TestMineContext:
             mine_many(F, [r, r], scorer)
         with pytest.raises(NumericError):
             ContextMiner(F, scorer, MiningConfig(backbone="align"))
+
+    @pytest.mark.parametrize("backbone", ["pool", "align"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["weights", "bias"])
+    def test_non_finite_scorer_rejected(self, where, bad, backbone):
+        F = np.random.default_rng(7).normal(0, 1, (2, 20, 20)).astype(np.float32)
+        scorer = ContextScorer(np.ones(2 * 49, dtype=np.float32), 0.5)
+        if where == "weights":
+            scorer.weights[37] = bad
+        else:
+            scorer.bias = float(bad)
+        config = MiningConfig(backbone=backbone)
+        r = Box(7.0, 7.0, 12.0, 12.0)
+        with pytest.raises(NumericError, match="scorer"):
+            mine_context(F, r, scorer, config)
+        with pytest.raises(NumericError, match="scorer"):
+            mine_many(F, [r, r], scorer, config)
 
     def test_degenerate_roi_rejected(self):
         F = np.zeros((1, 16, 16), dtype=np.float32)
@@ -673,6 +697,23 @@ class TestPoolSelection:
         assert mixed >= 2
         for roi in (r, Box(24.0, 24.0, 31.0, 30.5), Box(3.0, 25.0, 9.0, 33.0)):
             self._check_oracle(F, roi, scorer)
+
+    def test_zero_region_with_bias_rescores_one_row(self, monkeypatch):
+        """Every cell lies in the map's zero left part, so each candidate
+        scores exactly the bias on both paths and needs no slack: one row
+        per cell is rescored even though the bias is nonzero."""
+        rng = np.random.default_rng(181)
+        F = rng.normal(0, 1, (3, 40, 40)).astype(np.float32)
+        F[:, :, :24] = 0.0
+        scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), -0.7)
+        r = Box(6.0, 14.0, 12.0, 20.0)
+        rows = self._score_rows(monkeypatch)
+        mine_context(F, r, scorer, self.CONFIG)
+        assert rows == [1] * 8
+        monkeypatch.undo()
+        mined = self._check_oracle(F, r, scorer)
+        assert [(rec.index, rec.score) for rec in mined.selected] == [
+            (0, -0.7)] * 8
 
     def test_one_table_pass_per_cell(self, monkeypatch):
         """Each non-fallback cell pools its bin rectangles once: one

@@ -1,4 +1,4 @@
-"""Byte-identity matrix of the roictx command line: 48 output files.
+"""Byte-identity matrix of the roictx command line: 56 output files.
 
     python tools/cli_matrix.py [--src DIR] [--out digests.json]
 
@@ -21,7 +21,13 @@ The matrix:
   - roipool and roialign (2);
   - synth-demo for none, neigh8 and mining at 80 scenes and 10 epochs (3);
   - gradcheck for all four operators (4);
-  - enumerate on one border cell (1).
+  - enumerate on one border cell (1);
+  - nms on scored random boxes, and anchors on a 3x4 grid (2);
+  - attack, all four kinds on one image with three boxes (4);
+  - attack --manifest, two entries of that image (2).
+
+Every subcommand runs.  Inputs added later are drawn after the earlier
+ones, so adding a case leaves the digests of the earlier ones unchanged.
 """
 
 from __future__ import annotations
@@ -73,6 +79,20 @@ def write_inputs(tmp: Path, save_ften) -> None:
     padded = rng.normal(0.0, 1.0, (4, h, w)).astype(np.float32)
     padded[:, :, :w // 4] = 0.0
     save_ften(tmp / "F4pad.ften", padded)
+    with open(tmp / "scored.csv", "w", encoding="utf-8") as fh:
+        for x1, y1, bw, bh, score in rng.uniform(0.0, 1.0, (30, 5)).tolist():
+            box = (16 * x1, 16 * y1, 16 * x1 + 2 + 8 * bw, 16 * y1 + 2 + 8 * bh)
+            fh.write(",".join(repr(round(v, 3)) for v in box + (score,)) + "\n")
+    save_ften(tmp / "image.ften",
+              rng.normal(0.0, 1.0, (3, 24, 32)).astype(np.float32))
+    save_ften(tmp / "patch.ften",
+              rng.normal(0.0, 1.0, (3, 5, 7)).astype(np.float32))
+    with open(tmp / "gt.csv", "w", encoding="utf-8") as fh:
+        fh.write("2.0,3.0,12.0,11.0\n17.5,6.25,29.0,20.75\n-3.0,15.0,7.0,26.0\n")
+    entry = {"in": str(tmp / "image.ften"), "boxes": str(tmp / "gt.csv")}
+    with open(tmp / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump([dict(entry, out=str(tmp / f"attack-manifest-{i}.ften"))
+                   for i in range(2)], fh)
 
 
 def commands(tmp: Path):
@@ -119,6 +139,21 @@ def commands(tmp: Path):
     yield ["enumerate.csv"], ["enumerate", "--cell", "-6", "3.5", "10", "17",
                               "--bounds", "40,40",
                               "--out", str(tmp / "enumerate.csv")]
+    yield ["nms.csv"], ["nms", "--boxes", str(tmp / "scored.csv"),
+                        "--iou-threshold", "0.3", "--out", str(tmp / "nms.csv")]
+    yield ["anchors.csv"], ["anchors", "--height", "3", "--width", "4",
+                            "--scales", "8,16", "--ratios", "0.5,1,2",
+                            "--stride", "8", "--out", str(tmp / "anchors.csv")]
+    for kind in ("black", "flip", "random", "adversarial"):
+        name = f"attack-{kind}.ften"
+        yield [name], ["attack", "--kind", kind, "--seed", "11",
+                       "--in", str(tmp / "image.ften"),
+                       "--boxes", str(tmp / "gt.csv"),
+                       "--patch", str(tmp / "patch.ften"),
+                       "--out", str(tmp / name)]
+    yield ["attack-manifest-0.ften", "attack-manifest-1.ften"], [
+        "attack", "--kind", "random", "--seed", "11",
+        "--manifest", str(tmp / "manifest.json")]
 
 
 def run_matrix(src: Path) -> dict:
