@@ -36,6 +36,18 @@ def _parse_floats(text, n, what):
     return vals
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the float options: nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite value: {text!r}")
+    return value
+
+
 def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -305,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--variant", choices=mining.VARIANTS, required=True)
     sp.add_argument("--backbone", choices=("pool", "align"), default="pool")
     sp.add_argument("--samples", type=int, default=2)
-    sp.add_argument("--local-scale", type=float, default=1.5)
+    sp.add_argument("--local-scale", type=_finite_float, default=1.5)
     sp.set_defaults(func=_cmd_variant)
 
     sp = sub.add_parser("enumerate", help="list one cell's candidate pool")
@@ -314,14 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
                          " starts with '-' needs the --cell=-20,-20,-10,-12"
                          " form")
     sp.add_argument("--bounds", help="map bounds W,H (candidates clipped)")
-    sp.add_argument("--min-iou", type=float, default=0.3)
-    sp.add_argument("--short-edge-frac", type=float, default=1.0 / 3.0)
+    sp.add_argument("--min-iou", type=_finite_float, default=0.3)
+    sp.add_argument("--short-edge-frac", type=_finite_float, default=1.0 / 3.0)
     sp.add_argument("--out", required=True, help="output CSV path")
     sp.set_defaults(func=_cmd_enumerate)
 
     sp = sub.add_parser("nms", help="greedy non-maximum suppression")
     sp.add_argument("--boxes", required=True, help="RoI CSV with scores")
-    sp.add_argument("--iou-threshold", type=float, default=0.7)
+    sp.add_argument("--iou-threshold", type=_finite_float, default=0.7)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_nms)
 
@@ -330,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--width", type=int, required=True)
     sp.add_argument("--scales", default="8,16,32")
     sp.add_argument("--ratios", default="0.5,1,2")
-    sp.add_argument("--stride", type=float, default=16.0)
+    sp.add_argument("--stride", type=_finite_float, default=16.0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_anchors)
 
@@ -348,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--op", choices=("roipool", "roialign", "ctxmine", "loss"),
                     required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--h", type=float, default=1e-2)
+    sp.add_argument("--h", type=_finite_float, default=1e-2)
     sp.add_argument("--probes", type=int, default=150)
     sp.add_argument("--out", required=True, help="JSON report path")
     sp.set_defaults(func=_cmd_gradcheck)
@@ -358,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--epochs", type=int, default=30)
     sp.add_argument("--scenes", type=int, default=300)
-    sp.add_argument("--lr", type=float, default=0.05)
+    sp.add_argument("--lr", type=_finite_float, default=0.05)
     sp.add_argument("--out", required=True, help="JSON report path")
     sp.set_defaults(func=_cmd_synth_demo)
 

@@ -40,6 +40,15 @@ VARIANTS = ("none", "local", "global", "neigh4", "neigh8")
 
 FALLBACK = -1
 
+# Most candidates one mine_many chunk holds.  The pool filter keeps the
+# (K, ph*pw) int64 bin-rectangle rows of a chunk's K candidates alive:
+# 12.8 MB at 7x7 bins.
+CANDIDATE_BUDGET = 1 << 15
+# Rows per step of the filter's sliced work (the align bin sums, the
+# float64 copy of the pool maxima for V @ W, the per-candidate gathers),
+# so its temporaries do not grow with the chunk.
+SLICE = 128
+
 
 @dataclass(frozen=True)
 class ContextLayout:
@@ -303,23 +312,33 @@ class ContextMiner:
     """Reusable mining engine for one feature map.
 
     Builds what selection needs once per map, then mines any number of
-    RoIs against it.  mine() is pure: the map, the tables and the scorer
-    are only read.  A map or a scorer holding NaN or inf raises
-    NumericError.
+    RoIs against it.  The unit of work is a chunk of RoIs: mine() mines a
+    chunk of one, and mine_many() puts consecutive RoIs in one chunk up to
+    CANDIDATE_BUDGET candidates (a RoI with more is a chunk of its own).
+    The candidates of every non-fallback cell of a chunk go through one
+    table pass (pool) or one run of sliced bin sums (align), one filter
+    pass, and ContextScorer.score_flat on the rows the filter keeps, SLICE
+    rows per call: one call for a chunk of up to SLICE cells without near
+    ties, and bounded memory when whole pools tie.  The chunk can change which near-ties of a cell are rescored,
+    as the rounding of s~ below may depend on what else is in the chunk,
+    but never the selection, its score or its map.  Mining is pure: the
+    map, the tables and the scorer are only read.  A map or a scorer
+    holding NaN or inf raises NumericError.
 
-    Selection filters, then rescores.  Each candidate k of a cell gets an
-    approximate score s~_k and a bound t_k >= |score_k - s~_k|, where
-    score_k is what ContextScorer.score_flat gives its exact map.  Every
-    candidate that can reach the pool's maximum satisfies
-    s~_k + t_k >= max_j (s~_j - t_j) (rounding both sides to float64
-    cannot break this: rounding is monotone and exact scores are float64
-    values).  Only those candidates, in pool order, are scored exactly;
-    the argmax among them is the argmax of the pool, exact ties
-    included, and its map is the one kept.  Selections and scores are
-    bit-identical to exhaustive scoring; s~ only filters and never
-    decides.  When the filter is not finite (overflow) every candidate is
-    scored.  When every kept t_k is 0, exact scores equal s~ in value and
-    only the first largest s~ is scored: on either backbone this happens
+    Selection filters, then rescores, each cell on its own.  Each
+    candidate k of a cell gets an approximate score s~_k and a bound
+    t_k >= |score_k - s~_k|, where score_k is what
+    ContextScorer.score_flat gives its exact map.  Every candidate that
+    can reach the pool's maximum satisfies s~_k + t_k >= max_j (s~_j - t_j)
+    (rounding both sides to float64 cannot break this: rounding is
+    monotone and exact scores are float64 values).  Only those
+    candidates, in pool order, are scored exactly; the argmax among them
+    is the argmax of the pool, exact ties included, and its map is the
+    one kept.  Selections and scores are bit-identical to exhaustive
+    scoring; s~ only filters and never decides.  When a cell's filter is
+    not finite (overflow) every candidate of the cell is scored.  When
+    every kept t_k of a cell is 0, exact scores equal s~ in value and only
+    the cell's first largest s~ is scored: on either backbone this happens
     for a zero scorer, and on the pool backbone for any candidate whose
     pooled maps are zero wherever the scorer is not (see M_k below).  With
     c the bias, w the scorer and W_b its weights of bin b over the D
@@ -332,8 +351,8 @@ class ContextMiner:
     and gamma_n = n u / (1 - n u) (Higham, Accuracy and Stability of
     Numerical Algorithms, ch. 3-4), a sum in any order errs by at most
     gamma_{n-1} S and adding c by a further u (|sum| + |c|), so each
-    scoring errs by at most gamma_n S + u |c|.  Per cell the miner
-    queries each distinct bin rectangle of the pool once (R rectangles,
+    scoring errs by at most gamma_n S + u |c|.  Per chunk the miner
+    queries each distinct bin rectangle of its pools once (R rectangles,
     V their R x D maxima), computes P = V W with W = [W_b] the
     D x (ph*pw) scorer, and sets
 
@@ -349,8 +368,8 @@ class ContextMiner:
     term of t_k exceeds 2 gamma_n S with room for its own rounding, and
     the second is 2 u |c| twice over.  The bound needs the ph*pw float64
     column norms ||W_b||_1 beside the D*ph*pw float64 values of W, and per
-    cell one max over D of each of the R rectangles.  The rescored maps
-    are rows of V, so a cell's bin rectangles are pooled once.
+    chunk one max over D of each of the R rectangles.  The rescored maps
+    are rows of V, so a chunk's bin rectangles are pooled once.
 
     The computed M_k is 0 only when all its terms are: a nonzero term is
     at least 2^-149 * 2^-149, above float64's underflow, and a rounded sum
@@ -372,7 +391,8 @@ class ContextMiner:
     float64 reassociation of both paths (about 1e-12 relative).  The
     |c| term covers the rounding of adding the bias, the last term the
     absolute error (at most 2^-150) of rounding a subnormal element.  G
-    and A hold 2*ph*pw*H*W float64 values.
+    and A hold 2*ph*pw*H*W float64 values.  The bin sums run on slices
+    of SLICE candidates, so their temporaries do not grow with the chunk.
     """
 
     def __init__(self, F: np.ndarray, scorer: ContextScorer,
@@ -407,69 +427,138 @@ class ContextMiner:
 
     def _bounds(self, xyxy: np.ndarray):
         """(s~, t, exact) of every candidate (see the class docstring):
-        exact(keep) gives the exact flat maps of candidates keep, and their
-        RoIMaps where those are made anyway (align)."""
+        exact(keep) yields, for consecutive slices of SLICE candidates of
+        keep, their exact flat maps and their RoIMaps where those are made
+        anyway (align)."""
         cfg = self.config
         bias = float(self.scorer.bias)
         if self._table is not None:
             V, ids = self._table.pool_xyxy(xyxy, cfg.ph, cfg.pw)
             peaks = np.abs(V).max(axis=1).astype(np.float64)
-            # element (ids[k, b], b) of an (R, ph*pw) matrix
-            at = ids * ids.shape[1] + np.arange(ids.shape[1])
-            approx = np.take(V.astype(np.float64) @ self._w, at).sum(axis=1)
-            mags = np.take(peaks, ids) @ self._w_norms
+            P = _sliced(lambda v: v.astype(np.float64) @ self._w, V)
+            bins = np.arange(ids.shape[1])
+            approx = _sliced(lambda i: P[i, bins].sum(axis=1), ids)
+            mags = _sliced(lambda i: np.take(peaks, i) @ self._w_norms, ids)
             slack = (3.0 * self._gamma * mags
                      + np.where(mags > 0.0, abs(bias) * 2.0 ** -51, 0.0))
-            # exact rows are the maxima the filter read, in D-major order
-            return approx + bias, slack, lambda keep: (
-                V[ids[keep]].transpose(0, 2, 1).reshape(len(keep), -1), None)
-        sums = roi_align_bin_sums(self._planes, xyxy, cfg.samples_per_bin)
+
+            def exact(keep):
+                # exact rows are the maxima the filter read; only the rows of
+                # V that keep reads outlive the caller's reference to exact
+                used, local = np.unique(ids[keep], return_inverse=True)
+                return _d_major_rows(V[used], local.reshape(ids[keep].shape))
+
+            return approx + bias, slack, exact
+        sums = _sliced(lambda boxes: roi_align_bin_sums(
+            self._planes, boxes, cfg.samples_per_bin), xyxy)
 
         def exact(keep):
-            maps = [roi_map(self.F, _box_at(xyxy, k), cfg) for k in keep]
-            return np.stack([m.data.reshape(-1) for m in maps]), maps
+            for i in range(0, keep.shape[0], SLICE):
+                maps = [roi_map(self.F, _box_at(xyxy, k), cfg)
+                        for k in keep[i:i + SLICE]]
+                yield np.stack([m.data.reshape(-1) for m in maps]), maps
 
         return (sums[:, 0] + bias, 2.0 ** -22 * sums[:, 1]
                 + abs(bias) * 2.0 ** -50 + self._w_abs_sum * 2.0 ** -149, exact)
 
-    def _select(self, xyxy: np.ndarray):
-        """(index, score, map) of the pool's best-scoring candidate; the
-        first one in pool order among equal scores."""
+    def _best_of_pools(self, pools: list) -> list:
+        """(index, score, map) of each pool's best-scoring candidate, the
+        first in pool order among equal scores, from one filter pass over
+        the concatenated pools and one score_flat call per SLICE rescored
+        candidates."""
+        sizes = [p.shape[0] for p in pools]
+        starts = np.cumsum([0] + sizes[:-1])
+        seg = np.repeat(np.arange(len(pools)), sizes)
+        xyxy = np.concatenate(pools)
         with np.errstate(over="ignore", invalid="ignore"):
             approx, slack, exact = self._bounds(xyxy)
             lo, hi = approx - slack, approx + slack
-        keep = np.arange(xyxy.shape[0])
-        if np.isfinite(lo).all() and np.isfinite(hi).all():
-            keep = np.flatnonzero(hi >= lo.max())
-            if not slack[keep].any():
-                keep = keep[[np.argmax(approx[keep])]]
-        rows, maps = exact(keep)
-        scores = self.scorer.score_flat(rows)
-        j = int(np.argmax(scores))
-        k = int(keep[j])
-        picked = (maps[j] if maps is not None
-                  else roi_map(self.F, _box_at(xyxy, k), self.config))
-        return k, float(scores[j]), picked
+            finite = np.logical_and.reduceat(np.isfinite(lo) & np.isfinite(hi),
+                                             starts)
+            keep = ~finite[seg] | (hi >= np.maximum.reduceat(lo, starts)[seg])
+        # a finite pool whose kept candidates all have zero slack rescores
+        # only its first largest s~
+        tight = finite & ~np.logical_or.reduceat(keep & (slack != 0.0), starts)
+        if tight.any():
+            first = _first_max(np.where(keep & tight[seg], approx, -np.inf),
+                               starts)
+            keep &= ~tight[seg]
+            keep[first[tight]] = True
+        kept = np.flatnonzero(keep)
+        slices = exact(kept)
+        del exact  # frees what the filter alone read before rescoring
+        scores, maps = [], []
+        for rows, made in slices:
+            scores.append(self.scorer.score_flat(rows))
+            maps += made or []
+        scores = np.concatenate(scores)
+        picks = []
+        for start, j in zip(starts.tolist(),
+                            _first_max(scores, np.searchsorted(kept, starts))):
+            k = int(kept[j])
+            picked = (maps[j] if maps
+                      else roi_map(self.F, _box_at(xyxy, k), self.config))
+            picks.append((k - start, float(scores[j]), picked))
+        return picks
+
+    def _enumerate(self, r: Box):
+        """r's object map and the candidate arrays of its cells in
+        DIRECTIONS order, None for a fallback cell."""
+        _, H, W = self.F.shape
+        object_map = roi_map(self.F, r, self.config)
+        cells = build_layout(r).cells
+        return object_map, [_candidate_arrays(cells[d], self.config.grid,
+                                              (W, H)) for d in DIRECTIONS]
+
+    def _mine_chunk(self, chunk: list) -> list[MinedRoIFeature]:
+        """Mine the RoIs of a chunk, given as _enumerate results."""
+        pools = [xyxy for _, cells in chunk for xyxy in cells
+                 if xyxy is not None]
+        picks = iter(self._best_of_pools(pools) if pools else ())
+        out = []
+        for object_map, cells in chunk:
+            blocks = [object_map.data]
+            selected: list[SelectionRecord] = []
+            for direction, xyxy in zip(DIRECTIONS, cells):
+                if xyxy is None:
+                    selected.append(SelectionRecord(direction, FALLBACK, None,
+                                                    None, 0))
+                    blocks.append(object_map.data)
+                    continue
+                idx, score, picked = next(picks)
+                selected.append(SelectionRecord(direction, idx, picked, score,
+                                                xyxy.shape[0]))
+                blocks.append(picked.data)
+            out.append(MinedRoIFeature(concat_channels(blocks), object_map,
+                                       selected))
+        return out
 
     def mine(self, r: Box) -> MinedRoIFeature:
-        _, H, W = self.F.shape
-        cfg = self.config
-        object_map = roi_map(self.F, r, cfg)
-        layout = build_layout(r)
-        blocks = [object_map.data]
-        selected: list[SelectionRecord] = []
-        for direction in DIRECTIONS:
-            xyxy = _candidate_arrays(layout.cells[direction], cfg.grid, (W, H))
-            if xyxy is None:
-                selected.append(SelectionRecord(direction, FALLBACK, None,
-                                                None, 0))
-                blocks.append(object_map.data)
-                continue
-            idx, score, picked = self._select(xyxy)
-            selected.append(SelectionRecord(direction, idx, picked, score,
-                                            xyxy.shape[0]))
-            blocks.append(picked.data)
-        return MinedRoIFeature(concat_channels(blocks), object_map, selected)
+        """Mine one RoI, as a chunk of one."""
+        return self._mine_chunk([self._enumerate(r)])[0]
+
+
+def _d_major_rows(V: np.ndarray, ids: np.ndarray):
+    """(rows, None) for consecutive slices of SLICE boxes: box k's pooled
+    map V[ids[k]] (ph*pw x D) as one D-major row, as roi_pool lays it out."""
+    for i in range(0, ids.shape[0], SLICE):
+        maps = V[ids[i:i + SLICE]]
+        yield maps.transpose(0, 2, 1).reshape(maps.shape[0], -1), None
+
+
+def _sliced(fn, rows: np.ndarray) -> np.ndarray:
+    """fn applied to consecutive slices of SLICE rows, concatenated."""
+    return np.concatenate([fn(rows[i:i + SLICE])
+                           for i in range(0, rows.shape[0], SLICE)])
+
+
+def _first_max(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Index of the first largest value of each segment
+    values[starts[i]:starts[i+1]]; segments are non-empty and NaN-free."""
+    top = np.maximum.reduceat(values, starts)
+    counts = np.diff(starts, append=values.shape[0])
+    hit = np.flatnonzero(values == np.repeat(top, counts))
+    return hit[np.searchsorted(hit, starts)]
 
 
 def mine_context(F: np.ndarray, r: Box, scorer: ContextScorer,
@@ -480,9 +569,25 @@ def mine_context(F: np.ndarray, r: Box, scorer: ContextScorer,
 
 def mine_many(F: np.ndarray, rois, scorer: ContextScorer,
               config: MiningConfig = DEFAULT_CONFIG) -> list[MinedRoIFeature]:
-    """Mine many RoIs against one shared table, in input order."""
+    """Mine many RoIs against one shared table, in input order.
+
+    rois may be any iterable.  Consecutive RoIs share a chunk while their
+    candidates number at most CANDIDATE_BUDGET, and each chunk makes one
+    table pass, one filter pass and one score_flat call per SLICE rescored
+    candidates (see ContextMiner).  Results equal mine_context's for each
+    RoI, bit for bit.
+    """
     miner = ContextMiner(F, scorer, config)
-    return [miner.mine(r) for r in rois]
+    out, chunk, size = [], [], 0
+    for r in rois:
+        entry = miner._enumerate(r)
+        count = sum(xyxy.shape[0] for xyxy in entry[1] if xyxy is not None)
+        if chunk and size + count > CANDIDATE_BUDGET:
+            out += miner._mine_chunk(chunk)
+            chunk, size = [], 0
+        chunk.append(entry)
+        size += count
+    return out + miner._mine_chunk(chunk)
 
 
 def _backward_one(grad_block: np.ndarray, roi_map: RoIMap, F_dims) -> np.ndarray:

@@ -329,22 +329,22 @@ class RangeMaxTable:
         Uses the same bin integerization as roi_pool; bins must be
         non-empty (guaranteed for positive-area clipped boxes).  Returns
         (V, ids): V holds the (R, D) maxima of the R distinct bin
-        rectangles of the K boxes, and ids the (K, ph*pw) row of V of each
-        box's bins, so V[ids[k]] is box k's pooled map as (ph*pw, D).
+        rectangles of the K boxes in (y0, y1, x0, x1) lexicographic order,
+        and ids the (K, ph*pw) row of V of each box's bins, so V[ids[k]] is
+        box k's pooled map as (ph*pw, D).  A bin rectangle is a y-interval
+        times an x-interval: the intervals of each axis are deduped on
+        their own and the pairs in use are ranked, so no sort runs over
+        all K*ph*pw bins.
         """
         _, H, W = self.dims
-        K = xyxy.shape[0]
-        ys, ye = bin_edges(xyxy[:, 1], xyxy[:, 3] - xyxy[:, 1], ph, H)
-        xs, xe = bin_edges(xyxy[:, 0], xyxy[:, 2] - xyxy[:, 0], pw, W)
-        # One integer per bin rectangle: its (y0, y1, x0, x1) in mixed radix.
-        code = ((ys * (H + 1) + ye)[:, :, None] * (W + 1)
-                + xs[:, None, :]) * (W + 1) + xe[:, None, :]
-        rects, ids = np.unique(code, return_inverse=True)
-        rects, x1 = np.divmod(rects, W + 1)
-        rects, x0 = np.divmod(rects, W + 1)
-        y0, y1 = np.divmod(rects, H + 1)
-        V = self.query(y0, y1, x0, x1)
-        return V, ids.reshape(K, ph * pw)
+        yu, yi = _bin_intervals(xyxy[:, 1], xyxy[:, 3], ph, H)
+        xu, xi = _bin_intervals(xyxy[:, 0], xyxy[:, 2], pw, W)
+        nx = xu.shape[0]
+        pairs, ids = _dedupe(yi[:, :, None] * nx + xi[:, None, :],
+                             yu.shape[0] * nx)
+        y0, y1 = np.divmod(yu[pairs // nx], H + 1)
+        x0, x1 = np.divmod(xu[pairs % nx], W + 1)
+        return self.query(y0, y1, x0, x1), ids.reshape(xyxy.shape[0], ph * pw)
 
     def pool_boxes(self, boxes, ph: int, pw: int) -> np.ndarray:
         """Max-pool a sequence of Box objects through pool_xyxy; returns
@@ -354,3 +354,24 @@ class RangeMaxTable:
         V, ids = self.pool_xyxy(xyxy, ph, pw)
         K, D = ids.shape[0], self.dims[0]
         return V[ids].reshape(K, ph, pw, D).transpose(0, 3, 1, 2)
+
+
+def _bin_intervals(lo, hi, bins: int, limit: int):
+    """The distinct integer bin intervals [start, end) of K boxes spanning
+    lo to hi along one axis, as codes start * (limit + 1) + end in
+    increasing order, and the (K, bins) index among them of each bin."""
+    starts, ends = bin_edges(lo, hi - lo, bins, limit)
+    return _dedupe(starts * (limit + 1) + ends, (limit + 1) ** 2)
+
+
+def _dedupe(codes: np.ndarray, size: int):
+    """Sorted distinct values of non-negative integer codes below size,
+    and each code's index among them, shaped like codes.  Marks the codes
+    in a size-long table when that is at most four slots per code, and
+    sorts them otherwise."""
+    if size > 4 * codes.size:
+        values, index = np.unique(codes, return_inverse=True)
+        return values, index.reshape(codes.shape)
+    used = np.zeros(size, dtype=bool)
+    used[codes] = True
+    return np.flatnonzero(used), (np.cumsum(used) - 1)[codes]

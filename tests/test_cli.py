@@ -218,6 +218,37 @@ class TestFloatLists:
         assert not out.exists()
 
 
+FLOAT_OPTIONS = {
+    "--local-scale": ["variant", "--variant", "local", "--features",
+                      "{tmp}/F.ften", "--rois", "{tmp}/rois.csv"],
+    "--min-iou": ["enumerate", "--cell", "0,0,10,10"],
+    "--short-edge-frac": ["enumerate", "--cell", "0,0,10,10"],
+    "--iou-threshold": ["nms", "--boxes", "{tmp}/scored.csv"],
+    "--stride": ["anchors", "--height", "1", "--width", "2"],
+    "--h": ["gradcheck", "--op", "loss", "--probes", "5"],
+    "--lr": ["synth-demo", "--variant", "none", "--scenes", "4",
+             "--epochs", "1"],
+}
+
+
+class TestFloatOptions:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("option", sorted(FLOAT_OPTIONS))
+    def test_non_finite_is_usage_error(self, inputs, capsys, option, bad):
+        """Each command would run and write its output with a finite value;
+        nan and inf stop it at parsing, as a non-numeric value does."""
+        tmp, _ = inputs
+        with open(tmp / "scored.csv", "w", encoding="utf-8") as fh:
+            fh.write("0.0,0.0,4.0,4.0,0.9\n1.0,1.0,5.0,5.0,0.8\n")
+        out = tmp / "o.out"
+        args = [a.format(tmp=tmp) for a in FLOAT_OPTIONS[option]]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args + [f"{option}={bad}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {option}: non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestGradcheck:
     @pytest.mark.parametrize("op", ["roipool", "roialign", "ctxmine", "loss"])
     def test_report_within_tolerance(self, tmp_path, op):

@@ -231,7 +231,7 @@ class TestMineContext:
     def test_zero_scorer_rescores_one_row_per_cell(self, backbone,
                                                    monkeypatch):
         """Every candidate ties at zero with zero slack: one row per cell
-        is scored exactly, not the whole pool."""
+        is scored exactly, not the whole pool, in one call per RoI."""
         rng = np.random.default_rng(59)
         F = rng.normal(0, 1, (3, 40, 40)).astype(np.float32)
         config = MiningConfig(ph=5, pw=5, backbone=backbone)
@@ -247,7 +247,7 @@ class TestMineContext:
             rows.clear()
             mined = mine_context(F, r, ContextScorer.zeros(3, 5, 5), config)
             kept = [rec for rec in mined.selected if not rec.fallback]
-            assert rows == [1] * len(kept)
+            assert rows == [len(kept)]
             assert ([(rec.index, rec.score) for rec in kept]
                     == [(0, 0.0)] * len(kept))
 
@@ -429,6 +429,133 @@ class TestMineContext:
         for cell in rec["cells"].values():
             assert cell["pool_size"] > 0
             assert cell["fallback"] is False
+
+
+def assert_same_mined(a, b):
+    """Bit-identical features, selection records and maps, routing
+    records (pool argmax, align samples) included."""
+    assert a.feature.tobytes() == b.feature.tobytes()
+    assert ([(r.direction, r.index, r.score, r.pool_size, r.box)
+             for r in a.selected]
+            == [(r.direction, r.index, r.score, r.pool_size, r.box)
+                for r in b.selected])
+    pairs = [(a.object_map, b.object_map)] + [
+        (ra.roi_map, rb.roi_map) for ra, rb in zip(a.selected, b.selected)
+        if not ra.fallback]
+    for ma, mb in pairs:
+        assert ma.data.tobytes() == mb.data.tobytes()
+        routing = "argmax" if ma.argmax is not None else "samples"
+        assert (getattr(ma, routing).tobytes()
+                == getattr(mb, routing).tobytes())
+
+
+class TestMineMany:
+    """mine_many mines its RoIs in chunks of up to CANDIDATE_BUDGET
+    candidates; each RoI must come out bit-identical to mine_context on
+    that RoI alone, whatever chunk it lands in."""
+
+    def _case(self, backbone, n_rois, seed=191):
+        rng = np.random.default_rng(seed)
+        F = rng.normal(0, 1, (2, 40, 40)).astype(np.float32)
+        scorer = ContextScorer(rng.normal(0, 1, 2 * 25).astype(np.float32),
+                               0.3)
+        config = MiningConfig(ph=5, pw=5, backbone=backbone)
+        rois = [interior_roi(rng, 40) for _ in range(n_rois)]
+        rois[1] = Box(0.5, 1.0, 7.0, 9.0)        # some cells fall back
+        rois[-2] = Box(0.0, 0.0, 40.0, 40.0)     # every cell falls back
+        rois[-1] = Box(33.0, 30.5, 39.5, 39.0)   # at the bottom-right corner
+        return F, scorer, config, rois
+
+    def _check(self, F, rois, scorer, config, monkeypatch):
+        """mine_many against mine_context per RoI; returns the number of
+        chunks mine_many filtered, one _bounds call each."""
+        calls = []
+        real = ContextMiner._bounds
+
+        def counting(self, xyxy):
+            calls.append(xyxy.shape[0])
+            return real(self, xyxy)
+
+        monkeypatch.setattr(ContextMiner, "_bounds", counting)
+        many = mine_many(F, rois, scorer, config)
+        monkeypatch.undo()
+        assert len(many) == len(rois)
+        for r, a in zip(rois, many):
+            assert_same_mined(a, mine_context(F, r, scorer, config))
+        return len(calls)
+
+    @staticmethod
+    def _candidates(F, rois, config):
+        _, H, W = F.shape
+        pools = [mining._candidate_arrays(cell, config.grid, (W, H))
+                 for r in rois for cell in build_layout(r).cells.values()]
+        return [0 if p is None else p.shape[0] for p in pools]
+
+    @pytest.mark.parametrize("backbone", ["pool", "align"])
+    def test_more_candidates_than_one_budget(self, backbone, monkeypatch):
+        F, scorer, config, rois = self._case(backbone, 30)
+        count = sum(self._candidates(F, rois, config))
+        assert count > mining.CANDIDATE_BUDGET
+        assert self._check(F, rois, scorer, config, monkeypatch) == 2
+
+    @pytest.mark.parametrize("backbone", ["pool", "align"])
+    def test_small_budget_many_chunks(self, backbone, monkeypatch):
+        """A budget below one interior RoI's candidates: such a RoI is a
+        chunk of its own, and border RoIs share chunks."""
+        F, scorer, config, rois = self._case(backbone, 9)
+        rois[4:4] = [Box(0.5, 30.0, 6.0, 39.5), Box(34.0, 0.5, 39.5, 6.0)]
+        monkeypatch.setattr(mining, "CANDIDATE_BUDGET", 1000)
+        per_roi = [sum(self._candidates(F, [r], config)) for r in rois]
+        assert max(per_roi) > 1000 and per_roi.count(0) == 1
+        chunks = self._check(F, rois, scorer, config, monkeypatch)
+        assert 2 <= chunks < sum(n > 0 for n in per_roi)
+
+    @pytest.mark.parametrize("backbone", ["pool", "align"])
+    def test_rescoring_bounded_when_every_candidate_ties(self, backbone,
+                                                         monkeypatch):
+        """A constant map ties every candidate, so whole pools pass the
+        filter: score_flat sees at most SLICE rows at a time however many
+        the chunk rescores."""
+        F = np.full((2, 40, 40), 1.0 / 3.0, dtype=np.float32)
+        scorer = ContextScorer(
+            np.random.default_rng(193).normal(0, 1, 50).astype(np.float32),
+            0.5)
+        config = MiningConfig(ph=5, pw=5, backbone=backbone)
+        rois = [Box(13.0, 14.0, 20.0, 21.5), Box(13.5, 14.0, 20.5, 21.5)]
+        rows = []
+        real = ContextScorer.score_flat
+
+        def counting(self, flat_feats):
+            rows.append(flat_feats.shape[0])
+            return real(self, flat_feats)
+
+        monkeypatch.setattr(ContextScorer, "score_flat", counting)
+        many = mine_many(F, rois, scorer, config)
+        monkeypatch.undo()
+        assert sum(rows) == sum(self._candidates(F, rois, config))
+        assert max(rows) == mining.SLICE
+        for r, a in zip(rois, many):
+            assert_same_mined(a, mine_context(F, r, scorer, config))
+            assert selection_indices(a) == (0,) * 8
+
+    @pytest.mark.parametrize("backbone", ["pool", "align"])
+    def test_all_fallback_roi_alone(self, backbone, monkeypatch):
+        F, scorer, config, _ = self._case(backbone, 3)
+        assert self._check(F, [Box(0.0, 0.0, 40.0, 40.0)], scorer, config,
+                           monkeypatch) == 0
+
+    @pytest.mark.parametrize("backbone", ["pool", "align"])
+    def test_empty_list(self, backbone):
+        F, scorer, config, _ = self._case(backbone, 3)
+        assert mine_many(F, [], scorer, config) == []
+
+    @pytest.mark.parametrize("backbone", ["pool", "align"])
+    def test_generator_input(self, backbone):
+        F, scorer, config, rois = self._case(backbone, 6)
+        many = mine_many(F, (r for r in rois), scorer, config)
+        assert len(many) == len(rois)
+        for r, a in zip(rois, many):
+            assert_same_mined(a, mine_context(F, r, scorer, config))
 
 
 class TestAlignSelection:
@@ -701,7 +828,8 @@ class TestPoolSelection:
     def test_zero_region_with_bias_rescores_one_row(self, monkeypatch):
         """Every cell lies in the map's zero left part, so each candidate
         scores exactly the bias on both paths and needs no slack: one row
-        per cell is rescored even though the bias is nonzero."""
+        per cell is rescored even though the bias is nonzero, all in one
+        call."""
         rng = np.random.default_rng(181)
         F = rng.normal(0, 1, (3, 40, 40)).astype(np.float32)
         F[:, :, :24] = 0.0
@@ -709,15 +837,16 @@ class TestPoolSelection:
         r = Box(6.0, 14.0, 12.0, 20.0)
         rows = self._score_rows(monkeypatch)
         mine_context(F, r, scorer, self.CONFIG)
-        assert rows == [1] * 8
+        assert rows == [8]
         monkeypatch.undo()
         mined = self._check_oracle(F, r, scorer)
         assert [(rec.index, rec.score) for rec in mined.selected] == [
             (0, -0.7)] * 8
 
     def test_one_table_pass_per_cell(self, monkeypatch):
-        """Each non-fallback cell pools its bin rectangles once: one
-        pool_xyxy and one query call, none for the rescored rows."""
+        """A RoI pools the bin rectangles of all its non-fallback cells
+        once: one pool_xyxy and one query call, none for the rescored rows,
+        and none at all when every cell falls back."""
         rng = np.random.default_rng(179)
         F = rng.normal(0, 1, (3, 40, 40)).astype(np.float32)
         scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), 0.1)
@@ -731,15 +860,17 @@ class TestPoolSelection:
                 return _real(self, *args)
 
             monkeypatch.setattr(RangeMaxTable, name, counting)
-        for r in (interior_roi(rng, 40), Box(0.5, 1.0, 7.0, 9.0)):
+        for r in (interior_roi(rng, 40), Box(0.5, 1.0, 7.0, 9.0),
+                  Box(0.0, 0.0, 40.0, 40.0)):
             calls.clear()
             mined = miner.mine(r)
             cells = sum(not rec.fallback for rec in mined.selected)
-            assert calls == ["pool_xyxy", "query"] * cells
+            assert calls == (["pool_xyxy", "query"] if cells else [])
+        assert cells == 0
 
     def test_scored_rows_bounded_by_near_ties(self, monkeypatch):
-        """One row per cell, plus one per near-tie: a fall-back to scoring
-        every candidate would pass hundreds."""
+        """One call per RoI, with one row per cell plus one per near-tie: a
+        fall-back to scoring every candidate would pass hundreds."""
         rng = np.random.default_rng(163)
         F = rng.normal(0, 1, (3, 40, 40)).astype(np.float32)
         scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), 0.1)
@@ -758,9 +889,10 @@ class TestPoolSelection:
         for r, ties in zip(rois, near_ties):
             rows.clear()
             miner.mine(r)
+            assert len(rows) == 1
             assert sum(rows) <= 8 + ties
             if ties == 0:
-                assert rows == [1] * 8
+                assert rows == [8]
         # with a random scorer only boxes that pool to the same bins tie
         assert near_ties.count(0) >= 2
 

@@ -481,3 +481,46 @@ class TestRangeMaxTable:
         got = table.pool_boxes(boxes, 6, 4)
         want = V[ids].reshape(50, 6, 4, 5).transpose(0, 3, 1, 2)
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @staticmethod
+    def _unique_codes_oracle(table, xyxy, ph, pw):
+        """pool_xyxy as one np.unique over a mixed-radix code per bin
+        rectangle, its (y0, y1, x0, x1) read as digits."""
+        _, H, W = table.dims
+        ys, ye = bin_edges(xyxy[:, 1], xyxy[:, 3] - xyxy[:, 1], ph, H)
+        xs, xe = bin_edges(xyxy[:, 0], xyxy[:, 2] - xyxy[:, 0], pw, W)
+        code = ((ys * (H + 1) + ye)[:, :, None] * (W + 1)
+                + xs[:, None, :]) * (W + 1) + xe[:, None, :]
+        rects, ids = np.unique(code, return_inverse=True)
+        rects, x1 = np.divmod(rects, W + 1)
+        rects, x0 = np.divmod(rects, W + 1)
+        y0, y1 = np.divmod(rects, H + 1)
+        return table.query(y0, y1, x0, x1), ids.reshape(len(xyxy), ph * pw)
+
+    @pytest.mark.parametrize("H, W", [(1, 37), (37, 1), (23, 23)])
+    def test_pool_xyxy_equals_unique_codes_oracle(self, H, W):
+        """Rows of V in the order of the sorted bin codes, so V and ids
+        are bit-identical to the oracle's; few boxes and many, so both the
+        sorting and the table-marking dedupe run."""
+        rng = np.random.default_rng(71 + H)
+        F = rng.normal(0, 1, (3, H, W)).astype(np.float32)
+        table = RangeMaxTable(F)
+
+        def edges(n, limit):
+            lo = rng.uniform(0.0, limit - 0.25, n)
+            hi = lo + rng.uniform(0.25, limit, n)
+            # a third of the boxes start or end on the map border
+            lo[rng.random(n) < 0.3] = 0.0
+            hi[rng.random(n) < 0.3] = limit
+            return lo, np.minimum(hi, limit)
+
+        for n in (1, 3, 40, 600):
+            x1, x2 = edges(n, W)
+            y1, y2 = edges(n, H)
+            xyxy = np.stack([x1, y1, x2, y2], axis=1)
+            for ph, pw in ((1, 1), (3, 2), (7, 7)):
+                V, ids = table.pool_xyxy(xyxy, ph, pw)
+                want_V, want_ids = self._unique_codes_oracle(table, xyxy,
+                                                             ph, pw)
+                assert V.tobytes() == want_V.tobytes()
+                assert np.array_equal(ids, want_ids)
