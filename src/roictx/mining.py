@@ -322,8 +322,11 @@ class ContextMiner:
     ties, and bounded memory when whole pools tie.  The chunk can change which near-ties of a cell are rescored,
     as the rounding of s~ below may depend on what else is in the chunk,
     but never the selection, its score or its map.  Mining is pure: the
-    map, the tables and the scorer are only read.  A map or a scorer
-    holding NaN or inf raises NumericError.
+    map and the scorer are only read, and a table only builds the levels
+    its queries need.  A map or a scorer holding NaN or inf raises
+    NumericError.  On the pool backbone the object and kept maps of a
+    float32 map are pooled from the table's level 0 (see _roi_map), bit
+    for bit roi_pool's on F.
 
     Selection filters, then rescores, each cell on its own.  Each
     candidate k of a cell gets an approximate score s~_k and a bound
@@ -425,6 +428,18 @@ class ContextMiner:
         self._planes = planes.reshape(config.ph, config.pw, H, W, 2)
         self._w_abs_sum = float(np.abs(w).sum())
 
+    def _roi_map(self, box: Box) -> RoIMap:
+        """roi_map of box on the map.  The pool backbone reads a float32
+        map from the table's level 0, which holds its values bit for bit
+        in the pixel-major layout roi_pool reduces fastest; level 0 of any
+        other dtype holds rounded values, so such a map is read as is.
+        The view is taken per call, so it never keeps a table the last
+        query outgrew alive."""
+        F = self.F
+        if self._table is not None and F.dtype == np.float32:
+            F = self._table.level0
+        return roi_map(F, box, self.config)
+
     def _bounds(self, xyxy: np.ndarray):
         """(s~, t, exact) of every candidate (see the class docstring):
         exact(keep) yields, for consecutive slices of SLICE candidates of
@@ -454,7 +469,7 @@ class ContextMiner:
 
         def exact(keep):
             for i in range(0, keep.shape[0], SLICE):
-                maps = [roi_map(self.F, _box_at(xyxy, k), cfg)
+                maps = [self._roi_map(_box_at(xyxy, k))
                         for k in keep[i:i + SLICE]]
                 yield np.stack([m.data.reshape(-1) for m in maps]), maps
 
@@ -496,8 +511,7 @@ class ContextMiner:
         for start, j in zip(starts.tolist(),
                             _first_max(scores, np.searchsorted(kept, starts))):
             k = int(kept[j])
-            picked = (maps[j] if maps
-                      else roi_map(self.F, _box_at(xyxy, k), self.config))
+            picked = maps[j] if maps else self._roi_map(_box_at(xyxy, k))
             picks.append((k - start, float(scores[j]), picked))
         return picks
 
@@ -505,7 +519,7 @@ class ContextMiner:
         """r's object map and the candidate arrays of its cells in
         DIRECTIONS order, None for a fallback cell."""
         _, H, W = self.F.shape
-        object_map = roi_map(self.F, r, self.config)
+        object_map = self._roi_map(r)
         cells = build_layout(r).cells
         return object_map, [_candidate_arrays(cells[d], self.config.grid,
                                               (W, H)) for d in DIRECTIONS]

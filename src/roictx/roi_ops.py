@@ -101,6 +101,16 @@ def roi_pool(F: np.ndarray, r: Box, ph: int, pw: int) -> RoIMap:
     mh x mw slots, the largest bin extents, and a slot past its bin's
     extent repeats the bin's last row or column.  A repeated slot comes
     after the slot it copies, so it is never the first maximum.
+
+    F's layout in memory picks the reduction; both give the same data and
+    argmax, bit for bit.  A pixel-major map (F.transpose(1, 2, 0)
+    C-contiguous, as RangeMaxTable.level0 is) is gathered as (slots,
+    ph*pw, D) and reduced over the leading slot axis, one elementwise
+    pass per step, where np.argmax over a short last axis runs row by
+    row.  A D-major map is gathered as (D, ph*pw, slots) and reduced by
+    np.argmax: making it pixel-major first would copy the whole map, which
+    costs more than the faster reduction saves when the windows cover
+    most of the map.
     """
     D, H, W = _check_feature_map(F)
     _check_grid(ph, pw)
@@ -112,16 +122,48 @@ def roi_pool(F: np.ndarray, r: Box, ph: int, pw: int) -> RoIMap:
     cols = _window_slots(xs, xe, W)                    # (pw, mw)
     slots = (rows[:, None, :, None] * W + cols[None, :, None, :]).reshape(
         ph * pw, -1)
-    windows = np.take(F.reshape(D, H * W), slots, axis=1)
-    first = windows.argmax(axis=2)                     # (D, ph*pw)
-    data = np.take_along_axis(windows, first[..., None], axis=2)[..., 0]
-    argmax = slots[np.arange(ph * pw), first]
+    pixels = F.transpose(1, 2, 0)
+    if pixels.flags.c_contiguous:
+        windows = np.take(pixels.reshape(H * W, D), slots.T, axis=0)
+        data, first = _first_max_slot(windows)         # (ph*pw, D)
+        data, first = np.ascontiguousarray(data.T), first.T
+    else:
+        windows = np.take(F.reshape(D, H * W), slots, axis=1)
+        first = windows.argmax(axis=2)                 # (D, ph*pw)
+        data = np.take_along_axis(windows, first[..., None], axis=2)[..., 0]
+    argmax = np.take(slots, first + slots.shape[1] * np.arange(ph * pw))
     empty = ((ye <= ys)[:, None] | (xe <= xs)[None, :]).reshape(-1)
     data = data.astype(np.float32, copy=False)
     data[:, empty] = 0.0
     argmax[:, empty] = EMPTY_BIN
     return RoIMap(data.reshape(D, ph, pw), r, (H, W),
                   argmax=argmax.reshape(D, ph, pw))
+
+
+def _first_max_slot(windows: np.ndarray):
+    """The element and the index of the first maximum along axis 0 of
+    (S, N, D) windows, as np.argmax picks it.
+
+    Every slot equal to the maximum (or NaN, where the maximum is NaN) is
+    a hit; ranking the slots S..1 in the smallest integer type that holds
+    S, the largest ranked hit is the first.  Equal numbers have equal
+    bits except zeros (the sign) and NaNs (the payload), so the maximum
+    is the first hit's element everywhere else, and only those entries
+    are read at the first hit.
+    """
+    top = windows.max(axis=0)
+    hit = windows == top
+    nan = np.isnan(top)
+    if nan.any():
+        hit |= np.isnan(windows)
+    S = windows.shape[0]
+    rank = np.arange(S, 0, -1, dtype=np.min_scalar_type(S))
+    first = S - (hit * rank[:, None, None]).max(axis=0)
+    fix = nan | (top == 0)
+    if fix.any():
+        top[fix] = np.take_along_axis(windows[:, fix], first[fix][None],
+                                      axis=0)[0]
+    return top, first
 
 
 def _window_slots(starts, ends, limit: int) -> np.ndarray:
@@ -266,45 +308,73 @@ class RangeMaxTable:
     """Sparse-table range-max over the spatial axes of a D x H x W map.
 
     Answers per-channel maxima over integer rectangles in O(1) numpy
-    gathers after an O(D*H*W*logH*logW) build.  Maxima equal direct
-    np.max over the same rectangle, bit for bit unless the maximum is a
-    zero: ties of -0.0 and +0.0 keep whichever zero the comparison order
-    gives.  So pooled values computed through this table equal roi_pool's
-    in value, and a zero's sign may differ, as roi_pool keeps the first
-    of tied elements.
+    gathers.  Level (a, b) holds the max of each 2^a x 2^b window.  The
+    constructor builds only level (0, 0), the map cast to float32 in
+    pixel-major order (see level0); query builds the levels its
+    rectangles need, so a table holds (A+1)*(B+1) levels of D*H*W floats
+    for the largest levels A, B queried so far, at most
+    H.bit_length() * W.bit_length() of them.  Maxima equal direct np.max
+    over the same rectangle, bit for bit unless the maximum is a zero:
+    ties of -0.0 and +0.0 keep whichever zero the comparison order gives.
+    So pooled values computed through this table equal roi_pool's in
+    value, and a zero's sign may differ, as roi_pool keeps the first of
+    tied elements.
     """
 
     def __init__(self, F: np.ndarray):
         D, H, W = _check_feature_map(F)
         self.dims = (D, H, W)
-        k1, k2 = H.bit_length(), W.bit_length()
         # Built in its gather layout: row (level-a, level-b, y, x) holds the
         # D channels, so queries index one flat view and no copy is kept.
-        # Level (a, b) holds the max of the 2^a x 2^b window at (y, x) where
-        # that window fits in the map, and zero elsewhere.  query reads a
-        # level only at windows inside its rectangle, so never at a row
-        # >= H - 2^a + 1 or a column >= W - 2^b + 1.
-        table = np.zeros((k1, k2, H, W, D), dtype=np.float32)
-        table[0, 0] = F.transpose(1, 2, 0)
-        for b in range(1, k2):
+        self._levels = np.empty((1, 1, H, W, D), dtype=np.float32)
+        self._levels[0, 0] = F.transpose(1, 2, 0)
+
+    @property
+    def level0(self) -> np.ndarray:
+        """Level (0, 0) as a D x H x W view: the map's values cast to
+        float32, pixel-major in memory.  A view of the live table, so take
+        it again after a query rather than keeping it."""
+        return self._levels[0, 0].transpose(2, 0, 1)
+
+    def _extend(self, na: int, nb: int) -> None:
+        """Extend the built block of levels to cover a < na, b < nb.
+
+        Level (0, b) is the max of level (0, b-1) at x and x + 2^(b-1),
+        and level (a, b) for a >= 1 that of level (a-1, b) at y and
+        y + 2^(a-1), whatever the order the levels are built in, so a
+        table built in steps holds the same bits as one built at once.
+        A level holds zero where its window does not fit in the map; query
+        reads a level only at windows inside its rectangle, so never at a
+        row >= H - 2^a + 1 or a column >= W - 2^b + 1.
+        """
+        D, H, W = self.dims
+        oa, ob = self._levels.shape[:2]
+        na, nb = max(na, oa), max(nb, ob)
+        if (na, nb) == (oa, ob):
+            return
+        levels = np.zeros((na, nb, H, W, D), dtype=np.float32)
+        levels[:oa, :ob] = self._levels
+        self._levels = levels
+        for b in range(ob, nb):
             half, n = 1 << (b - 1), W - (1 << b) + 1
-            prev = table[0, b - 1]
+            prev = levels[0, b - 1]
             np.maximum(prev[:, :n], prev[:, half:half + n],
-                       out=table[0, b, :, :n])
-        for a in range(1, k1):
+                       out=levels[0, b, :, :n])
+        for a in range(1, na):
+            b0 = ob if a < oa else 0
             half, n = 1 << (a - 1), H - (1 << a) + 1
-            prev = table[a - 1]
-            np.maximum(prev[:, :n], prev[:, half:half + n], out=table[a, :, :n])
-        self._k2 = k2
-        self._flat = table.reshape(-1, D)
+            prev = levels[a - 1, b0:]
+            np.maximum(prev[:, :n], prev[:, half:half + n],
+                       out=levels[a, b0:, :n])
 
     def query(self, y0, y1, x0, x1) -> np.ndarray:
         """Per-channel max over rectangles [y0,y1) x [x0,x1); returns (N, D).
 
         All four arguments are equal-length integer arrays with y1 > y0,
-        x1 > x0, inside the map.
+        x1 > x0, inside the map.  Levels the rectangles need and the table
+        lacks are built first.
         """
-        _, H, W = self.dims
+        D, H, W = self.dims
         y0 = np.asarray(y0, dtype=np.int64)
         y1 = np.asarray(y1, dtype=np.int64)
         x0 = np.asarray(x0, dtype=np.int64)
@@ -312,10 +382,12 @@ class RangeMaxTable:
         # floor(log2(n)), exact: n = m * 2^e with 0.5 <= m < 1
         ka = np.frexp(y1 - y0)[1].astype(np.int64) - 1
         kb = np.frexp(x1 - x0)[1].astype(np.int64) - 1
+        if ka.size:
+            self._extend(int(ka.max()) + 1, int(kb.max()) + 1)
         ya = y1 - (1 << ka)
         xb = x1 - (1 << kb)
-        base = ((ka * self._k2 + kb) * H) * W
-        flat = self._flat
+        base = ((ka * self._levels.shape[1] + kb) * H) * W
+        flat = self._levels.reshape(-1, D)
         out = flat[base + y0 * W + x0]
         np.maximum(out, flat[base + y0 * W + xb], out=out)
         np.maximum(out, flat[base + ya * W + x0], out=out)

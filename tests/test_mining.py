@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -842,6 +844,46 @@ class TestPoolSelection:
         mined = self._check_oracle(F, r, scorer)
         assert [(rec.index, rec.score) for rec in mined.selected] == [
             (0, -0.7)] * 8
+
+    def test_float64_map_keeps_its_own_maps(self):
+        """The table's level 0 rounds a float64 map to float32, which ties
+        values the map tells apart, so the object map and every kept map
+        come from the float64 map: byte for byte roi_pool's, argmax
+        included."""
+        rng = np.random.default_rng(191)
+        coarse = rng.integers(-2, 3, (3, 40, 40)).astype(np.float64)
+        F = coarse * (1.0 + 2.0 ** -40 * rng.integers(0, 4, (3, 40, 40)))
+        assert np.array_equal(F.astype(np.float32), coarse)
+        scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), 0.3)
+        rois = [interior_roi(rng, 40) for _ in range(3)]
+        rois.append(Box(0.5, 1.0, 7.0, 9.0))
+        cfg = self.CONFIG
+        rounded = 0
+        for r, mined in zip(rois, mine_many(F, rois, scorer, cfg)):
+            maps = [mined.object_map] + [rec.roi_map for rec in mined.selected
+                                         if not rec.fallback]
+            for m in maps:
+                want = roi_pool(F, m.source_roi, cfg.ph, cfg.pw)
+                assert m.data.tobytes() == want.data.tobytes()
+                assert np.array_equal(m.argmax, want.argmax)
+                level0 = roi_pool(F.astype(np.float32), m.source_roi,
+                                  cfg.ph, cfg.pw)
+                rounded += not np.array_equal(level0.argmax, want.argmax)
+        assert rounded > 0
+
+    def test_miner_frees_outgrown_table(self):
+        """Kept maps are pooled from the table's level 0, taken afresh per
+        map, so the block of levels a query outgrows is freed."""
+        rng = np.random.default_rng(193)
+        F = rng.normal(0, 1, (3, 40, 40)).astype(np.float32)
+        scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), 0.1)
+        r = interior_roi(rng, 40)
+        miner = ContextMiner(F, scorer, self.CONFIG)
+        outgrown = weakref.ref(miner._table._levels)
+        mined = miner.mine(r)
+        assert outgrown() is None
+        assert mined.feature.tobytes() == mine_context(
+            F, r, scorer, self.CONFIG).feature.tobytes()
 
     def test_one_table_pass_per_cell(self, monkeypatch):
         """A RoI pools the bin rectangles of all its non-fallback cells

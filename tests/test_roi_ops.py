@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -60,7 +62,15 @@ def pool_oracle(F, r, ph, pw):
 
 
 POOL_CASE_KINDS = ("ints", "signed-zeros", "nan-inf", "float64", "whole-map",
-                   "empty-bins")
+                   "empty-bins", "many-slots")
+
+
+def layouts(F):
+    """F in both memory layouts roi_pool reduces differently: D-major as
+    given, and a pixel-major copy, laid out like RangeMaxTable.level0."""
+    pixel = np.ascontiguousarray(F.transpose(1, 2, 0)).transpose(2, 0, 1)
+    assert F.flags.c_contiguous and pixel.transpose(1, 2, 0).flags.c_contiguous
+    return F, pixel
 
 
 def non_finite_boxes(bad):
@@ -94,10 +104,11 @@ class TestRoiPoolForward:
             r = random_roi(rng, W, H)
             ph = int(rng.integers(1, 8))
             pw = int(rng.integers(1, 8))
-            got = roi_pool(F, r, ph, pw)
             data, arg = pool_oracle(F, r, ph, pw)
-            assert np.array_equal(got.data, data)
-            assert np.array_equal(got.argmax, arg)
+            for G in layouts(F):
+                got = roi_pool(G, r, ph, pw)
+                assert np.array_equal(got.data, data)
+                assert np.array_equal(got.argmax, arg)
 
     @staticmethod
     def _bit_identity_case(rng, kind):
@@ -124,25 +135,37 @@ class TestRoiPoolForward:
             F = rng.integers(0, 3, (D, H, W)).astype(np.float32)
             ph, pw = int(rng.integers(1, 5)), int(rng.integers(1, 5))
             r = Box(0.0, 0.0, float(W), float(H))
-        else:  # "empty-bins": a box one ulp tall at an integer y1
+        elif kind == "empty-bins":  # a box one ulp tall at an integer y1
             F = rng.normal(0, 1, (D, H, W)).astype(np.float32)
             y1 = float(rng.integers(1, H))
             x1 = float(rng.uniform(0.0, W - 2.0))
             ph = int(rng.integers(2, 8))
             r = Box(x1, y1, x1 + 1.5, float(np.nextafter(y1, np.inf)))
+        else:  # "many-slots": one bin over a whole map of 256 to 576 slots
+            H, W = int(rng.integers(16, 25)), int(rng.integers(16, 25))
+            F = rng.choice(np.float32([-1.0, -0.0, 0.0]), (D, H, W))
+            if rng.random() < 0.5:
+                nan = rng.random((D, H, W)) < 0.01
+                F.view(np.uint32)[nan] = 0x7FC00000 + rng.integers(
+                    1, 1 << 16, int(nan.sum())).astype(np.uint32)
+            ph = pw = 1
+            r = Box(0.0, 0.0, float(W), float(H))
         return F, r, ph, pw
 
     @pytest.mark.parametrize("kind", POOL_CASE_KINDS)
     def test_bit_identical_to_oracle(self, kind):
+        """Both layouts of every map; "many-slots" needs a slot rank wider
+        than 8 bits in the pixel-major reduction."""
         rng = np.random.default_rng(90 + POOL_CASE_KINDS.index(kind))
         empty = 0
         for _ in range(40):
             F, r, ph, pw = self._bit_identity_case(rng, kind)
-            got = roi_pool(F, r, ph, pw)
             data, arg = pool_oracle(F, r, ph, pw)
-            assert got.data.dtype == np.float32
-            assert got.data.tobytes() == data.tobytes()
-            assert np.array_equal(got.argmax, arg)
+            for G in layouts(F):
+                got = roi_pool(G, r, ph, pw)
+                assert got.data.dtype == np.float32
+                assert got.data.tobytes() == data.tobytes()
+                assert np.array_equal(got.argmax, arg)
             empty += int((arg == EMPTY_BIN).any())
         assert (empty == 40) if kind == "empty-bins" else (empty == 0)
 
@@ -409,28 +432,108 @@ class TestRoiAlignBackward:
             roi_align_backward(np.zeros((2, 2, 2), dtype=np.float32), m, (1, 8, 8))
 
 
+def query_maps():
+    """(F, rects) for the maps of the query tests: level counts and extents
+    at and next to powers of two, and negative data, so a read of a cell
+    the build never wrote (a zero) shows; rects is every rectangle."""
+    rng = np.random.default_rng(53)
+    for H, W in [(1, 1), (1, 5), (5, 1), (2, 2), (3, 7), (8, 8),
+                 (9, 17), (16, 15), (33, 4)]:
+        normal = rng.normal(0, 1, (3, H, W)).astype(np.float32)
+        ints = rng.integers(-3, 2, (3, H, W)).astype(np.float32)
+        signed = rng.choice(np.float32([-1.0, -0.0, 0.0, 1.0]), (3, H, W))
+        rects = np.array([(y0, y1, x0, x1)
+                          for y0 in range(H) for y1 in range(y0 + 1, H + 1)
+                          for x0 in range(W) for x1 in range(x0 + 1, W + 1)])
+        for F in (normal, ints, signed):
+            yield F, rects
+
+
+def assert_direct_max(F, rects, got):
+    want = np.stack([F[:, y0:y1, x0:x1].max(axis=(1, 2))
+                     for y0, y1, x0, x1 in rects])
+    assert np.array_equal(got, want)
+    # np.max may keep the other zero of a -0.0 / +0.0 tie
+    if not (np.signbit(F) & (F == 0)).any():
+        assert got.tobytes() == want.tobytes()
+
+
 class TestRangeMaxTable:
     def test_query_matches_direct_max(self):
-        """Every rectangle of each map: level counts and extents at and
-        next to powers of two, and negative data, so a read of a cell the
-        build never wrote (a zero) shows."""
-        rng = np.random.default_rng(53)
-        for H, W in [(1, 1), (1, 5), (5, 1), (2, 2), (3, 7), (8, 8),
-                     (9, 17), (16, 15), (33, 4)]:
-            normal = rng.normal(0, 1, (3, H, W)).astype(np.float32)
-            ints = rng.integers(-3, 2, (3, H, W)).astype(np.float32)
-            signed = rng.choice(np.float32([-1.0, -0.0, 0.0, 1.0]), (3, H, W))
-            rects = np.array([(y0, y1, x0, x1)
-                              for y0 in range(H) for y1 in range(y0 + 1, H + 1)
-                              for x0 in range(W) for x1 in range(x0 + 1, W + 1)])
-            for F in (normal, ints, signed):
-                got = RangeMaxTable(F).query(*rects.T)
-                want = np.stack([F[:, y0:y1, x0:x1].max(axis=(1, 2))
-                                 for y0, y1, x0, x1 in rects])
-                assert np.array_equal(got, want)
-                # np.max may keep the other zero of a -0.0 / +0.0 tie
-                if F is not signed:
-                    assert got.tobytes() == want.tobytes()
+        """Every rectangle of each map in one query."""
+        for F, rects in query_maps():
+            assert_direct_max(F, rects, RangeMaxTable(F).query(*rects.T))
+
+    def test_levels_built_on_demand(self):
+        """Queries that need a taller level, then a wider one, then both:
+        each builds only what it lacks, answers as the direct max, and the
+        table ends bit-identical to one built by a single query."""
+        for F, rects in query_maps():
+            _, H, W = F.shape
+            h, w = rects[:, 1] - rects[:, 0], rects[:, 3] - rects[:, 2]
+            table = RangeMaxTable(F)
+            shapes = [table._levels.shape[:2]]
+            for part in ((w == 1) & (h <= max(1, H // 2)),
+                         (h == 1) & (w <= max(1, W // 2)),
+                         np.ones(len(rects), dtype=bool)):
+                assert_direct_max(F, rects[part], table.query(*rects[part].T))
+                shapes.append(table._levels.shape[:2])
+            assert shapes[-1] == (H.bit_length(), W.bit_length())
+            if H >= 4 and W >= 4:
+                (a0, b0), (a1, b1), (a2, b2), (a3, b3) = shapes
+                assert (a0, b0) == (1, 1)
+                assert a1 > a0 and b1 == b0
+                assert a2 == a1 and b2 > b1
+                assert a3 > a2 and b3 > b2
+            at_once = RangeMaxTable(F)
+            at_once.query(*rects.T)
+            assert table._levels.tobytes() == at_once._levels.tobytes()
+
+    def test_empty_query_builds_nothing(self):
+        F = np.random.default_rng(54).normal(0, 1, (5, 9, 17)).astype(np.float32)
+        table = RangeMaxTable(F)
+        none = np.zeros(0, dtype=np.int64)
+        got = table.query(none, none, none, none)
+        assert got.shape == (0, 5) and got.dtype == np.float32
+        assert table._levels.shape[:2] == (1, 1)
+
+    def test_level0_is_the_map_pixel_major(self):
+        """level0 holds the map's float32 values, D x H x W, pixel-major in
+        memory, and stays a view of the live table when a query grows it:
+        the outgrown block is freed."""
+        F = np.random.default_rng(55).normal(0, 1, (4, 9, 11))
+        table = RangeMaxTable(F)
+        assert table.level0.tobytes() == F.astype(np.float32).tobytes()
+        assert table.level0.transpose(1, 2, 0).flags.c_contiguous
+        outgrown = weakref.ref(table._levels)
+        table.query([0], [9], [0], [11])
+        assert outgrown() is None
+        assert np.shares_memory(table.level0, table._levels)
+        assert table.level0.tobytes() == F.astype(np.float32).tobytes()
+
+    def test_build_allocates_level0_only(self):
+        """At D=512 64x64 the full table is 7x7 levels of 8 MiB (392 MiB);
+        the build allocates level 0, and a query of 3x3 rectangles keeps
+        at most 3 more levels, with the outgrown block alive only while
+        it is copied."""
+        level = 512 * 64 * 64 * 4
+        F = np.random.default_rng(56).normal(0, 1, (512, 64, 64)).astype(
+            np.float32)
+        y0 = np.arange(0, 61, 3)
+        tracemalloc.start()
+        try:
+            table = RangeMaxTable(F)
+            built, build_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out = table.query(y0, y0 + 3, y0, y0 + 3)
+            after, query_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        slack = 1 << 20
+        assert level <= built and build_peak <= level + slack
+        assert table._levels.shape[:2] == (2, 2)
+        assert after - built <= 3 * level + out.nbytes + slack
+        assert query_peak <= 5 * level + slack
 
     def test_pool_boxes_bit_equals_roi_pool(self):
         rng = np.random.default_rng(59)
