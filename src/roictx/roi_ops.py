@@ -102,15 +102,12 @@ def roi_pool(F: np.ndarray, r: Box, ph: int, pw: int) -> RoIMap:
     extent repeats the bin's last row or column.  A repeated slot comes
     after the slot it copies, so it is never the first maximum.
 
-    F's layout in memory picks the reduction; both give the same data and
-    argmax, bit for bit.  A pixel-major map (F.transpose(1, 2, 0)
-    C-contiguous, as RangeMaxTable.level0 is) is gathered as (slots,
-    ph*pw, D) and reduced over the leading slot axis, one elementwise
-    pass per step, where np.argmax over a short last axis runs row by
-    row.  A D-major map is gathered as (D, ph*pw, slots) and reduced by
-    np.argmax: making it pixel-major first would copy the whole map, which
-    costs more than the faster reduction saves when the windows cover
-    most of the map.
+    The windows are reduced over their slot axis by _first_max_slot, one
+    elementwise pass per step, where np.argmax over a short last axis
+    runs row by row.  F's layout in memory only picks how they are
+    gathered: a pixel-major map (F.transpose(1, 2, 0) C-contiguous, as
+    RangeMaxTable.level0 is) as (slots, ph*pw, D), any other as (D,
+    slots, ph*pw), so neither is copied whole.
     """
     D, H, W = _check_feature_map(F)
     _check_grid(ph, pw)
@@ -125,12 +122,11 @@ def roi_pool(F: np.ndarray, r: Box, ph: int, pw: int) -> RoIMap:
     pixels = F.transpose(1, 2, 0)
     if pixels.flags.c_contiguous:
         windows = np.take(pixels.reshape(H * W, D), slots.T, axis=0)
-        data, first = _first_max_slot(windows)         # (ph*pw, D)
+        data, first = _first_max_slot(windows, 0)      # (ph*pw, D)
         data, first = np.ascontiguousarray(data.T), first.T
     else:
-        windows = np.take(F.reshape(D, H * W), slots, axis=1)
-        first = windows.argmax(axis=2)                 # (D, ph*pw)
-        data = np.take_along_axis(windows, first[..., None], axis=2)[..., 0]
+        windows = np.take(F.reshape(D, H * W), slots.T, axis=1)
+        data, first = _first_max_slot(windows, 1)      # (D, ph*pw)
     argmax = np.take(slots, first + slots.shape[1] * np.arange(ph * pw))
     empty = ((ye <= ys)[:, None] | (xe <= xs)[None, :]).reshape(-1)
     data = data.astype(np.float32, copy=False)
@@ -140,9 +136,9 @@ def roi_pool(F: np.ndarray, r: Box, ph: int, pw: int) -> RoIMap:
                   argmax=argmax.reshape(D, ph, pw))
 
 
-def _first_max_slot(windows: np.ndarray):
-    """The element and the index of the first maximum along axis 0 of
-    (S, N, D) windows, as np.argmax picks it.
+def _first_max_slot(windows: np.ndarray, axis: int):
+    """The element and the index of the first maximum along the slot axis
+    of windows, as np.argmax picks it.
 
     Every slot equal to the maximum (or NaN, where the maximum is NaN) is
     a hit; ranking the slots S..1 in the smallest integer type that holds
@@ -151,18 +147,19 @@ def _first_max_slot(windows: np.ndarray):
     is the first hit's element everywhere else, and only those entries
     are read at the first hit.
     """
-    top = windows.max(axis=0)
-    hit = windows == top
+    top = windows.max(axis=axis)
+    hit = windows == np.expand_dims(top, axis)
     nan = np.isnan(top)
     if nan.any():
         hit |= np.isnan(windows)
-    S = windows.shape[0]
+    S = windows.shape[axis]
     rank = np.arange(S, 0, -1, dtype=np.min_scalar_type(S))
-    first = S - (hit * rank[:, None, None]).max(axis=0)
+    rank = rank.reshape((S,) + (1,) * (windows.ndim - 1 - axis))
+    first = S - (hit * rank).max(axis=axis)
     fix = nan | (top == 0)
     if fix.any():
-        top[fix] = np.take_along_axis(windows[:, fix], first[fix][None],
-                                      axis=0)[0]
+        at = np.moveaxis(windows, axis, -1)[fix]
+        top[fix] = at[np.arange(at.shape[0]), first[fix]]
     return top, first
 
 
@@ -337,15 +334,14 @@ class RangeMaxTable:
         return self._levels[0, 0].transpose(2, 0, 1)
 
     def _extend(self, na: int, nb: int) -> None:
-        """Extend the built block of levels to cover a < na, b < nb.
+        """Build the block of levels a < na, b < nb, if the table lacks any.
 
-        Level (0, b) is the max of level (0, b-1) at x and x + 2^(b-1),
-        and level (a, b) for a >= 1 that of level (a-1, b) at y and
-        y + 2^(a-1), whatever the order the levels are built in, so a
-        table built in steps holds the same bits as one built at once.
-        A level holds zero where its window does not fit in the map; query
-        reads a level only at windows inside its rectangle, so never at a
-        row >= H - 2^a + 1 or a column >= W - 2^b + 1.
+        The new block starts from level 0 and builds every other level
+        as a one-shot build of that size would, so its bits never depend
+        on the queries before.  A level holds zero where its window does
+        not fit in the map; query reads a level only at windows inside
+        its rectangle, so never at a row >= H - 2^a + 1 or a column
+        >= W - 2^b + 1.
         """
         D, H, W = self.dims
         oa, ob = self._levels.shape[:2]
@@ -353,19 +349,17 @@ class RangeMaxTable:
         if (na, nb) == (oa, ob):
             return
         levels = np.zeros((na, nb, H, W, D), dtype=np.float32)
-        levels[:oa, :ob] = self._levels
+        levels[0, 0] = self._levels[0, 0]
         self._levels = levels
-        for b in range(ob, nb):
+        for b in range(1, nb):
             half, n = 1 << (b - 1), W - (1 << b) + 1
             prev = levels[0, b - 1]
             np.maximum(prev[:, :n], prev[:, half:half + n],
                        out=levels[0, b, :, :n])
         for a in range(1, na):
-            b0 = ob if a < oa else 0
             half, n = 1 << (a - 1), H - (1 << a) + 1
-            prev = levels[a - 1, b0:]
-            np.maximum(prev[:, :n], prev[:, half:half + n],
-                       out=levels[a, b0:, :n])
+            prev = levels[a - 1]
+            np.maximum(prev[:, :n], prev[:, half:half + n], out=levels[a, :, :n])
 
     def query(self, y0, y1, x0, x1) -> np.ndarray:
         """Per-channel max over rectangles [y0,y1) x [x0,x1); returns (N, D).

@@ -66,7 +66,7 @@ POOL_CASE_KINDS = ("ints", "signed-zeros", "nan-inf", "float64", "whole-map",
 
 
 def layouts(F):
-    """F in both memory layouts roi_pool reduces differently: D-major as
+    """F in both memory layouts roi_pool gathers differently: D-major as
     given, and a pixel-major copy, laid out like RangeMaxTable.level0."""
     pixel = np.ascontiguousarray(F.transpose(1, 2, 0)).transpose(2, 0, 1)
     assert F.flags.c_contiguous and pixel.transpose(1, 2, 0).flags.c_contiguous
@@ -466,8 +466,8 @@ class TestRangeMaxTable:
 
     def test_levels_built_on_demand(self):
         """Queries that need a taller level, then a wider one, then both:
-        each builds only what it lacks, answers as the direct max, and the
-        table ends bit-identical to one built by a single query."""
+        each grows the table only as far as it needs and answers as the
+        direct max."""
         for F, rects in query_maps():
             _, H, W = F.shape
             h, w = rects[:, 1] - rects[:, 0], rects[:, 3] - rects[:, 2]
@@ -485,9 +485,6 @@ class TestRangeMaxTable:
                 assert a1 > a0 and b1 == b0
                 assert a2 == a1 and b2 > b1
                 assert a3 > a2 and b3 > b2
-            at_once = RangeMaxTable(F)
-            at_once.query(*rects.T)
-            assert table._levels.tobytes() == at_once._levels.tobytes()
 
     def test_empty_query_builds_nothing(self):
         F = np.random.default_rng(54).normal(0, 1, (5, 9, 17)).astype(np.float32)
@@ -514,7 +511,7 @@ class TestRangeMaxTable:
     def test_build_allocates_level0_only(self):
         """At D=512 64x64 the full table is 7x7 levels of 8 MiB (392 MiB);
         the build allocates level 0, and a query of 3x3 rectangles keeps
-        at most 3 more levels, with the outgrown block alive only while
+        at most 3 more levels, with the outgrown level 0 alive only while
         it is copied."""
         level = 512 * 64 * 64 * 4
         F = np.random.default_rng(56).normal(0, 1, (512, 64, 64)).astype(
