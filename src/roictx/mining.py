@@ -44,9 +44,10 @@ FALLBACK = -1
 # (K, ph*pw) int64 bin-rectangle rows of a chunk's K candidates alive:
 # 12.8 MB at 7x7 bins.
 CANDIDATE_BUDGET = 1 << 15
-# Rows per step of the filter's sliced work (the align bin sums, the
-# float64 copy of the pool maxima for V @ W, the per-candidate gathers),
-# so its temporaries do not grow with the chunk.
+# Rows per step of the pool filter's sliced work (the float64 copy of the
+# maxima for V @ W, the per-candidate gathers) and of rescoring, so their
+# temporaries do not grow with the chunk.  The align bin sums step by
+# roi_ops.ALIGN_SUM_BLOCK candidates instead.
 SLICE = 128
 
 
@@ -316,17 +317,17 @@ class ContextMiner:
     chunk of one, and mine_many() puts consecutive RoIs in one chunk up to
     CANDIDATE_BUDGET candidates (a RoI with more is a chunk of its own).
     The candidates of every non-fallback cell of a chunk go through one
-    table pass (pool) or one run of sliced bin sums (align), one filter
-    pass, and ContextScorer.score_flat on the rows the filter keeps, SLICE
-    rows per call: one call for a chunk of up to SLICE cells without near
-    ties, and bounded memory when whole pools tie.  The chunk can change which near-ties of a cell are rescored,
-    as the rounding of s~ below may depend on what else is in the chunk,
-    but never the selection, its score or its map.  Mining is pure: the
-    map and the scorer are only read, and a table only builds the levels
-    its queries need.  A map or a scorer holding NaN or inf raises
-    NumericError.  On the pool backbone the object and kept maps of a
-    float32 map are pooled from the table's level 0 (see _roi_map), bit
-    for bit roi_pool's on F.
+    table pass (pool) or one call of roi_align_bin_sums (align), one
+    filter pass, and ContextScorer.score_flat on the rows the filter
+    keeps, SLICE rows per call: one call for a chunk of up to SLICE cells
+    without near ties, and bounded memory when whole pools tie.  The chunk
+    can change which near-ties of a cell are rescored, as the rounding of
+    s~ below may depend on what else is in the chunk, but never the
+    selection, its score or its map.  Mining is pure: the map and the
+    scorer are only read, and a table only builds the levels its queries
+    need.  A map or a scorer holding NaN or inf raises NumericError.  On
+    the pool backbone the object and kept maps of a float32 map are pooled
+    from the table's level 0 (see _roi_map), bit for bit roi_pool's on F.
 
     Selection filters, then rescores, each cell on its own.  Each
     candidate k of a cell gets an approximate score s~_k and a bound
@@ -390,12 +391,26 @@ class ContextMiner:
 
     The exact path rounds each map element a_i to float32, which moves
     the score by at most 2^-24 * sum_i |w_i| |a_i|, and the first term
-    bounds that sum four times over; the spare factor of 3 covers the
-    float64 reassociation of both paths (about 1e-12 relative).  The
-    |c| term covers the rounding of adding the bias, the last term the
-    absolute error (at most 2^-150) of rounding a subnormal element.  G
-    and A hold 2*ph*pw*H*W float64 values.  The bin sums run on slices
-    of SLICE candidates, so their temporaries do not grow with the chunk.
+    bounds that sum four times over.  The spare factor of 3 covers the
+    float64 rounding of both paths, in whatever order they sum.  Each
+    path rounds a chain of at most m operations per term, so it errs by
+    at most gamma_m times the bin sums of A: m is about D + 2s(ph + pw)
+    on the s~ path (G, then the x taps of a bin row, then its y taps;
+    see roi_align_bin_sums) and n + s^2 + 4 on the exact path (four
+    corners and the mean of s^2 samples in roi_align, then score_flat).
+    Both together stay below 2^-24 times the sums while each m is well
+    under 2^28, so for any scorer much smaller than 2^28 weights (1 GiB
+    of float32).  The |c| term covers the rounding of adding the bias,
+    the last term the absolute error (at most 2^-150) of rounding a
+    subnormal element.
+
+    G and A hold 2*ph*pw*H*W float64 values, one plane after the other as
+    roi_align_bin_sums reads them.  Per chunk the filter holds the (K, 2)
+    bin sums of G and A, each candidate's x- and y-geometry (its x1, x2
+    and its y1, y2) and the taps and weights of each distinct geometry;
+    the keys of a block of roi_ops.ALIGN_SUM_BLOCK candidates and their
+    XS values come and go with the block, so the temporaries do not grow
+    with the chunk.
     """
 
     def __init__(self, F: np.ndarray, scorer: ContextScorer,
@@ -423,9 +438,11 @@ class ContextMiner:
             self._gamma = nu / (1.0 - nu)
             return
         flat = F.reshape(d, H * W).astype(np.float64)
+        planes = np.empty((2, w.shape[1], H * W))
         with np.errstate(over="ignore", invalid="ignore"):
-            planes = np.stack([w.T @ flat, np.abs(w).T @ np.abs(flat)], axis=-1)
-        self._planes = planes.reshape(config.ph, config.pw, H, W, 2)
+            np.matmul(w.T, flat, out=planes[0])
+            np.matmul(np.abs(w).T, np.abs(flat, out=flat), out=planes[1])
+        self._planes = planes.reshape(2, config.ph, config.pw, H, W)
         self._w_abs_sum = float(np.abs(w).sum())
 
     def _roi_map(self, box: Box) -> RoIMap:
@@ -464,8 +481,7 @@ class ContextMiner:
                 return _d_major_rows(V[used], local.reshape(ids[keep].shape))
 
             return approx + bias, slack, exact
-        sums = _sliced(lambda boxes: roi_align_bin_sums(
-            self._planes, boxes, cfg.samples_per_bin), xyxy)
+        sums = roi_align_bin_sums(self._planes, xyxy, cfg.samples_per_bin)
 
         def exact(keep):
             for i in range(0, keep.shape[0], SLICE):

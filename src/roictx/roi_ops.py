@@ -20,6 +20,9 @@ from .geometry import Box
 
 EMPTY_BIN = -1
 
+# Boxes, and distinct keys, per step of roi_align_bin_sums (see there).
+ALIGN_SUM_BLOCK = 512
+
 
 @dataclass
 class RoIMap:
@@ -255,13 +258,22 @@ def roi_align_backward(grad_out: np.ndarray, roi_map: RoIMap, F_dims) -> np.ndar
     g = np.repeat(grad_out.reshape(D, ph * pw).astype(np.float64) / s2, s2, axis=1)
     # One bincount over the four corners in turn, each in C order over
     # (D, N): the same float64 terms added from zero in the same sequence
-    # as one np.add.at per corner, so the sums are bit-identical.
-    chan = np.arange(D, dtype=np.int64)[:, None] * (H * W)
-    index = np.concatenate([(chan + cy * W + cx).reshape(-1)
+    # as one np.add.at per corner, so the sums are bit-identical.  It
+    # spans only the window [ya, yb) x [xa, xb) of the corners, written
+    # into a zero map: a bincount sum is never -0.0, so the zeros it
+    # leaves outside the window would have been +0.0 too.
+    (y0, x0), (y1, x1) = corners[0], corners[3]
+    ya, yb = int(y0.min()), int(y1.max()) + 1
+    xa, xb = int(x0.min()), int(x1.max()) + 1
+    h, w = yb - ya, xb - xa
+    chan = np.arange(D, dtype=np.int64)[:, None] * (h * w)
+    index = np.concatenate([(chan + (cy - ya) * w + (cx - xa)).reshape(-1)
                             for cy, cx in corners])
     terms = np.concatenate([(g * wgt[None, :]).reshape(-1) for wgt in weights])
-    grad = np.bincount(index, weights=terms, minlength=D * H * W)
-    return grad.reshape(D, H, W).astype(np.float32)
+    grad = np.zeros((D, H, W), dtype=np.float32)
+    grad[:, ya:yb, xa:xb] = np.bincount(
+        index, weights=terms, minlength=D * h * w).reshape(D, h, w)
+    return grad
 
 
 def roi_align_bin_sums(planes: np.ndarray, xyxy: np.ndarray,
@@ -269,36 +281,77 @@ def roi_align_bin_sums(planes: np.ndarray, xyxy: np.ndarray,
     """RoIAlign of K boxes in which each bin samples its own plane, summed
     over the bins.
 
-    planes is ph x pw x H x W x C float64: bin (i, j) reads planes[i, j],
-    with the sample coordinates and bilinear weights of roi_align.  xyxy
-    is an (K, 4) x1,y1,x2,y2 array.  Returns (K, C): for each box and
-    column, the sum over bins of the bin's mean sample.  RoIAlign is
-    linear in the map, so with planes[i, j] = sum_d w[d, i, j] * F[d] a
-    row equals <w, roi_align(F, box).data> up to rounding.
+    planes is C x ph x pw x H x W float64: bin (i, j) of column c reads
+    planes[c, i, j], with the sample coordinates and bilinear weights of
+    roi_align.  xyxy is an (K, 4) x1,y1,x2,y2 array.  Returns (K, C):
+    for each box and column, the sum over bins of the bin's mean sample.
+    RoIAlign is linear in the map, so with planes[c, i, j] =
+    sum_d w[d, i, j] * F[d] a row equals <w, roi_align(F, box).data> up
+    to rounding.
+
+    Bilinear weights factor per axis, and the y weights of bin row i do
+    not depend on the bin column j.  With g a box's x-geometry (its x1
+    and x2), a and b the samples of a bin, and u and v the lower and
+    upper grid neighbours, a column's sum is
+
+        (1/s^2) sum_i sum_{a,u} wy[i, a, u] XS[g, i, y(i, a, u)],
+        XS[g, i, y] = sum_j sum_{b,v} wx[g, j, b, v]
+                                      * planes[i, j, y, x(g, j, b, v)].
+
+    Each XS value is computed once per block of ALIGN_SUM_BLOCK boxes
+    that reads it, as one distinct (g, i, y) key, and the keys of a block
+    in steps of as many.  A box reads 2*s*ph values of XS and a key
+    2*s*pw values of the planes, so there are never more taps than the
+    (2*s)^2*ph*pw per box of summing each box on its own, and the
+    temporaries do not grow with K.
     """
     if planes.ndim != 5:
-        raise ShapeError(f"planes must be rank 5 (ph,pw,H,W,C), got {planes.shape}")
-    ph, pw, H, W, C = planes.shape
+        raise ShapeError(
+            f"planes must be rank 5 (C,ph,pw,H,W), got {planes.shape}")
+    C, ph, pw, H, W = planes.shape
     s = samples_per_bin
-    K = xyxy.shape[0]
-    ys = _align_axis_coords(xyxy[:, 1], xyxy[:, 3] - xyxy[:, 1], ph, s, H)
-    xs = _align_axis_coords(xyxy[:, 0], xyxy[:, 2] - xyxy[:, 0], pw, s, W)
-    y0, y1, ly = _linear_taps(ys, H)
-    x0, x1, lx = _linear_taps(xs, W)
-    # Bilinear taps are separable: the (bin row, sample, corner) taps of
-    # the y axis meet those of the x axis, and tap ((i, a, u), (j, b, v))
-    # reads flat element ((i*pw + j)*H + y)*W + x of the planes with
-    # weight wy[i, a, u] * wx[j, b, v].
-    rows = (np.stack([y0, y1], axis=-1)
-            + (np.arange(ph, dtype=np.int64) * (pw * H))[:, None, None]) * W
-    cols = (np.stack([x0, x1], axis=-1)
-            + (np.arange(pw, dtype=np.int64) * (H * W))[:, None, None])
-    wy = np.stack([1 - ly, ly], axis=-1)
-    wx = np.stack([1 - lx, lx], axis=-1)
-    index = rows.reshape(K, -1, 1) + cols.reshape(K, 1, -1)
-    weight = wy.reshape(K, -1, 1) * wx.reshape(K, 1, -1)
-    taps = np.take(planes.reshape(-1, C), index.reshape(-1), axis=0)
-    return (weight.reshape(K, 1, -1) @ taps.reshape(K, -1, C))[:, 0] / (s * s)
+    xyxy = np.asarray(xyxy, dtype=np.float64)
+    cols, wx, gx = _axis_taps(xyxy[:, 0], xyxy[:, 2], pw, s, W, H * W)
+    rows, wy, gy = _axis_taps(xyxy[:, 1], xyxy[:, 3], ph, s, H, H)
+    # a key is g * ph*H + i*H + y; row i*H + y of plane column j starts
+    # at flat offset start[i*H + y] + j*H*W
+    n = ph * H
+    i, y = np.divmod(np.arange(n), H)
+    start = (i * (pw * H) + y) * W
+    flat = planes.reshape(C, -1)
+    out = np.empty((C, xyxy.shape[0]))
+    B = ALIGN_SUM_BLOCK
+    for k in range(0, xyxy.shape[0], B):
+        keys, ids = _dedupe(gx[k:k + B, None] * n + rows[gy[k:k + B]],
+                            cols.shape[0] * n)
+        XS = np.empty((C, keys.shape[0]))
+        for q in range(0, keys.shape[0], B):
+            g, row = np.divmod(keys[q:q + B], n)
+            taps = start[row][:, None] + cols[g]
+            for c in range(C):
+                XS[c, q:q + B] = np.einsum("kt,kt->k", np.take(flat[c], taps),
+                                           wx[g])
+        w = wy[gy[k:k + B]]
+        for c in range(C):
+            out[c, k:k + B] = np.einsum("kt,kt->k", XS[c, ids], w)
+    out /= s * s
+    return out.T
+
+
+def _axis_taps(lo, hi, bins: int, s: int, limit: int, stride: int):
+    """Bilinear taps along one axis of K boxes spanning lo to hi, per
+    distinct span: (n, 2*s*bins) grid coordinates plus bin * stride, and
+    weights, in (bin, sample, lower/upper neighbour) order; and the (K,)
+    index of each box's span among the n."""
+    spans, index = np.unique(np.stack([lo, hi], axis=1).view(np.complex128),
+                             return_inverse=True)
+    c0, c1, frac = _linear_taps(_align_axis_coords(
+        spans.real, spans.imag - spans.real, bins, s, limit), limit)
+    taps = (np.stack([c0, c1], axis=-1)
+            + (np.arange(bins, dtype=np.int64) * stride)[:, None, None])
+    weights = np.stack([1 - frac, frac], axis=-1)
+    return (taps.reshape(-1, 2 * s * bins), weights.reshape(-1, 2 * s * bins),
+            index.reshape(-1))
 
 
 class RangeMaxTable:

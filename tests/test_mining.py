@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -560,6 +561,36 @@ class TestMineMany:
             assert_same_mined(a, mine_context(F, r, scorer, config))
 
 
+    def test_full_align_chunk_filter_memory(self):
+        """A chunk of nearly CANDIDATE_BUDGET align candidates on a 50x50
+        map at 7x7 bins: the filter peaks below 112 bytes per candidate.
+        Its (K, 2) bin sums, per-candidate geometry indices and their
+        dedupe take most of that; the keys and taps of a block of
+        roi_ops.ALIGN_SUM_BLOCK candidates take a fixed share."""
+        rng = np.random.default_rng(211)
+        F = rng.normal(0, 1, (2, 50, 50)).astype(np.float32)
+        scorer = ContextScorer(rng.normal(0, 1, 98).astype(np.float32), 0.1)
+        miner = ContextMiner(F, scorer, MiningConfig(ph=7, pw=7,
+                                                     backbone="align"))
+        pools = []
+        while True:
+            r = interior_roi(rng, 50, min_wh=4.0, max_wh=8.0)
+            cells = [xyxy for xyxy in miner._enumerate(r)[1]
+                     if xyxy is not None]
+            if sum(map(len, pools + cells)) > mining.CANDIDATE_BUDGET:
+                break
+            pools += cells
+        xyxy = np.concatenate(pools)
+        assert xyxy.shape[0] > 0.95 * mining.CANDIDATE_BUDGET
+        tracemalloc.start()
+        try:
+            miner._bounds(xyxy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 112 * xyxy.shape[0]
+
+
 class TestAlignSelection:
     """The align backbone scores only the candidates whose exact score can
     reach the pool's maximum; selections and scores must still equal
@@ -645,6 +676,42 @@ class TestAlignSelection:
         scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), -2.0)
         mined = self._check_oracle(F, Box(0.5, 1.0, 7.0, 9.0), scorer)
         assert 0 < sum(rec.fallback for rec in mined.selected) < 8
+
+    # RoIs 4 px from the left, top, right and bottom border: the cells on
+    # that side straddle it, so their pools hold clipped candidates
+    BORDER_ROIS = (Box(4.0, 16.0, 10.5, 22.5), Box(16.0, 4.0, 22.5, 10.5),
+                   Box(29.5, 16.0, 36.0, 22.5), Box(16.0, 29.5, 22.5, 36.0))
+
+    @pytest.mark.parametrize("kind", ["int-ties", "constant", "1e30",
+                                      "subnormal"])
+    def test_map_kinds_match_exhaustive_scoring(self, kind):
+        """Each map kind, with an interior RoI and one RoI against each
+        border: selections, scores and maps equal exhaustive roi_align and
+        score_flat scoring.  int-ties has 8x8 blocks of equal integers and
+        an integer scorer, so candidates within a block tie exactly."""
+        rng = np.random.default_rng(131)
+        scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), 0.25)
+        if kind == "int-ties":
+            F = np.kron(rng.integers(-1, 2, (3, 5, 5)), np.ones((8, 8)))
+            scorer = ContextScorer(
+                rng.integers(-1, 2, 75).astype(np.float32), 1.0)
+        elif kind == "constant":
+            F = np.full((3, 40, 40), -2.5)
+        elif kind == "1e30":
+            F = 1e30 * rng.normal(0, 1, (3, 40, 40))
+        else:
+            F = 1e-41 * rng.normal(0, 1, (3, 40, 40))
+        F = F.astype(np.float32)
+        if kind == "subnormal":
+            assert (np.abs(F) < np.finfo(np.float32).tiny).all() and F.any()
+        for r in (interior_roi(rng, 40),) + self.BORDER_ROIS:
+            mined = self._check_oracle(F, r, scorer)
+            assert not any(rec.fallback for rec in mined.selected)
+        for r in self.BORDER_ROIS:
+            pools = [pool_oracle_for_cell(cell, self.CONFIG.grid, (40.0, 40.0))
+                     for cell in build_layout(r).cells.values()]
+            assert any(min(b.x1, b.y1) == 0.0 or max(b.x2, b.y2) == 40.0
+                       for pool in pools for b in pool)
 
     def test_roi_align_calls_bounded_by_near_ties(self, monkeypatch):
         """1 object map plus one map per cell, plus one per near-tie: a
@@ -940,12 +1007,12 @@ class TestPoolSelection:
 
 
 class TestMineContextBackward:
-    def _mined(self, seed=67, size=32):
+    def _mined(self, seed=67, size=32, backbone="pool"):
         rng = np.random.default_rng(seed)
         F = rng.normal(0, 2, (2, size, size)).astype(np.float32)
         r = interior_roi(rng, size, min_wh=4.0, max_wh=8.0)
         scorer = ContextScorer(rng.normal(0, 1, 2 * 9).astype(np.float32), 0.1)
-        config = MiningConfig(ph=3, pw=3)
+        config = MiningConfig(ph=3, pw=3, backbone=backbone)
         return rng, F, r, scorer, config, mine_context(F, r, scorer, config)
 
     def test_zero_gradient_in_zero_gradient_out(self):
@@ -967,7 +1034,14 @@ class TestMineContextBackward:
             assert r.x1 - 1 <= x <= r.x2 + 1
 
     def test_gradcheck_frozen_selections(self):
-        rng, F, r, scorer, config, mined = self._mined()
+        self._gradcheck(*self._mined())
+
+    def test_gradcheck_frozen_selections_align(self):
+        """The align backbone's twin, on a smaller map."""
+        self._gradcheck(*self._mined(seed=71, size=24, backbone="align"))
+
+    @staticmethod
+    def _gradcheck(rng, F, r, scorer, config, mined):
         w = rng.normal(0, 1, (18, 3, 3)).astype(np.float32)
         grad_F, _ = mine_context_backward(w, mined, F.shape, scorer)
 

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from roictx import roi_ops
 from roictx.errors import DegenerateBoxError, ShapeError
 from roictx.geometry import Box
 from roictx.gradcheck import check
@@ -356,25 +357,103 @@ class TestRoiAlignForward:
                 roi_align(F, box, 2, 2, 2)
 
 
+def bin_sums_oracle(planes, r, s):
+    """roi_align_bin_sums of one box re-derived scalar by scalar in
+    float64: per column, the sum over bins (i, j) of the mean bilinear
+    sample of planes[c, i, j], as align_oracle samples.  Returns the sums
+    and the same sums over |planes|, the scale of their rounding."""
+    C, ph, pw, H, W = planes.shape
+    out = np.zeros((2, C))
+    for i in range(ph):
+        for j in range(pw):
+            for si in range(s):
+                for sj in range(s):
+                    y = r.y1 + (i + (si + 0.5) / s) * r.h / ph
+                    x = r.x1 + (j + (sj + 0.5) / s) * r.w / pw
+                    y = min(max(y, 0.0), H - 1.0)
+                    x = min(max(x, 0.0), W - 1.0)
+                    y0, x0 = int(math.floor(y)), int(math.floor(x))
+                    y1, x1 = min(y0 + 1, H - 1), min(x0 + 1, W - 1)
+                    ly, lx = y - y0, x - x0
+                    for k, plane in enumerate((planes, np.abs(planes))):
+                        p = plane[:, i, j]
+                        out[k] += ((1 - ly) * (1 - lx) * p[:, y0, x0]
+                                   + (1 - ly) * lx * p[:, y0, x1]
+                                   + ly * (1 - lx) * p[:, y1, x0]
+                                   + ly * lx * p[:, y1, x1]) / (s * s)
+    return out
+
+
+def bin_sum_boxes(rng, W, H):
+    """Random boxes; boxes whose samples clamp at the left, top, right and
+    bottom border, a whole-map box and one past every border; and boxes
+    that share an x span or a y span with another."""
+    boxes = [random_roi(rng, W, H) for _ in range(8)]
+    boxes += [Box(-2.0, 3.0, 4.5, 9.0), Box(3.0, -2.5, 9.0, 4.0),
+              Box(W - 4.5, 3.0, W + 2.0, 9.0), Box(3.0, H - 4.0, 9.0, H + 2.5),
+              Box(0.0, 0.0, W, H), Box(-3.0, -3.0, W + 3.0, H + 3.0)]
+    boxes += [Box(a.x1, b.y1, a.x2, b.y2)
+              for a, b in zip(boxes[:7], boxes[7:14])]
+    return boxes
+
+
+def as_xyxy(boxes):
+    return np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes])
+
+
 class TestRoiAlignBinSums:
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_matches_scalar_oracle(self, s):
+        """Every box, clamped samples included, sums to the scalar
+        re-derivation up to float64 rounding of the sums over |planes|."""
+        rng = np.random.default_rng(57 + s)
+        C, ph, pw, H, W = 2, 3, 4, 17, 19
+        planes = (rng.normal(0, 1, (C, ph, pw, H, W))
+                  * 10.0 ** rng.integers(-3, 4, (C, ph, pw, H, W)))
+        boxes = bin_sum_boxes(rng, W, H)
+        got = roi_align_bin_sums(planes, as_xyxy(boxes), s)
+        assert got.shape == (len(boxes), C)
+        for row, box in zip(got, boxes):
+            want, scale = bin_sums_oracle(planes, box, s)
+            assert np.all(np.abs(row - want) <= 1e-13 * scale)
+
     def test_linear_scores_of_every_box(self):
-        """planes[i, j] = sum_d w[d, i, j] F[d] gives <w, roi_align(F, box)>
-        for every box, in float64 up to rounding."""
+        """planes[c, i, j] = sum_d w[d, i, j] F[d] gives <w, roi_align(F,
+        box)> for every box, in float64 up to rounding; a negated column
+        gives the negated sums exactly."""
         rng = np.random.default_rng(47)
         D, H, W, ph, pw = 4, 17, 19, 3, 4
         F = rng.normal(0, 1, (D, H, W)).astype(np.float32)
         w = rng.normal(0, 1, (D, ph, pw))
         G = np.einsum("dij,dyx->ijyx", w, F.astype(np.float64))
-        boxes = [random_roi(rng, W, H) for _ in range(6)]
-        boxes.append(Box(-2.0, 14.5, 6.0, 20.0))         # samples clamped
-        xyxy = np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes])
+        boxes = bin_sum_boxes(rng, W, H)
         for s in (1, 2, 3):
-            got = roi_align_bin_sums(np.stack([G, -G], axis=-1), xyxy, s)
+            got = roi_align_bin_sums(np.stack([G, -G]), as_xyxy(boxes), s)
             want = [float((w * roi_align(F, b, ph, pw, s).data).sum())
                     for b in boxes]
             assert got.shape == (len(boxes), 2)
             assert np.allclose(got[:, 0], want, rtol=1e-6, atol=1e-6)
             assert np.array_equal(got[:, 1], -got[:, 0])
+
+    def test_blocks_of_boxes_and_keys(self, monkeypatch):
+        """Stepping through boxes and keys three at a time gives the sums
+        of one step, up to rounding."""
+        rng = np.random.default_rng(61)
+        planes = rng.normal(0, 1, (2, 2, 3, 13, 11))
+        xyxy = as_xyxy(bin_sum_boxes(rng, 11, 13) * 2)
+        whole = roi_align_bin_sums(planes, xyxy, 2)
+        monkeypatch.setattr(roi_ops, "ALIGN_SUM_BLOCK", 3)
+        stepped = roi_align_bin_sums(planes, xyxy, 2)
+        scale = roi_align_bin_sums(np.abs(planes), xyxy, 2)
+        assert np.all(np.abs(stepped - whole) <= 1e-13 * scale)
+
+    def test_no_boxes(self):
+        planes = np.zeros((2, 3, 2, 5, 6))
+        assert roi_align_bin_sums(planes, np.zeros((0, 4)), 2).shape == (0, 2)
+
+    def test_planes_rank_checked(self):
+        with pytest.raises(ShapeError):
+            roi_align_bin_sums(np.zeros((3, 2, 5, 6)), np.zeros((1, 4)), 2)
 
 
 class TestRoiAlignBackward:
@@ -403,11 +482,16 @@ class TestRoiAlignBackward:
 
     def test_bit_identical_to_add_at_accumulation(self):
         """The documented summation: per corner, np.add.at in C order over
-        (D, samples), starting from zero."""
+        (D, samples), starting from zero, over the whole map.  Random RoIs,
+        RoIs clamped at the left, top, right and bottom border, and
+        whole-map RoIs, whose windows reach every border."""
         rng = np.random.default_rng(53)
-        for _ in range(20):
+        clamped = [Box(-3.0, 2.0, 4.0, 8.0), Box(2.0, -3.0, 8.0, 4.0),
+                   Box(9.0, 2.0, 16.0, 8.0), Box(2.0, 7.0, 8.0, 14.0),
+                   Box(0.0, 0.0, 13.0, 11.0), Box(-4.0, -4.0, 17.0, 15.0)]
+        for k in range(20 + len(clamped)):
             F = rng.normal(0, 1, (3, 11, 13)).astype(np.float32)
-            r = random_roi(rng, 13, 11)
+            r = random_roi(rng, 13, 11) if k < 20 else clamped[k - 20]
             m = roi_align(F, r, 4, 3, 2)
             g = (rng.normal(0, 1, (3, 4, 3))
                  * 10.0 ** rng.integers(-4, 5, (3, 4, 3))).astype(np.float32)
