@@ -22,4 +22,4 @@ class NumericError(RoictxError, ArithmeticError):
 
 
 class TrainingError(RoictxError, RuntimeError):
-    """Training diverged (non-finite loss)."""
+    """Training diverged (non-finite loss or scorer)."""

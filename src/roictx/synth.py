@@ -20,7 +20,7 @@ from .errors import TrainingError
 from .geometry import Box, iou
 from .losses import softmax
 from .mining import CandidateGridSpec, ContextScorer, MiningConfig, \
-    DIRECTIONS, build_layout, candidate_pool_for_cell, \
+    DIRECTIONS, _first_max, build_layout, candidate_pool_for_cell, \
     fixed_context_variant, roi_map, scorer_gradient
 from .roi_ops import RangeMaxTable
 
@@ -120,36 +120,32 @@ class TrainResult:
 
 
 class _MiningFeatures:
-    """Per-scene candidate features, pooled once and reused every epoch.
+    """Per-scene candidate matrix, pooled once and reused every epoch.
 
-    Candidate pools do not depend on the scorer, so only the scores and
-    the argmax selection move during training.
+    Candidate pools do not depend on the scorer, so each step only scores
+    flats, the 8 cells' pools stacked in DIRECTIONS order with cell c's
+    rows starting at starts[c], and picks each cell's first maximum.
     """
 
     def __init__(self, scene: SynthScene, cfg: SynthConfig):
         mc = cfg.mining_config()
-        table = RangeMaxTable(scene.feature)
         self.object_flat = roi_map(scene.feature, scene.object_roi,
                                    mc).data.reshape(-1)
-        layout = build_layout(scene.object_roi)
-        size = cfg.map_size
-        self.cells = []
-        for direction in DIRECTIONS:
-            boxes = candidate_pool_for_cell(layout.cells[direction], mc.grid,
-                                            (size, size))
-            flats = table.pool_boxes(boxes, mc.ph, mc.pw)
-            self.cells.append((boxes, flats.reshape(len(boxes), -1)))
+        cells = build_layout(scene.object_roi).cells
+        pools = [candidate_pool_for_cell(cells[d], mc.grid, (cfg.map_size,) * 2)
+                 for d in DIRECTIONS]
+        self.starts = np.cumsum([0] + [len(p) for p in pools[:-1]])
+        self.boxes = [b for pool in pools for b in pool]
+        self.flats = RangeMaxTable(scene.feature).pool_boxes(
+            self.boxes, mc.ph, mc.pw).reshape(len(self.boxes), -1)
 
-    def select(self, scorer: ContextScorer):
-        """Argmax candidate per cell under the current scorer."""
-        picks = []
-        for boxes, flats in self.cells:
-            idx = int(np.argmax(scorer.score_flat(flats)))
-            picks.append((idx, boxes[idx], flats[idx]))
-        return picks
+    def select(self, scorer: ContextScorer) -> np.ndarray:
+        """Row of flats selected in each cell under the current scorer."""
+        return _first_max(scorer.score_flat(self.flats), self.starts)
 
-    def feature(self, picks) -> np.ndarray:
-        return np.concatenate([self.object_flat] + [p[2] for p in picks])
+    def feature(self, picked: np.ndarray) -> np.ndarray:
+        rows = self.flats[picked].reshape(-1)
+        return np.concatenate([self.object_flat, rows]).astype(np.float64)
 
 
 def train_head(scenes, variant: str, epochs: int = 30, lr: float = 0.05,
@@ -178,32 +174,32 @@ def train_head(scenes, variant: str, epochs: int = 30, lr: float = 0.05,
     mc = config.mining_config()
     block = config.channels * mc.ph * mc.pw
     if mining:
-        feats = {int(i): _MiningFeatures(scenes[int(i)], config)
-                 for i in np.concatenate([train_idx, test_idx])}
+        feats = [_MiningFeatures(s, config) for s in scenes]
         dim = 9 * block
         scorer = ContextScorer.zeros(config.channels, mc.ph, mc.pw)
     else:
-        cache = {int(i): fixed_context_variant(scenes[int(i)].feature,
-                                               scenes[int(i)].object_roi,
-                                               variant, mc).reshape(-1)
-                 for i in np.concatenate([train_idx, test_idx])}
-        dim = cache[int(train_idx[0])].shape[0]
+        fixed = [fixed_context_variant(s.feature, s.object_roi, variant,
+                                       mc).reshape(-1).astype(np.float64)
+                 for s in scenes]
+        dim = fixed[0].shape[0]
         scorer = None
+
+    def scene_feature(i):
+        """Scene i's feature and, when mining, its selected rows of flats."""
+        if not mining:
+            return fixed[i], None
+        picked = feats[i].select(scorer)
+        return feats[i].feature(picked), picked
 
     head_w = np.zeros((2, dim), dtype=np.float64)
     head_b = np.zeros(2, dtype=np.float64)
     trace = []
-    for _epoch in range(epochs):
+    for epoch in range(epochs):
         rng.shuffle(train_idx)
         total = 0.0
         for i in train_idx:
             scene = scenes[int(i)]
-            if mining:
-                mf = feats[int(i)]
-                picks = mf.select(scorer)
-                f = mf.feature(picks).astype(np.float64)
-            else:
-                f = cache[int(i)].astype(np.float64)
+            f, picked = scene_feature(i)
             logits = head_w @ f + head_b
             p = softmax(logits)
             loss = -np.log(max(p[scene.label], 1e-300))
@@ -212,33 +208,36 @@ def train_head(scenes, variant: str, epochs: int = 30, lr: float = 0.05,
             g[scene.label] -= 1.0
             if mining:
                 g_blocks = [head_w[:, (c + 1) * block:(c + 2) * block].T @ g
-                            for c in range(len(picks))]
+                            for c in range(len(picked))]
                 grad_w, grad_b = scorer_gradient(
-                    scorer, g_blocks, [p[2] for p in picks], config.lambda_ctx)
-                scorer.weights = (scorer.weights.astype(np.float64)
-                                  - lr * grad_w).astype(np.float32)
-                scorer.bias = float(scorer.bias - lr * grad_b)
+                    scorer, g_blocks, feats[i].flats[picked],
+                    config.lambda_ctx)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    scorer.weights = (scorer.weights.astype(np.float64)
+                                      - lr * grad_w).astype(np.float32)
+                    scorer.bias = float(scorer.bias - lr * grad_b)
+                    finite = np.isfinite(np.append(scorer.weights,
+                                                   np.float32(scorer.bias)))
+                if not finite.all():
+                    raise TrainingError(f"training diverged at epoch {epoch}: "
+                                        "scorer not finite in float32")
             head_w -= lr * np.outer(g, f)
             head_b -= lr * g
         mean_loss = total / len(train_idx)
         if not np.isfinite(mean_loss):
             raise TrainingError(
-                f"training diverged at epoch {_epoch}: loss={mean_loss}")
+                f"training diverged at epoch {epoch}: loss={mean_loss}")
         trace.append(mean_loss)
 
     correct = 0
     overlaps = 0
     for i in test_idx:
         scene = scenes[int(i)]
+        f, picked = scene_feature(i)
         if mining:
-            mf = feats[int(i)]
-            picks = mf.select(scorer)
-            f = mf.feature(picks).astype(np.float64)
-            cell_i = DIRECTIONS.index(scene.blob_direction)
-            if iou(picks[cell_i][1], scene.blob_box) > 0.0:
+            cell = DIRECTIONS.index(scene.blob_direction)
+            if iou(feats[i].boxes[picked[cell]], scene.blob_box) > 0.0:
                 overlaps += 1
-        else:
-            f = cache[int(i)].astype(np.float64)
         pred = int(np.argmax(head_w @ f + head_b))
         correct += pred == scene.label
     accuracy = correct / len(test_idx)

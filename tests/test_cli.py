@@ -249,6 +249,16 @@ class TestFloatOptions:
         assert not out.exists()
 
 
+class TestSynthDemo:
+    def test_diverged_scorer_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert cli.main(["synth-demo", "--variant", "mining", "--scenes", "40",
+                         "--epochs", "5", "--lr", "1e30",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: training diverged")
+        assert not out.exists()
+
+
 class TestGradcheck:
     @pytest.mark.parametrize("op", ["roipool", "roialign", "ctxmine", "loss"])
     def test_report_within_tolerance(self, tmp_path, op):

@@ -222,6 +222,26 @@ class TestScoreCandidates:
         assert np.allclose(scores, want, rtol=1e-10, atol=1e-12)
 
 
+class TestFirstMax:
+    """The one segment first-max rule of the engine and the synthetic
+    trainer, against np.argmax on each segment."""
+
+    FIXED = [[-0.0, 0.0], [0.0, -0.0], [1.0, -0.0, 0.0], [-np.inf] * 3,
+             [np.inf], [3.0], [1.0, np.inf, np.inf, -np.inf], [2.0] * 4]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_segment_argmax(self, seed):
+        rng = np.random.default_rng(seed)
+        pool = np.array([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf])
+        segs = self.FIXED + [rng.choice(pool, n) for n in rng.integers(1, 7, 40)]
+        segs = [np.asarray(segs[k], dtype=np.float64)
+                for k in rng.permutation(len(segs))]
+        starts = np.cumsum([0] + [len(s) for s in segs[:-1]])
+        want = starts + np.array([np.argmax(s) for s in segs])
+        got = mining._first_max(np.concatenate(segs), starts)
+        assert np.array_equal(got, want)
+
+
 class TestMineContext:
     def test_zero_scorer_selects_anchor_by_tie_rule(self):
         rng = np.random.default_rng(19)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from roictx.mining import DIRECTIONS, build_layout, fixed_context_variant
-from roictx.synth import DEFAULT_SYNTH, generate, train_head
+from roictx.errors import TrainingError
+from roictx.mining import DIRECTIONS, ContextScorer, build_layout, \
+    candidate_pool_for_cell, fixed_context_variant
+from roictx.roi_ops import RangeMaxTable
+from roictx.synth import DEFAULT_SYNTH, _MiningFeatures, generate, train_head
 
 # Loss traces, held-out accuracy, overlap rate and the final scorer's bias,
 # weight sum and weight norm of train_head(generate(11, 16), variant,
@@ -74,6 +77,13 @@ class TestTrainHead:
         assert result.head_w.shape == (2, 9 * block)
         assert result.scorer.weights.shape == (block,)
 
+    @pytest.mark.filterwarnings("error")
+    def test_diverged_scorer_raises(self):
+        """A step size that sends the scorer past float32 stops training
+        instead of selecting with NaN scores."""
+        with pytest.raises(TrainingError, match="training diverged at epoch 0"):
+            train_head(generate(11, 16), "mining", epochs=3, lr=1e300, seed=11)
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             train_head(generate(0, 4), "global")
@@ -81,3 +91,33 @@ class TestTrainHead:
     def test_holdout_leaving_no_training_scenes_rejected(self):
         with pytest.raises(ValueError):
             train_head(generate(0, 1), "none")
+
+
+class TestMiningFeatures:
+    """One candidate matrix per scene against the per-cell rule: each
+    cell's pool pooled alone and its first argmax."""
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_matches_per_cell_oracle(self, seed):
+        mc = DEFAULT_SYNTH.mining_config()
+        size = (DEFAULT_SYNTH.map_size,) * 2
+        rng = np.random.default_rng(seed)
+        for scene in generate(seed, 3):
+            mf = _MiningFeatures(scene, DEFAULT_SYNTH)
+            table = RangeMaxTable(scene.feature)
+            cells = build_layout(scene.object_roi).cells
+            pools = [candidate_pool_for_cell(cells[d], mc.grid, size)
+                     for d in DIRECTIONS]
+            rows = [table.pool_boxes(p, mc.ph, mc.pw).reshape(len(p), -1)
+                    for p in pools]
+            stacked = np.concatenate(rows)
+            assert mf.boxes == [b for p in pools for b in p]
+            assert mf.flats.shape == stacked.shape
+            assert mf.flats.tobytes() == stacked.tobytes()
+            offsets = np.cumsum([0] + [len(p) for p in pools[:-1]])
+            for _ in range(4):
+                w = rng.normal(0.0, 1.0, mf.flats.shape[1]).astype(np.float32)
+                scorer = ContextScorer(w, float(rng.normal()))
+                want = [o + int(np.argmax(scorer.score_flat(r)))
+                        for o, r in zip(offsets, rows)]
+                assert mf.select(scorer).tolist() == want

@@ -1,4 +1,4 @@
-"""Byte-identity matrix of the roictx command line: 56 output files.
+"""Byte-identity matrix of the roictx command line: 57 output files.
 
     python tools/cli_matrix.py [--src DIR] [--out digests.json]
 
@@ -24,7 +24,8 @@ The matrix:
   - enumerate on one border cell (1);
   - nms on scored random boxes, and anchors on a 3x4 grid (2);
   - attack, all four kinds on one image with three boxes (4);
-  - attack --manifest, two entries of that image (2).
+  - attack --manifest, two entries of that image (2);
+  - synth-demo for mining at lr 1.0, where the scorer takes large steps (1).
 
 Every subcommand runs.  Inputs added later are drawn after the earlier
 ones, so adding a case leaves the digests of the earlier ones unchanged.
@@ -154,6 +155,10 @@ def commands(tmp: Path):
     yield ["attack-manifest-0.ften", "attack-manifest-1.ften"], [
         "attack", "--kind", "random", "--seed", "11",
         "--manifest", str(tmp / "manifest.json")]
+    yield ["synth-demo-mining-lr1.json"], [
+        "synth-demo", "--variant", "mining", "--seed", "7", "--scenes", "80",
+        "--epochs", "10", "--lr", "1.0",
+        "--out", str(tmp / "synth-demo-mining-lr1.json")]
 
 
 def run_matrix(src: Path) -> dict:
