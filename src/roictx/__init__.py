@@ -7,11 +7,11 @@ from .geometry import Box, RegressionTarget, generate_anchors, iou, \
 from .gradcheck import GradCheckReport, check
 from .losses import LabeledSample, cls_loss, loss_backward, multitask_loss, \
     smooth_l1, softmax
-from .mining import CandidateGridSpec, ContextLayout, ContextMiner, \
-    ContextScorer, DIRECTIONS, MinedRoIFeature, MiningConfig, \
-    SelectionRecord, build_layout, candidate_pool_for_cell, \
-    fixed_context_variant, mine_context, mine_context_backward, mine_many, \
-    mined_to_record, roi_map, selection_indices
+from .mining import CandidateGridSpec, ContextMiner, ContextScorer, \
+    DIRECTIONS, MinedRoIFeature, MiningConfig, SelectionRecord, build_layout, \
+    candidate_pool_for_cell, fixed_context_variant, mine_context, \
+    mine_context_backward, mine_many, mined_to_record, roi_map, \
+    selection_indices
 from .roi_ops import RangeMaxTable, RoIMap, roi_align, roi_align_backward, \
     roi_pool, roi_pool_backward
 from .attacks import SplitMix64, apply_patch, apply_patches, patch_region, \

@@ -102,10 +102,8 @@ def _cmd_variant(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     cell = Box(*_parse_floats(",".join(args.cell), 4, "--cell"))
-    bounds = None
-    if args.bounds is not None:
-        w, h = _parse_floats(args.bounds, 2, "--bounds")
-        bounds = (w, h)
+    bounds = (None if args.bounds is None
+              else tuple(_parse_floats(args.bounds, 2, "--bounds")))
     grid = mining.CandidateGridSpec(anchor_iou_min=args.min_iou,
                                     short_edge_frac=args.short_edge_frac)
     pool = mining.candidate_pool_for_cell(cell, grid, bounds)

@@ -44,10 +44,6 @@ class Box:
     def area(self) -> float:
         return self.w * self.h
 
-    @property
-    def short_edge(self) -> float:
-        return min(self.w, self.h)
-
     @staticmethod
     def from_center(cx: float, cy: float, w: float, h: float) -> "Box":
         return Box(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h)

@@ -8,6 +8,10 @@ scorer, shared across all cells and all RoIs, scores every candidate's
 pooled features; the argmax candidate per cell is kept and its map is
 concatenated with the object map into one (9*D) x ph x pw feature.
 
+Below the API, geometry is arrays: build_layout maps (R, 4) RoIs to
+(R, 8, 4) cells and _candidate_arrays enumerates many cells' pools in
+one pass.  Box objects appear only at the API edge.
+
 Fixed (non-mined) context layouts - enlarged local box, whole-map global
 box, 4- and 8-neighbor cells - are provided for comparison under the
 same concatenation contract.
@@ -17,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,9 +35,9 @@ from .tensor import concat_channels
 DIRECTIONS = ("left-top", "top", "right-top", "left", "right",
               "left-bottom", "bottom", "right-bottom")
 
-_OFFSETS = {"left-top": (-1, -1), "top": (0, -1), "right-top": (1, -1),
-            "left": (-1, 0), "right": (1, 0),
-            "left-bottom": (-1, 1), "bottom": (0, 1), "right-bottom": (1, 1)}
+# Cell centers' (x, y) offsets in object widths and heights.
+_OFFSETS = np.array([(-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0),
+                     (-1, 1), (0, 1), (1, 1)], dtype=np.float64)
 
 NEIGH4_DIRECTIONS = tuple(d for d in DIRECTIONS
                           if d in ("top", "left", "right", "bottom"))
@@ -49,31 +55,27 @@ CANDIDATE_BUDGET = 1 << 15
 # temporaries do not grow with the chunk.  The align bin sums step by
 # roi_ops.ALIGN_SUM_BLOCK candidates instead.
 SLICE = 128
+# Object RoIs per enumeration pass of mine_many: its memory, about twenty
+# (8 * ENUMERATE_BLOCK, 400) float64 arrays, does not grow with the RoIs.
+ENUMERATE_BLOCK = 4
 
 
-@dataclass(frozen=True)
-class ContextLayout:
-    """The 3x3 grid centered at an object RoI.
-
-    Every cell shares the object RoI's width and height; cell centers sit
-    at the object center displaced by (+-w, 0), (0, +-h), (+-w, +-h).
-    The layout holds no anchors: candidate enumeration makes each cell's
-    anchor, centered in the cell with half its width and height.
-    """
-
-    object_roi: Box
-    cells: dict[str, Box]
-
-
-def build_layout(r: Box) -> ContextLayout:
-    if r.w <= 0.0 or r.h <= 0.0:
-        raise DegenerateBoxError(f"object RoI has no area: {r}")
-    cells = {}
-    for direction in DIRECTIONS:
-        mx, my = _OFFSETS[direction]
-        cells[direction] = Box.from_center(r.cx + mx * r.w, r.cy + my * r.h,
-                                           r.w, r.h)
-    return ContextLayout(r, cells)
+def build_layout(rois: np.ndarray) -> np.ndarray:
+    """The (R, 8, 4) x1,y1,x2,y2 cells, in DIRECTIONS order, of the 3x3
+    grids centered at (R, 4) object RoIs.  Every cell has its RoI's width
+    and height, its center displaced by (+-w, 0), (0, +-h), (+-w, +-h),
+    in the float64 operations of Box.cx and Box.from_center.  A RoI
+    without positive width and height raises DegenerateBoxError."""
+    rois = np.asarray(rois, dtype=np.float64).reshape(-1, 1, 4)
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as floats are
+        size = rois[..., 2:] - rois[..., :2]
+        flat = ~(size > 0.0).all(axis=(1, 2))
+        if flat.any():
+            raise DegenerateBoxError(
+                f"object RoI has no area: {_box_at(rois[:, 0], flat.argmax())}")
+        center = rois[..., :2] + 0.5 * size + _OFFSETS * size
+        return np.concatenate([center - 0.5 * size, center + 0.5 * size],
+                              axis=2)
 
 
 @dataclass(frozen=True)
@@ -97,23 +99,33 @@ class CandidateGridSpec:
     include_anchor: bool = True
 
 
-def _constraints_ok(x1, y1, x2, y2, ax1, ay1, ax2, ay2, cell_w: float,
-                    cell_h: float, grid: CandidateGridSpec) -> np.ndarray:
-    """Vectorized check of the three pool constraints for corner arrays;
-    (ax1..ay2) are the anchor's corners."""
+def _constraints_ok(corners, anchors: np.ndarray, floor, ceil,
+                    grid: CandidateGridSpec) -> np.ndarray:
+    """The three pool constraints of (N, C) x1, y1, x2, y2 corners against
+    their cell's (N, 4) anchor, (N, 1) short-edge floor and long-edge ceil."""
+    x1, y1, x2, y2 = corners
+    ax1, ay1, ax2, ay2 = anchors.T[:, :, None]
     w = x2 - x1
     h = y2 - y1
-    short = np.minimum(w, h)
-    long = np.maximum(w, h)
-    ok = short >= grid.short_edge_frac * min(cell_w, cell_h)
-    ok &= long <= max(cell_w, cell_h)
+    ok = (np.minimum(w, h) >= floor) & (np.maximum(w, h) <= ceil)
     iw = np.minimum(x2, ax2) - np.maximum(x1, ax1)
     ih = np.minimum(y2, ay2) - np.maximum(y1, ay1)
     inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
     union = w * h + (ax2 - ax1) * (ay2 - ay1) - inter
     iou_vals = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
-    ok &= iou_vals >= grid.anchor_iou_min
-    return ok
+    return ok & (iou_vals >= grid.anchor_iou_min)
+
+
+def _clip_like_box(boxes: np.ndarray, width, height) -> np.ndarray:
+    """Box.clip of (N, 4) corner rows, bit for bit: np.clip with scalar
+    bounds keeps -0.0 as Python's max and min do (with array bounds, or
+    np.maximum, it gives +0.0)."""
+    out = np.empty_like(boxes)
+    out[:, 0::2] = np.clip(boxes[:, 0::2], 0.0, width)
+    out[:, 1::2] = np.clip(boxes[:, 1::2], 0.0, height)
+    near, far = out[:, :2], out[:, 2:]
+    far[...] = np.where(far > near, far, near)
+    return out
 
 
 @cache
@@ -122,66 +134,61 @@ def _grid_combos(grid: CandidateGridSpec):
     documented nested order; cached per spec."""
     offs = np.asarray(grid.offset_fracs, dtype=np.float64)
     sizes = np.asarray(grid.size_fracs, dtype=np.float64)
-    oy, ox, sh, sw = np.meshgrid(offs, offs, sizes, sizes, indexing="ij")
-    return (oy.reshape(-1).copy(), ox.reshape(-1).copy(),
-            sh.reshape(-1).copy(), sw.reshape(-1).copy())
+    return tuple(a.reshape(-1) for a in
+                 np.meshgrid(offs, offs, sizes, sizes, indexing="ij"))
 
 
-def _candidate_arrays(cell: Box, grid: CandidateGridSpec,
-                      map_bounds) -> np.ndarray | None:
-    """Core of the pool pipeline; returns the stored pool as an (K, 4)
-    x1,y1,x2,y2 float64 array (anchor first when included), or None for
-    the boundary fallback."""
-    cw, ch = cell.w, cell.h
-    if cw <= 0.0 or ch <= 0.0:
-        return None
-    anchor = Box.from_center(cell.cx, cell.cy, 0.5 * cw, 0.5 * ch)
+class CandidatePools(NamedTuple):
+    """The pools of N cells, one after the other as (K, 4) x1,y1,x2,y2
+    float64 candidates, and their (N,) sizes; size 0 marks a fallback."""
 
-    stored_anchor = anchor
+    candidates: np.ndarray
+    counts: np.ndarray
+
+
+def _candidate_arrays(cells: np.ndarray, grid: CandidateGridSpec,
+                      map_bounds) -> CandidatePools:
+    """The pools of (N, 4) cells by candidate_pool_for_cell's rule, in one
+    broadcast of the raw grid against every cell, each value through that
+    rule's float64 operations in its order: a pool is the same bit for bit
+    in any batch.  A cell without area, or whose anchor is lost, counts 0."""
+    size = cells[:, 2:] - cells[:, :2]
+    center = cells[:, :2] + 0.5 * size
+    anchors = np.concatenate([center - 0.5 * (0.5 * size),
+                              center + 0.5 * (0.5 * size)], axis=1)
+    cw, ch = size.T[:, :, None]
+    # Python's min and max, which differ from np.minimum's on NaN
+    floor = grid.short_edge_frac * np.where(ch < cw, ch, cw)
+    ceil = np.where(ch > cw, ch, cw)
+    valid = ~(size <= 0.0).any(axis=1)
+    stored = anchors
     if map_bounds is not None:
-        width, height = map_bounds
-        stored_anchor = anchor.clip(width, height)
-        if stored_anchor.area <= 0.0 or (stored_anchor.short_edge
-                                         < grid.short_edge_frac * min(cw, ch)):
-            return None
+        stored = _clip_like_box(anchors, *map_bounds)
+        aw, ah = (stored[:, 2:] - stored[:, :2]).T[:, :, None]
+        short = np.where(ah < aw, ah, aw)
+        valid &= ~((aw * ah <= 0.0) | (short < floor))[:, 0]
 
     oy, ox, sh, sw = _grid_combos(grid)
-    cx = cell.cx + ox * cw
-    cy = cell.cy + oy * ch
-    w = sw * cw
-    h = sh * ch
-    x1 = cx - 0.5 * w
-    y1 = cy - 0.5 * h
-    x2 = cx + 0.5 * w
-    y2 = cy + 0.5 * h
-
-    keep = _constraints_ok(x1, y1, x2, y2, anchor.x1, anchor.y1, anchor.x2,
-                           anchor.y2, cw, ch, grid)
+    ccx, ccy = center.T[:, :, None]
+    cx, cy, w, h = ccx + ox * cw, ccy + oy * ch, sw * cw, sh * ch
+    corners = [cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h]
+    keep = _constraints_ok(corners, anchors, floor, ceil, grid)
     if map_bounds is not None:
-        width, height = map_bounds
-        x1 = np.clip(x1, 0.0, width)
-        x2 = np.clip(x2, 0.0, width)
-        y1 = np.clip(y1, 0.0, height)
-        y2 = np.clip(y2, 0.0, height)
-        keep &= (x2 - x1 > 0.0) & (y2 - y1 > 0.0)
-        keep &= _constraints_ok(x1, y1, x2, y2, stored_anchor.x1,
-                                stored_anchor.y1, stored_anchor.x2,
-                                stored_anchor.y2, cw, ch, grid)
-
-    survivors = np.stack([x1[keep], y1[keep], x2[keep], y2[keep]], axis=1)
-    if grid.include_anchor:
-        first = np.array([[stored_anchor.x1, stored_anchor.y1,
-                           stored_anchor.x2, stored_anchor.y2]])
-        return np.concatenate([first, survivors], axis=0)
-    if survivors.shape[0] == 0:
-        return None
-    return survivors
+        corners = [np.clip(c, 0.0, hi) for c, hi in zip(corners,
+                                                         2 * tuple(map_bounds))]
+        keep &= (corners[2] - corners[0] > 0.0) & (corners[3] - corners[1] > 0.0)
+        keep &= _constraints_ok(corners, stored, floor, ceil, grid)
+    first = np.full((len(cells), 1), grid.include_anchor)
+    mask = np.concatenate([first, keep], axis=1) & valid[:, None]
+    rows = np.concatenate([stored[:, None], np.stack(corners, axis=2)], axis=1)
+    return CandidatePools(rows[mask], mask.sum(axis=1))
 
 
 def candidate_pool_for_cell(cell: Box, grid: CandidateGridSpec,
                             map_bounds) -> list[Box] | None:
     """Enumerate and filter the candidate pool of one cell, as a list of
-    boxes with the anchor first when grid.include_anchor is set.
+    boxes with the anchor first when grid.include_anchor is set: a
+    one-cell Box view of _candidate_arrays.
 
     Raw candidates come from the offset x size grid in the documented
     nested order (oy, ox, sh, sw).  They are filtered by the three pool
@@ -196,12 +203,15 @@ def candidate_pool_for_cell(cell: Box, grid: CandidateGridSpec,
 
     Returns None when the anchor itself is lost to the map border (fully
     outside, or clipped below the short-edge floor): the caller then
-    substitutes the object RoI's own map for this cell.
+    substitutes the object RoI's own map for this cell.  A cell without
+    positive width and height raises DegenerateBoxError.
     """
-    arr = _candidate_arrays(cell, grid, map_bounds)
-    if arr is None:
+    if not (cell.w > 0.0 and cell.h > 0.0):
+        raise DegenerateBoxError(f"cell has no area: {cell}")
+    pools = _candidate_arrays(_xyxy([cell]), grid, map_bounds)
+    if pools.counts[0] == 0:
         return None
-    return [Box(*row) for row in arr.tolist()]
+    return [Box(*row) for row in pools.candidates.tolist()]
 
 
 @dataclass
@@ -302,6 +312,12 @@ def _box_at(xyxy: np.ndarray, k) -> Box:
     return Box(*(float(v) for v in xyxy[k]))
 
 
+def _xyxy(boxes) -> np.ndarray:
+    """(N, 4) x1,y1,x2,y2 float64 rows of a sequence of boxes."""
+    return np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes],
+                    dtype=np.float64).reshape(-1, 4)
+
+
 def _require_finite(F: np.ndarray) -> None:
     """Argmax selection would silently pick a NaN, so maps holding NaN or
     inf are refused."""
@@ -316,10 +332,12 @@ class ContextMiner:
     RoIs against it.  The unit of work is a chunk of RoIs: mine() mines a
     chunk of one, and mine_many() puts consecutive RoIs in one chunk up to
     CANDIDATE_BUDGET candidates (a RoI with more is a chunk of its own).
-    The candidates of every non-fallback cell of a chunk go through one
-    table pass (pool) or one call of roi_align_bin_sums (align), one
-    filter pass, and ContextScorer.score_flat on the rows the filter
-    keeps, SLICE rows per call: one call for a chunk of up to SLICE cells
+    Pools are enumerated for a block of RoIs at once (see mine_many), as
+    rows of one array.  The candidates of every non-fallback cell of a
+    chunk go through one table pass (pool) or one call of
+    roi_align_bin_sums (align), one filter pass, and
+    ContextScorer.score_flat on the rows the filter keeps, SLICE rows per
+    call: one call for a chunk of up to SLICE cells
     without near ties, and bounded memory when whole pools tie.  The chunk
     can change which near-ties of a cell are rescored, as the rounding of
     s~ below may depend on what else is in the chunk, but never the
@@ -492,15 +510,13 @@ class ContextMiner:
         return (sums[:, 0] + bias, 2.0 ** -22 * sums[:, 1]
                 + abs(bias) * 2.0 ** -50 + self._w_abs_sum * 2.0 ** -149, exact)
 
-    def _best_of_pools(self, pools: list) -> list:
-        """(index, score, map) of each pool's best-scoring candidate, the
-        first in pool order among equal scores, from one filter pass over
-        the concatenated pools and one score_flat call per SLICE rescored
-        candidates."""
-        sizes = [p.shape[0] for p in pools]
-        starts = np.cumsum([0] + sizes[:-1])
-        seg = np.repeat(np.arange(len(pools)), sizes)
-        xyxy = np.concatenate(pools)
+    def _best_of_pools(self, xyxy: np.ndarray, sizes: np.ndarray) -> list:
+        """(index, map, score) of each pool's best-scoring candidate, the
+        first in pool order among equal scores, given the pools one after
+        the other as xyxy rows and their (nonzero) sizes; one filter pass
+        and one score_flat call per SLICE rescored candidates."""
+        starts = np.cumsum(sizes) - sizes
+        seg = np.repeat(np.arange(sizes.shape[0]), sizes)
         with np.errstate(over="ignore", invalid="ignore"):
             approx, slack, exact = self._bounds(xyxy)
             lo, hi = approx - slack, approx + slack
@@ -523,49 +539,44 @@ class ContextMiner:
             scores.append(self.scorer.score_flat(rows))
             maps += made or []
         scores = np.concatenate(scores)
-        picks = []
-        for start, j in zip(starts.tolist(),
-                            _first_max(scores, np.searchsorted(kept, starts))):
-            k = int(kept[j])
-            picked = maps[j] if maps else self._roi_map(_box_at(xyxy, k))
-            picks.append((k - start, float(scores[j]), picked))
-        return picks
+        best = _first_max(scores, np.searchsorted(kept, starts))
+        return [(int(kept[j]) - start,
+                 maps[j] if maps else self._roi_map(_box_at(xyxy, kept[j])),
+                 float(scores[j])) for start, j in zip(starts.tolist(), best)]
 
-    def _enumerate(self, r: Box):
-        """r's object map and the candidate arrays of its cells in
-        DIRECTIONS order, None for a fallback cell."""
+    def _enumerate(self, rois: list) -> list:
+        """(object map, candidates, counts) of each RoI of a block, from
+        one enumeration: the 8 cells' pools in DIRECTIONS order as rows,
+        and their sizes (0 for a fallback cell)."""
         _, H, W = self.F.shape
-        object_map = self._roi_map(r)
-        cells = build_layout(r).cells
-        return object_map, [_candidate_arrays(cells[d], self.config.grid,
-                                              (W, H)) for d in DIRECTIONS]
+        maps = [self._roi_map(r) for r in rois]
+        pools = _candidate_arrays(build_layout(_xyxy(rois)).reshape(-1, 4),
+                                  self.config.grid, (W, H))
+        counts = pools.counts.reshape(len(rois), len(DIRECTIONS))
+        rows = np.split(pools.candidates, np.cumsum(counts.sum(axis=1))[:-1])
+        return list(zip(maps, rows, counts))
 
     def _mine_chunk(self, chunk: list) -> list[MinedRoIFeature]:
-        """Mine the RoIs of a chunk, given as _enumerate results."""
-        pools = [xyxy for _, cells in chunk for xyxy in cells
-                 if xyxy is not None]
-        picks = iter(self._best_of_pools(pools) if pools else ())
+        """Mine the RoIs of a chunk, given as _enumerate entries."""
+        counts = np.concatenate([c for _, _, c in chunk])
+        sizes = counts[counts > 0]
+        picks = iter(self._best_of_pools(
+            np.concatenate([xyxy for _, xyxy, _ in chunk]), sizes)
+            if sizes.size else ())
         out = []
-        for object_map, cells in chunk:
-            blocks = [object_map.data]
-            selected: list[SelectionRecord] = []
-            for direction, xyxy in zip(DIRECTIONS, cells):
-                if xyxy is None:
-                    selected.append(SelectionRecord(direction, FALLBACK, None,
-                                                    None, 0))
-                    blocks.append(object_map.data)
-                    continue
-                idx, score, picked = next(picks)
-                selected.append(SelectionRecord(direction, idx, picked, score,
-                                                xyxy.shape[0]))
-                blocks.append(picked.data)
-            out.append(MinedRoIFeature(concat_channels(blocks), object_map,
-                                       selected))
+        for object_map, _, cell_counts in chunk:
+            selected = [SelectionRecord(d, *next(picks), n) if n else
+                        SelectionRecord(d, FALLBACK, None, None, 0)
+                        for d, n in zip(DIRECTIONS, cell_counts.tolist())]
+            maps = [object_map] + [object_map if rec.fallback else rec.roi_map
+                                   for rec in selected]
+            out.append(MinedRoIFeature(concat_channels([m.data for m in maps]),
+                                       object_map, selected))
         return out
 
     def mine(self, r: Box) -> MinedRoIFeature:
         """Mine one RoI, as a chunk of one."""
-        return self._mine_chunk([self._enumerate(r)])[0]
+        return self._mine_chunk(self._enumerate([r]))[0]
 
 
 def _d_major_rows(V: np.ndarray, ids: np.ndarray):
@@ -601,23 +612,25 @@ def mine_many(F: np.ndarray, rois, scorer: ContextScorer,
               config: MiningConfig = DEFAULT_CONFIG) -> list[MinedRoIFeature]:
     """Mine many RoIs against one shared table, in input order.
 
-    rois may be any iterable.  Consecutive RoIs share a chunk while their
-    candidates number at most CANDIDATE_BUDGET, and each chunk makes one
-    table pass, one filter pass and one score_flat call per SLICE rescored
-    candidates (see ContextMiner).  Results equal mine_context's for each
-    RoI, bit for bit.
+    rois may be any iterable, read ENUMERATE_BLOCK RoIs at a time, each
+    block enumerated by one build_layout and one _candidate_arrays call.
+    Consecutive RoIs share a chunk while their candidates number at most
+    CANDIDATE_BUDGET; each chunk makes one table pass, one filter pass and
+    one score_flat call per SLICE rescored candidates (see ContextMiner).
+    Results equal mine_context's for each RoI, bit for bit.
     """
     miner = ContextMiner(F, scorer, config)
     out, chunk, size = [], [], 0
-    for r in rois:
-        entry = miner._enumerate(r)
-        count = sum(xyxy.shape[0] for xyxy in entry[1] if xyxy is not None)
-        if chunk and size + count > CANDIDATE_BUDGET:
-            out += miner._mine_chunk(chunk)
-            chunk, size = [], 0
-        chunk.append(entry)
-        size += count
-    return out + miner._mine_chunk(chunk)
+    rois = iter(rois)
+    while block := list(islice(rois, ENUMERATE_BLOCK)):
+        for entry in miner._enumerate(block):
+            count = int(entry[2].sum())
+            if chunk and size + count > CANDIDATE_BUDGET:
+                out += miner._mine_chunk(chunk)
+                chunk, size = [], 0
+            chunk.append(entry)
+            size += count
+    return out + (miner._mine_chunk(chunk) if chunk else [])
 
 
 def _backward_one(grad_block: np.ndarray, roi_map: RoIMap, F_dims) -> np.ndarray:
@@ -692,14 +705,6 @@ def selection_indices(mined: MinedRoIFeature) -> tuple:
     return tuple(rec.index for rec in mined.selected)
 
 
-def _cell_block(F: np.ndarray, cell: Box, fallback: np.ndarray,
-                config: MiningConfig) -> np.ndarray:
-    _, H, W = F.shape
-    if cell.clip(W, H).area <= 0.0:
-        return fallback
-    return roi_map(F, cell, config).data
-
-
 def fixed_context_variant(F: np.ndarray, r: Box, variant: str,
                           config: MiningConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Predefined (non-mined) context features for comparison.
@@ -721,15 +726,16 @@ def fixed_context_variant(F: np.ndarray, r: Box, variant: str,
     if variant == "none":
         return obj.copy()
     if variant == "local":
-        enlarged = r.scaled_about_center(config.local_scale)
-        return concat_channels([obj, _cell_block(F, enlarged, obj, config)])
-    if variant == "global":
-        whole = Box(0.0, 0.0, float(W), float(H))
-        return concat_channels([obj, _cell_block(F, whole, obj, config)])
-    layout = build_layout(r)
-    dirs = NEIGH4_DIRECTIONS if variant == "neigh4" else DIRECTIONS
-    blocks = [obj] + [_cell_block(F, layout.cells[d], obj, config) for d in dirs]
-    return concat_channels(blocks)
+        boxes = [r.scaled_about_center(config.local_scale)]
+    elif variant == "global":
+        boxes = [Box(0.0, 0.0, float(W), float(H))]
+    else:
+        cells = build_layout(_xyxy([r]))[0]
+        dirs = NEIGH4_DIRECTIONS if variant == "neigh4" else DIRECTIONS
+        boxes = [_box_at(cells, DIRECTIONS.index(d)) for d in dirs]
+    return concat_channels([obj] + [
+        obj if b.clip(W, H).area <= 0.0 else roi_map(F, b, config).data
+        for b in boxes])
 
 
 def mined_to_record(mined: MinedRoIFeature) -> dict:

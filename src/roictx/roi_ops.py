@@ -465,11 +465,11 @@ class RangeMaxTable:
         x0, x1 = np.divmod(xu[pairs % nx], W + 1)
         return self.query(y0, y1, x0, x1), ids.reshape(xyxy.shape[0], ph * pw)
 
-    def pool_boxes(self, boxes, ph: int, pw: int) -> np.ndarray:
-        """Max-pool a sequence of Box objects through pool_xyxy; returns
-        the pooled maps as (K, D, ph, pw)."""
-        xyxy = np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes],
-                        dtype=np.float64).reshape(len(boxes), 4)
+    def pool_boxes(self, xyxy: np.ndarray, ph: int, pw: int) -> np.ndarray:
+        """Max-pool an (K, 4) x1,y1,x2,y2 float64 array of boxes through
+        pool_xyxy into (K, D, ph, pw) maps.  Its one caller is the
+        synthetic trainer; it stays because ctxbench's tracer wraps it by
+        name and the synth-train workload expects its span."""
         V, ids = self.pool_xyxy(xyxy, ph, pw)
         K, D = ids.shape[0], self.dims[0]
         return V[ids].reshape(K, ph, pw, D).transpose(0, 3, 1, 2)

@@ -20,7 +20,7 @@ from .errors import TrainingError
 from .geometry import Box, iou
 from .losses import softmax
 from .mining import CandidateGridSpec, ContextScorer, MiningConfig, \
-    DIRECTIONS, _first_max, build_layout, candidate_pool_for_cell, \
+    DIRECTIONS, _box_at, _candidate_arrays, _first_max, _xyxy, build_layout, \
     fixed_context_variant, roi_map, scorer_gradient
 from .roi_ops import RangeMaxTable
 
@@ -74,10 +74,7 @@ def generate(seed: int, n: int, config: SynthConfig = DEFAULT_SYNTH) -> list[Syn
     master = np.random.default_rng([seed, 0x5ce9e5])
     labels = np.arange(n) % 2
     master.shuffle(labels)
-    scenes = []
-    for i in range(n):
-        scenes.append(_make_scene(int(labels[i]), seed, i, config))
-    return scenes
+    return [_make_scene(int(labels[i]), seed, i, config) for i in range(n)]
 
 
 def _make_scene(label: int, seed: int, index: int, cfg: SynthConfig) -> SynthScene:
@@ -97,16 +94,16 @@ def _make_scene(label: int, seed: int, index: int, cfg: SynthConfig) -> SynthSce
     F[:, iy0:iy1, ix0:ix1] = rng.normal(
         0.0, cfg.object_sigma, (cfg.channels, iy1 - iy0, ix1 - ix0))
 
-    direction = DIRECTIONS[rng.integers(0, len(DIRECTIONS))]
-    cell = build_layout(object_roi).cells[direction]
+    k = rng.integers(0, len(DIRECTIONS))
+    cx1, cy1, cx2, cy2 = build_layout(_xyxy([object_roi]))[0, k].tolist()
     bs = cfg.blob_size
-    bx = float(rng.uniform(cell.x1, cell.x2 - bs))
-    by = float(rng.uniform(cell.y1, cell.y2 - bs))
+    bx = float(rng.uniform(cx1, cx2 - bs))
+    by = float(rng.uniform(cy1, cy2 - bs))
     blob = Box(bx, by, bx + bs, by + bs)
     by0, by1 = int(round(by)), int(round(by + bs))
     bx0, bx1 = int(round(bx)), int(round(bx + bs))
     F[label, by0:by1, bx0:bx1] = cfg.blob_value
-    return SynthScene(F, object_roi, label, direction, blob)
+    return SynthScene(F, object_roi, label, DIRECTIONS[k], blob)
 
 
 @dataclass
@@ -122,20 +119,21 @@ class TrainResult:
 class _MiningFeatures:
     """Per-scene candidate matrix, pooled once and reused every epoch.
 
-    Candidate pools do not depend on the scorer, so each step only scores
-    flats, the 8 cells' pools stacked in DIRECTIONS order with cell c's
-    rows starting at starts[c], and picks each cell's first maximum.
+    Candidate pools do not depend on the scorer.  One _candidate_arrays
+    call enumerates the 8 cells' pools as the rows of boxes (cell c's from
+    starts[c], in DIRECTIONS order; no cell falls back in a scene), and
+    one RangeMaxTable.pool_boxes call pools them into flats.  Each step
+    only scores flats and picks each cell's first maximum.
     """
 
     def __init__(self, scene: SynthScene, cfg: SynthConfig):
         mc = cfg.mining_config()
         self.object_flat = roi_map(scene.feature, scene.object_roi,
                                    mc).data.reshape(-1)
-        cells = build_layout(scene.object_roi).cells
-        pools = [candidate_pool_for_cell(cells[d], mc.grid, (cfg.map_size,) * 2)
-                 for d in DIRECTIONS]
-        self.starts = np.cumsum([0] + [len(p) for p in pools[:-1]])
-        self.boxes = [b for pool in pools for b in pool]
+        pools = _candidate_arrays(build_layout(_xyxy([scene.object_roi]))[0],
+                                  mc.grid, (cfg.map_size,) * 2)
+        self.starts = np.cumsum(pools.counts) - pools.counts
+        self.boxes = pools.candidates
         self.flats = RangeMaxTable(scene.feature).pool_boxes(
             self.boxes, mc.ph, mc.pw).reshape(len(self.boxes), -1)
 
@@ -235,9 +233,9 @@ def train_head(scenes, variant: str, epochs: int = 30, lr: float = 0.05,
         scene = scenes[int(i)]
         f, picked = scene_feature(i)
         if mining:
-            cell = DIRECTIONS.index(scene.blob_direction)
-            if iou(feats[i].boxes[picked[cell]], scene.blob_box) > 0.0:
-                overlaps += 1
+            box = _box_at(feats[i].boxes,
+                          picked[DIRECTIONS.index(scene.blob_direction)])
+            overlaps += iou(box, scene.blob_box) > 0.0
         pred = int(np.argmax(head_w @ f + head_b))
         correct += pred == scene.label
     accuracy = correct / len(test_idx)

@@ -202,6 +202,20 @@ class TestEnumerate:
                          "64,64", "--out", str(tmp_path / "p.csv")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("cell,bounds", [
+        ("5,5,5,9", []), ("10,10,5,5", []), ("5,5,9,5", ["--bounds", "64,64"]),
+        ("10,10,5,5", ["--bounds", "64,64"])])
+    def test_degenerate_cell_names_the_cell(self, tmp_path, capsys, cell,
+                                            bounds):
+        """A cell without positive width and height is refused as such,
+        with or without bounds, rather than reported as a lost anchor."""
+        out = tmp_path / "p.csv"
+        assert cli.main(["enumerate", "--cell", cell, "--out", str(out)]
+                        + bounds) == 1
+        box = Box(*(float(v) for v in cell.split(",")))
+        assert capsys.readouterr().err == f"error: cell has no area: {box}\n"
+        assert not out.exists()
+
 
 class TestFloatLists:
     @pytest.mark.parametrize("args", [

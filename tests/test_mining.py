@@ -24,6 +24,13 @@ def interior_roi(rng, size, lo_frac=0.34, hi_frac=0.66, min_wh=3.0, max_wh=10.0)
     return Box(float(x1), float(y1), float(x1 + w), float(y1 + h))
 
 
+def cells_of(r):
+    """r's 8 cells as boxes keyed by direction, read from build_layout's
+    (1, 8, 4) array."""
+    cells = build_layout(np.array([[r.x1, r.y1, r.x2, r.y2]]))[0]
+    return {d: Box(*row) for d, row in zip(DIRECTIONS, cells.tolist())}
+
+
 def pool_oracle_for_cell(cell, grid, bounds):
     """Independent re-derivation of the pool pipeline: nested loops in the
     documented (oy, ox, sh, sw) order, scalar arithmetic, all edge lengths
@@ -84,38 +91,37 @@ def pool_oracle_for_cell(cell, grid, bounds):
 
 class TestBuildLayout:
     def test_right_cell_and_anchor_arithmetic(self):
-        layout = build_layout(Box(10, 10, 20, 20))
-        assert layout.cells["right"] == Box(20, 10, 30, 20)
-        pool = candidate_pool_for_cell(layout.cells["right"],
+        cells = cells_of(Box(10, 10, 20, 20))
+        assert cells["right"] == Box(20, 10, 30, 20)
+        pool = candidate_pool_for_cell(cells["right"],
                                        CandidateGridSpec(), None)
         assert pool[0] == Box(22.5, 12.5, 27.5, 17.5)
 
     def test_unit_square_left_top_cell(self):
-        layout = build_layout(Box(0, 0, 1, 1))
-        assert layout.cells["left-top"] == Box(-1, -1, 0, 0)
+        assert cells_of(Box(0, 0, 1, 1))["left-top"] == Box(-1, -1, 0, 0)
 
     def test_all_cells_share_object_shape(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             x1, y1 = rng.uniform(0, 30, 2)
             w, h = rng.uniform(0.5, 12, 2)
-            layout = build_layout(Box(x1, y1, x1 + w, y1 + h))
+            cells = cells_of(Box(x1, y1, x1 + w, y1 + h))
             for d in DIRECTIONS:
-                cell = layout.cells[d]
+                cell = cells[d]
                 assert cell.w == pytest.approx(w, rel=1e-12)
                 assert cell.h == pytest.approx(h, rel=1e-12)
 
     def test_cell_centers_displaced_by_object_size(self):
         r = Box(5.0, 7.0, 11.0, 15.0)
-        layout = build_layout(r)
-        assert layout.cells["top"].cx == pytest.approx(r.cx)
-        assert layout.cells["top"].cy == pytest.approx(r.cy - r.h)
-        assert layout.cells["left-bottom"].cx == pytest.approx(r.cx - r.w)
-        assert layout.cells["left-bottom"].cy == pytest.approx(r.cy + r.h)
+        cells = cells_of(r)
+        assert cells["top"].cx == pytest.approx(r.cx)
+        assert cells["top"].cy == pytest.approx(r.cy - r.h)
+        assert cells["left-bottom"].cx == pytest.approx(r.cx - r.w)
+        assert cells["left-bottom"].cy == pytest.approx(r.cy + r.h)
 
     def test_degenerate_roi_rejected(self):
         with pytest.raises(DegenerateBoxError):
-            build_layout(Box(3, 3, 3, 8))
+            cells_of(Box(3, 3, 3, 8))
 
 
 class TestCandidatePool:
@@ -179,6 +185,123 @@ class TestCandidatePool:
         for a, b in zip((got.x1, got.y1, got.x2, got.y2),
                         (cell.x1, cell.y1, cell.x2, cell.y2)):
             assert a == pytest.approx(b, abs=1e-12)
+
+
+def oracle_pools(cells, grid, bounds):
+    """The oracle's pools of (N, 4) cells, concatenated, and their sizes."""
+    pools = [pool_oracle_for_cell(Box(*c), grid, bounds) or []
+             for c in cells.tolist()]
+    rows = [[b.x1, b.y1, b.x2, b.y2] for pool in pools for b in pool]
+    return np.array(rows, dtype=np.float64).reshape(-1, 4), \
+        [len(pool) for pool in pools]
+
+
+def boundary_hits(cells, grid):
+    """How many raw candidates of the cells sit exactly on the short-edge
+    floor, the long-edge ceiling and the IoU bound, in the oracle's scalar
+    arithmetic."""
+    hits = [0, 0, 0]
+    for x1, y1, x2, y2 in cells.tolist():
+        cw, ch = x2 - x1, y2 - y1
+        ccx, ccy = x1 + 0.5 * cw, y1 + 0.5 * ch
+        anchor = Box.from_center(ccx, ccy, 0.5 * cw, 0.5 * ch)
+        for oy in grid.offset_fracs:
+            for ox in grid.offset_fracs:
+                for sh in grid.size_fracs:
+                    for sw in grid.size_fracs:
+                        b = Box.from_center(ccx + ox * cw, ccy + oy * ch,
+                                            sw * cw, sh * ch)
+                        hits[0] += (min(b.w, b.h)
+                                    == grid.short_edge_frac * min(cw, ch))
+                        hits[1] += max(b.w, b.h) == max(cw, ch)
+                        hits[2] += iou(b, anchor) == grid.anchor_iou_min
+    return hits
+
+
+class TestCandidateArrays:
+    """One broadcast over many cells against the scalar oracle cell by
+    cell, compared as bytes so that signed zeros count."""
+
+    GRIDS = {
+        "default": CandidateGridSpec(),
+        "iou-third": CandidateGridSpec(anchor_iou_min=1.0 / 3.0),
+        "short-half": CandidateGridSpec(short_edge_frac=0.5,
+                                        anchor_iou_min=0.25),
+        "no-anchor": CandidateGridSpec(include_anchor=False,
+                                       anchor_iou_min=0.6),
+    }
+
+    @staticmethod
+    def _cells(rng):
+        """Random cells; cells overhanging each border and each corner of
+        a 64 x 48 map; cells on the 1/8 px grid."""
+        w, h = rng.uniform(1.0, 20.0, (2, 60))
+        x1, y1 = rng.uniform(-15.0, 60.0, (2, 60))
+        random = np.stack([x1, y1, x1 + w, y1 + h], axis=1)
+        over = []
+        for fx in (-0.5, 0.0, 0.5):
+            for fy in (-0.5, 0.0, 0.5):
+                for cw, ch in ((12.0, 8.0), (6.5, 9.25)):
+                    cx = 32.0 + fx * 64.0 + rng.uniform(-0.3, 0.3) * cw
+                    cy = 24.0 + fy * 48.0 + rng.uniform(-0.3, 0.3) * ch
+                    over.append([cx - cw / 2, cy - ch / 2,
+                                 cx + cw / 2, cy + ch / 2])
+        wh = rng.integers(8, 160, (40, 2)) / 8.0
+        xy = rng.integers(-40, 480, (40, 2)) / 8.0
+        eighths = np.concatenate([xy, xy + wh], axis=1)
+        return random, np.array(over), eighths
+
+    @pytest.mark.parametrize("bounds", [(64, 48), (64.0, 48.0), None])
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_equals_oracle_cell_by_cell(self, name, bounds):
+        grid = self.GRIDS[name]
+        rng = np.random.default_rng([331, len(name)])
+        for cells in self._cells(rng):
+            got = mining._candidate_arrays(cells, grid, bounds)
+            want, counts = oracle_pools(cells, grid, bounds)
+            assert got.counts.tolist() == counts
+            assert got.candidates.tobytes() == want.tobytes()
+            # a cell's pool is the same in any batch
+            for i in (0, len(cells) - 1):
+                one = mining._candidate_arrays(cells[i:i + 1], grid, bounds)
+                start = sum(counts[:i])
+                assert one.candidates.tobytes() == \
+                    want[start:start + counts[i]].tobytes()
+
+    def test_cases_cover_borders_and_constraint_bounds(self):
+        """The cases above reach every side of the map and put raw
+        candidates exactly on each of the three constraint bounds."""
+        random, over, eighths = self._cells(np.random.default_rng([331, 7]))
+        counts = mining._candidate_arrays(over, CandidateGridSpec(),
+                                          (64, 48)).counts
+        assert (counts == 0).any() and (counts > 0).any()
+        assert (over[:, :2] < 0).any(axis=0).all()
+        assert (over[:, 2] > 64).any() and (over[:, 3] > 48).any()
+        for name in ("iou-third", "short-half"):
+            assert all(boundary_hits(eighths, self.GRIDS[name]))
+
+    def test_zero_area_cells_count_zero(self):
+        cells = np.array([[5.0, 5.0, 5.0, 9.0], [10.0, 10.0, 5.0, 5.0],
+                          [2.0, 3.0, 8.0, 7.0]])
+        pools = mining._candidate_arrays(cells, CandidateGridSpec(), None)
+        assert pools.counts.tolist()[:2] == [0, 0]
+        assert pools.counts[2] == pools.candidates.shape[0] > 0
+
+    def test_anchor_clip_equals_box_clip_on_signed_zeros(self):
+        """Corners of -0.0 and +0.0, inside and on the border, clip as
+        Box.clip does, sign included; so does a NaN far corner."""
+        zeros = (-0.0, 0.0)
+        rows = [[a, b, c, d] for a in zeros for b in zeros
+                for c in zeros + (3.0,) for d in zeros + (-2.0, 50.0)]
+        rows += [[-1.0, -0.0, -0.0, 2.0], [41.0, 0.0, 40.0, -0.0],
+                 [1.0, 2.0, np.nan, 5.0]]
+        boxes = np.array(rows, dtype=np.float64)
+        got = mining._clip_like_box(boxes, 40, 30)
+        want = np.array([[v for v in (c.x1, c.y1, c.x2, c.y2)]
+                         for c in (Box(*r).clip(40, 30) for r in rows)],
+                        dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got).any() and not np.signbit(got).all()
 
 
 class TestScoreCandidates:
@@ -298,9 +421,9 @@ class TestMineContext:
             scorer = ContextScorer(rng.normal(0, 1, 50).astype(np.float32),
                                    float(rng.normal()))
             mined = mine_context(F, r, scorer, config)
-            layout = build_layout(r)
+            cells = cells_of(r)
             for rec in mined.selected:
-                pool_boxes = pool_oracle_for_cell(layout.cells[rec.direction],
+                pool_boxes = pool_oracle_for_cell(cells[rec.direction],
                                                   config.grid, (48.0, 48.0))
                 flats = np.stack([roi_pool(F, b, 5, 5).data.reshape(-1)
                                   for b in pool_boxes]).astype(np.float64)
@@ -334,11 +457,11 @@ class TestMineContext:
             y1 = rng.uniform(0, 32)
             r = Box(x1, y1, x1 + rng.uniform(2, 8), y1 + rng.uniform(2, 8))
             mined = mine_context(F, r, scorer)
-            layout = build_layout(r)
+            cells = cells_of(r)
             for rec in mined.selected:
                 if rec.fallback:
                     continue
-                cell = layout.cells[rec.direction]
+                cell = cells[rec.direction]
                 anchor = Box.from_center(cell.cx, cell.cy, 0.5 * cell.w,
                                          0.5 * cell.h).clip(40, 40)
                 b = rec.box
@@ -510,9 +633,9 @@ class TestMineMany:
     @staticmethod
     def _candidates(F, rois, config):
         _, H, W = F.shape
-        pools = [mining._candidate_arrays(cell, config.grid, (W, H))
-                 for r in rois for cell in build_layout(r).cells.values()]
-        return [0 if p is None else p.shape[0] for p in pools]
+        cells = mining.build_layout([[r.x1, r.y1, r.x2, r.y2] for r in rois])
+        return mining._candidate_arrays(cells.reshape(-1, 4), config.grid,
+                                        (W, H)).counts.tolist()
 
     @pytest.mark.parametrize("backbone", ["pool", "align"])
     def test_more_candidates_than_one_budget(self, backbone, monkeypatch):
@@ -581,6 +704,33 @@ class TestMineMany:
             assert_same_mined(a, mine_context(F, r, scorer, config))
 
 
+    @pytest.mark.parametrize("n_rois", [8, 200])
+    def test_enumeration_memory_does_not_grow_with_rois(self, n_rois,
+                                                         monkeypatch):
+        """mine_many enumerates ENUMERATE_BLOCK = 4 RoIs per pass, so each
+        pass peaks near 1.7 MB, under 3 MiB, however many RoIs the call
+        mines.  Enumerating 200 RoIs at once would need 50 times that."""
+        rng = np.random.default_rng(223)
+        F = rng.normal(0, 1, (2, 64, 64)).astype(np.float32)
+        scorer = ContextScorer(rng.normal(0, 1, 50).astype(np.float32), 0.1)
+        rois = [interior_roi(rng, 64) for _ in range(n_rois)]
+        peaks = []
+        real = ContextMiner._enumerate
+
+        def measured(self, block):
+            tracemalloc.start()
+            try:
+                return real(self, block)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(ContextMiner, "_enumerate", measured)
+        mined = mine_many(F, rois, scorer, MiningConfig(ph=5, pw=5))
+        assert len(mined) == n_rois
+        assert len(peaks) == -(-n_rois // mining.ENUMERATE_BLOCK)
+        assert max(peaks) <= 3 << 20
+
     def test_full_align_chunk_filter_memory(self):
         """A chunk of nearly CANDIDATE_BUDGET align candidates on a 50x50
         map at 7x7 bins: the filter peaks below 112 bytes per candidate.
@@ -595,8 +745,7 @@ class TestMineMany:
         pools = []
         while True:
             r = interior_roi(rng, 50, min_wh=4.0, max_wh=8.0)
-            cells = [xyxy for xyxy in miner._enumerate(r)[1]
-                     if xyxy is not None]
+            cells = [xyxy for _, xyxy, _ in miner._enumerate([r])]
             if sum(map(len, pools + cells)) > mining.CANDIDATE_BUDGET:
                 break
             pools += cells
@@ -630,9 +779,9 @@ class TestAlignSelection:
 
     def _check_oracle(self, F, r, scorer, cfg=CONFIG):
         mined = mine_context(F, r, scorer, cfg)
-        layout = build_layout(r)
+        cells = cells_of(r)
         for rec in mined.selected:
-            pool, scores = self._exhaustive_scores(F, layout.cells[rec.direction],
+            pool, scores = self._exhaustive_scores(F, cells[rec.direction],
                                                    scorer, cfg)
             if pool is None:
                 assert rec.fallback
@@ -729,7 +878,7 @@ class TestAlignSelection:
             assert not any(rec.fallback for rec in mined.selected)
         for r in self.BORDER_ROIS:
             pools = [pool_oracle_for_cell(cell, self.CONFIG.grid, (40.0, 40.0))
-                     for cell in build_layout(r).cells.values()]
+                     for cell in cells_of(r).values()]
             assert any(min(b.x1, b.y1) == 0.0 or max(b.x2, b.y2) == 40.0
                        for pool in pools for b in pool)
 
@@ -744,7 +893,7 @@ class TestAlignSelection:
         near_ties = []
         for r in rois:
             ties = 0
-            for cell in build_layout(r).cells.values():
+            for cell in cells_of(r).values():
                 pool, scores = self._exhaustive_scores(F, cell, scorer)
                 top = scores.max()
                 ties += int(np.sum(scores >= top - 1e-4 * w_abs.sum())) - 1
@@ -786,9 +935,9 @@ class TestPoolSelection:
 
     def _check_oracle(self, F, r, scorer, cfg=CONFIG):
         mined = mine_context(F, r, scorer, cfg)
-        layout = build_layout(r)
+        cells = cells_of(r)
         for rec in mined.selected:
-            pool, scores = self._exhaustive_scores(F, layout.cells[rec.direction],
+            pool, scores = self._exhaustive_scores(F, cells[rec.direction],
                                                    scorer, cfg)
             if pool is None:
                 assert rec.fallback
@@ -882,8 +1031,10 @@ class TestPoolSelection:
         scorer = ContextScorer(wide(16 * 25), 2.0 ** 20 / 3.0)
         F = wide((16, 40, 40))
         miner = ContextMiner(F, scorer, self.CONFIG)
-        for cell in build_layout(Box(14.0, 13.0, 23.5, 22.0)).cells.values():
-            xyxy = mining._candidate_arrays(cell, self.CONFIG.grid, (40, 40))
+        for cell in cells_of(Box(14.0, 13.0, 23.5, 22.0)).values():
+            xyxy = mining._candidate_arrays(
+                np.array([[cell.x1, cell.y1, cell.x2, cell.y2]]),
+                self.CONFIG.grid, (40, 40)).candidates
             approx, slack, _ = miner._bounds(xyxy)
             feats = np.stack([roi_pool(F, Box(*b), 5, 5).data.reshape(-1)
                               for b in xyxy.tolist()])
@@ -905,8 +1056,10 @@ class TestPoolSelection:
         r = Box(16.0, 14.0, 24.0, 21.0)
         miner = ContextMiner(F, scorer, self.CONFIG)
         mixed = 0
-        for cell in build_layout(r).cells.values():
-            xyxy = mining._candidate_arrays(cell, self.CONFIG.grid, (40, 40))
+        for cell in cells_of(r).values():
+            xyxy = mining._candidate_arrays(
+                np.array([[cell.x1, cell.y1, cell.x2, cell.y2]]),
+                self.CONFIG.grid, (40, 40)).candidates
             approx, slack, _ = miner._bounds(xyxy)
             kept = slack[approx + slack >= (approx - slack).max()]
             mixed += bool((kept == 0).any() and (kept > 0).any())
@@ -1008,7 +1161,7 @@ class TestPoolSelection:
         near_ties = []
         for r in rois:
             ties = 0
-            for cell in build_layout(r).cells.values():
+            for cell in cells_of(r).values():
                 pool, scores = self._exhaustive_scores(F, cell, scorer)
                 top = scores.max()
                 ties += int(np.sum(scores >= top - 1e-4 * w_abs.sum())) - 1

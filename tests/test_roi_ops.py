@@ -622,7 +622,7 @@ class TestRangeMaxTable:
         table = RangeMaxTable(F)
         boxes = [random_roi(rng, 32, 32, min_size=2.0).clip(32, 32)
                  for _ in range(50)]
-        batch = table.pool_boxes(boxes, 7, 7)
+        batch = table.pool_boxes(as_xyxy(boxes), 7, 7)
         for k, b in enumerate(boxes):
             assert np.array_equal(batch[k], roi_pool(F, b, 7, 7).data)
 
@@ -632,7 +632,7 @@ class TestRangeMaxTable:
         F = rng.choice(np.float32([-1.0, -0.0, 0.0, 1.0]), (2, 6, 7))
         boxes = [random_roi(rng, 7, 6, min_size=1.0).clip(7, 6)
                  for _ in range(50)]
-        batch = RangeMaxTable(F).pool_boxes(boxes, 3, 2)
+        batch = RangeMaxTable(F).pool_boxes(as_xyxy(boxes), 3, 2)
         want = np.stack([roi_pool(F, b, 3, 2).data for b in boxes])
         assert np.array_equal(batch, want)
         assert (want == 0).any()
@@ -647,7 +647,7 @@ class TestRangeMaxTable:
                  for _ in range(40)]
         # repeat boxes so that many bins share a rectangle
         boxes += boxes[:10]
-        xyxy = np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes])
+        xyxy = as_xyxy(boxes)
         V, ids = table.pool_xyxy(xyxy, 6, 4)
         assert ids.shape == (50, 24) and V.shape[1] == 5
         ys, ye = bin_edges(xyxy[:, 1], xyxy[:, 3] - xyxy[:, 1], 6, 29)
@@ -662,7 +662,7 @@ class TestRangeMaxTable:
             assert np.array_equal(V[row], F[:, y0:y1, x0:x1].max(axis=(1, 2)))
         assert all(row_of[rect] == row for rect, row
                    in zip(rects, ids.reshape(-1).tolist()))
-        got = table.pool_boxes(boxes, 6, 4)
+        got = table.pool_boxes(xyxy, 6, 4)
         want = V[ids].reshape(50, 6, 4, 5).transpose(0, 3, 1, 2)
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from roictx.errors import TrainingError
+from roictx.geometry import Box
 from roictx.mining import DIRECTIONS, ContextScorer, build_layout, \
     candidate_pool_for_cell, fixed_context_variant
 from roictx.roi_ops import RangeMaxTable
@@ -33,12 +34,13 @@ class TestGenerate:
     def test_blob_sits_in_its_cell_and_grid_inside_map(self):
         size = DEFAULT_SYNTH.map_size
         for s in generate(5, 12):
-            layout = build_layout(s.object_roi)
-            cell = layout.cells[s.blob_direction]
-            assert s.blob_direction in DIRECTIONS
+            r = s.object_roi
+            cells = [Box(*c) for c in
+                     build_layout([[r.x1, r.y1, r.x2, r.y2]])[0].tolist()]
+            cell = cells[DIRECTIONS.index(s.blob_direction)]
             assert cell.x1 <= s.blob_box.x1 and s.blob_box.x2 <= cell.x2
             assert cell.y1 <= s.blob_box.y1 and s.blob_box.y2 <= cell.y2
-            for c in layout.cells.values():
+            for c in cells:
                 assert 0.0 <= c.x1 and c.x2 <= size
                 assert 0.0 <= c.y1 and c.y2 <= size
 
@@ -105,13 +107,16 @@ class TestMiningFeatures:
         for scene in generate(seed, 3):
             mf = _MiningFeatures(scene, DEFAULT_SYNTH)
             table = RangeMaxTable(scene.feature)
-            cells = build_layout(scene.object_roi).cells
-            pools = [candidate_pool_for_cell(cells[d], mc.grid, size)
-                     for d in DIRECTIONS]
+            r = scene.object_roi
+            cells = build_layout([[r.x1, r.y1, r.x2, r.y2]])[0].tolist()
+            pools = [candidate_pool_for_cell(Box(*c), mc.grid, size)
+                     for c in cells]
+            pools = [np.array([[b.x1, b.y1, b.x2, b.y2] for b in p])
+                     for p in pools]
             rows = [table.pool_boxes(p, mc.ph, mc.pw).reshape(len(p), -1)
                     for p in pools]
             stacked = np.concatenate(rows)
-            assert mf.boxes == [b for p in pools for b in p]
+            assert mf.boxes.tobytes() == np.concatenate(pools).tobytes()
             assert mf.flats.shape == stacked.shape
             assert mf.flats.tobytes() == stacked.tobytes()
             offsets = np.cumsum([0] + [len(p) for p in pools[:-1]])

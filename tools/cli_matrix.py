@@ -1,4 +1,4 @@
-"""Byte-identity matrix of the roictx command line: 57 output files.
+"""Byte-identity matrix of the roictx command line: 61 output files.
 
     python tools/cli_matrix.py [--src DIR] [--out digests.json]
 
@@ -25,7 +25,9 @@ The matrix:
   - nms on scored random boxes, and anchors on a 3x4 grid (2);
   - attack, all four kinds on one image with three boxes (4);
   - attack --manifest, two entries of that image (2);
-  - synth-demo for mining at lr 1.0, where the scorer takes large steps (1).
+  - synth-demo for mining at lr 1.0, where the scorer takes large steps (1);
+  - enumerate on an interior cell, on a cell overhanging a corner, with
+    non-default --min-iou and --short-edge-frac, and without --bounds (4).
 
 Every subcommand runs.  Inputs added later are drawn after the earlier
 ones, so adding a case leaves the digests of the earlier ones unchanged.
@@ -159,6 +161,15 @@ def commands(tmp: Path):
         "synth-demo", "--variant", "mining", "--seed", "7", "--scenes", "80",
         "--epochs", "10", "--lr", "1.0",
         "--out", str(tmp / "synth-demo-mining-lr1.json")]
+    bounded = ["--bounds", "40,40"]
+    for name, extra in (
+            ("interior", ["--cell", "12.5,10.25,22.75,18.5"] + bounded),
+            ("corner", ["--cell", "33.5", "34.25", "43.75", "42.5"] + bounded),
+            ("options", ["--cell=-3.5,8.0,9.0,16.5", "--min-iou", "0.25",
+                         "--short-edge-frac", "0.5"] + bounded),
+            ("unbounded", ["--cell=-6.5,-2.25,4.75,7.0"])):
+        out = f"enumerate-{name}.csv"
+        yield [out], ["enumerate"] + extra + ["--out", str(tmp / out)]
 
 
 def run_matrix(src: Path) -> dict:
