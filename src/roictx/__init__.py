@@ -2,11 +2,9 @@
 
 from .errors import DegenerateBoxError, FormatError, NumericError, \
     RoictxError, ShapeError, TrainingError
-from .geometry import Box, RegressionTarget, generate_anchors, iou, \
-    load_roi_csv, nms, save_roi_csv
+from .geometry import Box, iou, load_roi_csv, save_roi_csv
 from .gradcheck import GradCheckReport, check
-from .losses import LabeledSample, cls_loss, loss_backward, multitask_loss, \
-    smooth_l1, softmax
+from .losses import softmax
 from .mining import CandidateGridSpec, ContextMiner, ContextScorer, \
     DIRECTIONS, MinedRoIFeature, MiningConfig, SelectionRecord, build_layout, \
     candidate_pool_for_cell, fixed_context_variant, mine_context, \

@@ -13,9 +13,9 @@ import sys
 
 import numpy as np
 
-from . import attacks, gradcheck as gc, losses, mining, synth
+from . import attacks, gradcheck as gc, mining, synth
 from .errors import FormatError, RoictxError, ShapeError
-from .geometry import Box, generate_anchors, load_roi_csv, nms, save_roi_csv
+from .geometry import Box, load_roi_csv, save_roi_csv
 from .tensor import load_ften, save_ften
 
 
@@ -25,7 +25,7 @@ def _boxes(path) -> list[Box]:
 
 def _parse_floats(text, n, what):
     parts = [p for p in text.split(",") if p != ""]
-    if n is not None and len(parts) != n:
+    if len(parts) != n:
         raise FormatError(f"{what} needs {n} comma-separated values, got {len(parts)}")
     try:
         vals = [float(p) for p in parts]
@@ -116,23 +116,6 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _cmd_nms(args) -> int:
-    rows = load_roi_csv(args.boxes)
-    if any(len(r) < 2 for r in rows):
-        raise FormatError(f"{args.boxes}: every row needs a score for nms")
-    kept = nms([(r[0], r[1]) for r in rows], args.iou_threshold)
-    save_roi_csv(args.out, [rows[i] for i in kept])
-    return 0
-
-
-def _cmd_anchors(args) -> int:
-    scales = _parse_floats(args.scales, None, "--scales")
-    ratios = _parse_floats(args.ratios, None, "--ratios")
-    out = generate_anchors(args.height, args.width, scales, ratios, args.stride)
-    save_roi_csv(args.out, out)
-    return 0
-
-
 def _check_manifest(path, entries) -> None:
     """Every entry must be an object naming its in, boxes and out files."""
     if not isinstance(entries, list):
@@ -209,41 +192,6 @@ def _gradcheck_instance(op: str, seed: int):
                                                                 config))
 
         return f, F, grad, records
-    if op == "loss":
-        n, classes = 6, 5
-        labels = [int(v) for v in rng.integers(0, classes, n)]
-        logits = rng.normal(0.0, 2.0, (n, classes)).astype(np.float32)
-        t_vals = rng.normal(0.0, 0.6, (n, 4))
-        ts_vals = rng.normal(0.0, 0.6, (n, 4))
-        lam, n_cls, n_reg = 1.5, n, n
-
-        from .geometry import RegressionTarget
-
-        def build(x):
-            x = x.reshape(n, classes + 4)
-            samples = []
-            for j in range(n):
-                t = RegressionTarget(*[float(v) for v in x[j, classes:]])
-                ts = (RegressionTarget(*[float(v) for v in ts_vals[j]])
-                      if labels[j] >= 1 else None)
-                samples.append(losses.LabeledSample(
-                    labels[j], x[j, :classes],
-                    t=t if labels[j] >= 1 else None, t_star=ts))
-            return samples
-
-        x0 = np.concatenate([logits, t_vals.astype(np.float32)],
-                            axis=1).astype(np.float32)
-
-        def f(x):
-            return float(losses.multitask_loss(build(x), lam, n_cls, n_reg)[0])
-
-        grads = losses.loss_backward(build(x0), lam, n_cls, n_reg)
-        analytic = np.zeros_like(x0)
-        for j, (gl, gt) in enumerate(grads):
-            analytic[j, :classes] = gl
-            if gt is not None:
-                analytic[j, classes:] = gt
-        return f, x0, analytic, None
     raise FormatError(f"unknown gradcheck op {op!r}")
 
 
@@ -329,21 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output CSV path")
     sp.set_defaults(func=_cmd_enumerate)
 
-    sp = sub.add_parser("nms", help="greedy non-maximum suppression")
-    sp.add_argument("--boxes", required=True, help="RoI CSV with scores")
-    sp.add_argument("--iou-threshold", type=_finite_float, default=0.7)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_nms)
-
-    sp = sub.add_parser("anchors", help="tile translation-invariant anchors")
-    sp.add_argument("--height", type=int, required=True)
-    sp.add_argument("--width", type=int, required=True)
-    sp.add_argument("--scales", default="8,16,32")
-    sp.add_argument("--ratios", default="0.5,1,2")
-    sp.add_argument("--stride", type=_finite_float, default=16.0)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_anchors)
-
     sp = sub.add_parser("attack", help="apply center patches to images")
     sp.add_argument("--kind", choices=attacks.KINDS, required=True)
     sp.add_argument("--seed", type=int, default=0)
@@ -355,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_attack)
 
     sp = sub.add_parser("gradcheck", help="finite-difference check an operator")
-    sp.add_argument("--op", choices=("roipool", "roialign", "ctxmine", "loss"),
+    sp.add_argument("--op", choices=("roipool", "roialign", "ctxmine"),
                     required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--h", type=_finite_float, default=1e-2)

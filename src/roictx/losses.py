@@ -1,103 +1,15 @@
-"""Multi-task detection objective: softmax cross-entropy plus masked
-smooth-L1 box regression.
-
-total = (1/N_cls) * sum_j cls_loss + lambda * (1/N_reg) * sum_{l_j >= 1}
-        sum_coord smooth_l1(t_j - t_j*); background samples (l_j = 0)
-contribute no regression term.
-"""
+"""Classification objective of the synthetic trainer: a numerically
+stable softmax over a logit vector."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .geometry import RegressionTarget
-
-
-@dataclass
-class LabeledSample:
-    """One anchor or RoI: label in [0, L], logits of length L+1, and
-    (for positives) predicted and ground-truth regression vectors."""
-
-    label: int
-    logits: np.ndarray
-    t: RegressionTarget | None = None
-    t_star: RegressionTarget | None = None
-
-    def __post_init__(self):
-        self.logits = np.asarray(self.logits, dtype=np.float32)
-        if self.logits.ndim != 1:
-            raise ValueError(f"logits must be a vector, got {self.logits.shape}")
-        if not 0 <= self.label < self.logits.shape[0]:
-            raise ValueError(
-                f"label {self.label} out of range for {self.logits.shape[0]} classes")
-        if (self.t_star is not None) != (self.label >= 1):
-            raise ValueError("t_star must be present iff label >= 1")
-        if self.label >= 1 and self.t is None:
-            raise ValueError("positive sample needs a predicted t")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
+    """float64 softmax of a logit vector, shifted by its maximum so no
+    exponent overflows."""
     z = np.asarray(logits, dtype=np.float64)
     z = z - z.max()
     e = np.exp(z)
     return e / e.sum()
-
-
-def cls_loss(sample: LabeledSample) -> float:
-    """-log softmax(logits)[label], stabilized via log-sum-exp."""
-    z = np.asarray(sample.logits, dtype=np.float64)
-    m = z.max()
-    lse = m + np.log(np.exp(z - m).sum())
-    return float(lse - z[sample.label])
-
-
-def smooth_l1(x: float) -> float:
-    """0.5*x^2 for |x| < 1, |x| - 0.5 otherwise."""
-    ax = abs(float(x))
-    if ax < 1.0:
-        return 0.5 * ax * ax
-    return ax - 0.5
-
-
-def _reg_term(sample: LabeledSample) -> float:
-    diff = np.subtract(sample.t.as_tuple(), sample.t_star.as_tuple(),
-                       dtype=np.float64)
-    return float(sum(smooth_l1(d) for d in diff))
-
-
-def multitask_loss(samples, lam: float, n_cls: int, n_reg: int):
-    """Returns (total, cls_part, reg_part) with total = cls_part + reg_part.
-
-    cls_part = (1/n_cls) * sum of classification losses; reg_part carries
-    the lambda weight and only positive samples contribute to it.
-    """
-    if n_cls < 1 or n_reg < 1:
-        raise ValueError(f"n_cls and n_reg must be >= 1, got {n_cls}, {n_reg}")
-    cls_part = sum(cls_loss(s) for s in samples) / n_cls
-    reg_part = lam / n_reg * sum(_reg_term(s) for s in samples if s.label >= 1)
-    return cls_part + reg_part, cls_part, reg_part
-
-
-def loss_backward(samples, lam: float, n_cls: int, n_reg: int):
-    """Analytic gradients of multitask_loss per sample.
-
-    Returns a list of (grad_logits, grad_t) pairs: grad_logits is
-    (softmax - onehot)/n_cls; grad_t is lambda/n_reg * clamp(t - t*, -1, 1)
-    per coordinate for positives and None for background.
-    """
-    if n_cls < 1 or n_reg < 1:
-        raise ValueError(f"n_cls and n_reg must be >= 1, got {n_cls}, {n_reg}")
-    out = []
-    for s in samples:
-        p = softmax(s.logits)
-        p[s.label] -= 1.0
-        grad_logits = (p / n_cls).astype(np.float32)
-        grad_t = None
-        if s.label >= 1:
-            diff = np.subtract(s.t.as_tuple(), s.t_star.as_tuple(),
-                               dtype=np.float64)
-            grad_t = (lam / n_reg * np.clip(diff, -1.0, 1.0)).astype(np.float32)
-        out.append((grad_logits, grad_t))
-    return out

@@ -65,17 +65,23 @@ def build_layout(rois: np.ndarray) -> np.ndarray:
     grids centered at (R, 4) object RoIs.  Every cell has its RoI's width
     and height, its center displaced by (+-w, 0), (0, +-h), (+-w, +-h),
     in the float64 operations of Box.cx and Box.from_center.  A RoI
-    without positive width and height raises DegenerateBoxError."""
+    without positive width and height, or with a cell corner that is not
+    finite (a NaN corner, or a grid overflowing float64), raises
+    DegenerateBoxError naming the first such RoI."""
     rois = np.asarray(rois, dtype=np.float64).reshape(-1, 1, 4)
-    with np.errstate(over="ignore", invalid="ignore"):  # silent, as floats are
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
         size = rois[..., 2:] - rois[..., :2]
-        flat = ~(size > 0.0).all(axis=(1, 2))
-        if flat.any():
-            raise DegenerateBoxError(
-                f"object RoI has no area: {_box_at(rois[:, 0], flat.argmax())}")
         center = rois[..., :2] + 0.5 * size + _OFFSETS * size
-        return np.concatenate([center - 0.5 * size, center + 0.5 * size],
-                              axis=2)
+        cells = np.concatenate([center - 0.5 * size, center + 0.5 * size],
+                               axis=2)
+    finite = np.isfinite(cells).all(axis=(1, 2))
+    bad = ~(finite & (size > 0.0).all(axis=(1, 2)))
+    if bad.any():
+        k = bad.argmax()
+        what = "has no area" if finite[k] else "has a non-finite context cell"
+        raise DegenerateBoxError(
+            f"object RoI {what}: {_box_at(rois[:, 0], k)}")
+    return cells
 
 
 @dataclass(frozen=True)
@@ -549,7 +555,11 @@ class ContextMiner:
         one enumeration: the 8 cells' pools in DIRECTIONS order as rows,
         and their sizes (0 for a fallback cell)."""
         _, H, W = self.F.shape
-        maps = [self._roi_map(r) for r in rois]
+        # roi_align's sample grid overflows, with a warning, on RoIs whose
+        # cells overflow too; build_layout refuses those after the object
+        # maps, so a RoI the maps refuse keeps their message
+        with np.errstate(over="ignore"):
+            maps = [self._roi_map(r) for r in rois]
         pools = _candidate_arrays(build_layout(_xyxy(rois)).reshape(-1, 4),
                                   self.config.grid, (W, H))
         counts = pools.counts.reshape(len(rois), len(DIRECTIONS))

@@ -6,8 +6,10 @@ is encoded only by a small constant-valued blob written into channel 0
 (class 0) or channel 1 (class 1) at a random sub-position of one random
 surrounding cell.  A linear head (and, for the mining variant, the
 shared context scorer) is trained by plain SGD on the classification
-loss; with the blob much smaller than a cell, whole-cell pooling
-dilutes it while mining can localize it.
+loss.  The blob is much smaller than a cell, so that whole-cell pooling
+dilutes it while a mined candidate box could cover it.  That is the
+design intent only: whether learned mining localizes the blob, and beats
+the fixed layouts, is an open experiment (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ class SynthConfig:
     """Geometry and signal levels of the synthetic task.
 
     The object box is placed so the whole 3x3 cell grid stays inside the
-    map (no boundary fallback in the demo).  Training with the default
-    sizes is stable for lr <= 0.2; the demo default is 0.05.
+    map (no boundary fallback in the demo).
     """
 
     channels: int = 2

@@ -3,201 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from roictx.geometry import RegressionTarget
-from roictx.gradcheck import check
-from roictx.losses import LabeledSample, cls_loss, loss_backward, \
-    multitask_loss, smooth_l1, softmax
+from roictx.losses import softmax
 
 
-def naive_cls(logits, label):
-    """Direct exponentiation; valid at small magnitudes."""
-    e = [math.exp(float(v)) for v in logits]
-    return -math.log(e[label] / sum(e))
-
-
-def make_positive(rng, classes=5):
-    t = RegressionTarget(*rng.normal(0, 0.5, 4))
-    ts = RegressionTarget(*rng.normal(0, 0.5, 4))
-    return LabeledSample(int(rng.integers(1, classes)),
-                         rng.normal(0, 2, classes).astype(np.float32),
-                         t=t, t_star=ts)
-
-
-def make_background(rng, classes=5):
-    return LabeledSample(0, rng.normal(0, 2, classes).astype(np.float32))
-
-
-def cls_sample(label, logits):
-    """Positives get placeholder regression fields to satisfy the sample
-    invariant; cls_loss ignores them."""
-    if label >= 1:
-        zero = RegressionTarget(0.0, 0.0, 0.0, 0.0)
-        return LabeledSample(label, logits, t=zero, t_star=zero)
-    return LabeledSample(label, logits)
-
-
-class TestClsLoss:
-    def test_peaked_logits_drive_loss_to_zero(self):
-        logits = np.zeros(5, dtype=np.float32)
-        logits[2] = 40.0
-        assert cls_loss(cls_sample(2, logits)) < 1e-6
-
-    def test_uniform_logits_give_log_n(self):
-        s = cls_sample(3, np.zeros(21, dtype=np.float32))
-        assert cls_loss(s) == pytest.approx(math.log(21), abs=1e-9)
-
-    def test_matches_naive_softmax(self):
+class TestSoftmax:
+    def test_sums_to_one_in_float64(self):
         rng = np.random.default_rng(61)
         for _ in range(100):
-            logits = rng.normal(0, 2, 8).astype(np.float32)
-            label = int(rng.integers(0, 8))
-            got = cls_loss(cls_sample(label, logits))
-            assert got == pytest.approx(naive_cls(logits, label), rel=1e-10)
+            p = softmax(rng.normal(0, 3, 8).astype(np.float32))
+            assert p.dtype == np.float64
+            assert abs(p.sum() - 1.0) <= 8 * np.finfo(np.float64).eps
 
-    def test_stable_at_large_magnitudes(self):
-        logits = np.array([800.0, -800.0, 0.0], dtype=np.float32)
-        assert np.isfinite(cls_loss(cls_sample(0, logits)))
+    @pytest.mark.parametrize("big", [1e4, -1e4])
+    def test_finite_at_large_magnitudes(self, big):
+        p = softmax(np.array([big, -big, 0.0], dtype=np.float32))
+        assert np.isfinite(p).all()
+        assert p.tolist() == ([1.0, 0.0, 0.0] if big > 0 else [0.0, 1.0, 0.0])
 
-    def test_label_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            LabeledSample(5, np.zeros(5, dtype=np.float32))
-
-
-class TestSmoothL1:
-    def test_zero(self):
-        assert smooth_l1(0.0) == 0.0
-
-    def test_quadratic_branch(self):
-        assert smooth_l1(0.5) == 0.125
-        assert smooth_l1(-0.5) == 0.125
-
-    def test_linear_branch(self):
-        assert smooth_l1(2.0) == 1.5
-        assert smooth_l1(-2.0) == 1.5
-
-    def test_continuous_at_knee(self):
-        eps = 1e-9
-        assert smooth_l1(1.0 - eps) == pytest.approx(smooth_l1(1.0 + eps),
-                                                     abs=1e-8)
-
-    def test_derivative_continuous_at_knee(self):
-        h = 1e-6
-        d_in = (smooth_l1(1.0 - h) - smooth_l1(1.0 - 3 * h)) / (2 * h)
-        d_out = (smooth_l1(1.0 + 3 * h) - smooth_l1(1.0 + h)) / (2 * h)
-        assert d_in == pytest.approx(d_out, abs=1e-5)
-        assert d_in == pytest.approx(1.0, abs=1e-5)
-
-
-class TestMultitaskLoss:
-    def test_all_background_has_zero_reg(self):
+    def test_matches_naive_exp_over_sum(self):
         rng = np.random.default_rng(67)
-        samples = [make_background(rng) for _ in range(6)]
-        total, cls_part, reg_part = multitask_loss(samples, 1.0, 6, 6)
-        assert reg_part == 0.0
-        assert total == cls_part
-
-    def test_perfect_positive_goes_to_zero(self):
-        logits = np.zeros(5, dtype=np.float32)
-        logits[2] = 50.0
-        t = RegressionTarget(0.1, -0.2, 0.05, 0.0)
-        s = LabeledSample(2, logits, t=t, t_star=t)
-        total, _, reg = multitask_loss([s], 1.0, 1, 1)
-        assert reg == 0.0
-        assert total < 1e-6
-
-    def test_log21_within_1e5_for_21_classes(self):
-        s = cls_sample(7, np.full(21, 0.37, dtype=np.float32))
-        total, cls_part, reg_part = multitask_loss([s], 1.0, 1, 1)
-        assert abs(total - math.log(21)) < 1e-5
-        assert reg_part == 0.0
-
-    def test_matches_hand_summed_oracle(self):
-        rng = np.random.default_rng(71)
-        for _ in range(30):
-            samples = [make_positive(rng) if rng.uniform() < 0.5
-                       else make_background(rng) for _ in range(8)]
-            lam, n_cls, n_reg = 1.7, 8, 5
-            total, cls_part, reg_part = multitask_loss(samples, lam, n_cls, n_reg)
-            want_cls = sum(naive_cls(s.logits, s.label) for s in samples) / n_cls
-            want_reg = 0.0
-            for s in samples:
-                if s.label >= 1:
-                    for a, b in zip(s.t.as_tuple(), s.t_star.as_tuple()):
-                        want_reg += smooth_l1(a - b)
-            want_reg *= lam / n_reg
-            assert cls_part == pytest.approx(want_cls, rel=1e-9)
-            assert reg_part == pytest.approx(want_reg, rel=1e-9)
-            assert total == pytest.approx(want_cls + want_reg, rel=1e-9)
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(73)
-        for _ in range(20):
-            samples = [make_positive(rng) for _ in range(4)]
-            total, _, _ = multitask_loss(samples, 1.0, 4, 4)
-            assert total >= 0.0
-
-    def test_bad_counts_rejected(self):
-        with pytest.raises(ValueError):
-            multitask_loss([], 1.0, 0, 1)
-
-
-class TestLossBackward:
-    def test_perfect_prediction_near_zero_grads(self):
-        logits = np.zeros(5, dtype=np.float32)
-        logits[1] = 60.0
-        t = RegressionTarget(0.0, 0.0, 0.0, 0.0)
-        s = LabeledSample(1, logits, t=t, t_star=t)
-        (gl, gt), = loss_backward([s], 1.0, 1, 1)
-        assert np.abs(gl).max() < 1e-6
-        assert np.abs(gt).max() == 0.0
-
-    def test_background_has_no_reg_gradient(self):
-        rng = np.random.default_rng(79)
-        s = make_background(rng)
-        (gl, gt), = loss_backward([s], 1.0, 1, 1)
-        assert gt is None
-        assert gl.shape == s.logits.shape
-
-    def test_logit_gradient_is_softmax_minus_onehot(self):
-        rng = np.random.default_rng(83)
-        s = make_background(rng)
-        (gl, _), = loss_backward([s], 1.0, 4, 1)
-        p = softmax(s.logits)
-        p[0] -= 1.0
-        assert np.allclose(gl, p / 4.0, atol=1e-7)
-
-    def test_finite_difference(self):
-        rng = np.random.default_rng(89)
-        n, classes = 6, 5
-        samples = [make_positive(rng, classes) if k % 2 == 0
-                   else make_background(rng, classes) for k in range(n)]
-        lam, n_cls, n_reg = 1.5, n, n
-
-        def rebuild(x):
-            x = x.reshape(n, classes + 4)
-            out = []
-            for j, s in enumerate(samples):
-                t = (RegressionTarget(*[float(v) for v in x[j, classes:]])
-                     if s.label >= 1 else None)
-                out.append(LabeledSample(s.label, x[j, :classes],
-                                         t=t, t_star=s.t_star))
-            return out
-
-        x0 = np.zeros((n, classes + 4), dtype=np.float32)
-        for j, s in enumerate(samples):
-            x0[j, :classes] = s.logits
-            if s.label >= 1:
-                x0[j, classes:] = s.t.as_tuple()
-
-        def f(x):
-            return float(multitask_loss(rebuild(x), lam, n_cls, n_reg)[0])
-
-        grads = loss_backward(samples, lam, n_cls, n_reg)
-        analytic = np.zeros_like(x0)
-        for j, (gl, gt) in enumerate(grads):
-            analytic[j, :classes] = gl
-            if gt is not None:
-                analytic[j, classes:] = gt
-        report = check(f, x0.reshape(-1), analytic.reshape(-1),
-                       h=1e-2, probes=x0.size)
-        assert report.max_rel_error <= 1e-3
+        for _ in range(100):
+            logits = rng.normal(0, 2, 8).astype(np.float32)
+            e = [math.exp(float(v)) for v in logits]
+            want = [v / sum(e) for v in e]
+            assert softmax(logits) == pytest.approx(want, rel=1e-12)

@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -122,6 +124,30 @@ class TestBuildLayout:
     def test_degenerate_roi_rejected(self):
         with pytest.raises(DegenerateBoxError):
             cells_of(Box(3, 3, 3, 8))
+
+    @pytest.mark.parametrize("backbone", ["pool", "align"])
+    @pytest.mark.parametrize("shape", [(3, 40, 40), (16, 33, 33)])
+    @pytest.mark.parametrize("r", [Box(-1e308, -1e308, 1e308, 1e308),
+                                   Box(0.0, 0.0, 1e308, 1e308)],
+                             ids=["spanning", "corner"])
+    def test_overflowing_grid_names_the_roi(self, r, shape, backbone):
+        """A finite RoI whose cells overflow float64 is refused with an
+        error naming the RoI, and no warning escapes."""
+        F = np.random.default_rng(19).normal(0, 1, shape).astype(np.float32)
+        scorer = ContextScorer.zeros(shape[0], 7, 7)
+        config = MiningConfig(backbone=backbone)
+        msg = re.escape(f"object RoI has a non-finite context cell: {r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateBoxError, match=msg):
+                build_layout([[r.x1, r.y1, r.x2, r.y2]])
+            with pytest.raises(DegenerateBoxError, match=msg):
+                mine_context(F, r, scorer, config)
+            with pytest.raises(DegenerateBoxError, match=msg):
+                mine_many(F, [Box(2.0, 2.0, 8.0, 8.0), r], scorer, config)
+            if backbone == "pool":
+                with pytest.raises(DegenerateBoxError, match=msg):
+                    fixed_context_variant(F, r, "neigh8", config)
 
 
 class TestCandidatePool:
