@@ -20,7 +20,7 @@ same concatenation contract.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from itertools import islice
 from typing import NamedTuple
 
@@ -350,8 +350,12 @@ class ContextMiner:
     selection, its score or its map.  Mining is pure: the map and the
     scorer are only read, and a table only builds the levels its queries
     need.  A map or a scorer holding NaN or inf raises NumericError.  On
-    the pool backbone the object and kept maps of a float32 map are pooled
-    from the table's level 0 (see _roi_map), bit for bit roi_pool's on F.
+    the pool backbone the object maps are pooled by roi_pool from the
+    miner's copy of the map (see _roi_map), bit for bit roi_pool's on F.
+    A kept map is the winner's rescored row, copied, and computes its
+    argmax from that copy on first read (see RoIMap), so only a backward
+    pass pools it again; a row holding a zero is pooled by roi_pool at
+    once, as the table may keep the other zero's sign (see _pool_map).
 
     Selection filters, then rescores, each cell on its own.  Each
     candidate k of a cell gets an approximate score s~_k and a bound
@@ -397,7 +401,8 @@ class ContextMiner:
     the second is 2 u |c| twice over.  The bound needs the ph*pw float64
     column norms ||W_b||_1 beside the D*ph*pw float64 values of W, and per
     chunk one max over D of each of the R rectangles.  The rescored maps
-    are rows of V, so a chunk's bin rectangles are pooled once.
+    are rows of V, so a chunk's bin rectangles are pooled once, and the
+    winners' rows are the kept maps.
 
     The computed M_k is 0 only when all its terms are: a nonzero term is
     at least 2^-149 * 2^-149, above float64's underflow, and a rounded sum
@@ -457,10 +462,14 @@ class ContextMiner:
         w = scorer.weights.astype(np.float64).reshape(d, -1)
         if config.backbone == "pool":
             self._table = RangeMaxTable(F)
+            # what the pool maps are pooled from (see _roi_map)
+            self._source = (self._table.level0 if F.dtype == np.float32
+                            else F).copy(order="K")
             self._w, self._w_norms = w, np.abs(w).sum(axis=0)
             nu = w.size * 2.0 ** -53
             self._gamma = nu / (1.0 - nu)
             return
+        self._source = F
         flat = F.reshape(d, H * W).astype(np.float64)
         planes = np.empty((2, w.shape[1], H * W))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -470,22 +479,46 @@ class ContextMiner:
         self._w_abs_sum = float(np.abs(w).sum())
 
     def _roi_map(self, box: Box) -> RoIMap:
-        """roi_map of box on the map.  The pool backbone reads a float32
-        map from the table's level 0, which holds its values bit for bit
-        in the pixel-major layout roi_pool reduces fastest; level 0 of any
-        other dtype holds rounded values, so such a map is read as is.
-        The view is taken per call, so it never keeps a table the last
-        query outgrew alive."""
-        F = self.F
-        if self._table is not None and F.dtype == np.float32:
-            F = self._table.level0
-        return roi_map(F, box, self.config)
+        """roi_map of box on the map.  The align backbone reads F; the
+        pool backbone pools from the miner's copy of it, taken once: for a
+        float32 map a copy of
+        the table's level 0, which holds its values bit for bit in the
+        pixel-major layout roi_pool reduces fastest; for any other dtype,
+        whose level 0 holds rounded values, a copy of the map as is.  Being
+        a copy, it keeps no block of the table alive, and a caller changing
+        F after mining cannot change the argmax a kept map computes from
+        it later."""
+        return roi_map(self._source, box, self.config)
+
+    def _pool_slices(self, V: np.ndarray, ids: np.ndarray, xyxy: np.ndarray):
+        """(rows, kept_map) for consecutive slices of SLICE boxes: box k's
+        pooled map V[ids[k]] (ph*pw x D) as one D-major row, as roi_pool
+        lays it out, and kept_map(j) the RoIMap of the slice's j-th box."""
+        for i in range(0, ids.shape[0], SLICE):
+            maps = V[ids[i:i + SLICE]]
+            rows = maps.transpose(0, 2, 1).reshape(maps.shape[0], -1)
+            yield rows, partial(self._pool_map, rows, xyxy[i:i + SLICE])
+
+    def _pool_map(self, rows: np.ndarray, xyxy: np.ndarray, j: int) -> RoIMap:
+        """The kept map of box xyxy[j] from its rescored row rows[j], copied,
+        with its argmax computed from the miner's map on first read.  The
+        row's values are roi_pool's (level 0 of a map of another dtype
+        rounds to float32, and rounding is monotone, so it keeps the
+        rounded maximum), but a zero maximum may hold the other zero's sign
+        (see RangeMaxTable), so a row holding a zero is pooled by roi_pool
+        instead."""
+        box = _box_at(xyxy, j)
+        if not rows[j].all():
+            return self._roi_map(box)
+        cfg = self.config
+        return RoIMap(rows[j].reshape(-1, cfg.ph, cfg.pw).copy(), box,
+                      self.F.shape[1:], pool_from=self._source)
 
     def _bounds(self, xyxy: np.ndarray):
         """(s~, t, exact) of every candidate (see the class docstring):
         exact(keep) yields, for consecutive slices of SLICE candidates of
-        keep, their exact flat maps and their RoIMaps where those are made
-        anyway (align)."""
+        keep, their exact flat maps and a function giving the RoIMap of
+        the slice's j-th candidate."""
         cfg = self.config
         bias = float(self.scorer.bias)
         if self._table is not None:
@@ -502,7 +535,8 @@ class ContextMiner:
                 # exact rows are the maxima the filter read; only the rows of
                 # V that keep reads outlive the caller's reference to exact
                 used, local = np.unique(ids[keep], return_inverse=True)
-                return _d_major_rows(V[used], local.reshape(ids[keep].shape))
+                return self._pool_slices(V[used], local.reshape(ids[keep].shape),
+                                         xyxy[keep])
 
             return approx + bias, slack, exact
         sums = roi_align_bin_sums(self._planes, xyxy, cfg.samples_per_bin)
@@ -511,7 +545,8 @@ class ContextMiner:
             for i in range(0, keep.shape[0], SLICE):
                 maps = [self._roi_map(_box_at(xyxy, k))
                         for k in keep[i:i + SLICE]]
-                yield np.stack([m.data.reshape(-1) for m in maps]), maps
+                yield (np.stack([m.data.reshape(-1) for m in maps]),
+                       maps.__getitem__)
 
         return (sums[:, 0] + bias, 2.0 ** -22 * sums[:, 1]
                 + abs(bias) * 2.0 ** -50 + self._w_abs_sum * 2.0 ** -149, exact)
@@ -538,28 +573,33 @@ class ContextMiner:
             keep &= ~tight[seg]
             keep[first[tight]] = True
         kept = np.flatnonzero(keep)
+        pool_of = seg[kept]
         slices = exact(kept)
         del exact  # frees what the filter alone read before rescoring
-        scores, maps = [], []
-        for rows, made in slices:
-            scores.append(self.scorer.score_flat(rows))
-            maps += made or []
-        scores = np.concatenate(scores)
-        best = _first_max(scores, np.searchsorted(kept, starts))
-        return [(int(kept[j]) - start,
-                 maps[j] if maps else self._roi_map(_box_at(xyxy, kept[j])),
-                 float(scores[j])) for start, j in zip(starts.tolist(), best)]
+        # Only the first best of each pool within a slice is held: the
+        # first best of those is the pool's first best candidate.
+        at, picks, scores, maps = 0, [], [], []
+        for rows, kept_map in slices:
+            n = rows.shape[0]
+            score = self.scorer.score_flat(rows)
+            part = pool_of[at:at + n]
+            local = _first_max(score, np.flatnonzero(np.diff(part, prepend=-1)))
+            picks.append(kept[at + local])
+            scores.append(score[local])
+            maps += [kept_map(j) for j in local.tolist()]
+            at += n
+        picks, scores = np.concatenate(picks), np.concatenate(scores)
+        best = _first_max(scores, np.searchsorted(seg[picks],
+                                                  np.arange(sizes.shape[0])))
+        return [(int(picks[j]) - start, maps[j], float(scores[j]))
+                for start, j in zip(starts.tolist(), best.tolist())]
 
     def _enumerate(self, rois: list) -> list:
         """(object map, candidates, counts) of each RoI of a block, from
         one enumeration: the 8 cells' pools in DIRECTIONS order as rows,
         and their sizes (0 for a fallback cell)."""
         _, H, W = self.F.shape
-        # roi_align's sample grid overflows, with a warning, on RoIs whose
-        # cells overflow too; build_layout refuses those after the object
-        # maps, so a RoI the maps refuse keeps their message
-        with np.errstate(over="ignore"):
-            maps = [self._roi_map(r) for r in rois]
+        maps = [self._roi_map(r) for r in rois]
         pools = _candidate_arrays(build_layout(_xyxy(rois)).reshape(-1, 4),
                                   self.config.grid, (W, H))
         counts = pools.counts.reshape(len(rois), len(DIRECTIONS))
@@ -587,14 +627,6 @@ class ContextMiner:
     def mine(self, r: Box) -> MinedRoIFeature:
         """Mine one RoI, as a chunk of one."""
         return self._mine_chunk(self._enumerate([r]))[0]
-
-
-def _d_major_rows(V: np.ndarray, ids: np.ndarray):
-    """(rows, None) for consecutive slices of SLICE boxes: box k's pooled
-    map V[ids[k]] (ph*pw x D) as one D-major row, as roi_pool lays it out."""
-    for i in range(0, ids.shape[0], SLICE):
-        maps = V[ids[i:i + SLICE]]
-        yield maps.transpose(0, 2, 1).reshape(maps.shape[0], -1), None
 
 
 def _sliced(fn, rows: np.ndarray) -> np.ndarray:

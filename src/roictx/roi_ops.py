@@ -11,7 +11,6 @@ passes need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +23,6 @@ EMPTY_BIN = -1
 ALIGN_SUM_BLOCK = 512
 
 
-@dataclass
 class RoIMap:
     """Fixed-size map pooled from one RoI.
 
@@ -32,13 +30,35 @@ class RoIMap:
     flat spatial indices y*W + x into the source map (EMPTY_BIN for empty
     bins).  For align, samples holds the clamped (y, x) sample coordinates
     per bin, shape ph x pw x S^2 x 2.
+
+    A map made with pool_from instead of argmax computes its argmax on
+    first read, as roi_pool(pool_from, source_roi, ph, pw).argmax, and
+    keeps it; until then it holds pool_from alive.  The pool miner makes
+    its kept maps this way (see mining.ContextMiner), so only a caller
+    that reads argmax, as the backward pass does, pays for it.  Their
+    pool_from is the miner's own copy of the map, which the mined maps
+    keep alive until each has read its argmax.
     """
 
-    data: np.ndarray
-    source_roi: Box
-    map_hw: tuple[int, int]
-    argmax: np.ndarray | None = field(default=None, repr=False)
-    samples: np.ndarray | None = field(default=None, repr=False)
+    def __init__(self, data: np.ndarray, source_roi: Box,
+                 map_hw: tuple[int, int], argmax: np.ndarray | None = None,
+                 samples: np.ndarray | None = None,
+                 pool_from: np.ndarray | None = None):
+        self.data = data
+        self.source_roi = source_roi
+        self.map_hw = map_hw
+        self.samples = samples
+        self._argmax = argmax
+        self._pool_from = pool_from
+
+    @property
+    def argmax(self) -> np.ndarray | None:
+        if self._pool_from is not None:
+            ph, pw = self.data.shape[1:]
+            self._argmax = roi_pool(self._pool_from, self.source_roi,
+                                    ph, pw).argmax
+            self._pool_from = None
+        return self._argmax
 
 
 def _check_feature_map(F: np.ndarray) -> tuple[int, int, int]:
@@ -192,12 +212,25 @@ def roi_pool_backward(grad_out: np.ndarray, roi_map: RoIMap, F_dims) -> np.ndarr
     return grad
 
 
-def _align_axis_coords(lo, extent, bins: int, s: int, limit: int) -> np.ndarray:
-    """Clamped sample coordinates along one axis of K boxes with (K,)
-    starts and extents: s per bin, shape K x bins x s."""
-    si = (np.arange(s, dtype=np.float64) + 0.5) / s
-    c = lo[:, None, None] + (np.arange(bins, dtype=np.float64)[:, None]
-                             + si[None, :]) * extent[:, None, None] / bins
+def _align_axis_coords(lo, hi, bins: int, s: int, limit: int) -> np.ndarray:
+    """Clamped sample coordinates along one axis of K boxes spanning (K,)
+    lo to hi: s per bin, shape K x bins x s.
+
+    A sample lies at lo + (t * extent) / bins, t the bin index plus the
+    sample's offset.  Where extent = hi - lo or t * extent overflows
+    float64 (RoIs wider than about 2.5e307 at 7 bins) it is computed
+    from halves instead, lo/2 + (t / bins) * (hi/2 - lo/2) doubled, which
+    stays finite; every other sample keeps the first form's rounding.
+    """
+    t = (np.arange(bins, dtype=np.float64)[:, None]
+         + (np.arange(s, dtype=np.float64) + 0.5) / s)
+    lo, hi = lo[:, None, None], hi[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = lo + t * (hi - lo) / bins
+        wide = ~np.isfinite(c)
+        if wide.any():
+            half = (lo / 2 + (t / bins) * (hi / 2 - lo / 2)) * 2
+            c[wide] = np.broadcast_to(half, c.shape)[wide]
     return np.clip(c, 0.0, float(limit - 1))
 
 
@@ -232,10 +265,10 @@ def roi_align(F: np.ndarray, r: Box, ph: int, pw: int,
     _clipped_or_raise(r, W, H)
 
     s = samples_per_bin
-    y1, x1, h, w = np.array([[r.y1, r.x1, r.h, r.w]], dtype=np.float64).T
+    y1, x1, y2, x2 = np.array([[r.y1, r.x1, r.y2, r.x2]], dtype=np.float64).T
     samples = np.empty((ph, pw, s, s, 2), dtype=np.float64)
-    samples[..., 0] = _align_axis_coords(y1, h, ph, s, H)[0][:, None, :, None]
-    samples[..., 1] = _align_axis_coords(x1, w, pw, s, W)[0][None, :, None, :]
+    samples[..., 0] = _align_axis_coords(y1, y2, ph, s, H)[0][:, None, :, None]
+    samples[..., 1] = _align_axis_coords(x1, x2, pw, s, W)[0][None, :, None, :]
     samples = samples.reshape(ph, pw, s * s, 2)
     flat = samples.reshape(-1, 2)
     corners, weights = _bilinear_corners(flat, H, W)
@@ -346,7 +379,7 @@ def _axis_taps(lo, hi, bins: int, s: int, limit: int, stride: int):
     spans, index = np.unique(np.stack([lo, hi], axis=1).view(np.complex128),
                              return_inverse=True)
     c0, c1, frac = _linear_taps(_align_axis_coords(
-        spans.real, spans.imag - spans.real, bins, s, limit), limit)
+        spans.real, spans.imag, bins, s, limit), limit)
     taps = (np.stack([c0, c1], axis=-1)
             + (np.arange(bins, dtype=np.int64) * stride)[:, None, None])
     weights = np.stack([1 - frac, frac], axis=-1)
@@ -417,15 +450,20 @@ class RangeMaxTable:
     def query(self, y0, y1, x0, x1) -> np.ndarray:
         """Per-channel max over rectangles [y0,y1) x [x0,x1); returns (N, D).
 
-        All four arguments are equal-length integer arrays with y1 > y0,
-        x1 > x0, inside the map.  Levels the rectangles need and the table
-        lacks are built first.
+        All four arguments are equal-length integer arrays, inside the
+        map.  An empty rectangle (y1 <= y0 or x1 <= x0) gives zeros, as
+        an empty bin of roi_pool does.  Levels the rectangles need and the
+        table lacks are built first.
         """
         D, H, W = self.dims
         y0 = np.asarray(y0, dtype=np.int64)
         y1 = np.asarray(y1, dtype=np.int64)
         x0 = np.asarray(x0, dtype=np.int64)
         x1 = np.asarray(x1, dtype=np.int64)
+        empty = (y1 <= y0) | (x1 <= x0)
+        if empty.any():  # read a 1x1 rectangle in the map, zeroed below
+            y0, x0 = np.minimum(y0, H - 1), np.minimum(x0, W - 1)
+            y1, x1 = np.where(empty, y0 + 1, y1), np.where(empty, x0 + 1, x1)
         # floor(log2(n)), exact: n = m * 2^e with 0.5 <= m < 1
         ka = np.frexp(y1 - y0)[1].astype(np.int64) - 1
         kb = np.frexp(x1 - x0)[1].astype(np.int64) - 1
@@ -439,14 +477,16 @@ class RangeMaxTable:
         np.maximum(out, flat[base + y0 * W + xb], out=out)
         np.maximum(out, flat[base + ya * W + x0], out=out)
         np.maximum(out, flat[base + ya * W + xb], out=out)
+        out[empty] = 0.0
         return out
 
     def pool_xyxy(self, xyxy: np.ndarray, ph: int, pw: int):
         """Max-pool K boxes given as an (K, 4) x1,y1,x2,y2 float64 array,
         querying each distinct bin rectangle once.
 
-        Uses the same bin integerization as roi_pool; bins must be
-        non-empty (guaranteed for positive-area clipped boxes).  Returns
+        Uses the same bin integerization as roi_pool, so an empty bin
+        (of a box narrower than its coordinates' rounding) pools to
+        zeros, as roi_pool's do.  Returns
         (V, ids): V holds the (R, D) maxima of the R distinct bin
         rectangles of the K boxes in (y0, y1, x0, x1) lexicographic order,
         and ids the (K, ph*pw) row of V of each box's bins, so V[ids[k]] is

@@ -1,7 +1,10 @@
+import gc
+import importlib.util
 import re
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -580,6 +583,26 @@ class TestMineContext:
             with pytest.raises(DegenerateBoxError):
                 mine_context(F, Box(*xyxy), scorer, config)
 
+    def test_overflowing_align_sample_grid(self):
+        """RoIs whose align sample grid overflows float64 while their
+        context cells do not: each sample clamps where its true coordinate
+        lies, as on a small RoI beside the same border, and no warning
+        escapes.  The corner RoI's cells are too large for the pool
+        constraints' products, so it is checked through its variant only."""
+        F = np.random.default_rng(229).normal(0, 1, (3, 10, 10)).astype(
+            np.float32)
+        config = MiningConfig(backbone="align")
+        left, corner = Box(-2.61e307, 0.0, 9e305, 5.0), Box(0.0, 0.0, 5e307, 5e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mined = mine_context(F, left, ContextScorer.zeros(3, 7, 7), config)
+            variants = [fixed_context_variant(F, r, "none", config)
+                        for r in (left, corner)]
+        want = [roi_align(F, r, 7, 7).data
+                for r in (Box(-2.0, 0.0, 0.05, 5.0), Box(9.5, 9.5, 10.0, 10.0))]
+        assert mined.object_map.data.tobytes() == want[0].tobytes()
+        assert [v.tobytes() for v in variants] == [w.tobytes() for w in want]
+
     def test_align_backbone_runs(self):
         rng = np.random.default_rng(59)
         F = rng.normal(0, 1, (2, 48, 48)).astype(np.float32)
@@ -1138,8 +1161,9 @@ class TestPoolSelection:
         assert rounded > 0
 
     def test_miner_frees_outgrown_table(self):
-        """Kept maps are pooled from the table's level 0, taken afresh per
-        map, so the block of levels a query outgrows is freed."""
+        """Maps are pooled from the miner's copy of the table's level 0,
+        not from the table, so the block of levels a query outgrows is
+        freed."""
         rng = np.random.default_rng(193)
         F = rng.normal(0, 1, (3, 40, 40)).astype(np.float32)
         scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), 0.1)
@@ -1150,6 +1174,19 @@ class TestPoolSelection:
         assert outgrown() is None
         assert mined.feature.tobytes() == mine_context(
             F, r, scorer, self.CONFIG).feature.tobytes()
+
+    def test_empty_bins_score_as_roi_pool(self):
+        """A RoI a few ulps wide at an integer x: some candidates start at
+        x = 16.0 and are narrower than 16.0's rounding, so their first bin
+        column is empty.  Their scores and maps are roi_pool's, zeros
+        there included."""
+        rng = np.random.default_rng(197)
+        F = rng.normal(0, 1, (3, 40, 40)).astype(np.float32)
+        scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), 0.1)
+        mined = self._check_oracle(
+            F, Box(16.0, 10.0, 16.0 + np.spacing(16.0), 20.0), scorer)
+        assert any((rec.roi_map.argmax == -1).any() for rec in mined.selected
+                   if not rec.fallback)
 
     def test_one_table_pass_per_cell(self, monkeypatch):
         """A RoI pools the bin rectangles of all its non-fallback cells
@@ -1203,6 +1240,113 @@ class TestPoolSelection:
                 assert rows == [8]
         # with a random scorer only boxes that pool to the same bins tie
         assert near_ties.count(0) >= 2
+
+
+class TestKeptPoolMaps:
+    """The pool miner keeps each winner's rescored row as its map and
+    computes the map's argmax from its own copy of the map on first read;
+    maps and argmax must equal roi_pool's on the map as mined."""
+
+    CONFIG = MiningConfig(ph=5, pw=5, backbone="pool")
+
+    @staticmethod
+    def _map(kind, rng):
+        if kind == "float32":
+            return rng.normal(0, 1, (3, 40, 40)).astype(np.float32)
+        if kind == "float64":
+            return rng.normal(0, 1, (3, 40, 40))
+        # zero maxima and ties: the table may keep the other zero's sign
+        return rng.choice(np.float32([-1.0, -0.0, 0.0, 1.0]), (3, 40, 40))
+
+    def _case(self, kind, seed=199):
+        rng = np.random.default_rng(seed)
+        F = self._map(kind, rng)
+        scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), 0.2)
+        rois = [interior_roi(rng, 40) for _ in range(4)]
+        rois.append(Box(0.5, 1.0, 7.0, 9.0))
+        return rng, F, scorer, rois
+
+    @staticmethod
+    def _maps(mined):
+        return [mined.object_map] + [rec.roi_map for rec in mined.selected
+                                     if not rec.fallback]
+
+    @pytest.mark.parametrize("kind", ["float32", "float64", "ties"])
+    def test_maps_equal_roi_pool(self, kind, monkeypatch):
+        """Byte for byte, argmax included; mining pools only the object
+        maps and the kept rows holding a zero."""
+        _, F, scorer, rois = self._case(kind)
+        calls = []
+        real = mining.roi_pool
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(mining, "roi_pool", counting)
+        out = mine_many(F, rois, scorer, self.CONFIG)
+        monkeypatch.undo()
+        kept = sum(len(self._maps(m)) for m in out) - len(rois)
+        if kind == "ties":
+            assert len(calls) > len(rois)
+        else:
+            assert calls == rois
+        assert kept > 30
+        for mined in out:
+            for m in self._maps(mined):
+                want = roi_pool(F, m.source_roi, 5, 5)
+                assert m.data.tobytes() == want.data.tobytes()
+                assert m.argmax.tobytes() == want.argmax.tobytes()
+
+    @pytest.mark.parametrize("kind", ["float32", "float64"])
+    def test_map_changed_after_mining(self, kind):
+        """Argmax read after the caller overwrites F still routes as F
+        was mined: kept maps and backward gradients are those of mining
+        an untouched copy."""
+        rng, F, scorer, rois = self._case(kind, seed=211)
+        before = F.copy()
+        out = mine_many(F, rois, scorer, self.CONFIG)
+        F[...] = self._map(kind, rng)
+        want = mine_many(before, rois, scorer, self.CONFIG)
+        for a, b in zip(out, want):
+            assert_same_mined(a, b)
+            g = rng.normal(0, 1, a.feature.shape).astype(np.float32)
+            grad_a = mine_context_backward(g, a, F.shape, scorer)
+            grad_b = mine_context_backward(g, b, F.shape, scorer)
+            assert grad_a[0].tobytes() == grad_b[0].tobytes()
+            assert grad_a[1][0].tobytes() == grad_b[1][0].tobytes()
+            assert grad_a[1][1] == grad_b[1][1]
+
+    def test_results_do_not_keep_the_table(self, monkeypatch):
+        """Mined maps hold the miner's map copy until they read argmax,
+        never the range-max table."""
+        _, F, scorer, rois = self._case("float32", seed=223)
+        tables = []
+        real = RangeMaxTable.__init__
+
+        def init(self, F):
+            tables.append(weakref.ref(self))
+            real(self, F)
+
+        monkeypatch.setattr(RangeMaxTable, "__init__", init)
+        out = mine_many(F, rois, scorer, self.CONFIG)
+        out.append(mine_context(F, rois[0], scorer, self.CONFIG))
+        gc.collect()
+        assert len(tables) == 2
+        assert all(t() is None for t in tables)
+        for mined in out:
+            for m in self._maps(mined):
+                want = roi_pool(F, m.source_roi, 5, 5)
+                assert m.argmax.tobytes() == want.argmax.tobytes()
+
+    def test_map_data_owns_its_memory(self):
+        """A kept map's data is a copy, not a view of the rescored slice
+        or of any other array larger than the map."""
+        _, F, scorer, rois = self._case("float32", seed=227)
+        for mined in mine_many(F, rois, scorer, self.CONFIG):
+            for m in self._maps(mined):
+                base = m.data if m.data.base is None else m.data.base
+                assert base.nbytes == m.data.nbytes
 
 
 class TestMineContextBackward:
@@ -1394,3 +1538,17 @@ class TestFixedVariants:
         obj = roi_pool(F, r, 7, 7).data
         # left-top cell (block 1) is fully outside -> object map substituted
         assert np.array_equal(got[2:4], obj)
+
+
+def test_lib_matrix_digests_repeat():
+    """tools/lib_matrix.py gives the same digest of every output on two
+    runs, over every map kind on both backbones."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "lib_matrix", root / "tools" / "lib_matrix.py")
+    matrix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(matrix)
+    first = matrix.run_matrix(root / "src")
+    assert first == matrix.run_matrix(root / "src")
+    assert len(first) == len(matrix.MAPS) * 2 * 11
+    assert {name.split("-")[0] for name in first} == set(matrix.MAPS)

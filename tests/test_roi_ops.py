@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -356,6 +357,22 @@ class TestRoiAlignForward:
             with pytest.raises(DegenerateBoxError):
                 roi_align(F, box, 2, 2, 2)
 
+    @pytest.mark.parametrize("wide, near", [
+        (Box(-2.61e307, 0.0, 9e305, 5.0), Box(-2.0, 0.0, 0.05, 5.0)),
+        (Box(0.0, 0.0, 5e307, 5e307), Box(9.5, 9.5, 10.0, 10.0))],
+        ids=["left", "corner"])
+    def test_overflowing_sample_grid_clamps_right(self, wide, near):
+        """(bin + offset) * extent overflows float64 on these RoIs; every
+        true sample coordinate of `wide` clamps where `near`'s do (x = 0
+        on the left, y = x = 9 in the corner), and no warning escapes."""
+        F = np.random.default_rng(53).normal(0, 1, (3, 10, 10)).astype(np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = roi_align(F, wide, 7, 7, 2)
+        want = roi_align(F, near, 7, 7, 2)
+        assert np.array_equal(got.samples, want.samples)
+        assert got.data.tobytes() == want.data.tobytes()
+
 
 def bin_sums_oracle(planes, r, s):
     """roi_align_bin_sums of one box re-derived scalar by scalar in
@@ -636,6 +653,23 @@ class TestRangeMaxTable:
         want = np.stack([roi_pool(F, b, 3, 2).data for b in boxes])
         assert np.array_equal(batch, want)
         assert (want == 0).any()
+
+    def test_empty_rectangles_give_zeros(self):
+        """A bin narrower than its coordinates' rounding is empty; the
+        table pools it to zeros, as roi_pool does, and the other bins
+        as before."""
+        F = np.random.default_rng(61).normal(0, 1, (2, 12, 12)).astype(np.float32)
+        table = RangeMaxTable(F)
+        rects = np.array([[3, 3, 2, 5], [2, 5, 4, 4], [12, 12, 12, 12],
+                          [2, 5, 4, 7]])
+        out = table.query(*rects.T)
+        assert not out[:3].any()
+        assert np.array_equal(out[3], F[:, 2:5, 4:7].max(axis=(1, 2)))
+        x2 = np.nextafter(np.nextafter(3.0, 4.0), 4.0)
+        box = Box(3.0, 2.0, x2, 9.0)
+        assert (bin_edges(3.0, x2 - 3.0, 7, 12)[1] == 3).any()
+        assert np.array_equal(table.pool_boxes(as_xyxy([box]), 7, 7)[0],
+                              roi_pool(F, box, 7, 7).data)
 
     def test_pool_boxes_equals_pool_xyxy_rows(self):
         """pool_xyxy gives one row of V per distinct bin rectangle, and
