@@ -223,10 +223,9 @@ def _cmd_synth_demo(args) -> int:
     return 0
 
 
-def _add_io(sp, rois=True):
+def _add_io(sp):
     sp.add_argument("--features", required=True, help="input FTEN feature map")
-    if rois:
-        sp.add_argument("--rois", required=True, help="RoI CSV file")
+    sp.add_argument("--rois", required=True, help="RoI CSV file")
     sp.add_argument("--out", required=True, help="output FTEN path")
     sp.add_argument("--ph", type=int, default=7)
     sp.add_argument("--pw", type=int, default=7)

@@ -116,7 +116,7 @@ def _constraints_ok(corners, anchors: np.ndarray, floor, ceil,
     ok = (np.minimum(w, h) >= floor) & (np.maximum(w, h) <= ceil)
     iw = np.minimum(x2, ax2) - np.maximum(x1, ax1)
     ih = np.minimum(y2, ay2) - np.maximum(y1, ay1)
-    inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
     union = w * h + (ax2 - ax1) * (ay2 - ay1) - inter
     iou_vals = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
     return ok & (iou_vals >= grid.anchor_iou_min)
@@ -153,15 +153,19 @@ class CandidatePools(NamedTuple):
 
 
 def _candidate_arrays(cells: np.ndarray, grid: CandidateGridSpec,
-                      map_bounds) -> CandidatePools:
+                      map_bounds, rois=None) -> CandidatePools:
     """The pools of (N, 4) cells by candidate_pool_for_cell's rule, in one
     broadcast of the raw grid against every cell, each value through that
     rule's float64 operations in its order: a pool is the same bit for bit
-    in any batch.  A cell without area, or whose anchor is lost, counts 0."""
+    in any batch.  A cell without area, or whose anchor is lost, counts 0.
+    A cell whose constraint arithmetic would overflow float64 raises
+    DegenerateBoxError naming it, or its object RoI when the cells are
+    build_layout's of the (R, 4) rois."""
     size = cells[:, 2:] - cells[:, :2]
     center = cells[:, :2] + 0.5 * size
     anchors = np.concatenate([center - 0.5 * (0.5 * size),
                               center + 0.5 * (0.5 * size)], axis=1)
+    _require_finite_pools(cells, size, center, anchors, grid, rois)
     cw, ch = size.T[:, :, None]
     # Python's min and max, which differ from np.minimum's on NaN
     floor = grid.short_edge_frac * np.where(ch < cw, ch, cw)
@@ -190,6 +194,26 @@ def _candidate_arrays(cells: np.ndarray, grid: CandidateGridSpec,
     return CandidatePools(rows[mask], mask.sum(axis=1))
 
 
+def _require_finite_pools(cells, size, center, anchors, grid, rois) -> None:
+    """Raise for the first cell whose largest union in _constraints_ok is
+    not finite, computed once per cell by those float64 operations: edges
+    grow with the size fraction, the union with the edges, and every step
+    rounds monotonically, so all of a cell's constraint arithmetic is
+    finite exactly when this value is."""
+    half = 0.5 * (max(grid.size_fracs) * size)
+    at = center[..., None] + np.asarray(grid.offset_fracs) * size[..., None]
+    aw, ah = (anchors[:, 2:] - anchors[:, :2]).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = ((at + half[..., None]) - (at - half[..., None])).max(axis=2)
+        fits = np.isfinite(edges[:, 0] * edges[:, 1] + aw * ah)
+    if not fits.all():
+        k = int(fits.argmin())
+        what = (f"cell {_box_at(cells, k)}" if rois is None else
+                "a context cell of object RoI "
+                f"{_box_at(rois, k // len(DIRECTIONS))}")
+        raise DegenerateBoxError(f"candidate pool of {what} overflows float64")
+
+
 def candidate_pool_for_cell(cell: Box, grid: CandidateGridSpec,
                             map_bounds) -> list[Box] | None:
     """Enumerate and filter the candidate pool of one cell, as a list of
@@ -205,12 +229,14 @@ def candidate_pool_for_cell(cell: Box, grid: CandidateGridSpec,
     (x2-x1, y2-y1), the same arithmetic any post-hoc re-verification of
     the stored boxes performs; candidates sitting exactly on a constraint
     boundary may therefore resolve differently at different absolute
-    positions, by half-ulp rounding.
+    positions, by half-ulp rounding.  The default grid's 1/3 size class
+    sits on its 1/3 short-edge floor, so the whole class is such a case.
 
     Returns None when the anchor itself is lost to the map border (fully
     outside, or clipped below the short-edge floor): the caller then
     substitutes the object RoI's own map for this cell.  A cell without
-    positive width and height raises DegenerateBoxError.
+    positive width and height, or so large that the constraint arithmetic
+    would overflow float64, raises DegenerateBoxError.
     """
     if not (cell.w > 0.0 and cell.h > 0.0):
         raise DegenerateBoxError(f"cell has no area: {cell}")
@@ -312,6 +338,14 @@ class MinedRoIFeature:
     feature: np.ndarray
     object_map: RoIMap
     selected: list[SelectionRecord]
+
+
+def _block_maps(object_map: RoIMap, selected) -> list[RoIMap]:
+    """The map of each of the nine channel blocks of a mined feature: the
+    object map, then each cell's kept map, or the object map again for a
+    fallback cell."""
+    return [object_map] + [object_map if rec.fallback else rec.roi_map
+                           for rec in selected]
 
 
 def _box_at(xyxy: np.ndarray, k) -> Box:
@@ -600,8 +634,9 @@ class ContextMiner:
         and their sizes (0 for a fallback cell)."""
         _, H, W = self.F.shape
         maps = [self._roi_map(r) for r in rois]
-        pools = _candidate_arrays(build_layout(_xyxy(rois)).reshape(-1, 4),
-                                  self.config.grid, (W, H))
+        xyxy = _xyxy(rois)
+        pools = _candidate_arrays(build_layout(xyxy).reshape(-1, 4),
+                                  self.config.grid, (W, H), xyxy)
         counts = pools.counts.reshape(len(rois), len(DIRECTIONS))
         rows = np.split(pools.candidates, np.cumsum(counts.sum(axis=1))[:-1])
         return list(zip(maps, rows, counts))
@@ -618,8 +653,7 @@ class ContextMiner:
             selected = [SelectionRecord(d, *next(picks), n) if n else
                         SelectionRecord(d, FALLBACK, None, None, 0)
                         for d, n in zip(DIRECTIONS, cell_counts.tolist())]
-            maps = [object_map] + [object_map if rec.fallback else rec.roi_map
-                                   for rec in selected]
+            maps = _block_maps(object_map, selected)
             out.append(MinedRoIFeature(concat_channels([m.data for m in maps]),
                                        object_map, selected))
         return out
@@ -723,17 +757,13 @@ def mine_context_backward(grad_feature: np.ndarray, mined: MinedRoIFeature,
         raise ShapeError("scorer shape inconsistent with mined feature")
 
     grad_F = np.zeros(tuple(F_dims), dtype=np.float32)
-    grad_F += _backward_one(grad_feature[:d], mined.object_map, F_dims)
-    blocks, maps = [], []
-    for i, rec in enumerate(mined.selected):
-        block = grad_feature[(i + 1) * d:(i + 2) * d]
-        if rec.fallback:
-            grad_F += _backward_one(block, mined.object_map, F_dims)
-            continue
-        grad_F += _backward_one(block, rec.roi_map, F_dims)
-        blocks.append(block)
-        maps.append(rec.roi_map.data)
-    grad_w, grad_b = scorer_gradient(scorer, blocks, maps, lambda_ctx)
+    maps = _block_maps(mined.object_map, mined.selected)
+    blocks = [grad_feature[i * d:(i + 1) * d] for i in range(len(maps))]
+    for block, roi_map in zip(blocks, maps):
+        grad_F += _backward_one(block, roi_map, F_dims)
+    kept = [i for i, rec in enumerate(mined.selected, 1) if not rec.fallback]
+    grad_w, grad_b = scorer_gradient(scorer, [blocks[i] for i in kept],
+                                     [maps[i].data for i in kept], lambda_ctx)
     with np.errstate(over="ignore", invalid="ignore"):
         grad_w = grad_w.astype(np.float32)
     if not (np.isfinite(grad_w).all() and np.isfinite(grad_b)):

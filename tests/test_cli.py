@@ -1,6 +1,7 @@
 import argparse
 import importlib.util
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,23 @@ class TestEnumerate:
         assert capsys.readouterr().err == f"error: cell has no area: {box}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("cell", ["0,0,2e154,2e154", "0,0,1e300,1e300"])
+    @pytest.mark.parametrize("bounds", [[], ["--bounds", "64,64"]],
+                             ids=["unbounded", "bounded"])
+    def test_overflowing_cell_names_the_cell(self, tmp_path, capsys, cell,
+                                             bounds):
+        """A cell whose constraint arithmetic would overflow float64 is
+        refused with a typed error, no warning and no CSV."""
+        out = tmp_path / "p.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["enumerate", f"--cell={cell}", "--out", str(out)]
+                            + bounds) == 1
+        box = Box(*(float(v) for v in cell.split(",")))
+        assert capsys.readouterr().err == (
+            f"error: candidate pool of cell {box} overflows float64\n")
+        assert not out.exists()
+
 
 class TestFloatLists:
     @pytest.mark.parametrize("args", [
@@ -300,16 +318,21 @@ class TestCommandSet:
         assert not out.exists()
 
     def test_cli_matrix_runs_every_subcommand(self, tmp_path):
-        """tools/cli_matrix.py's byte-identity matrix covers exactly the
-        parser's subcommands; listing its runs writes no file."""
-        path = Path(__file__).resolve().parent.parent / "tools" / "cli_matrix.py"
-        spec = importlib.util.spec_from_file_location("cli_matrix", path)
+        """tools/matrix.py's CLI runs cover exactly the parser's
+        subcommands and name 58 distinct output files; listing its runs
+        writes no file."""
+        path = Path(__file__).resolve().parent.parent / "tools" / "matrix.py"
+        spec = importlib.util.spec_from_file_location("matrix", path)
         matrix = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(matrix)
         subparsers = next(a for a in cli.build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction))
-        ran = {argv[0] for _, argv in matrix.commands(tmp_path)}
+        runs = list(matrix.commands(tmp_path))
+        ran = {argv[0] for _, argv in runs}
         assert ran == set(subparsers.choices)
+        names = [name for outputs, _ in runs for name in outputs]
+        assert len(names) == len(set(names)) == 58
+        assert all(name.endswith((".ften", ".json", ".csv")) for name in names)
         assert not any(tmp_path.iterdir())
 
 

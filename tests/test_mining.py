@@ -1,5 +1,6 @@
 import gc
 import importlib.util
+import math
 import re
 import tracemalloc
 import warnings
@@ -203,6 +204,44 @@ class TestCandidatePool:
         # than a third of the cell's short edge empties the pool
         cell = Box(-9.2, 10.0, 0.8, 20.0)
         assert candidate_pool_for_cell(cell, CandidateGridSpec(), (64, 64)) is None
+
+    def test_overflowing_constraint_arithmetic_raises(self):
+        """A cell whose constraint arithmetic would overflow float64 is
+        refused, and every other pool comes out without a warning.  At
+        sides k * 2^506 the largest union, s*s + (s/2)*(s/2), is computed
+        exactly up to its last rounding, so the sides on either side of
+        the limit are checked against it."""
+        grid = CandidateGridSpec()
+        outcomes = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for side in [1.0, 2e150] + [k * 2.0 ** 506 for k in range(60, 81)]:
+                cell = Box(0.0, 0.0, side, side)
+                overflows = not math.isfinite(side * side
+                                              + (0.5 * side) * (0.5 * side))
+                outcomes.add(overflows)
+                if overflows:
+                    msg = re.escape(f"candidate pool of cell {cell} overflows")
+                    with pytest.raises(DegenerateBoxError, match=msg):
+                        candidate_pool_for_cell(cell, grid, None)
+                else:
+                    pool = candidate_pool_for_cell(cell, grid, None)
+                    if side in (1.0, 2e150):
+                        assert len(pool) == 109
+            for side in (2e154, 1e300):
+                with pytest.raises(DegenerateBoxError):
+                    candidate_pool_for_cell(Box(0.0, 0.0, side, side), grid,
+                                            None)
+            # candidates far outside the anchor overlap it by a negative
+            # width and height, which are not multiplied together
+            far = CandidateGridSpec(offset_fracs=(-2.0, 2.0),
+                                    size_fracs=(0.1,), anchor_iou_min=0.0,
+                                    short_edge_frac=0.05)
+            for side in (1.0, 1e154):
+                pool = candidate_pool_for_cell(Box(0.0, 0.0, side, side), far,
+                                               None)
+                assert len(pool) == 5
+        assert outcomes == {False, True}
 
     def test_singleton_grid_without_anchor_pins_full_cell(self):
         grid = CandidateGridSpec(offset_fracs=(0.0,), size_fracs=(1.0,),
@@ -582,6 +621,28 @@ class TestMineContext:
             xyxy[corner] = float(bad)
             with pytest.raises(DegenerateBoxError):
                 mine_context(F, Box(*xyxy), scorer, config)
+
+    @pytest.mark.parametrize("backbone", ["pool", "align"])
+    @pytest.mark.parametrize("r", [Box(0.0, 0.0, 2e154, 2e154),
+                                   Box(0.0, 0.0, 5e307, 5e307)],
+                             ids=["2e154", "5e307"])
+    def test_overflowing_candidate_arithmetic_names_the_roi(self, r,
+                                                            backbone):
+        """A RoI whose cells are finite but whose candidate constraints
+        would overflow float64 is refused with an error naming the RoI,
+        and no warning escapes."""
+        F = np.random.default_rng(23).normal(0, 1, (3, 20, 20)).astype(
+            np.float32)
+        scorer = ContextScorer.zeros(3, 7, 7)
+        config = MiningConfig(backbone=backbone)
+        msg = re.escape(f"a context cell of object RoI {r} overflows")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            build_layout([[r.x1, r.y1, r.x2, r.y2]])
+            with pytest.raises(DegenerateBoxError, match=msg):
+                mine_context(F, r, scorer, config)
+            with pytest.raises(DegenerateBoxError, match=msg):
+                mine_many(F, [Box(2.0, 2.0, 8.0, 8.0), r], scorer, config)
 
     def test_overflowing_align_sample_grid(self):
         """RoIs whose align sample grid overflows float64 while their
@@ -1540,15 +1601,20 @@ class TestFixedVariants:
         assert np.array_equal(got[2:4], obj)
 
 
-def test_lib_matrix_digests_repeat():
-    """tools/lib_matrix.py gives the same digest of every output on two
-    runs, over every map kind on both backbones."""
+def test_lib_matrix_digests_repeat(tmp_path):
+    """tools/matrix.py gives the same library digest of every output on
+    two runs, over every map kind on both backbones, under 88 names
+    disjoint from its 58 CLI output names."""
     root = Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location(
-        "lib_matrix", root / "tools" / "lib_matrix.py")
+        "matrix", root / "tools" / "matrix.py")
     matrix = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(matrix)
-    first = matrix.run_matrix(root / "src")
-    assert first == matrix.run_matrix(root / "src")
-    assert len(first) == len(matrix.MAPS) * 2 * 11
-    assert {name.split("-")[0] for name in first} == set(matrix.MAPS)
+    first = matrix.lib_digests()
+    assert first == matrix.lib_digests()
+    assert len(first) == len(matrix.KINDS) * 2 * 11 == 88
+    assert {name.split("-")[0] for name in first} == set(matrix.KINDS)
+    cli_names = {name for outputs, _ in matrix.commands(tmp_path)
+                 for name in outputs}
+    assert len(cli_names) == 58
+    assert not cli_names & set(first)

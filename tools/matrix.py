@@ -1,14 +1,16 @@
-"""Byte-identity matrix of the roictx command line: 58 output files.
+"""Bit-identity matrix of roictx: 58 CLI outputs and 88 library digests.
 
-    python tools/cli_matrix.py [--src DIR] [--out digests.json]
+    python tools/matrix.py [--src DIR] [--out digests.json]
 
-Runs the CLI in this process, from the `roictx` package under DIR (by
-default the `src/` next to this directory), on seeded inputs in a
-temporary directory, and writes one JSON object mapping each output
-file's name to its sha256.  Run it on two source trees and diff the two
-files: a change that keeps every CLI output byte-identical gives no diff.
+Imports the `roictx` package under DIR (by default the `src/` next to
+this directory), runs it on seeded inputs and writes one JSON object
+mapping each output's name to its sha256.  Run it on two source trees
+and diff the two files: a change that keeps every output bit-identical
+gives no diff.  CLI names are output file names (ending in .ften, .json
+or .csv); library names read <map>-<backbone>-<output>.
 
-The matrix:
+The CLI half runs the command line in this process, in a temporary
+directory, and digests each output file's bytes:
   - ctxmine, FTEN output plus --report, on D=4, 64 and 256 maps, both
     backbones, with a random scorer and with the default zero scorer
     (24 files);
@@ -27,9 +29,22 @@ The matrix:
   - synth-demo for mining at lr 1.0, where the scorer takes large steps (1);
   - enumerate on an interior cell, on a cell overhanging a corner, with
     non-default --min-iou and --short-edge-frac, and without --bounds (4).
-
 Every subcommand runs.  Inputs added later are drawn after the earlier
 ones, so adding a case leaves the digests of the earlier ones unchanged.
+
+The library half reads what the command line never prints: the routing
+records of the kept maps and the backward pass.  Its maps, each D=4 at
+40x40 and mined on both backbones, are KINDS: f32 (float32 noise), ties
+and pad (float32, as the CLI's two D=4 maps above) and f64 (float64
+noise).  Per map and backbone, over the RoIs of ROI_FRACS, it digests
+(dtype, shape and bytes of arrays, JSON of values):
+  - mine_many and mine_context features;
+  - each cell's (index, score, pool_size) and box;
+  - the object and kept maps, with argmax (read only after all mining of
+    the map) or samples;
+  - fixed_context_variant for every variant;
+  - mine_context_backward's map and scorer gradients for a seeded
+    upstream gradient.
 """
 
 from __future__ import annotations
@@ -47,21 +62,24 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# D -> (H, W) of the mined maps: the benchmark's two shapes plus a tiny one.
+# D -> (H, W) of the CLI's mined maps: the benchmark's two shapes plus a
+# tiny one, the library half's shape.
 MAPS = {4: (40, 40), 64: (50, 50), 256: (38, 38)}
 # x1,y1,x2,y2 as fractions of the map: interior, border and overhanging.
 ROI_FRACS = [(0.26, 0.28, 0.47, 0.49), (0.01, 0.03, 0.18, 0.23),
              (0.75, 0.71, 0.99, 0.98), (0.38, 0.12, 0.63, 0.30),
              (0.08, 0.50, 0.32, 0.69), (-0.05, 0.40, 0.15, 0.62)]
+KINDS = ("f32", "ties", "pad", "f64")
+D, (H, W) = 4, MAPS[4]
 
 
-def import_cli(src: Path):
+def import_roictx(src: Path) -> None:
+    """Import roictx, and its CLI, from src, and nowhere else."""
     sys.path.insert(0, str(src))
     import roictx.cli
-    got = Path(roictx.cli.__file__).resolve().parent
+    got = Path(roictx.__file__).resolve().parent
     if got != (src / "roictx").resolve():
         raise SystemExit(f"imported roictx from {got}, not {src}")
-    return roictx.cli
 
 
 def write_inputs(tmp: Path, save_ften) -> None:
@@ -75,11 +93,10 @@ def write_inputs(tmp: Path, save_ften) -> None:
             for fx1, fy1, fx2, fy2 in ROI_FRACS:
                 box = (fx1 * w, fy1 * h, fx2 * w, fy2 * h)
                 fh.write(",".join(repr(round(v, 3)) for v in box) + "\n")
-    h, w = MAPS[4]
     save_ften(tmp / "F4ties.ften",
-              rng.choice(np.float32([-1.0, -0.0, 0.0, 1.0]), (4, h, w)))
-    padded = rng.normal(0.0, 1.0, (4, h, w)).astype(np.float32)
-    padded[:, :, :w // 4] = 0.0
+              rng.choice(np.float32([-1.0, -0.0, 0.0, 1.0]), (D, H, W)))
+    padded = rng.normal(0.0, 1.0, (D, H, W)).astype(np.float32)
+    padded[:, :, :W // 4] = 0.0
     save_ften(tmp / "F4pad.ften", padded)
     # drawn but unused, so every input drawn after it, and its digest,
     # stays comparable with older versions of this matrix
@@ -97,7 +114,7 @@ def write_inputs(tmp: Path, save_ften) -> None:
 
 
 def commands(tmp: Path):
-    """(output files, argv) of every run of the matrix."""
+    """(output files, argv) of every CLI run of the matrix."""
     def io_args(d, out):
         return ["--features", str(tmp / f"F{d}.ften"),
                 "--rois", str(tmp / f"rois{d}.csv"), "--out", str(tmp / out)]
@@ -165,8 +182,9 @@ def commands(tmp: Path):
         yield [out], ["enumerate"] + extra + ["--out", str(tmp / out)]
 
 
-def run_matrix(src: Path) -> dict:
-    cli = import_cli(src)
+def cli_digests() -> dict:
+    """sha256 of every CLI output file, by file name."""
+    from roictx import cli
     from roictx.tensor import save_ften
 
     digests = {}
@@ -184,13 +202,88 @@ def run_matrix(src: Path) -> dict:
     return digests
 
 
+def make_map(kind: str, rng) -> np.ndarray:
+    if kind == "ties":
+        return rng.choice(np.float32([-1.0, -0.0, 0.0, 1.0]), (D, H, W))
+    F = rng.normal(0.0, 1.0, (D, H, W))
+    if kind == "pad":
+        F[:, :, :W // 4] = 0.0
+    return F if kind == "f64" else F.astype(np.float32)
+
+
+def digest(*parts) -> str:
+    """sha256 over arrays (dtype, shape and bytes) and JSON-able values."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(f"{part.dtype.str}{part.shape}".encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        else:
+            h.update(json.dumps(part).encode())
+    return h.hexdigest()
+
+
+def lib_case(kind: str, backbone: str, seed: int) -> dict:
+    """Library digests of one map mined on one backbone."""
+    from roictx import mining
+    from roictx.geometry import Box
+    rng = np.random.default_rng(seed)
+    F = make_map(kind, rng)
+    config = mining.MiningConfig(backbone=backbone)
+    n = D * config.ph * config.pw
+    scorer = mining.ContextScorer(rng.normal(0.0, 1.0, n).astype(np.float32),
+                                  float(rng.normal()))
+    rois = [Box(fx1 * W, fy1 * H, fx2 * W, fy2 * H)
+            for fx1, fy1, fx2, fy2 in ROI_FRACS]
+    many = mining.mine_many(F, rois, scorer, config)
+    single = [mining.mine_context(F, r, scorer, config) for r in rois]
+    upstream = rng.normal(0.0, 1.0, (len(rois), 9 * D, config.ph, config.pw))
+
+    name = f"{kind}-{backbone}"
+    out = {
+        f"{name}-mine_many": digest(*(m.feature for m in many)),
+        f"{name}-mine_context": digest(*(m.feature for m in single)),
+        f"{name}-records": digest([
+            [(rec.index, rec.score, rec.pool_size,
+              None if rec.box is None else
+              [rec.box.x1, rec.box.y1, rec.box.x2, rec.box.y2])
+             for rec in m.selected] for m in many]),
+    }
+    maps = [m for mined in many for m in [mined.object_map] + [
+        rec.roi_map for rec in mined.selected if not rec.fallback]]
+    routing = "argmax" if backbone == "pool" else "samples"
+    out[f"{name}-kept-data"] = digest(*(m.data for m in maps))
+    out[f"{name}-kept-{routing}"] = digest(*(getattr(m, routing) for m in maps))
+    for variant in mining.VARIANTS:
+        out[f"{name}-variant-{variant}"] = digest(*(
+            mining.fixed_context_variant(F, r, variant, config) for r in rois))
+    grads = []
+    for mined, g in zip(many, upstream.astype(np.float32)):
+        grad_F, (grad_w, grad_b) = mining.mine_context_backward(
+            g, mined, F.shape, scorer)
+        grads += [grad_F, grad_w, np.float64(grad_b)]
+    out[f"{name}-backward"] = digest(*grads)
+    return out
+
+
+def lib_digests() -> dict:
+    """Every library digest, by <map>-<backbone>-<output> name."""
+    digests = {}
+    for k, kind in enumerate(KINDS):
+        for backbone in ("pool", "align"):
+            digests.update(lib_case(kind, backbone, 20261019 + k))
+    return digests
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="directory holding the roictx package")
     ap.add_argument("--out", help="JSON output path; standard output if absent")
     args = ap.parse_args(argv)
-    text = json.dumps(run_matrix(args.src), indent=1, sort_keys=True) + "\n"
+    import_roictx(args.src)
+    digests = {**cli_digests(), **lib_digests()}
+    text = json.dumps(digests, indent=1, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
