@@ -29,6 +29,8 @@ from .geometry import Box, iou
 
 KINDS = ("black", "flip", "random", "adversarial")
 FLIP_AXES = ("horizontal", "vertical", "both")
+# Seeded source windows a random patch tries before falling back to black.
+SOURCE_ATTEMPTS = 100
 
 _MASK64 = (1 << 64) - 1
 
@@ -88,13 +90,13 @@ def _nearest_resize(patch: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def _random_source(rng: SplitMix64, gt: Box, ph: int, pw: int,
-                   height: int, width: int, attempts: int = 100):
+                   height: int, width: int):
     """Seeded top-left of an equal-size source window fully outside gt."""
     max_y = height - ph
     max_x = width - pw
     if max_y < 0 or max_x < 0:
         return None
-    for _ in range(attempts):
+    for _ in range(SOURCE_ATTEMPTS):
         sy = rng.below(max_y + 1)
         sx = rng.below(max_x + 1)
         src = Box(float(sx), float(sy), float(sx + pw), float(sy + ph))

@@ -117,16 +117,19 @@ def _cmd_enumerate(args) -> int:
 
 
 def _check_manifest(path, entries) -> None:
-    """Every entry must be an object naming its in, boxes and out files."""
+    """Every entry must be an object naming its in, boxes and out files,
+    each a string: a number would name a file descriptor."""
     if not isinstance(entries, list):
         raise FormatError(f"{path}: manifest must be a JSON list of "
                           f"{{in, boxes, out}} objects")
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise FormatError(f"{path}: entry {i} is not a JSON object")
-        missing = [k for k in ("in", "boxes", "out") if k not in entry]
-        if missing:
-            raise FormatError(f"{path}: entry {i} lacks {', '.join(missing)}")
+        bad = [k for k in ("in", "boxes", "out")
+               if not isinstance(entry.get(k), str)]
+        if bad:
+            raise FormatError(f"{path}: entry {i} lacks a string "
+                              f"{', '.join(bad)}")
 
 
 def _cmd_attack(args) -> int:

@@ -106,9 +106,10 @@ class CandidateGridSpec:
 
 
 def _constraints_ok(corners, anchors: np.ndarray, floor, ceil,
-                    grid: CandidateGridSpec) -> np.ndarray:
+                    grid: CandidateGridSpec):
     """The three pool constraints of (N, C) x1, y1, x2, y2 corners against
-    their cell's (N, 4) anchor, (N, 1) short-edge floor and long-edge ceil."""
+    their cell's (N, 4) anchor, (N, 1) short-edge floor and long-edge ceil,
+    and whether each cell's unions with its anchor are all finite."""
     x1, y1, x2, y2 = corners
     ax1, ay1, ax2, ay2 = anchors.T[:, :, None]
     w = x2 - x1
@@ -119,7 +120,7 @@ def _constraints_ok(corners, anchors: np.ndarray, floor, ceil,
     inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
     union = w * h + (ax2 - ax1) * (ay2 - ay1) - inter
     iou_vals = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
-    return ok & (iou_vals >= grid.anchor_iou_min)
+    return ok & (iou_vals >= grid.anchor_iou_min), np.isfinite(union).all(axis=1)
 
 
 def _clip_like_box(boxes: np.ndarray, width, height) -> np.ndarray:
@@ -160,16 +161,28 @@ def _candidate_arrays(cells: np.ndarray, grid: CandidateGridSpec,
     in any batch.  A cell without area, or whose anchor is lost, counts 0.
     A cell whose constraint arithmetic would overflow float64 raises
     DegenerateBoxError naming it, or its object RoI when the cells are
-    build_layout's of the (R, 4) rois."""
-    size = cells[:, 2:] - cells[:, :2]
-    center = cells[:, :2] + 0.5 * size
-    anchors = np.concatenate([center - 0.5 * (0.5 * size),
-                              center + 0.5 * (0.5 * size)], axis=1)
-    _require_finite_pools(cells, size, center, anchors, grid, rois)
-    cw, ch = size.T[:, :, None]
-    # Python's min and max, which differ from np.minimum's on NaN
-    floor = grid.short_edge_frac * np.where(ch < cw, ch, cw)
-    ceil = np.where(ch > cw, ch, cw)
+    build_layout's of the (R, 4) rois: a cell's unions with its anchor
+    are all finite exactly when all its constraint arithmetic is."""
+    oy, ox, sh, sw = _grid_combos(grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        size = cells[:, 2:] - cells[:, :2]
+        center = cells[:, :2] + 0.5 * size
+        anchors = np.concatenate([center - 0.5 * (0.5 * size),
+                                  center + 0.5 * (0.5 * size)], axis=1)
+        cw, ch = size.T[:, :, None]
+        # Python's min and max, which differ from np.minimum's on NaN
+        floor = grid.short_edge_frac * np.where(ch < cw, ch, cw)
+        ceil = np.where(ch > cw, ch, cw)
+        ccx, ccy = center.T[:, :, None]
+        cx, cy, w, h = ccx + ox * cw, ccy + oy * ch, sw * cw, sh * ch
+        corners = [cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h]
+        keep, finite = _constraints_ok(corners, anchors, floor, ceil, grid)
+    if not finite.all():
+        k = int(finite.argmin())
+        what = (f"cell {_box_at(cells, k)}" if rois is None else
+                "a context cell of object RoI "
+                f"{_box_at(rois, k // len(DIRECTIONS))}")
+        raise DegenerateBoxError(f"candidate pool of {what} overflows float64")
     valid = ~(size <= 0.0).any(axis=1)
     stored = anchors
     if map_bounds is not None:
@@ -177,41 +190,14 @@ def _candidate_arrays(cells: np.ndarray, grid: CandidateGridSpec,
         aw, ah = (stored[:, 2:] - stored[:, :2]).T[:, :, None]
         short = np.where(ah < aw, ah, aw)
         valid &= ~((aw * ah <= 0.0) | (short < floor))[:, 0]
-
-    oy, ox, sh, sw = _grid_combos(grid)
-    ccx, ccy = center.T[:, :, None]
-    cx, cy, w, h = ccx + ox * cw, ccy + oy * ch, sw * cw, sh * ch
-    corners = [cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h]
-    keep = _constraints_ok(corners, anchors, floor, ceil, grid)
-    if map_bounds is not None:
         corners = [np.clip(c, 0.0, hi) for c, hi in zip(corners,
                                                          2 * tuple(map_bounds))]
         keep &= (corners[2] - corners[0] > 0.0) & (corners[3] - corners[1] > 0.0)
-        keep &= _constraints_ok(corners, stored, floor, ceil, grid)
+        keep &= _constraints_ok(corners, stored, floor, ceil, grid)[0]
     first = np.full((len(cells), 1), grid.include_anchor)
     mask = np.concatenate([first, keep], axis=1) & valid[:, None]
     rows = np.concatenate([stored[:, None], np.stack(corners, axis=2)], axis=1)
     return CandidatePools(rows[mask], mask.sum(axis=1))
-
-
-def _require_finite_pools(cells, size, center, anchors, grid, rois) -> None:
-    """Raise for the first cell whose largest union in _constraints_ok is
-    not finite, computed once per cell by those float64 operations: edges
-    grow with the size fraction, the union with the edges, and every step
-    rounds monotonically, so all of a cell's constraint arithmetic is
-    finite exactly when this value is."""
-    half = 0.5 * (max(grid.size_fracs) * size)
-    at = center[..., None] + np.asarray(grid.offset_fracs) * size[..., None]
-    aw, ah = (anchors[:, 2:] - anchors[:, :2]).T
-    with np.errstate(over="ignore", invalid="ignore"):
-        edges = ((at + half[..., None]) - (at - half[..., None])).max(axis=2)
-        fits = np.isfinite(edges[:, 0] * edges[:, 1] + aw * ah)
-    if not fits.all():
-        k = int(fits.argmin())
-        what = (f"cell {_box_at(cells, k)}" if rois is None else
-                "a context cell of object RoI "
-                f"{_box_at(rois, k // len(DIRECTIONS))}")
-        raise DegenerateBoxError(f"candidate pool of {what} overflows float64")
 
 
 def candidate_pool_for_cell(cell: Box, grid: CandidateGridSpec,
@@ -715,23 +701,24 @@ def _backward_one(grad_block: np.ndarray, roi_map: RoIMap, F_dims) -> np.ndarray
     return roi_align_backward(grad_block, roi_map, F_dims)
 
 
-def scorer_gradient(scorer: ContextScorer, grad_blocks, maps,
+def scorer_gradient(grad_blocks: np.ndarray, maps: np.ndarray,
                     lambda_ctx: float):
     """float64 gradient of the loss with respect to the shared scorer
     through the selected candidates' scores.
 
-    For each pair of a selected candidate's map x_i and the loss gradient
-    g_i on that map, u_i = <g_i, x_i>; grad_w sums lambda_ctx * u_i * x_i
-    and grad_b sums lambda_ctx * u_i.  Returns (grad_w, grad_b).
+    grad_blocks and maps are (n, D*ph*pw) arrays, n >= 0, row i the loss
+    gradient g_i on a selected candidate's map and that map x_i.  With
+    u_i = <g_i, x_i>, one float64 dot per row, and c_i = lambda_ctx * u_i,
+    grad_w sums c_i * x_i and grad_b sums c_i from 0.0 in row order: one
+    np.add.reduce down the rows [c_i * x_i, c_i], never numpy's fast axis,
+    the only one it sums pairwise.  Returns (grad_w, grad_b).
     """
-    grad_w = np.zeros(scorer.weights.shape[0], dtype=np.float64)
-    grad_b = 0.0
-    for g, x in zip(grad_blocks, maps):
-        x = x.reshape(-1).astype(np.float64)
-        u = float(np.dot(g.reshape(-1).astype(np.float64), x))
-        grad_w += lambda_ctx * u * x
-        grad_b += lambda_ctx * u
-    return grad_w, grad_b
+    g = np.asarray(grad_blocks, dtype=np.float64)
+    x = np.asarray(maps, dtype=np.float64)
+    coef = lambda_ctx * (g[:, None, :] @ x[:, :, None])[:, 0]
+    sums = np.add.reduce(np.concatenate([coef * x, coef], axis=1), axis=0,
+                         initial=0.0)
+    return sums[:-1], float(sums[-1])
 
 
 def mine_context_backward(grad_feature: np.ndarray, mined: MinedRoIFeature,
@@ -741,9 +728,11 @@ def mine_context_backward(grad_feature: np.ndarray, mined: MinedRoIFeature,
 
     Block 0's gradient routes through the object map; block i's routes
     through cell i's selected map (or the object map again for fallback
-    cells).  The scorer receives a training signal through each selected
-    candidate's score path (scorer_gradient).  Selection argmaxes
-    themselves are treated as piecewise constant and pass no gradient.
+    cells).  The scorer learns through each kept candidate's score: one
+    scorer_gradient call on the stacked gradient blocks and kept maps of
+    the n non-fallback cells, n rows in DIRECTIONS order, the order of
+    both of its sums (n = 0 gives zeros).  Selection argmaxes themselves
+    are treated as piecewise constant and pass no gradient.
 
     Returns (grad_F, (grad_weights, grad_bias)); raises NumericError when
     the scorer gradient overflows float32 or is not finite.
@@ -758,12 +747,13 @@ def mine_context_backward(grad_feature: np.ndarray, mined: MinedRoIFeature,
 
     grad_F = np.zeros(tuple(F_dims), dtype=np.float32)
     maps = _block_maps(mined.object_map, mined.selected)
-    blocks = [grad_feature[i * d:(i + 1) * d] for i in range(len(maps))]
+    blocks = grad_feature.reshape(len(maps), d, ph, pw)
     for block, roi_map in zip(blocks, maps):
         grad_F += _backward_one(block, roi_map, F_dims)
-    kept = [i for i, rec in enumerate(mined.selected, 1) if not rec.fallback]
-    grad_w, grad_b = scorer_gradient(scorer, [blocks[i] for i in kept],
-                                     [maps[i].data for i in kept], lambda_ctx)
+    flat = np.array([m.data for m in maps]).reshape(len(maps), -1)
+    kept = [False] + [not rec.fallback for rec in mined.selected]
+    grad_w, grad_b = scorer_gradient(blocks.reshape(len(maps), -1)[kept],
+                                     flat[kept], lambda_ctx)
     with np.errstate(over="ignore", invalid="ignore"):
         grad_w = grad_w.astype(np.float32)
     if not (np.isfinite(grad_w).all() and np.isfinite(grad_b)):

@@ -154,13 +154,16 @@ def train_head(scenes, variant: str, epochs: int = 30, lr: float = 0.05,
 
     Returns held-out accuracy, the per-epoch mean training loss trace,
     and for the mining variant the fraction of held-out scenes whose
-    selected box in the blob's cell overlaps the blob.
+    selected box in the blob's cell overlaps the blob.  An unknown
+    variant, no scenes or fewer than one epoch raise ValueError.
     """
     if variant not in TRAIN_VARIANTS:
         raise ValueError(
             f"unknown variant {variant!r}, expected one of {TRAIN_VARIANTS}")
     if not scenes:
         raise ValueError("need at least one scene")
+    if epochs < 1:
+        raise ValueError(f"need epochs >= 1, got {epochs}")
     rng = np.random.default_rng([seed, 0xeffec7])
     order = rng.permutation(len(scenes))
     n_test = max(1, int(round(len(scenes) * config.holdout_frac)))
@@ -206,11 +209,10 @@ def train_head(scenes, variant: str, epochs: int = 30, lr: float = 0.05,
             g = p.copy()
             g[scene.label] -= 1.0
             if mining:
-                g_blocks = [head_w[:, (c + 1) * block:(c + 2) * block].T @ g
-                            for c in range(len(picked))]
+                g_blocks = (head_w[:, block:].reshape(2, -1, block)
+                            .transpose(1, 2, 0) @ g)
                 grad_w, grad_b = scorer_gradient(
-                    scorer, g_blocks, feats[i].flats[picked],
-                    config.lambda_ctx)
+                    g_blocks, feats[i].flats[picked], config.lambda_ctx)
                 with np.errstate(over="ignore", invalid="ignore"):
                     scorer.weights = (scorer.weights.astype(np.float64)
                                       - lr * grad_w).astype(np.float32)

@@ -287,6 +287,14 @@ class TestSynthDemo:
         assert capsys.readouterr().err.startswith("error: training diverged")
         assert not out.exists()
 
+    def test_negative_epochs_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert cli.main(["synth-demo", "--variant", "none", "--scenes", "8",
+                         "--epochs", "-2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: need epochs >= 1, got -2\n")
+        assert not out.exists()
+
 
 class TestGradcheck:
     @pytest.mark.parametrize("op", ["roipool", "roialign", "ctxmine"])
@@ -378,3 +386,23 @@ class TestAttackManifest:
             manifest = [entry]
         assert self._run(tmp_path, manifest) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("key,value", [
+        ("in", ["a"]), ("boxes", 2.5), ("out", 1)])
+    def test_non_string_path_exits_1(self, tmp_path, capsys, key, value):
+        """A number as out would name a file descriptor (1 is stdout), and
+        a list as in fails deep in the reader: both are format errors
+        naming the entry and the key, raised before any entry runs."""
+        self._image(tmp_path)
+        good = {"in": str(tmp_path / "img.ften"),
+                "boxes": str(tmp_path / "gt.csv"),
+                "out": str(tmp_path / "o0.ften")}
+        bad = dict(good, out=str(tmp_path / "o1.ften"))
+        bad[key] = value
+        assert self._run(tmp_path, [good, bad]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {tmp_path / 'm.json'}: entry 1 "
+                                f"lacks a string {key}\n")
+        assert not (tmp_path / "o0.ften").exists()
+        assert not (tmp_path / "o1.ften").exists()

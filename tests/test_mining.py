@@ -17,7 +17,7 @@ from roictx.gradcheck import check
 from roictx.mining import CandidateGridSpec, ContextScorer, DIRECTIONS, \
     ContextMiner, MiningConfig, build_layout, candidate_pool_for_cell, \
     fixed_context_variant, mine_context, mine_context_backward, mine_many, \
-    mined_to_record, selection_indices
+    mined_to_record, scorer_gradient, selection_indices
 from roictx.roi_ops import RangeMaxTable, roi_align, roi_pool
 
 
@@ -1524,6 +1524,79 @@ class TestMineContextBackward:
         with pytest.raises(ShapeError):
             mine_context_backward(np.zeros((17, 3, 3), dtype=np.float32),
                                   mined, F.shape, scorer)
+
+    @pytest.mark.parametrize("backbone", ["pool", "align"])
+    def test_every_cell_falls_back(self, backbone):
+        """A RoI covering the whole map loses all 8 cell anchors: every
+        block routes through the object map and the scorer, fed no rows,
+        gets a zero gradient of its full width."""
+        rng = np.random.default_rng(79)
+        F = rng.normal(0, 1, (2, 16, 16)).astype(np.float32)
+        scorer = ContextScorer(rng.normal(0, 1, 2 * 9).astype(np.float32), 0.1)
+        mined = mine_context(F, Box(0.0, 0.0, 16.0, 16.0), scorer,
+                             MiningConfig(ph=3, pw=3, backbone=backbone))
+        assert all(rec.fallback for rec in mined.selected)
+        g = rng.normal(0, 1, (18, 3, 3)).astype(np.float32)
+        grad_F, (gw, gb) = mine_context_backward(g, mined, F.shape, scorer,
+                                                 lambda_ctx=0.7)
+        want = np.zeros(F.shape, dtype=np.float32)
+        for i in range(9):
+            want += mining._backward_one(g[2 * i:2 * (i + 1)],
+                                         mined.object_map, F.shape)
+        assert grad_F.tobytes() == want.tobytes()
+        assert gw.dtype == np.float32 and gw.shape == (18,)
+        assert not gw.any() and not np.signbit(gw).any()
+        assert gb == 0.0 and math.copysign(1.0, gb) == 1.0
+
+
+class TestScorerGradient:
+    """scorer_gradient on stacked rows equals a loop of one np.dot per
+    row, bit for bit: both sums run from 0.0 in row order."""
+
+    @staticmethod
+    def _oracle(g, x, lam):
+        grad_w = np.zeros(x.shape[1], dtype=np.float64)
+        grad_b = 0.0
+        for gi, xi in zip(g, x):
+            xi = xi.astype(np.float64)
+            u = float(np.dot(gi.astype(np.float64), xi))
+            grad_w += lam * u * xi
+            grad_b += lam * u
+        return grad_w, grad_b
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert got[0].dtype == np.float64
+        assert got[0].tobytes() == want[0].tobytes()
+        assert isinstance(got[1], float)
+        assert got[1] == want[1]
+        assert math.copysign(1.0, got[1]) == math.copysign(1.0, want[1])
+
+    @pytest.mark.parametrize("width", [18, 3136])
+    @pytest.mark.parametrize("n", [0, 1, 8])
+    def test_matches_loop_oracle(self, n, width):
+        rng = np.random.default_rng([n, width])
+        for _ in range(20):
+            # rows of mixed scales, so that the order of each sum matters
+            scale = 10.0 ** rng.integers(-6, 7, (n, 1))
+            g = (scale * rng.normal(0, 1, (n, width))).astype(np.float32)
+            x = rng.normal(0, 1, (n, width)).astype(np.float32)
+            self._assert_same(scorer_gradient(g, x, 0.7),
+                              self._oracle(g, x, 0.7))
+
+    def test_cancelling_terms_sum_in_row_order(self):
+        """Single-entry rows whose u cancel: the row-order sum from 0.0
+        gives 1, a compensated sum 2 and numpy's pairwise grouping of 8
+        terms 0."""
+        u = [1e16, 1e16, 1e16, -1e16, -1e16, 1.0, -1e16, 1.0]
+        assert math.fsum(u) == 2.0
+        assert ((u[0] + u[1]) + (u[2] + u[3])) \
+            + ((u[4] + u[5]) + (u[6] + u[7])) == 0.0
+        g = np.array(u).reshape(-1, 1)
+        x = np.ones_like(g)
+        got = scorer_gradient(g, x, 1.0)
+        self._assert_same(got, self._oracle(g, x, 1.0))
+        assert got[0].tolist() == [1.0] and got[1] == 1.0
 
 
 class TestFixedVariants:

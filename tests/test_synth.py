@@ -90,6 +90,11 @@ class TestTrainHead:
         with pytest.raises(ValueError):
             train_head(generate(0, 4), "global")
 
+    @pytest.mark.parametrize("epochs", [0, -2])
+    def test_fewer_than_one_epoch_rejected(self, epochs):
+        with pytest.raises(ValueError, match=f"need epochs >= 1, got {epochs}"):
+            train_head(generate(0, 4), "mining", epochs=epochs)
+
     def test_holdout_leaving_no_training_scenes_rejected(self):
         with pytest.raises(ValueError):
             train_head(generate(0, 1), "none")
