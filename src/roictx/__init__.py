@@ -8,8 +8,7 @@ from .losses import softmax
 from .mining import CandidateGridSpec, ContextMiner, ContextScorer, \
     DIRECTIONS, MinedRoIFeature, MiningConfig, SelectionRecord, build_layout, \
     candidate_pool_for_cell, fixed_context_variant, mine_context, \
-    mine_context_backward, mine_many, mined_to_record, roi_map, \
-    selection_indices
+    mine_context_backward, mine_many, mined_to_record, roi_map
 from .roi_ops import RangeMaxTable, RoIMap, roi_align, roi_align_backward, \
     roi_pool, roi_pool_backward
 from .attacks import SplitMix64, apply_patch, apply_patches, patch_region, \

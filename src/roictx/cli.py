@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -81,10 +82,11 @@ def _cmd_roi_op(args) -> int:
 
 
 def _cmd_ctxmine(args) -> int:
+    config = _config(args)
     F = load_ften(args.features)
     boxes = _boxes(args.rois)
     scorer = _load_scorer(args.scorer, F.shape[0], args.ph, args.pw)
-    mined = mining.mine_many(F, boxes, scorer, _config(args))
+    mined = mining.mine_many(F, boxes, scorer, config)
     save_ften(args.out, np.stack([m.feature for m in mined]))
     if args.report:
         _write_json(args.report, [mining.mined_to_record(m) for m in mined])
@@ -92,8 +94,8 @@ def _cmd_ctxmine(args) -> int:
 
 
 def _cmd_variant(args) -> int:
-    F = load_ften(args.features)
     config = _config(args, local_scale=args.local_scale)
+    F = load_ften(args.features)
     feats = [mining.fixed_context_variant(F, r, args.variant, config)
              for r in _boxes(args.rois)]
     save_ften(args.out, np.stack(feats))
@@ -157,7 +159,8 @@ def _cmd_attack(args) -> int:
 
 def _gradcheck_instance(op: str, seed: int):
     """Seeded random instance of one differentiable operator: returns
-    (f, x, analytic_grad, records_fn)."""
+    (f, x, analytic_grad), f giving a weighted sum of the operator's
+    output and the routing record of that forward (see gradcheck)."""
     rng = np.random.default_rng([seed, 0x6d5a])
     if op in ("roipool", "roialign"):
         pool = op == "roipool"
@@ -169,13 +172,11 @@ def _gradcheck_instance(op: str, seed: int):
         grad = mining._backward_one(w, mining.roi_map(F, r, config), F.shape)
 
         def f(x):
-            return float((w.astype(np.float64)
-                          * mining.roi_map(x, r, config).data).sum())
+            m = mining.roi_map(x, r, config)
+            return (float((w.astype(np.float64) * m.data).sum()),
+                    m.argmax.tobytes() if pool else None)
 
-        def records(x):
-            return mining.roi_map(x, r, config).argmax.tobytes()
-
-        return f, F, grad, records if pool else None
+        return f, F, grad
     if op == "ctxmine":
         F = rng.normal(0.0, 3.0, (2, 24, 24)).astype(np.float32)
         r = Box(9.2, 8.7, 14.9, 15.3)
@@ -188,24 +189,20 @@ def _gradcheck_instance(op: str, seed: int):
 
         def f(x):
             m = mining.mine_context(x, r, scorer, config)
-            return float((w.astype(np.float64) * m.feature).sum())
+            maps = mining._block_maps(m.object_map, m.selected)
+            return (float((w.astype(np.float64) * m.feature).sum()),
+                    ([rec.index for rec in m.selected],
+                     [b.argmax.tobytes() for b in maps]))
 
-        def records(x):
-            return mining.selection_indices(mining.mine_context(x, r, scorer,
-                                                                config))
-
-        return f, F, grad, records
+        return f, F, grad
     raise FormatError(f"unknown gradcheck op {op!r}")
 
 
 def _cmd_gradcheck(args) -> int:
-    f, x, grad, records = _gradcheck_instance(args.op, args.seed)
+    f, x, grad = _gradcheck_instance(args.op, args.seed)
     report = gc.check(f, x, grad, h=args.h, probes=args.probes,
-                      records_fn=records, seed=args.seed)
-    payload = json.loads(report.to_json())
-    payload["op"] = args.op
-    payload["seed"] = args.seed
-    _write_json(args.out, payload)
+                      seed=args.seed)
+    _write_json(args.out, asdict(report) | {"op": args.op, "seed": args.seed})
     return 0
 
 

@@ -2,15 +2,16 @@
 
 Float32 data forces the documented operating point: step h ~ 1e-2 and a
 relative tolerance of 1e-3.  Probe points where a discrete routing
-decision (pooling argmax, mining selection) flips between x-h*e_i and
-x+h*e_i are skipped, not failed; the comparison is only meaningful where
-the piecewise-smooth branch stays fixed.
+decision flips between x-h*e_i and x+h*e_i are skipped, not failed; the
+comparison is only meaningful where the piecewise-smooth branch stays
+fixed.  So a forward's record must cover every discrete decision it
+makes: for mining, each cell's selection and each block map's argmax,
+which can flip while the selections hold.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,27 +34,22 @@ class GradCheckReport:
     probed: int
     skipped: int
 
-    def to_json(self) -> str:
-        d = asdict(self)
-        d["worst_index"] = list(self.worst_index)
-        return json.dumps(d, indent=2, sort_keys=True)
-
 
 def check(f, x: np.ndarray, analytic_grad: np.ndarray, h: float = 1e-2,
-          probes: int = 100, records_fn=None, seed: int = 0) -> GradCheckReport:
+          probes: int = 100, seed: int = 0) -> GradCheckReport:
     """Compare analytic_grad against central differences of f at x.
 
     Args:
-        f: scalar-valued function of a tensor shaped like x.
+        f: function of a tensor shaped like x, called once per evaluation,
+            returning (value, record): a scalar and a comparable record of
+            every routing decision of that forward (see above), or None
+            when nothing routes.  Probes whose two records differ are
+            skipped.
         x: base point (not modified).
         analytic_grad: candidate gradient, same shape as x.
         h: central-difference step, must be > 0.
         probes: number of coordinates to probe (capped at x.size); sampled
             without replacement with the given seed.
-        records_fn: optional function of the perturbed tensor returning a
-            comparable routing record (e.g. argmax bytes, selected indices).
-            Probe points where the record differs between the two perturbed
-            evaluations are skipped.
         seed: RNG seed for coordinate sampling.
     """
     if h <= 0.0:
@@ -77,15 +73,14 @@ def check(f, x: np.ndarray, analytic_grad: np.ndarray, h: float = 1e-2,
     for c in coords:
         orig = flat[c]
         flat[c] = orig + h
-        f_plus = float(f(work))
-        rec_plus = records_fn(work) if records_fn is not None else None
+        f_plus, rec_plus = f(work)
         flat[c] = orig - h
-        f_minus = float(f(work))
-        rec_minus = records_fn(work) if records_fn is not None else None
+        f_minus, rec_minus = f(work)
         flat[c] = orig
+        f_plus, f_minus = float(f_plus), float(f_minus)
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
             raise NumericError(f"f is not finite near coordinate {int(c)}")
-        if records_fn is not None and rec_plus != rec_minus:
+        if rec_plus != rec_minus:
             skipped += 1
             continue
         numeric = (f_plus - f_minus) / (2.0 * h)

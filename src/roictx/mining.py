@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import DegenerateBoxError, NumericError, ShapeError
 from .geometry import Box
-from .roi_ops import RangeMaxTable, RoIMap, roi_align, roi_align_backward, \
-    roi_align_bin_sums, roi_pool, roi_pool_backward
+from .roi_ops import RangeMaxTable, RoIMap, _check_grid, roi_align, \
+    roi_align_backward, roi_align_bin_sums, roi_pool, roi_pool_backward
 from .tensor import concat_channels
 
 DIRECTIONS = ("left-top", "top", "right-top", "left", "right",
@@ -264,7 +264,9 @@ class ContextScorer:
 
 @dataclass(frozen=True)
 class MiningConfig:
-    """Knobs of the mining operator and the fixed-context variants."""
+    """Knobs of the mining operator and the fixed-context variants; ph or
+    pw below 1 raise ShapeError, a local_scale not finite and > 0 (a
+    flipped or empty local box) DegenerateBoxError."""
 
     ph: int = 7
     pw: int = 7
@@ -276,6 +278,10 @@ class MiningConfig:
     def __post_init__(self):
         if self.backbone not in ("pool", "align"):
             raise ValueError(f"backbone must be pool|align, got {self.backbone!r}")
+        _check_grid(self.ph, self.pw)
+        if not (np.isfinite(self.local_scale) and self.local_scale > 0.0):
+            raise DegenerateBoxError(
+                f"local_scale must be finite and > 0, got {self.local_scale}")
 
 
 DEFAULT_CONFIG = MiningConfig()
@@ -712,6 +718,12 @@ def scorer_gradient(grad_blocks: np.ndarray, maps: np.ndarray,
     grad_w sums c_i * x_i and grad_b sums c_i from 0.0 in row order: one
     np.add.reduce down the rows [c_i * x_i, c_i], never numpy's fast axis,
     the only one it sums pairwise.  Returns (grad_w, grad_b).
+
+    The mined feature depends on w only through the argmax.  This is the
+    gradient, at w = w0 with the selections fixed, of a value-preserving
+    straight-through gate: each kept block x_i becomes
+    x_i * (1 + lambda_ctx * (s_i(w) - s_i(w0))), with s_i(w) = <w, x_i> + b
+    its score under scorer (w, b) and w0 the scorer that selected it.
     """
     g = np.asarray(grad_blocks, dtype=np.float64)
     x = np.asarray(maps, dtype=np.float64)
@@ -731,8 +743,9 @@ def mine_context_backward(grad_feature: np.ndarray, mined: MinedRoIFeature,
     cells).  The scorer learns through each kept candidate's score: one
     scorer_gradient call on the stacked gradient blocks and kept maps of
     the n non-fallback cells, n rows in DIRECTIONS order, the order of
-    both of its sums (n = 0 gives zeros).  Selection argmaxes themselves
-    are treated as piecewise constant and pass no gradient.
+    both of its sums (n = 0 gives zeros): the gradient of scorer_gradient's
+    straight-through gate, which object and fallback blocks do not carry.
+    Selection argmaxes themselves pass no gradient.
 
     Returns (grad_F, (grad_weights, grad_bias)); raises NumericError when
     the scorer gradient overflows float32 or is not finite.
@@ -759,12 +772,6 @@ def mine_context_backward(grad_feature: np.ndarray, mined: MinedRoIFeature,
     if not (np.isfinite(grad_w).all() and np.isfinite(grad_b)):
         raise NumericError("scorer gradient is not finite in float32")
     return grad_F, (grad_w, float(grad_b))
-
-
-def selection_indices(mined: MinedRoIFeature) -> tuple:
-    """Per-cell selected candidate indices (FALLBACK included), in
-    DIRECTIONS order; the routing record for stability probes."""
-    return tuple(rec.index for rec in mined.selected)
 
 
 def fixed_context_variant(F: np.ndarray, r: Box, variant: str,

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roictx import cli
+from roictx import cli, mining
 from roictx.attacks import SplitMix64, apply_patches
 from roictx.geometry import Box
+from roictx.gradcheck import check
 from roictx.mining import CandidateGridSpec, candidate_pool_for_cell
 from roictx.roi_ops import roi_align, roi_pool
 from roictx.tensor import load_ften, save_ften
@@ -158,6 +159,20 @@ class TestCtxmine:
         assert not (tmp / "m.ften").exists()
         assert not (tmp / "r.json").exists()
 
+    @pytest.mark.parametrize("grid,extents", [("--pw=-3", "7x-3"),
+                                              ("--ph=0", "0x7")])
+    def test_grid_below_one_exits_1(self, inputs, capsys, grid, extents):
+        """The extent check runs before the default zero scorer is made,
+        so a negative extent never reaches numpy."""
+        tmp, _ = inputs
+        args = (["ctxmine", grid, "--report", str(tmp / "r.json")]
+                + _io(tmp, "m.ften"))
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == (
+            f"error: grid extents must be >= 1, got {extents}\n")
+        assert not (tmp / "m.ften").exists()
+        assert not (tmp / "r.json").exists()
+
 
 class TestVariant:
     def test_nan_map_exits_1(self, tmp_path, capsys):
@@ -170,6 +185,18 @@ class TestVariant:
         assert cli.main(args) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "v.ften").exists()
+
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    def test_non_positive_local_scale_exits_1(self, inputs, capsys, scale):
+        """Such a scale makes a flipped or empty local box, whose block
+        would silently repeat the object map."""
+        tmp, _ = inputs
+        args = (["variant", "--variant", "local", f"--local-scale={scale}"]
+                + _io(tmp, "v.ften"))
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == (
+            f"error: local_scale must be finite and > 0, got {float(scale)}\n")
+        assert not (tmp / "v.ften").exists()
 
 
 class TestEnumerate:
@@ -299,13 +326,52 @@ class TestSynthDemo:
 class TestGradcheck:
     @pytest.mark.parametrize("op", ["roipool", "roialign", "ctxmine"])
     def test_report_within_tolerance(self, tmp_path, op):
+        """The documented tolerance, at the default 150 probes, on seeds
+        whose pool argmax flips at some probe of ctxmine's nine block maps
+        (0, 1, 2) and on the matrix's seed 5."""
         out = tmp_path / "gc.json"
-        assert cli.main(["gradcheck", "--op", op, "--seed", "5", "--probes", "40",
-                         "--out", str(out)]) == 0
+        for seed in (0, 1, 2, 5):
+            assert cli.main(["gradcheck", "--op", op, "--seed", str(seed),
+                             "--out", str(out)]) == 0
+            with open(out, encoding="utf-8") as fh:
+                report = json.load(fh)
+            assert report["op"] == op and report["seed"] == seed
+            assert report["probed"] == 150
+            assert report["max_rel_error"] <= 1e-3
+
+    def test_ctxmine_mines_once_per_evaluation(self, tmp_path, monkeypatch):
+        """One mine_context call per perturbed point, value and record from
+        the same forward, plus one at the base point for the backward."""
+        calls = []
+        real = mining.mine_context
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].copy())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mining, "mine_context", counting)
+        assert cli.main(["gradcheck", "--op", "ctxmine", "--probes", "7",
+                         "--out", str(tmp_path / "gc.json")]) == 0
+        assert len(calls) == 2 * 7 + 1
+        assert all(np.count_nonzero(c != calls[0]) == 1 for c in calls[1:])
+
+    def test_report_is_the_check_report(self, tmp_path):
+        """The JSON file is gradcheck.check's report, field by field, with
+        the op and the seed beside it."""
+        out = tmp_path / "gc.json"
+        assert cli.main(["gradcheck", "--op", "roipool", "--seed", "3",
+                         "--probes", "20", "--out", str(out)]) == 0
+        f, x, grad = cli._gradcheck_instance("roipool", 3)
+        want = check(f, x, grad, probes=20, seed=3)
         with open(out, encoding="utf-8") as fh:
-            report = json.load(fh)
-        assert report["op"] == op and report["seed"] == 5
-        assert report["max_rel_error"] <= 1e-2
+            payload = json.load(fh)
+        assert payload == {"max_abs_error": want.max_abs_error,
+                           "max_rel_error": want.max_rel_error,
+                           "worst_index": list(want.worst_index),
+                           "h": 1e-2, "probed": 20,
+                           "skipped": want.skipped, "op": "roipool",
+                           "seed": 3}
+        assert _read(out).endswith(b"}\n")
 
 
 class TestCommandSet:

@@ -1,16 +1,22 @@
-import json
-
 import numpy as np
 import pytest
 
 from roictx.errors import NumericError
-from roictx.gradcheck import GradCheckReport, check
+from roictx.gradcheck import check
+
+
+def unrouted(fn):
+    """fn as a forward that makes no routing decision: record None."""
+    return lambda t: (fn(t), None)
+
+
+total = unrouted(lambda t: float(t.sum()))
 
 
 class TestCheck:
     def test_sum_has_unit_gradient(self):
         x = np.random.default_rng(1).normal(0, 1, (3, 4)).astype(np.float32)
-        report = check(lambda t: float(t.sum()), x, np.ones_like(x), probes=12)
+        report = check(total, x, np.ones_like(x), probes=12)
         assert report.max_rel_error <= 1e-4
         assert report.skipped == 0
         assert report.probed == 12
@@ -21,12 +27,12 @@ class TestCheck:
         def f(t):
             return float(0.5 * (t.astype(np.float64) ** 2).sum())
 
-        report = check(f, x, x, h=1e-2, probes=30)
+        report = check(unrouted(f), x, x, h=1e-2, probes=30)
         assert report.max_rel_error <= 1e-3
 
     def test_wrong_gradient_is_caught(self):
         x = np.ones(10, dtype=np.float32)
-        report = check(lambda t: float(t.sum()), x, 2 * np.ones_like(x),
+        report = check(total, x, 2 * np.ones_like(x),
                        probes=10)
         assert report.max_rel_error > 0.3
 
@@ -38,22 +44,40 @@ class TestCheck:
             return float((t.astype(np.float64) ** 3).sum())
 
         grad = (3.0 * x.astype(np.float64) ** 2).astype(np.float32)
-        e_big = check(f, x, grad, h=1e-1, probes=20).max_abs_error
-        e_small = check(f, x, grad, h=1e-2, probes=20).max_abs_error
+        e_big = check(unrouted(f), x, grad, h=1e-1, probes=20).max_abs_error
+        e_small = check(unrouted(f), x, grad, h=1e-2, probes=20).max_abs_error
         assert e_big / e_small == pytest.approx(100.0, rel=0.15)
 
-    def test_records_fn_skips_unstable_points(self):
+    def test_changed_record_skips_unstable_points(self):
         x = np.array([1.0, 1.005], dtype=np.float32)
 
         def f(t):
-            return float(t.max())
+            return float(t.max()), int(np.argmax(t))
 
         grad = np.array([0.0, 1.0], dtype=np.float32)
-        report = check(f, x, grad, h=1e-2, probes=2,
-                       records_fn=lambda t: int(np.argmax(t)))
+        report = check(f, x, grad, h=1e-2, probes=2)
         # perturbing either coordinate by 0.01 flips the argmax
         assert report.skipped == 2
         assert report.max_rel_error == 0.0
+
+    def test_one_forward_per_evaluation(self):
+        """f is called once at each perturbed point, twice per probe, and
+        never at the base point; its value and record come from that one
+        call."""
+        x = np.random.default_rng(5).normal(0, 1, 6).astype(np.float32)
+        calls = []
+
+        def f(t):
+            calls.append(t.copy())
+            return float(t.sum()), None
+
+        report = check(f, x, np.ones_like(x), h=0.5, probes=4)
+        assert report.probed == 4 and len(calls) == 8
+        for plus, minus in zip(calls[::2], calls[1::2]):
+            moved = np.flatnonzero(plus != x)
+            assert moved.size == 1
+            assert np.array_equal(np.flatnonzero(minus != x), moved)
+            assert plus[moved] > x[moved] > minus[moved]
 
     def test_nonfinite_f_raises(self):
         x = np.zeros(3, dtype=np.float32)
@@ -62,31 +86,24 @@ class TestCheck:
             return float("nan")
 
         with pytest.raises(NumericError):
-            check(f, x, x, probes=1)
+            check(unrouted(f), x, x, probes=1)
 
     def test_probe_count_capped_at_size(self):
         x = np.zeros(5, dtype=np.float32)
-        report = check(lambda t: float(t.sum()), x, np.ones_like(x), probes=99)
+        report = check(total, x, np.ones_like(x), probes=99)
         assert report.probed == 5
 
     def test_bad_args_rejected(self):
         x = np.zeros(3, dtype=np.float32)
         with pytest.raises(ValueError):
-            check(lambda t: 0.0, x, x, h=0.0)
+            check(unrouted(lambda t: 0.0), x, x, h=0.0)
         with pytest.raises(ValueError):
-            check(lambda t: 0.0, x, x, probes=0)
+            check(unrouted(lambda t: 0.0), x, x, probes=0)
         with pytest.raises(ValueError):
-            check(lambda t: 0.0, x, np.zeros(4, dtype=np.float32))
-
-    def test_report_json_roundtrip(self):
-        report = GradCheckReport(1e-4, 2e-4, (1, 2), 1e-2, 50, 3)
-        payload = json.loads(report.to_json())
-        assert payload["max_rel_error"] == 2e-4
-        assert payload["worst_index"] == [1, 2]
-        assert payload["skipped"] == 3
+            check(unrouted(lambda t: 0.0), x, np.zeros(4, dtype=np.float32))
 
     def test_base_point_not_modified(self):
         x = np.random.default_rng(4).normal(0, 1, 8).astype(np.float32)
         before = x.copy()
-        check(lambda t: float(t.sum()), x, np.ones_like(x), probes=8)
+        check(total, x, np.ones_like(x), probes=8)
         assert np.array_equal(x, before)

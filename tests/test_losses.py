@@ -85,6 +85,6 @@ class TestLossBackward:
         for _ in range(20):
             logits = rng.normal(0, 2, 5)
             label = int(rng.integers(0, 5))
-            report = check(lambda z: cls_loss(z, label), logits,
+            report = check(lambda z: (cls_loss(z, label), None), logits,
                            cls_grad(logits, label), h=1e-4, probes=5)
             assert report.max_rel_error <= 1e-6

@@ -17,7 +17,7 @@ from roictx.gradcheck import check
 from roictx.mining import CandidateGridSpec, ContextScorer, DIRECTIONS, \
     ContextMiner, MiningConfig, build_layout, candidate_pool_for_cell, \
     fixed_context_variant, mine_context, mine_context_backward, mine_many, \
-    mined_to_record, scorer_gradient, selection_indices
+    mined_to_record, scorer_gradient
 from roictx.roi_ops import RangeMaxTable, roi_align, roi_pool
 
 
@@ -28,6 +28,20 @@ def interior_roi(rng, size, lo_frac=0.34, hi_frac=0.66, min_wh=3.0, max_wh=10.0)
     x1 = rng.uniform(w, size - 2 * w)
     y1 = rng.uniform(h, size - 2 * h)
     return Box(float(x1), float(y1), float(x1 + w), float(y1 + h))
+
+
+def selections(mined):
+    """Each cell's selected index (FALLBACK included), in DIRECTIONS
+    order."""
+    return tuple(rec.index for rec in mined.selected)
+
+
+def routing(mined):
+    """Every discrete decision of a mined forward: the selections, and the
+    argmax of each of the nine block maps (None on the align backbone)."""
+    maps = mining._block_maps(mined.object_map, mined.selected)
+    return selections(mined), [None if m.argmax is None
+                               else m.argmax.tobytes() for m in maps]
 
 
 def cells_of(r):
@@ -439,7 +453,7 @@ class TestMineContext:
         F = rng.normal(0, 1, (2, 48, 48)).astype(np.float32)
         r = interior_roi(rng, 48)
         mined = mine_context(F, r, ContextScorer.zeros(2, 7, 7))
-        assert selection_indices(mined) == (0,) * 8
+        assert selections(mined) == (0,) * 8
 
     @pytest.mark.parametrize("backbone", ["pool", "align"])
     def test_zero_scorer_rescores_one_row_per_cell(self, backbone,
@@ -507,11 +521,11 @@ class TestMineContext:
         scorer = ContextScorer(rng.normal(0, 1, 2 * 49).astype(np.float32), 0.4)
         for _ in range(25):
             r = interior_roi(rng, 48)
-            base = selection_indices(mine_context(F, r, scorer))
+            base = selections(mine_context(F, r, scorer))
             for lam in (0.5, 3.0):
                 scaled = ContextScorer(scorer.weights * np.float32(lam),
                                        scorer.bias * lam)
-                got = selection_indices(mine_context(F, r, scaled))
+                got = selections(mine_context(F, r, scaled))
                 assert got == base
 
     def test_mined_boxes_reverify_pool_constraints(self):
@@ -545,7 +559,7 @@ class TestMineContext:
         a = mine_context(F, r, scorer)
         b = mine_context(F, r, scorer)
         assert a.feature.tobytes() == b.feature.tobytes()
-        assert selection_indices(a) == selection_indices(b)
+        assert selections(a) == selections(b)
 
     def test_mine_many_equals_mine_context_per_roi(self):
         rng = np.random.default_rng(47)
@@ -792,7 +806,7 @@ class TestMineMany:
         assert max(rows) == mining.SLICE
         for r, a in zip(rois, many):
             assert_same_mined(a, mine_context(F, r, scorer, config))
-            assert selection_indices(a) == (0,) * 8
+            assert selections(a) == (0,) * 8
 
     @pytest.mark.parametrize("backbone", ["pool", "align"])
     def test_all_fallback_roi_alone(self, backbone, monkeypatch):
@@ -1449,23 +1463,11 @@ class TestMineContextBackward:
         w = rng.normal(0, 1, (18, 3, 3)).astype(np.float32)
         grad_F, _ = mine_context_backward(w, mined, F.shape, scorer)
 
-        last = {}
-
-        def mined_at(x):
-            # gradcheck calls f, then records, on each perturbed map
-            key = x.tobytes()
-            if key not in last:
-                last.clear()
-                last[key] = mine_context(x, r, scorer, config)
-            return last[key]
-
         def f(x):
-            return float((w.astype(np.float64) * mined_at(x).feature).sum())
+            m = mine_context(x, r, scorer, config)
+            return float((w.astype(np.float64) * m.feature).sum()), routing(m)
 
-        def records(x):
-            return selection_indices(mined_at(x))
-
-        report = check(f, F, grad_F, h=1e-2, probes=200, records_fn=records)
+        report = check(f, F, grad_F, h=1e-2, probes=200)
         assert report.max_rel_error <= 1e-3
         assert report.skipped <= report.probed * 0.05
 
@@ -1598,6 +1600,60 @@ class TestScorerGradient:
         self._assert_same(got, self._oracle(g, x, 1.0))
         assert got[0].tolist() == [1.0] and got[1] == 1.0
 
+    @pytest.mark.parametrize("backbone", ["pool", "align"])
+    def test_is_the_straight_through_gate_gradient(self, backbone):
+        """mine_context_backward's (grad_w, grad_b) is the gradient, at the
+        mining scorer w0, of the forward that gates each kept block as
+        x_i * (1 + lambda * (s_i(w) - s_i(w0))), s_i the scorer's own
+        score of the frozen kept map; the object block and the fallback
+        blocks carry no gate."""
+        rng = np.random.default_rng(89)
+        F = rng.normal(0, 2, (2, 24, 24)).astype(np.float32)
+        scorer = ContextScorer(rng.normal(0, 1, 18).astype(np.float32), 0.1)
+        # the left-top, top, right-top, left and left-bottom cells fall back
+        mined = mine_context(F, Box(0.5, 1.0, 7.0, 9.0), scorer,
+                             MiningConfig(ph=3, pw=3, backbone=backbone))
+        gated = np.array([False] + [not rec.fallback for rec in mined.selected])
+        assert 0 < gated.sum() < 8
+        g = rng.normal(0, 1, (18, 3, 3)).astype(np.float32)
+        lam = 0.7
+        _, (gw, gb) = mine_context_backward(g, mined, F.shape, scorer,
+                                            lambda_ctx=lam)
+        maps = mining._block_maps(mined.object_map, mined.selected)
+        x = np.array([m.data.reshape(-1) for m in maps])
+        u = (g.reshape(9, -1).astype(np.float64) * x).sum(axis=1)
+        s0 = scorer.score_flat(x)
+        assert s0[gated].tolist() == [rec.score for rec in mined.selected
+                                      if not rec.fallback]
+
+        def f(theta):
+            s = ContextScorer(theta[:-1], theta[-1]).score_flat(x)
+            gate = np.where(gated, 1.0 + lam * (s - s0), 1.0)
+            return float((u * gate).sum()), None
+
+        theta0 = np.append(scorer.weights, scorer.bias).astype(np.float64)
+        assert f(theta0)[0] == pytest.approx(
+            float((g.astype(np.float64) * mined.feature).sum()), rel=1e-12)
+        report = check(f, theta0, np.append(gw, gb), probes=theta0.size)
+        assert report.probed == 19 and report.skipped == 0
+        assert report.max_rel_error <= 1e-3
+
+
+class TestMiningConfig:
+    @pytest.mark.parametrize("ph,pw", [(7, -3), (0, 7), (0, 0)])
+    def test_grid_below_one_rejected(self, ph, pw):
+        with pytest.raises(ShapeError, match=re.escape(
+                f"grid extents must be >= 1, got {ph}x{pw}")):
+            MiningConfig(ph=ph, pw=pw)
+
+    @pytest.mark.parametrize("scale", [0.0, -0.0, -1.0, math.nan, math.inf,
+                                       -math.inf])
+    def test_local_scale_not_positive_and_finite_rejected(self, scale):
+        """A scale <= 0 would make a flipped or empty local box, whose
+        block would silently repeat the object map."""
+        with pytest.raises(DegenerateBoxError, match="local_scale"):
+            MiningConfig(local_scale=scale)
+
 
 class TestFixedVariants:
     def _data(self, seed=73):
@@ -1626,10 +1682,14 @@ class TestFixedVariants:
         assert np.array_equal(got[4:], whole)
 
     def test_local_block_is_enlarged_roi_pool(self):
+        """At the default scale, and at a positive scale below 1, which
+        shrinks the box and is still accepted."""
         _, F, r = self._data()
-        got = fixed_context_variant(F, r, "local")
-        want = roi_pool(F, r.scaled_about_center(1.5), 7, 7).data
-        assert np.array_equal(got[4:], want)
+        for scale in (1.5, 0.25):
+            got = fixed_context_variant(F, r, "local",
+                                        MiningConfig(local_scale=scale))
+            want = roi_pool(F, r.scaled_about_center(scale), 7, 7).data
+            assert np.array_equal(got[4:], want)
 
     def test_neigh8_equals_mining_with_forced_full_cell(self):
         rng, F, r = self._data(79)

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from roictx import synth
 from roictx.errors import TrainingError
 from roictx.geometry import Box
+from roictx.gradcheck import check
+from roictx.losses import softmax
 from roictx.mining import DIRECTIONS, ContextScorer, build_layout, \
     candidate_pool_for_cell, fixed_context_variant
 from roictx.roi_ops import RangeMaxTable
-from roictx.synth import DEFAULT_SYNTH, _MiningFeatures, generate, train_head
+from roictx.synth import DEFAULT_SYNTH, SynthConfig, _MiningFeatures, \
+    generate, train_head
 
 # Loss traces, held-out accuracy, overlap rate and the final scorer's bias,
 # weight sum and weight norm of train_head(generate(11, 16), variant,
@@ -98,6 +102,52 @@ class TestTrainHead:
     def test_holdout_leaving_no_training_scenes_rejected(self):
         with pytest.raises(ValueError):
             train_head(generate(0, 1), "none")
+
+    def test_scorer_step_is_the_straight_through_gate_gradient(self,
+                                                               monkeypatch):
+        """The scorer gradient of a train_head step is the gradient of that
+        step's loss with each mined block gated as
+        x_i * (1 + lambda * (s_i(w) - s_i(w0))), selections frozen.  With
+        one training scene, step 1 leaves the zero scorer as it is (the
+        head is zero) and step 2 is checked against a head rebuilt from
+        step 1's update."""
+        cfg = SynthConfig(lambda_ctx=0.7)
+        scene = generate(13, 1, cfg)[0]
+        steps = []
+        real = synth.scorer_gradient
+
+        def recording(g_blocks, maps, lam):
+            steps.append(real(g_blocks, maps, lam))
+            return steps[-1]
+
+        monkeypatch.setattr(synth, "scorer_gradient", recording)
+        lr = 0.05
+        result = train_head([scene, scene], "mining", epochs=2, lr=lr,
+                            config=cfg)
+        assert len(steps) == 2 and not steps[0][0].any()
+        grad = np.append(*steps[1])
+
+        feats = _MiningFeatures(scene, cfg)
+        picked = feats.select(ContextScorer.zeros(cfg.channels, cfg.ph,
+                                                  cfg.pw))
+        x = feats.flats[picked].astype(np.float64)
+        g1 = softmax(np.zeros(2)) - np.eye(2)[scene.label]
+        f1 = feats.feature(picked)
+        head_w, head_b = -lr * np.outer(g1, f1), -lr * g1
+        assert np.array_equal(head_w - lr * np.outer(
+            softmax(head_w @ f1 + head_b) - np.eye(2)[scene.label], f1),
+            result.head_w)
+
+        def loss(theta):
+            # s_i(w0) = 0 for the zero scorer w0
+            gate = 1.0 + cfg.lambda_ctx * (x @ theta[:-1] + theta[-1])
+            f = np.concatenate([feats.object_flat,
+                                (x * gate[:, None]).ravel()])
+            return -np.log(softmax(head_w @ f + head_b)[scene.label]), None
+
+        report = check(loss, np.zeros(grad.size), grad, probes=grad.size)
+        assert report.probed == 51 and report.skipped == 0
+        assert report.max_rel_error <= 1e-3
 
 
 class TestMiningFeatures:
