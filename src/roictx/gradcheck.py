@@ -51,6 +51,7 @@ def check(f, x: np.ndarray, analytic_grad: np.ndarray, h: float = 1e-2,
         probes: number of coordinates to probe (capped at x.size); sampled
             without replacement with the given seed.
         seed: RNG seed for coordinate sampling.
+    Raises NumericError when f is not finite or every probe is skipped.
     """
     if h <= 0.0:
         raise ValueError(f"h must be > 0, got {h}")
@@ -92,5 +93,7 @@ def check(f, x: np.ndarray, analytic_grad: np.ndarray, h: float = 1e-2,
         if rel_err >= max_rel:
             max_rel = rel_err
             worst = tuple(int(v) for v in np.unravel_index(int(c), x.shape))
+    if skipped == n:
+        raise NumericError(f"all {n} probes skipped: no gradient compared")
     return GradCheckReport(max_abs_error=max_abs, max_rel_error=max_rel,
                            worst_index=worst, h=h, probed=n, skipped=skipped)

@@ -20,14 +20,15 @@ same concatenation contract.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache, partial
-from itertools import islice
+from itertools import islice, product
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateBoxError, NumericError, ShapeError
-from .geometry import Box
+from .geometry import Box, iou
 from .roi_ops import RangeMaxTable, RoIMap, _check_grid, roi_align, \
     roi_align_backward, roi_align_bin_sums, roi_pool, roi_pool_backward
 from .tensor import concat_channels
@@ -56,7 +57,7 @@ CANDIDATE_BUDGET = 1 << 15
 # roi_ops.ALIGN_SUM_BLOCK candidates instead.
 SLICE = 128
 # Object RoIs per enumeration pass of mine_many: its memory, about twenty
-# (8 * ENUMERATE_BLOCK, 400) float64 arrays, does not grow with the RoIs.
+# (8 * ENUMERATE_BLOCK, 188) float64 arrays, does not grow with the RoIs.
 ENUMERATE_BLOCK = 4
 
 
@@ -93,9 +94,9 @@ class CandidateGridSpec:
     width/height (independently per axis).  Candidates must keep a short
     edge of at least short_edge_frac of the cell's short edge, a long
     edge no longer than the cell's long edge, and IoU with the cell
-    anchor of at least anchor_iou_min.  include_anchor=False drops the
-    anchor from the pool (used to pin pools to explicit candidates, e.g.
-    forcing the full cell).
+    anchor of at least anchor_iou_min, judged on the cell's shape (see
+    candidate_pool_for_cell).  include_anchor=False drops the anchor from
+    the pool (used to pin pools to explicit candidates, e.g. the full cell).
     """
 
     offset_fracs: tuple = (-0.25, -0.125, 0.0, 0.125, 0.25)
@@ -105,44 +106,36 @@ class CandidateGridSpec:
     include_anchor: bool = True
 
 
-def _constraints_ok(corners, anchors: np.ndarray, floor, ceil,
-                    grid: CandidateGridSpec):
-    """The three pool constraints of (N, C) x1, y1, x2, y2 corners against
-    their cell's (N, 4) anchor, (N, 1) short-edge floor and long-edge ceil,
-    and whether each cell's unions with its anchor are all finite."""
-    x1, y1, x2, y2 = corners
-    ax1, ay1, ax2, ay2 = anchors.T[:, :, None]
-    w = x2 - x1
-    h = y2 - y1
-    ok = (np.minimum(w, h) >= floor) & (np.maximum(w, h) <= ceil)
-    iw = np.minimum(x2, ax2) - np.maximum(x1, ax1)
-    ih = np.minimum(y2, ay2) - np.maximum(y1, ay1)
-    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    union = w * h + (ax2 - ax1) * (ay2 - ay1) - inter
-    iou_vals = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
-    return ok & (iou_vals >= grid.anchor_iou_min), np.isfinite(union).all(axis=1)
-
-
 def _clip_like_box(boxes: np.ndarray, width, height) -> np.ndarray:
-    """Box.clip of (N, 4) corner rows, bit for bit: np.clip with scalar
+    """Box.clip of (..., 4) corner rows, bit for bit: np.clip with scalar
     bounds keeps -0.0 as Python's max and min do (with array bounds, or
     np.maximum, it gives +0.0)."""
     out = np.empty_like(boxes)
-    out[:, 0::2] = np.clip(boxes[:, 0::2], 0.0, width)
-    out[:, 1::2] = np.clip(boxes[:, 1::2], 0.0, height)
-    near, far = out[:, :2], out[:, 2:]
+    out[..., 0::2] = np.clip(boxes[..., 0::2], 0.0, width)
+    out[..., 1::2] = np.clip(boxes[..., 1::2], 0.0, height)
+    near, far = out[..., :2], out[..., 2:]
     far[...] = np.where(far > near, far, near)
     return out
 
 
 @cache
 def _grid_combos(grid: CandidateGridSpec):
-    """Cell-relative (oy, ox, sh, sw) flat arrays of the raw grid, in the
-    documented nested order; cached per spec."""
-    offs = np.asarray(grid.offset_fracs, dtype=np.float64)
-    sizes = np.asarray(grid.size_fracs, dtype=np.float64)
-    return tuple(a.reshape(-1) for a in
-                 np.meshgrid(offs, offs, sizes, sizes, indexing="ij"))
+    """Cell-relative (oy, ox, sh, sw) flat arrays of the raw combos, in the
+    documented nested order, whose IoU with the centred anchor reaches
+    anchor_iou_min; cached per spec.  In units of the cell's sides the
+    anchor is [-1/4, 1/4] on both axes, so IoU does not depend on the
+    cell: geometry.iou decides it exactly on Fractions of the grid's
+    floats."""
+    q, bound = Fraction(1, 4), Fraction(float(grid.anchor_iou_min))
+    offs, sizes = ([float(v) for v in fracs]
+                   for fracs in (grid.offset_fracs, grid.size_fracs))
+    kept = []
+    for combo in product(offs, offs, sizes, sizes):
+        oy, ox, sh, sw = map(Fraction, combo)
+        box = Box(ox - sw / 2, oy - sh / 2, ox + sw / 2, oy + sh / 2)
+        if iou(box, Box(-q, -q, q, q)) >= bound:
+            kept.append(combo)
+    return tuple(np.array(kept, dtype=np.float64).reshape(-1, 4).T)
 
 
 class CandidatePools(NamedTuple):
@@ -154,50 +147,49 @@ class CandidatePools(NamedTuple):
 
 
 def _candidate_arrays(cells: np.ndarray, grid: CandidateGridSpec,
-                      map_bounds, rois=None) -> CandidatePools:
+                      map_bounds) -> CandidatePools:
     """The pools of (N, 4) cells by candidate_pool_for_cell's rule, in one
-    broadcast of the raw grid against every cell, each value through that
+    broadcast of _grid_combos against every cell, each value through that
     rule's float64 operations in its order: a pool is the same bit for bit
-    in any batch.  A cell without area, or whose anchor is lost, counts 0.
-    A cell whose constraint arithmetic would overflow float64 raises
-    DegenerateBoxError naming it, or its object RoI when the cells are
-    build_layout's of the (R, 4) rois: a cell's unions with its anchor
-    are all finite exactly when all its constraint arithmetic is."""
-    oy, ox, sh, sw = _grid_combos(grid)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+    in any batch.  A cell without finite positive sides, or whose anchor
+    is lost, counts 0.  A corner that overflows stays infinite without
+    map_bounds, and with them clips to the border as its exact value would."""
+    # column 0 is the anchor's combo (0, 0, 1/2, 1/2): + 0 * cw keeps a center
+    oy, ox, sh, sw = (np.concatenate([[a], c]) for a, c in
+                      zip((0.0, 0.0, 0.5, 0.5), _grid_combos(grid)))
+    with np.errstate(over="ignore", invalid="ignore"):
         size = cells[:, 2:] - cells[:, :2]
-        center = cells[:, :2] + 0.5 * size
-        anchors = np.concatenate([center - 0.5 * (0.5 * size),
-                                  center + 0.5 * (0.5 * size)], axis=1)
         cw, ch = size.T[:, :, None]
-        # Python's min and max, which differ from np.minimum's on NaN
-        floor = grid.short_edge_frac * np.where(ch < cw, ch, cw)
-        ceil = np.where(ch > cw, ch, cw)
-        ccx, ccy = center.T[:, :, None]
+        ccx, ccy = (cells[:, :2] + 0.5 * size).T[:, :, None]
         cx, cy, w, h = ccx + ox * cw, ccy + oy * ch, sw * cw, sh * ch
-        corners = [cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h]
-        keep, finite = _constraints_ok(corners, anchors, floor, ceil, grid)
-    if not finite.all():
-        k = int(finite.argmin())
-        what = (f"cell {_box_at(cells, k)}" if rois is None else
-                "a context cell of object RoI "
-                f"{_box_at(rois, k // len(DIRECTIONS))}")
-        raise DegenerateBoxError(f"candidate pool of {what} overflows float64")
-    valid = ~(size <= 0.0).any(axis=1)
-    stored = anchors
-    if map_bounds is not None:
-        stored = _clip_like_box(anchors, *map_bounds)
-        aw, ah = (stored[:, 2:] - stored[:, :2]).T[:, :, None]
-        short = np.where(ah < aw, ah, aw)
-        valid &= ~((aw * ah <= 0.0) | (short < floor))[:, 0]
-        corners = [np.clip(c, 0.0, hi) for c, hi in zip(corners,
-                                                         2 * tuple(map_bounds))]
-        keep &= (corners[2] - corners[0] > 0.0) & (corners[3] - corners[1] > 0.0)
-        keep &= _constraints_ok(corners, stored, floor, ceil, grid)[0]
-    first = np.full((len(cells), 1), grid.include_anchor)
-    mask = np.concatenate([first, keep], axis=1) & valid[:, None]
-    rows = np.concatenate([stored[:, None], np.stack(corners, axis=2)], axis=1)
-    return CandidatePools(rows[mask], mask.sum(axis=1))
+        rows = np.stack([cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w,
+                         cy + 0.5 * h], axis=2)
+        floor = grid.short_edge_frac * np.minimum(cw, ch)
+        ceil = np.maximum(cw, ch)
+        keep = (np.minimum(w, h) >= floor) & (np.maximum(w, h) <= ceil)
+        keep[:, 0] = grid.include_anchor
+        valid = (np.isfinite(size) & (size > 0.0)).all(axis=1)
+        if map_bounds is not None:
+            raw, rows = rows, _clip_like_box(rows, *map_bounds)
+            sides = rows[..., 2:] - rows[..., :2]
+            aw, ah = sides[:, 0].T
+            valid &= (aw * ah > 0.0) & (np.minimum(aw, ah) >= floor[:, 0])
+            keep[:, 1:] &= (sides[:, 1:] > 0.0).all(axis=2)
+            moved = (raw != rows).any(axis=2)
+            # re-check on corners what clipping moved (all of a cell whose
+            # anchor it moved) against that anchor: its area > 0, so union > 0
+            i = np.flatnonzero(valid & moved.any(axis=1))
+            (ax1, ay1, ax2, ay2), (x1, y1, x2, y2) = (
+                np.moveaxis(part, 2, 0) for part in (rows[i, :1], rows[i, 1:]))
+            bw, bh = x2 - x1, y2 - y1
+            inter = (np.maximum(np.minimum(x2, ax2) - np.maximum(x1, ax1), 0.0)
+                     * np.maximum(np.minimum(y2, ay2) - np.maximum(y1, ay1), 0.0))
+            union = bw * bh + (ax2 - ax1) * (ay2 - ay1) - inter
+            keep[i, 1:] &= ~(moved[i, 1:] | moved[i, :1]) | (
+                (np.minimum(bw, bh) >= floor[i]) & (np.maximum(bw, bh) <= ceil[i])
+                & (inter / union >= grid.anchor_iou_min))
+    keep &= valid[:, None]
+    return CandidatePools(rows[keep], keep.sum(axis=1))
 
 
 def candidate_pool_for_cell(cell: Box, grid: CandidateGridSpec,
@@ -207,26 +199,28 @@ def candidate_pool_for_cell(cell: Box, grid: CandidateGridSpec,
     one-cell Box view of _candidate_arrays.
 
     Raw candidates come from the offset x size grid in the documented
-    nested order (oy, ox, sh, sw).  They are filtered by the three pool
-    constraints against the raw anchor, clipped to map_bounds, and the
-    constraints are re-checked on the clipped boxes against the stored
-    (clipped) anchor, so every pool member satisfies them as stored.
-    Edge lengths and IoU are always evaluated on corner coordinates
-    (x2-x1, y2-y1), the same arithmetic any post-hoc re-verification of
-    the stored boxes performs; candidates sitting exactly on a constraint
-    boundary may therefore resolve differently at different absolute
-    positions, by half-ulp rounding.  The default grid's 1/3 size class
-    sits on its 1/3 short-edge floor, so the whole class is such a case.
+    nested order (oy, ox, sh, sw).  A combo is kept when its IoU with the
+    anchor meets the bound, decided once per grid (_grid_combos), and its
+    float sides sw * cw and sh * ch, which its corners are built from,
+    meet the edge bounds of the cell's sides cw, ch.  So the pool of a
+    cell that clipping leaves alone depends on its shape only; for
+    size_fracs in [short_edge_frac, 1] monotone rounding keeps every combo
+    (187 of the default grid's 400).  With map_bounds, candidates clipped
+    to no area are dropped, and those clipping moved, or all of a cell
+    whose anchor it moved, are re-checked on their corners (x2-x1, y2-y1)
+    against the clipped anchor, so each pool member meets them as stored.
 
     Returns None when the anchor itself is lost to the map border (fully
     outside, or clipped below the short-edge floor): the caller then
     substitutes the object RoI's own map for this cell.  A cell without
-    positive width and height, or so large that the constraint arithmetic
-    would overflow float64, raises DegenerateBoxError.
+    finite positive sides, or an unbounded pool with a corner overflowing
+    float64, raises DegenerateBoxError.
     """
     if not (cell.w > 0.0 and cell.h > 0.0):
         raise DegenerateBoxError(f"cell has no area: {cell}")
     pools = _candidate_arrays(_xyxy([cell]), grid, map_bounds)
+    if max(cell.w, cell.h) == np.inf or not np.isfinite(pools.candidates).all():
+        raise DegenerateBoxError(f"candidate pool of cell {cell} overflows float64")
     if pools.counts[0] == 0:
         return None
     return [Box(*row) for row in pools.candidates.tolist()]
@@ -242,6 +236,9 @@ class ContextScorer:
 
     @staticmethod
     def zeros(d: int, ph: int, pw: int) -> "ContextScorer":
+        """An extent below 1 raises ShapeError."""
+        if min(d, ph, pw) < 1:
+            raise ShapeError(f"scorer extents must be >= 1, got {d}x{ph}x{pw}")
         return ContextScorer(np.zeros(d * ph * pw, dtype=np.float32), 0.0)
 
     def score_flat(self, flat_feats: np.ndarray) -> np.ndarray:
@@ -626,9 +623,8 @@ class ContextMiner:
         and their sizes (0 for a fallback cell)."""
         _, H, W = self.F.shape
         maps = [self._roi_map(r) for r in rois]
-        xyxy = _xyxy(rois)
-        pools = _candidate_arrays(build_layout(xyxy).reshape(-1, 4),
-                                  self.config.grid, (W, H), xyxy)
+        pools = _candidate_arrays(build_layout(_xyxy(rois)).reshape(-1, 4),
+                                  self.config.grid, (W, H))
         counts = pools.counts.reshape(len(rois), len(DIRECTIONS))
         rows = np.split(pools.candidates, np.cumsum(counts.sum(axis=1))[:-1])
         return list(zip(maps, rows, counts))
@@ -784,8 +780,9 @@ def fixed_context_variant(F: np.ndarray, r: Box, variant: str,
     neigh4 -> object + the top/left/right/bottom cells
     neigh8 -> object + all 8 surrounding cells in DIRECTIONS order
 
-    Cells fully outside the map fall back to the object map, as in mining.
-    A map holding NaN or inf raises NumericError.
+    A cell with no area inside the map repeats the object map; mining falls
+    back when the anchor is lost, so a sliver it drops is pooled here.  A
+    map holding NaN or inf raises NumericError.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")

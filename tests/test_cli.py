@@ -250,16 +250,32 @@ class TestEnumerate:
     @pytest.mark.parametrize("cell", ["0,0,2e154,2e154", "0,0,1e300,1e300"])
     @pytest.mark.parametrize("bounds", [[], ["--bounds", "64,64"]],
                              ids=["unbounded", "bounded"])
-    def test_overflowing_cell_names_the_cell(self, tmp_path, capsys, cell,
-                                             bounds):
-        """A cell whose constraint arithmetic would overflow float64 is
+    def test_huge_cell_needs_no_overflow_check(self, tmp_path, capsys, cell,
+                                               bounds):
+        """A huge cell enumerates without a warning: unbounded, all 188
+        candidates; on a 64x64 map its anchor is lost."""
+        out = tmp_path / "p.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["enumerate", f"--cell={cell}", "--out", str(out)]
+                            + bounds)
+        captured = capsys.readouterr()
+        if bounds:
+            assert code == 1 and not out.exists()
+            assert captured.err == ("error: cell anchor falls outside the "
+                                    "bounds (empty pool)\n")
+        else:
+            assert code == 0 and captured.out == "pool_size=188\n"
+
+    def test_overflowing_corner_names_the_cell(self, tmp_path, capsys):
+        """An unbounded pool with a corner that overflows float64 is
         refused with a typed error, no warning and no CSV."""
         out = tmp_path / "p.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert cli.main(["enumerate", f"--cell={cell}", "--out", str(out)]
-                            + bounds) == 1
-        box = Box(*(float(v) for v in cell.split(",")))
+            assert cli.main(["enumerate", "--cell=0,0,1.5e308,1.5e308",
+                             "--out", str(out)]) == 1
+        box = Box(0.0, 0.0, 1.5e308, 1.5e308)
         assert capsys.readouterr().err == (
             f"error: candidate pool of cell {box} overflows float64\n")
         assert not out.exists()
@@ -339,6 +355,23 @@ class TestGradcheck:
             assert report["probed"] == 150
             assert report["max_rel_error"] <= 1e-3
 
+    def test_every_probe_skipped_exits_1(self, tmp_path, capsys,
+                                         monkeypatch):
+        """A check that compared no probe fails rather than reporting an
+        error of 0.0, and writes no report."""
+        def instance(op, seed):
+            return (lambda t: (float(t.max()), int(np.argmax(t))),
+                    np.array([1.0, 1.005], dtype=np.float32),
+                    np.array([5.0, 5.0], dtype=np.float32))
+
+        monkeypatch.setattr(cli, "_gradcheck_instance", instance)
+        out = tmp_path / "gc.json"
+        assert cli.main(["gradcheck", "--op", "roipool", "--probes", "2",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: all 2 probes skipped")
+        assert not out.exists()
+
     def test_ctxmine_mines_once_per_evaluation(self, tmp_path, monkeypatch):
         """One mine_context call per perturbed point, value and record from
         the same forward, plus one at the base point for the backward."""
@@ -393,7 +426,7 @@ class TestCommandSet:
 
     def test_cli_matrix_runs_every_subcommand(self, tmp_path):
         """tools/matrix.py's CLI runs cover exactly the parser's
-        subcommands and name 58 distinct output files; listing its runs
+        subcommands and name 59 distinct output files; listing its runs
         writes no file."""
         path = Path(__file__).resolve().parent.parent / "tools" / "matrix.py"
         spec = importlib.util.spec_from_file_location("matrix", path)
@@ -405,7 +438,7 @@ class TestCommandSet:
         ran = {argv[0] for _, argv in runs}
         assert ran == set(subparsers.choices)
         names = [name for outputs, _ in runs for name in outputs]
-        assert len(names) == len(set(names)) == 58
+        assert len(names) == len(set(names)) == 59
         assert all(name.endswith((".ften", ".json", ".csv")) for name in names)
         assert not any(tmp_path.iterdir())
 

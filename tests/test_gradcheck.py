@@ -49,16 +49,32 @@ class TestCheck:
         assert e_big / e_small == pytest.approx(100.0, rel=0.15)
 
     def test_changed_record_skips_unstable_points(self):
+        """Probes whose record changes are skipped, not compared, even
+        where the given gradient is wrong; the others are compared."""
+        x = np.array([1.0, 1.005, 3.0], dtype=np.float32)
+
+        def f(t):
+            return float(t[:2].max() + t[2]), int(np.argmax(t[:2]))
+
+        grad = np.array([5.0, 5.0, 1.0], dtype=np.float32)
+        report = check(f, x, grad, h=1e-2, probes=3)
+        # perturbing either of the first two by 0.01 flips the argmax
+        assert (report.probed, report.skipped) == (3, 2)
+        assert report.worst_index == (2,)
+        assert report.max_rel_error < 1e-5
+        grad[2] = 2.0
+        assert check(f, x, grad, h=1e-2, probes=3).max_rel_error > 0.4
+
+    def test_every_probe_skipped_raises(self):
+        """With nothing compared, no error bound holds: the wrong gradient
+        below would pass any tolerance."""
         x = np.array([1.0, 1.005], dtype=np.float32)
 
         def f(t):
             return float(t.max()), int(np.argmax(t))
 
-        grad = np.array([0.0, 1.0], dtype=np.float32)
-        report = check(f, x, grad, h=1e-2, probes=2)
-        # perturbing either coordinate by 0.01 flips the argmax
-        assert report.skipped == 2
-        assert report.max_rel_error == 0.0
+        with pytest.raises(NumericError, match="all 2 probes skipped"):
+            check(f, x, np.array([5.0, 5.0], dtype=np.float32), probes=2)
 
     def test_one_forward_per_evaluation(self):
         """f is called once at each perturbed point, twice per probe, and

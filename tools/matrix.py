@@ -1,4 +1,4 @@
-"""Bit-identity matrix of roictx: 58 CLI outputs and 88 library digests.
+"""Bit-identity matrix of roictx: 59 CLI outputs and 88 library digests.
 
     python tools/matrix.py [--src DIR] [--out digests.json]
 
@@ -28,7 +28,10 @@ directory, and digests each output file's bytes:
   - attack --manifest, two entries of that image (2);
   - synth-demo for mining at lr 1.0, where the scorer takes large steps (1);
   - enumerate on an interior cell, on a cell overhanging a corner, with
-    non-default --min-iou and --short-edge-frac, and without --bounds (4).
+    non-default --min-iou and --short-edge-frac, and without --bounds (4);
+  - enumerate on the unit square at the origin without --bounds: 188
+    candidates when the edge bounds are read on the cell's sides, 109
+    when read on corner differences (1).
 Every subcommand runs.  Inputs added later are drawn after the earlier
 ones, so adding a case leaves the digests of the earlier ones unchanged.
 
@@ -180,6 +183,8 @@ def commands(tmp: Path):
             ("unbounded", ["--cell=-6.5,-2.25,4.75,7.0"])):
         out = f"enumerate-{name}.csv"
         yield [out], ["enumerate"] + extra + ["--out", str(tmp / out)]
+    yield ["enumerate-unit.csv"], ["enumerate", "--cell", "0", "0", "1", "1",
+                                   "--out", str(tmp / "enumerate-unit.csv")]
 
 
 def cli_digests() -> dict:
