@@ -177,17 +177,21 @@ def _candidate_arrays(cells: np.ndarray, grid: CandidateGridSpec,
             keep[:, 1:] &= (sides[:, 1:] > 0.0).all(axis=2)
             moved = (raw != rows).any(axis=2)
             # re-check on corners what clipping moved (all of a cell whose
-            # anchor it moved) against that anchor: its area > 0, so union > 0
-            i = np.flatnonzero(valid & moved.any(axis=1))
-            (ax1, ay1, ax2, ay2), (x1, y1, x2, y2) = (
-                np.moveaxis(part, 2, 0) for part in (rows[i, :1], rows[i, 1:]))
-            bw, bh = x2 - x1, y2 - y1
-            inter = (np.maximum(np.minimum(x2, ax2) - np.maximum(x1, ax1), 0.0)
-                     * np.maximum(np.minimum(y2, ay2) - np.maximum(y1, ay1), 0.0))
-            union = bw * bh + (ax2 - ax1) * (ay2 - ay1) - inter
+            # anchor it moved) against that anchor: its area > 0, so union > 0;
+            # where areas overflow, IoU from corners scaled by 2^-514 (exact)
+            i, ratio = np.flatnonzero(valid & moved.any(axis=1)), np.nan
+            for scale in (2.0 ** -514, 1.0):
+                (ax1, ay1, ax2, ay2), (x1, y1, x2, y2) = (
+                    np.moveaxis(part * scale, 2, 0)
+                    for part in (rows[i, :1], rows[i, 1:]))
+                bw, bh = x2 - x1, y2 - y1
+                inter = (np.maximum(np.minimum(x2, ax2) - np.maximum(x1, ax1), 0.0)
+                         * np.maximum(np.minimum(y2, ay2) - np.maximum(y1, ay1), 0.0))
+                union = bw * bh + (ax2 - ax1) * (ay2 - ay1) - inter
+                ratio = np.where(np.isfinite(union), inter / union, ratio)
             keep[i, 1:] &= ~(moved[i, 1:] | moved[i, :1]) | (
                 (np.minimum(bw, bh) >= floor[i]) & (np.maximum(bw, bh) <= ceil[i])
-                & (inter / union >= grid.anchor_iou_min))
+                & (ratio >= grid.anchor_iou_min))
     keep &= valid[:, None]
     return CandidatePools(rows[keep], keep.sum(axis=1))
 
@@ -373,8 +377,8 @@ class ContextMiner:
     selection, its score or its map.  Mining is pure: the map and the
     scorer are only read, and a table only builds the levels its queries
     need.  A map or a scorer holding NaN or inf raises NumericError.  On
-    the pool backbone the object maps are pooled by roi_pool from the
-    miner's copy of the map (see _roi_map), bit for bit roi_pool's on F.
+    both backbones the object maps are read from the miner's one
+    pixel-major copy of the map (see _roi_map), bit for bit as from F.
     A kept map is the winner's rescored row, copied, and computes its
     argmax from that copy on first read (see RoIMap), so only a backward
     pass pools it again; a row holding a zero is pooled by roi_pool at
@@ -482,17 +486,14 @@ class ContextMiner:
         self.scorer = scorer
         self.config = config
         self._table = None
+        self._source = F.transpose(1, 2, 0).copy().transpose(2, 0, 1)
         w = scorer.weights.astype(np.float64).reshape(d, -1)
         if config.backbone == "pool":
             self._table = RangeMaxTable(F)
-            # what the pool maps are pooled from (see _roi_map)
-            self._source = (self._table.level0 if F.dtype == np.float32
-                            else F).copy(order="K")
             self._w, self._w_norms = w, np.abs(w).sum(axis=0)
             nu = w.size * 2.0 ** -53
             self._gamma = nu / (1.0 - nu)
             return
-        self._source = F
         flat = F.reshape(d, H * W).astype(np.float64)
         planes = np.empty((2, w.shape[1], H * W))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -502,15 +503,11 @@ class ContextMiner:
         self._w_abs_sum = float(np.abs(w).sum())
 
     def _roi_map(self, box: Box) -> RoIMap:
-        """roi_map of box on the map.  The align backbone reads F; the
-        pool backbone pools from the miner's copy of it, taken once: for a
-        float32 map a copy of
-        the table's level 0, which holds its values bit for bit in the
-        pixel-major layout roi_pool reduces fastest; for any other dtype,
-        whose level 0 holds rounded values, a copy of the map as is.  Being
-        a copy, it keeps no block of the table alive, and a caller changing
-        F after mining cannot change the argmax a kept map computes from
-        it later."""
+        """roi_map of box on the miner's one copy of F, taken once in F's
+        dtype and pixel-major, the layout roi_pool and roi_align gather
+        fastest (bit for bit as on F).  Being a copy, it keeps no block of
+        the table alive, and a caller changing F after mining cannot change
+        the argmax a kept map computes from it later."""
         return roi_map(self._source, box, self.config)
 
     def _pool_slices(self, V: np.ndarray, ids: np.ndarray, xyxy: np.ndarray):
@@ -697,10 +694,13 @@ def mine_many(F: np.ndarray, rois, scorer: ContextScorer,
     return out + (miner._mine_chunk(chunk) if chunk else [])
 
 
-def _backward_one(grad_block: np.ndarray, roi_map: RoIMap, F_dims) -> np.ndarray:
-    if roi_map.argmax is not None:
-        return roi_pool_backward(grad_block, roi_map, F_dims)
-    return roi_align_backward(grad_block, roi_map, F_dims)
+def _backward_one(grad_block: np.ndarray, roi_map: RoIMap, F_dims,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """roi_map's backward pass, added into out in place when given."""
+    if roi_map.argmax is None:
+        return roi_align_backward(grad_block, roi_map, F_dims, out=out)
+    grad = roi_pool_backward(grad_block, roi_map, F_dims)
+    return grad if out is None else np.add(out, grad, out=out)
 
 
 def scorer_gradient(grad_blocks: np.ndarray, maps: np.ndarray,
@@ -758,7 +758,7 @@ def mine_context_backward(grad_feature: np.ndarray, mined: MinedRoIFeature,
     maps = _block_maps(mined.object_map, mined.selected)
     blocks = grad_feature.reshape(len(maps), d, ph, pw)
     for block, roi_map in zip(blocks, maps):
-        grad_F += _backward_one(block, roi_map, F_dims)
+        _backward_one(block, roi_map, F_dims, out=grad_F)
     flat = np.array([m.data for m in maps]).reshape(len(maps), -1)
     kept = [False] + [not rec.fallback for rec in mined.selected]
     grad_w, grad_b = scorer_gradient(blocks.reshape(len(maps), -1)[kept],

@@ -5,7 +5,9 @@ fixed D x ph x pw map.  Pooling quantizes bin boundaries to the integer
 grid and takes per-bin maxima; align samples a regular sub-grid per bin
 with bilinear interpolation and averages.  Forward passes retain the
 routing records (argmax indices, sample coordinates) their backward
-passes need.
+passes need.  Both forwards gather a pixel-major F (F.transpose(1, 2,
+0) C-contiguous) as whole D-rows and any other F per element, with the
+same bits: the layout picks only the gather.
 """
 
 from __future__ import annotations
@@ -128,9 +130,8 @@ def roi_pool(F: np.ndarray, r: Box, ph: int, pw: int) -> RoIMap:
     The windows are reduced over their slot axis by _first_max_slot, one
     elementwise pass per step, where np.argmax over a short last axis
     runs row by row.  F's layout in memory only picks how they are
-    gathered: a pixel-major map (F.transpose(1, 2, 0) C-contiguous, as
-    RangeMaxTable.level0 is) as (slots, ph*pw, D), any other as (D,
-    slots, ph*pw), so neither is copied whole.
+    gathered: a pixel-major map (as the miner's copy is) as (slots,
+    ph*pw, D), any other as (D, slots, ph*pw), so neither is copied whole.
     """
     D, H, W = _check_feature_map(F)
     _check_grid(ph, pw)
@@ -237,7 +238,7 @@ def _align_axis_coords(lo, hi, bins: int, s: int, limit: int) -> np.ndarray:
 def _linear_taps(c: np.ndarray, limit: int):
     """Lower and upper grid neighbours of coordinates c in [0, limit-1],
     and the upper neighbour's interpolation weight."""
-    lo = np.clip(np.floor(c).astype(np.int64), 0, limit - 1)
+    lo = np.floor(c).astype(np.int64)
     return lo, np.minimum(lo + 1, limit - 1), c - lo
 
 
@@ -256,7 +257,9 @@ def roi_align(F: np.ndarray, r: Box, ph: int, pw: int,
 
     Bins follow the unclipped RoI; sample coordinates falling outside the
     map are clamped to the border, so boundary RoIs still produce (and
-    later receive) gradient.
+    later receive) gradient.  A pixel-major F is read with one np.take of
+    D-rows per corner and summed transposed; np.mean runs on a contiguous
+    (D, ph, pw, S^2) array for either layout, so the layout moves no bit.
     """
     D, H, W = _check_feature_map(F)
     _check_grid(ph, pw)
@@ -272,40 +275,57 @@ def roi_align(F: np.ndarray, r: Box, ph: int, pw: int,
     samples = samples.reshape(ph, pw, s * s, 2)
     flat = samples.reshape(-1, 2)
     corners, weights = _bilinear_corners(flat, H, W)
-    acc = np.zeros((D, flat.shape[0]), dtype=np.float64)
+    pixels = F.transpose(1, 2, 0)
+    pixel_major = pixels.flags.c_contiguous
+    acc = (np.zeros((flat.shape[0], D)).T if pixel_major
+           else np.zeros((D, flat.shape[0])))
     for (cy, cx), wgt in zip(corners, weights):
-        acc += F[:, cy, cx].astype(np.float64) * wgt[None, :]
-    per_bin = acc.reshape(D, ph, pw, samples_per_bin ** 2).mean(axis=3)
+        at = (np.take(pixels.reshape(H * W, D), cy * W + cx, axis=0).T
+              if pixel_major else F[:, cy, cx])
+        acc += at.astype(np.float64) * wgt[None, :]
+    per_bin = np.ascontiguousarray(acc).reshape(D, ph, pw, s * s).mean(axis=3)
     return RoIMap(per_bin.astype(np.float32), r, (H, W), samples=samples)
 
 
-def roi_align_backward(grad_out: np.ndarray, roi_map: RoIMap, F_dims) -> np.ndarray:
-    """Distribute each sample's share of the bin gradient to its 4 corners."""
+def roi_align_backward(grad_out: np.ndarray, roi_map: RoIMap, F_dims,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """Distribute each sample's share of the bin gradient to its 4 corners.
+
+    Written into a float32 zero map, or with out (float32, D x H x W)
+    added into out and out returned: out + the map, bit for bit, except
+    that out's -0.0 outside the corners' window stays -0.0."""
     D, H, W = F_dims
     if roi_map.samples is None:
         raise ShapeError("RoIMap carries no sample records (not from roi_align)")
     _check_grad(grad_out, roi_map, F_dims)
+    if out is not None and (out.shape, out.dtype) != ((D, H, W), np.float32):
+        raise ShapeError(f"out must be float32 {(D, H, W)}, got {out.dtype} "
+                         f"{out.shape}")
     ph, pw, s2, _ = roi_map.samples.shape
     flat = roi_map.samples.reshape(-1, 2)
     corners, weights = _bilinear_corners(flat, H, W)
-    g = np.repeat(grad_out.reshape(D, ph * pw).astype(np.float64) / s2, s2, axis=1)
+    g = np.repeat(grad_out.reshape(D, ph * pw).T.astype(np.float64) / s2, s2,
+                  axis=0)
     # One bincount over the four corners in turn, each in C order over
-    # (D, N): the same float64 terms added from zero in the same sequence
-    # as one np.add.at per corner, so the sums are bit-identical.  It
-    # spans only the window [ya, yb) x [xa, xb) of the corners, written
-    # into a zero map: a bincount sum is never -0.0, so the zeros it
-    # leaves outside the window would have been +0.0 too.
+    # (samples, D), indexed pixel-major: each element sums the same
+    # float64 terms from zero in the same corner, sample order as one
+    # np.add.at per corner, so the sums are bit-identical.  It spans only
+    # the window [ya, yb) x [xa, xb) of the corners: a bincount sum is
+    # never -0.0, so the zeros outside would have been +0.0 too.
     (y0, x0), (y1, x1) = corners[0], corners[3]
     ya, yb = int(y0.min()), int(y1.max()) + 1
     xa, xb = int(x0.min()), int(x1.max()) + 1
     h, w = yb - ya, xb - xa
-    chan = np.arange(D, dtype=np.int64)[:, None] * (h * w)
-    index = np.concatenate([(chan + (cy - ya) * w + (cx - xa)).reshape(-1)
-                            for cy, cx in corners])
-    terms = np.concatenate([(g * wgt[None, :]).reshape(-1) for wgt in weights])
+    pixel = np.concatenate([(cy - ya) * w + (cx - xa) for cy, cx in corners])
+    index = (pixel[:, None] * D + np.arange(D)).reshape(-1)
+    terms = (np.stack(weights)[:, :, None] * g).reshape(-1)
+    window = np.bincount(index, weights=terms, minlength=h * w * D).reshape(
+        h, w, D).transpose(2, 0, 1)
+    if out is not None:
+        out[:, ya:yb, xa:xb] += window.astype(np.float32)
+        return out
     grad = np.zeros((D, H, W), dtype=np.float32)
-    grad[:, ya:yb, xa:xb] = np.bincount(
-        index, weights=terms, minlength=D * h * w).reshape(D, h, w)
+    grad[:, ya:yb, xa:xb] = window
     return grad
 
 
@@ -393,7 +413,7 @@ class RangeMaxTable:
     Answers per-channel maxima over integer rectangles in O(1) numpy
     gathers.  Level (a, b) holds the max of each 2^a x 2^b window.  The
     constructor builds only level (0, 0), the map cast to float32 in
-    pixel-major order (see level0); query builds the levels its
+    pixel-major order; query builds the levels its
     rectangles need, so a table holds (A+1)*(B+1) levels of D*H*W floats
     for the largest levels A, B queried so far, at most
     H.bit_length() * W.bit_length() of them.  Maxima equal direct np.max
@@ -411,13 +431,6 @@ class RangeMaxTable:
         # D channels, so queries index one flat view and no copy is kept.
         self._levels = np.empty((1, 1, H, W, D), dtype=np.float32)
         self._levels[0, 0] = F.transpose(1, 2, 0)
-
-    @property
-    def level0(self) -> np.ndarray:
-        """Level (0, 0) as a D x H x W view: the map's values cast to
-        float32, pixel-major in memory.  A view of the live table, so take
-        it again after a query rather than keeping it."""
-        return self._levels[0, 0].transpose(2, 0, 1)
 
     def _extend(self, na: int, nb: int) -> None:
         """Build the block of levels a < na, b < nb, if the table lacks any.

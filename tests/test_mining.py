@@ -434,6 +434,62 @@ def pool_combos(cell, pool, grid):
     return out
 
 
+class TestOverflowingRecheck:
+    """The corner re-check of a clipped pool whose areas overflow float64
+    runs on corners scaled by a power of two, which IoU and the edge
+    tests do not see."""
+
+    F = 2.0 ** 600
+
+    def scaled_back(self, cell, grid, bounds):
+        """The pool of cell and bounds scaled by 2^-600, scaled back."""
+        f = self.F
+        pool = candidate_pool_for_cell(
+            Box(cell.x1 / f, cell.y1 / f, cell.x2 / f, cell.y2 / f), grid,
+            (bounds[0] / f, bounds[1] / f))
+        return None if pool is None else [
+            Box(b.x1 * f, b.y1 * f, b.x2 * f, b.y2 * f) for b in pool]
+
+    def test_huge_bounds_pool_is_the_scaled_pool(self):
+        """Box(0, 0, 1e307, 1e307) on a 1e308 map keeps 182 candidates
+        (an overflowing union dropped 36), and random cells overhanging
+        maps of sides up to 1.7e308 get the scaled pool, box for box."""
+        grid = CandidateGridSpec()
+        cell = Box(0.0, 0.0, 1e307, 1e307)
+        pool = candidate_pool_for_cell(cell, grid, (1e308, 1e308))
+        assert len(pool) == 182
+        assert pool == self.scaled_back(cell, grid, (1e308, 1e308))
+        rng = np.random.default_rng(63)
+        overflowing = 0
+        for _ in range(200):
+            side = 10.0 ** rng.uniform(150.0, 307.5)
+            bounds = tuple(side * rng.uniform(0.8, 4.0, 2))
+            x1, y1 = np.array(bounds) * rng.uniform(-0.3, 1.0, 2)
+            cell = Box(x1, y1, x1 + side, y1 + side * rng.uniform(0.5, 2.0))
+            if not (np.isfinite([cell.x2, cell.y2]).all()
+                    and max(bounds) < 1.7e308):
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pool = candidate_pool_for_cell(cell, grid, bounds)
+            assert pool == self.scaled_back(cell, grid, bounds)
+            overflowing += pool is not None and side > 2.0 ** 512
+        assert overflowing >= 50
+
+    def test_other_pools_do_not_move(self):
+        """Below areas that overflow, a pool equals the oracle's, whose
+        union never overflows there, for cells overhanging the map."""
+        grid = CandidateGridSpec()
+        rng = np.random.default_rng(65)
+        for _ in range(100):
+            side = 10.0 ** rng.uniform(-3.0, 153.0)
+            bounds = tuple(side * rng.uniform(0.8, 4.0, 2))
+            x1, y1 = np.array(bounds) * rng.uniform(-0.3, 1.0, 2)
+            cell = Box(x1, y1, x1 + side, y1 + side * rng.uniform(0.5, 2.0))
+            assert candidate_pool_for_cell(cell, grid, bounds) == (
+                pool_oracle_for_cell(cell, grid, bounds))
+
+
 class TestShapeOnlyPools:
     """An unbounded pool, and the pool of a cell that clipping leaves
     alone, is a function of the grid and the cell's shape."""
@@ -1370,9 +1426,8 @@ class TestPoolSelection:
         assert rounded > 0
 
     def test_miner_frees_outgrown_table(self):
-        """Maps are pooled from the miner's copy of the table's level 0,
-        not from the table, so the block of levels a query outgrows is
-        freed."""
+        """Maps are pooled from the miner's copy of the map, not from the
+        table, so the block of levels a query outgrows is freed."""
         rng = np.random.default_rng(193)
         F = rng.normal(0, 1, (3, 40, 40)).astype(np.float32)
         scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), 0.1)
@@ -1887,10 +1942,35 @@ class TestFixedVariants:
                               mined.object_map.data)
 
 
+@pytest.mark.parametrize("backbone", ["pool", "align"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_miner_reads_one_pixel_major_copy(backbone, dtype):
+    """Both backbones read the map from one copy taken at construction,
+    in the map's dtype and pixel-major, and mine as from the map itself:
+    writing into the map afterwards changes no mined map."""
+    rng = np.random.default_rng(199)
+    F = rng.normal(0, 1, (3, 30, 30)).astype(dtype)
+    config = MiningConfig(ph=5, pw=5, backbone=backbone)
+    scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), 0.1)
+    r = Box(11.3, 10.6, 17.9, 18.2)
+    want = mine_context(F, r, scorer, config)
+    miner = ContextMiner(F, scorer, config)
+    source = miner._source
+    assert source.dtype == F.dtype and not np.shares_memory(source, F)
+    assert source.transpose(1, 2, 0).flags.c_contiguous
+    assert np.array_equal(source, F)
+    F[...] = 0.0
+    got = miner.mine(r)
+    assert got.feature.tobytes() == want.feature.tobytes()
+    assert mining.roi_map(source, r, config).data.tobytes() == (
+        want.object_map.data.tobytes())
+
+
 def test_lib_matrix_digests_repeat(tmp_path):
     """tools/matrix.py gives the same library digest of every output on
-    two runs, over every map kind on both backbones, under 88 names
-    disjoint from its 59 CLI output names."""
+    two runs, over every map kind on both backbones and the layout cases
+    of the f32 and f64 maps, under 96 names disjoint from its 59 CLI
+    output names."""
     root = Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location(
         "matrix", root / "tools" / "matrix.py")
@@ -1898,7 +1978,7 @@ def test_lib_matrix_digests_repeat(tmp_path):
     spec.loader.exec_module(matrix)
     first = matrix.lib_digests()
     assert first == matrix.lib_digests()
-    assert len(first) == len(matrix.KINDS) * 2 * 11 == 88
+    assert len(first) == len(matrix.KINDS) * 2 * 11 + 2 * 4 == 96
     assert {name.split("-")[0] for name in first} == set(matrix.KINDS)
     cli_names = {name for outputs, _ in matrix.commands(tmp_path)
                  for name in outputs}

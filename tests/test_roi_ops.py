@@ -69,7 +69,7 @@ POOL_CASE_KINDS = ("ints", "signed-zeros", "nan-inf", "float64", "whole-map",
 
 def layouts(F):
     """F in both memory layouts roi_pool gathers differently: D-major as
-    given, and a pixel-major copy, laid out like RangeMaxTable.level0."""
+    given, and a pixel-major copy, laid out like the miner's copy."""
     pixel = np.ascontiguousarray(F.transpose(1, 2, 0)).transpose(2, 0, 1)
     assert F.flags.c_contiguous and pixel.transpose(1, 2, 0).flags.c_contiguous
     return F, pixel
@@ -531,6 +531,116 @@ class TestRoiAlignBackward:
         with pytest.raises(ShapeError):
             roi_align_backward(np.zeros((2, 2, 2), dtype=np.float32), m, (1, 8, 8))
 
+    @pytest.mark.parametrize("out", [np.zeros((1, 8, 9), dtype=np.float32),
+                                     np.zeros((1, 8, 8))],
+                             ids=["shape", "dtype"])
+    def test_bad_out_rejected(self, out):
+        """out must be the float32 D x H x W map; it is left untouched."""
+        m = roi_align(np.ones((1, 8, 8), dtype=np.float32),
+                      Box(1, 1, 7, 7), 2, 2, 2)
+        with pytest.raises(ShapeError, match="out must be float32"):
+            roi_align_backward(np.ones((1, 2, 2), dtype=np.float32), m,
+                               (1, 8, 8), out=out)
+        assert not out.any()
+
+
+ALIGN_LAYOUT_KINDS = ("float32", "float64", "subnormal", "signed-zeros",
+                      "constant")
+
+
+def align_layout_map(rng, kind):
+    """A D x 11 x 13 map of one ALIGN_LAYOUT_KINDS kind, D >= 2 so its
+    two layouts differ."""
+    shape = (int(rng.integers(2, 6)), 11, 13)
+    if kind == "signed-zeros":
+        return rng.choice(np.float32([-1.0, -0.0, 0.0, 1.0]), shape)
+    if kind == "constant":
+        return np.full(shape, rng.normal(), dtype=np.float32)
+    F = rng.normal(0, 1, shape)
+    if kind == "subnormal":  # float32 values below 2^-126
+        return (F * 2.0 ** -135).astype(np.float32)
+    return F if kind == "float64" else F.astype(np.float32)
+
+
+ALIGN_CLAMPED = [Box(-3.0, 2.0, 4.0, 8.0), Box(2.0, -3.0, 8.0, 4.0),
+                 Box(9.0, 2.0, 16.0, 8.0), Box(2.0, 7.0, 8.0, 14.0),
+                 Box(-4.0, -4.0, 17.0, 15.0)]
+
+
+class TestRoiAlignLayouts:
+    """roi_align gives the same bits on a D-major map and its pixel-major
+    copy, and roi_align_backward(out=) adds into out what the standalone
+    pass returns."""
+
+    @pytest.mark.parametrize("kind", ALIGN_LAYOUT_KINDS)
+    def test_layouts_give_the_same_bits(self, kind):
+        """1-4 samples per bin (a mean over 9 or 16 samples sums pairwise
+        only on a contiguous axis), random and border-clamped boxes."""
+        rng = np.random.default_rng([97, ALIGN_LAYOUT_KINDS.index(kind)])
+        for k in range(40):
+            F = align_layout_map(rng, kind)
+            r = (random_roi(rng, 13, 11) if k < 30
+                 else ALIGN_CLAMPED[k % len(ALIGN_CLAMPED)])
+            ph, pw = (int(v) for v in rng.integers(1, 6, 2))
+            s = k % 4 + 1
+            want = roi_align(F, r, ph, pw, s)
+            got = roi_align(layouts(F)[1], r, ph, pw, s)
+            assert got.data.tobytes() == want.data.tobytes()
+            assert got.samples.tobytes() == want.samples.tobytes()
+
+    def test_sixteen_sample_mean_is_taken_on_a_contiguous_axis(self):
+        """One bin of Box(0, 0, 8, 8) at 4 x 4 samples reads the map at
+        (1, 3, 5, 7)^2 with weight 1.  These 16 values sum to just above
+        16 * (1 + 2^-24) in numpy's pairwise order on a contiguous axis,
+        and to that float32 midpoint sequentially (as a mean over the
+        transposed layout sums them), so the cast rounds them apart."""
+        e = [-2.0 ** -50, 2.0 ** -50, 2.0 ** -49, 0.0, 16.0, 2.0 ** -20]
+        values = np.array([e[i] for i in (0, 1, 4, 0, 2, 0, 3, 3, 2, 1, 1, 0,
+                                          5, 2, 1, 1)])
+        F = np.zeros((2, 9, 9))
+        F[:, 1::2, 1::2] = values.reshape(4, 4) * np.array([1.0, -1.0])[
+            :, None, None]
+        want = np.float32(values.reshape(1, 16).mean(axis=1)) * np.float32(
+            [1.0, -1.0])
+        assert want[0] == np.float32(1.0 + 2.0 ** -23)
+        for G in layouts(F):
+            got = roi_align(G, Box(0.0, 0.0, 8.0, 8.0), 1, 1, 4)
+            assert got.data.reshape(-1).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ALIGN_LAYOUT_KINDS)
+    def test_backward_out_adds_the_standalone_pass(self, kind):
+        """out holding random values and zeros of both signs inside the
+        window; tiny gradients whose sums cast to -0.0 too."""
+        rng = np.random.default_rng([98, ALIGN_LAYOUT_KINDS.index(kind)])
+        for k in range(30):
+            F = align_layout_map(rng, kind)
+            r = (random_roi(rng, 13, 11) if k < 20
+                 else ALIGN_CLAMPED[k % len(ALIGN_CLAMPED)])
+            m = roi_align(layouts(F)[k % 2], r, 3, 4, k % 4 + 1)
+            g = rng.normal(0, 1, m.data.shape).astype(np.float32)
+            if k % 3 == 0:
+                g = rng.choice(np.float32([-1e-45, 1e-45]), g.shape)
+            alone = roi_align_backward(g, m, F.shape)
+            o = rng.normal(0, 1, F.shape).astype(np.float32)
+            o[rng.random(F.shape) < 0.2] = 0.0
+            y, x = np.floor(m.samples.reshape(-1, 2).T).astype(int)
+            window = np.zeros(F.shape, dtype=bool)
+            window[:, y.min():y.max() + 2, x.min():x.max() + 2] = True
+            o[window & (rng.random(F.shape) < 0.3)] = -0.0
+            want = o + alone
+            assert roi_align_backward(g, m, F.shape, out=o) is o
+            assert o.tobytes() == want.tobytes()
+
+    def test_tiny_negative_gradient_keeps_negative_zeros(self):
+        """A -1e-45 gradient sums to tiny negatives over the 6 x 6 window,
+        each cast to -0.0, which the standalone pass keeps."""
+        m = roi_align(np.zeros((1, 8, 8), dtype=np.float32),
+                      Box(1.3, 1.3, 5.7, 5.7), 2, 2, 2)
+        g = roi_align_backward(np.full((1, 2, 2), -1e-45, dtype=np.float32),
+                               m, (1, 8, 8))
+        assert not g.any()
+        assert int(np.signbit(g).sum()) == 36
+
 
 def query_maps():
     """(F, rects) for the maps of the query tests: level counts and extents
@@ -595,18 +705,18 @@ class TestRangeMaxTable:
         assert table._levels.shape[:2] == (1, 1)
 
     def test_level0_is_the_map_pixel_major(self):
-        """level0 holds the map's float32 values, D x H x W, pixel-major in
-        memory, and stays a view of the live table when a query grows it:
-        the outgrown block is freed."""
+        """Level (0, 0) holds the map's float32 values, H x W x D, and a
+        query that grows the table copies it into the new block: the
+        outgrown block is freed."""
         F = np.random.default_rng(55).normal(0, 1, (4, 9, 11))
         table = RangeMaxTable(F)
-        assert table.level0.tobytes() == F.astype(np.float32).tobytes()
-        assert table.level0.transpose(1, 2, 0).flags.c_contiguous
+        want = F.astype(np.float32).transpose(1, 2, 0).tobytes()
+        assert table._levels[0, 0].flags.c_contiguous
+        assert table._levels[0, 0].tobytes() == want
         outgrown = weakref.ref(table._levels)
         table.query([0], [9], [0], [11])
         assert outgrown() is None
-        assert np.shares_memory(table.level0, table._levels)
-        assert table.level0.tobytes() == F.astype(np.float32).tobytes()
+        assert table._levels[0, 0].tobytes() == want
 
     def test_build_allocates_level0_only(self):
         """At D=512 64x64 the full table is 7x7 levels of 8 MiB (392 MiB);

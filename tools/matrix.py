@@ -1,4 +1,4 @@
-"""Bit-identity matrix of roictx: 59 CLI outputs and 88 library digests.
+"""Bit-identity matrix of roictx: 59 CLI outputs and 96 library digests.
 
     python tools/matrix.py [--src DIR] [--out digests.json]
 
@@ -48,6 +48,13 @@ noise).  Per map and backbone, over the RoIs of ROI_FRACS, it digests
   - fixed_context_variant for every variant;
   - mine_context_backward's map and scorer gradients for a seeded
     upstream gradient.
+Then, after every map and backbone above (layout_case), for the f32 and
+f64 maps:
+  - roi_align's data and samples at samples_per_bin=3 on a pixel-major
+    copy of the map, the layout the miner reads;
+  - roi_align_backward of those maps, and align mine_context_backward,
+    for an upstream gradient of +-1e-45 values, whose tiny sums cast to
+    signed float32 zeros.
 """
 
 from __future__ import annotations
@@ -271,12 +278,43 @@ def lib_case(kind: str, backbone: str, seed: int) -> dict:
     return out
 
 
+def layout_case(kind: str, seed: int) -> dict:
+    """roi_align on a pixel-major copy of one map, and align backward
+    passes of an upstream gradient of +-1e-45 values."""
+    from roictx import mining, roi_ops
+    from roictx.geometry import Box
+    F = make_map(kind, np.random.default_rng(seed))
+    pixel = F.transpose(1, 2, 0).copy().transpose(2, 0, 1)
+    rng = np.random.default_rng([seed, 23])
+    rois = [Box(fx1 * W, fy1 * H, fx2 * W, fy2 * H)
+            for fx1, fy1, fx2, fy2 in ROI_FRACS]
+    maps = [roi_ops.roi_align(pixel, r, 7, 7, 3) for r in rois]
+    tiny = np.float32([-1e-45, 1e-45])
+    roi_grads = [roi_ops.roi_align_backward(rng.choice(tiny, m.data.shape),
+                                            m, F.shape) for m in maps]
+    config = mining.MiningConfig(backbone="align")
+    scorer = mining.ContextScorer(
+        rng.normal(0.0, 1.0, D * 49).astype(np.float32), float(rng.normal()))
+    grads = []
+    for mined in mining.mine_many(F, rois, scorer, config):
+        grad_F, (grad_w, grad_b) = mining.mine_context_backward(
+            rng.choice(tiny, mined.feature.shape), mined, F.shape, scorer)
+        grads += [grad_F, grad_w, np.float64(grad_b)]
+    name = f"{kind}-align"
+    return {f"{name}-pixel-major-data": digest(*(m.data for m in maps)),
+            f"{name}-pixel-major-samples": digest(*(m.samples for m in maps)),
+            f"{name}-tiny-roi-backward": digest(*roi_grads),
+            f"{name}-tiny-mined-backward": digest(*grads)}
+
+
 def lib_digests() -> dict:
     """Every library digest, by <map>-<backbone>-<output> name."""
     digests = {}
     for k, kind in enumerate(KINDS):
         for backbone in ("pool", "align"):
             digests.update(lib_case(kind, backbone, 20261019 + k))
+    for kind in ("f32", "f64"):
+        digests.update(layout_case(kind, 20261019 + KINDS.index(kind)))
     return digests
 
 
