@@ -109,9 +109,9 @@ def apply_patch(image: np.ndarray, gt: Box, kind: str, rng_seed: int,
                 patch: np.ndarray | None = None) -> np.ndarray:
     """Return a copy of the image with the center patch applied.
 
-    image is C x H x W float32.  For kind="adversarial" a patch tensor is
-    required and resized to the region by nearest neighbor.  Identical
-    arguments give bit-identical results.
+    image is C x H x W float32.  For kind="adversarial" a C x h x w patch
+    (h, w >= 1) is required and resized to the region by nearest neighbor.
+    Identical arguments give bit-identical results.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown patch kind {kind!r}, expected one of {KINDS}")
@@ -149,9 +149,9 @@ def apply_patch(image: np.ndarray, gt: Box, kind: str, rng_seed: int,
     else:
         if patch is None:
             raise ValueError("kind='adversarial' requires a patch tensor")
-        if patch.ndim != 3 or patch.shape[0] != c:
-            raise ShapeError(
-                f"patch shape {patch.shape} incompatible with image {image.shape}")
+        if patch.ndim != 3 or patch.shape[0] != c or 0 in patch.shape[1:]:
+            raise ShapeError(f"patch shape {patch.shape} incompatible with "
+                             f"image {image.shape}")
         out[:, y0:y1, x0:x1] = _nearest_resize(
             np.asarray(patch, dtype=np.float32), y1 - y0, x1 - x0)
     return out

@@ -193,7 +193,18 @@ def _candidate_arrays(cells: np.ndarray, grid: CandidateGridSpec,
                 (np.minimum(bw, bh) >= floor[i]) & (np.maximum(bw, bh) <= ceil[i])
                 & (ratio >= grid.anchor_iou_min))
     keep &= valid[:, None]
-    return CandidatePools(rows[keep], keep.sum(axis=1))
+    return CandidatePools(np.take(rows.reshape(-1, 4), np.flatnonzero(keep),
+                                  axis=0), keep.sum(axis=1))
+
+
+def _block_pools(rois: list, grid: CandidateGridSpec, map_bounds):
+    """Each RoI's candidates (a copy, not a view pinning the block's) and
+    counts, as ContextMiner._enumerate gives them, from one enumeration."""
+    pools = _candidate_arrays(build_layout(_xyxy(rois)).reshape(-1, 4), grid,
+                              map_bounds)
+    counts = pools.counts.reshape(len(rois), len(DIRECTIONS))
+    rows = np.split(pools.candidates, np.cumsum(counts.sum(1))[:-1])
+    return [r.copy() for r in rows], counts
 
 
 def candidate_pool_for_cell(cell: Box, grid: CandidateGridSpec,
@@ -252,10 +263,10 @@ class ContextScorer:
         lone row longer than its 8192-element buffer in another order than
         a row of a matrix, so a lone row is scored as a matrix of two
         copies."""
-        if flat_feats.shape[1] != self.weights.shape[0]:
-            raise ShapeError(
-                f"scorer expects {self.weights.shape[0]} features, "
-                f"got {flat_feats.shape[1]}")
+        n = self.weights.shape[0]
+        if flat_feats.ndim != 2 or flat_feats.shape[1] != n:
+            raise ShapeError(f"scorer expects a (K, {n}) feature matrix, "
+                             f"got shape {flat_feats.shape}")
         rows = flat_feats.astype(np.float64)
         if rows.shape[0] == 1:
             rows = np.repeat(rows, 2, axis=0)
@@ -515,7 +526,7 @@ class ContextMiner:
         pooled map V[ids[k]] (ph*pw x D) as one D-major row, as roi_pool
         lays it out, and kept_map(j) the RoIMap of the slice's j-th box."""
         for i in range(0, ids.shape[0], SLICE):
-            maps = V[ids[i:i + SLICE]]
+            maps = np.take(V, ids[i:i + SLICE], axis=0)
             rows = maps.transpose(0, 2, 1).reshape(maps.shape[0], -1)
             yield rows, partial(self._pool_map, rows, xyxy[i:i + SLICE])
 
@@ -555,7 +566,8 @@ class ContextMiner:
                 # exact rows are the maxima the filter read; only the rows of
                 # V that keep reads outlive the caller's reference to exact
                 used, local = np.unique(ids[keep], return_inverse=True)
-                return self._pool_slices(V[used], local.reshape(ids[keep].shape),
+                return self._pool_slices(np.take(V, used, axis=0),
+                                         local.reshape(ids[keep].shape),
                                          xyxy[keep])
 
             return approx + bias, slack, exact
@@ -620,11 +632,7 @@ class ContextMiner:
         and their sizes (0 for a fallback cell)."""
         _, H, W = self.F.shape
         maps = [self._roi_map(r) for r in rois]
-        pools = _candidate_arrays(build_layout(_xyxy(rois)).reshape(-1, 4),
-                                  self.config.grid, (W, H))
-        counts = pools.counts.reshape(len(rois), len(DIRECTIONS))
-        rows = np.split(pools.candidates, np.cumsum(counts.sum(axis=1))[:-1])
-        return list(zip(maps, rows, counts))
+        return list(zip(maps, *_block_pools(rois, self.config.grid, (W, H))))
 
     def _mine_chunk(self, chunk: list) -> list[MinedRoIFeature]:
         """Mine the RoIs of a chunk, given as _enumerate entries."""
@@ -658,7 +666,7 @@ def _first_max(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Index of the first largest value of each segment
     values[starts[i]:starts[i+1]]; segments are non-empty and NaN-free."""
     top = np.maximum.reduceat(values, starts)
-    counts = np.diff(starts, append=values.shape[0])
+    counts = np.subtract(starts.tolist()[1:] + [values.shape[0]], starts)
     hit = np.flatnonzero(values == np.repeat(top, counts))
     return hit[np.searchsorted(hit, starts)]
 

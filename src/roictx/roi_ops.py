@@ -7,7 +7,8 @@ with bilinear interpolation and averages.  Forward passes retain the
 routing records (argmax indices, sample coordinates) their backward
 passes need.  Both forwards gather a pixel-major F (F.transpose(1, 2,
 0) C-contiguous) as whole D-rows and any other F per element, with the
-same bits: the layout picks only the gather.
+same bits: the layout picks only the gather.  Every row gather is np.take
+along axis 0, not fancy indexing, which copies narrow rows one at a time.
 """
 
 from __future__ import annotations
@@ -484,12 +485,12 @@ class RangeMaxTable:
             self._extend(int(ka.max()) + 1, int(kb.max()) + 1)
         ya = y1 - (1 << ka)
         xb = x1 - (1 << kb)
-        base = ((ka * self._levels.shape[1] + kb) * H) * W
+        top = ((ka * self._levels.shape[1] + kb) * H + y0) * W
+        low = top + (ya - y0) * W
         flat = self._levels.reshape(-1, D)
-        out = flat[base + y0 * W + x0]
-        np.maximum(out, flat[base + y0 * W + xb], out=out)
-        np.maximum(out, flat[base + ya * W + x0], out=out)
-        np.maximum(out, flat[base + ya * W + xb], out=out)
+        out = np.take(flat, top + x0, axis=0)
+        for corner in (top + xb, low + x0, low + xb):
+            np.maximum(out, np.take(flat, corner, axis=0), out=out)
         out[empty] = 0.0
         return out
 
@@ -524,8 +525,8 @@ class RangeMaxTable:
         synthetic trainer; it stays because ctxbench's tracer wraps it by
         name and the synth-train workload expects its span."""
         V, ids = self.pool_xyxy(xyxy, ph, pw)
-        K, D = ids.shape[0], self.dims[0]
-        return V[ids].reshape(K, ph, pw, D).transpose(0, 3, 1, 2)
+        maps = np.take(V, ids, axis=0).reshape(len(ids), ph, pw, V.shape[1])
+        return maps.transpose(0, 3, 1, 2)
 
 
 def _bin_intervals(lo, hi, bins: int, limit: int):

@@ -22,8 +22,8 @@ from .errors import TrainingError
 from .geometry import Box, iou
 from .losses import softmax
 from .mining import CandidateGridSpec, ContextScorer, MiningConfig, \
-    DIRECTIONS, _box_at, _candidate_arrays, _first_max, _xyxy, build_layout, \
-    fixed_context_variant, roi_map, scorer_gradient
+    DIRECTIONS, ENUMERATE_BLOCK, _block_pools, _box_at, _first_max, _xyxy, \
+    build_layout, fixed_context_variant, roi_map, scorer_gradient
 from .roi_ops import RangeMaxTable
 
 TRAIN_VARIANTS = ("none", "neigh8", "mining")
@@ -120,30 +120,41 @@ class TrainResult:
 class _MiningFeatures:
     """Per-scene candidate matrix, pooled once and reused every epoch.
 
-    Candidate pools do not depend on the scorer.  One _candidate_arrays
-    call enumerates the 8 cells' pools as the rows of boxes (cell c's from
-    starts[c], in DIRECTIONS order; no cell falls back in a scene), and
-    one RangeMaxTable.pool_boxes call pools them into flats.  Each step
-    only scores flats and picks each cell's first maximum.
+    Candidate pools do not depend on the scorer.  of_scenes enumerates
+    ENUMERATE_BLOCK scenes per build_layout and _candidate_arrays call, as
+    mine_many does, so temporaries stay bounded and each scene's pools are
+    its own bit for bit: the 8 cells' pools as the rows of boxes (cell c's
+    from starts[c], in DIRECTIONS order; no cell falls back in a scene).
+    One RangeMaxTable.pool_boxes call per scene pools them into flats.
+    Each step only scores flats and picks each cell's first maximum.
     """
 
-    def __init__(self, scene: SynthScene, cfg: SynthConfig):
+    def __init__(self, scene: SynthScene, cfg: SynthConfig,
+                 boxes: np.ndarray, counts: np.ndarray):
         mc = cfg.mining_config()
         self.object_flat = roi_map(scene.feature, scene.object_roi,
                                    mc).data.reshape(-1)
-        pools = _candidate_arrays(build_layout(_xyxy([scene.object_roi]))[0],
-                                  mc.grid, (cfg.map_size,) * 2)
-        self.starts = np.cumsum(pools.counts) - pools.counts
-        self.boxes = pools.candidates
+        self.starts = np.cumsum(counts) - counts
+        self.boxes = boxes
         self.flats = RangeMaxTable(scene.feature).pool_boxes(
-            self.boxes, mc.ph, mc.pw).reshape(len(self.boxes), -1)
+            boxes, mc.ph, mc.pw).reshape(len(boxes), -1)
+
+    @classmethod
+    def of_scenes(cls, scenes, cfg: SynthConfig) -> list:
+        """The features of each scene of a sequence, in order."""
+        out, size = [], (cfg.map_size,) * 2
+        for i in range(0, len(scenes), ENUMERATE_BLOCK):
+            block = scenes[i:i + ENUMERATE_BLOCK]
+            pools = _block_pools([s.object_roi for s in block], cfg.grid, size)
+            out += map(cls, block, [cfg] * len(block), *pools)
+        return out
 
     def select(self, scorer: ContextScorer) -> np.ndarray:
         """Row of flats selected in each cell under the current scorer."""
         return _first_max(scorer.score_flat(self.flats), self.starts)
 
     def feature(self, picked: np.ndarray) -> np.ndarray:
-        rows = self.flats[picked].reshape(-1)
+        rows = np.take(self.flats, picked, axis=0).reshape(-1)
         return np.concatenate([self.object_flat, rows]).astype(np.float64)
 
 
@@ -176,7 +187,7 @@ def train_head(scenes, variant: str, epochs: int = 30, lr: float = 0.05,
     mc = config.mining_config()
     block = config.channels * mc.ph * mc.pw
     if mining:
-        feats = [_MiningFeatures(s, config) for s in scenes]
+        feats = _MiningFeatures.of_scenes(scenes, config)
         dim = 9 * block
         scorer = ContextScorer.zeros(config.channels, mc.ph, mc.pw)
     else:
@@ -202,8 +213,7 @@ def train_head(scenes, variant: str, epochs: int = 30, lr: float = 0.05,
         for i in train_idx:
             scene = scenes[int(i)]
             f, picked = scene_feature(i)
-            logits = head_w @ f + head_b
-            p = softmax(logits)
+            p = softmax(head_w @ f + head_b)
             loss = -np.log(max(p[scene.label], 1e-300))
             total += float(loss)
             g = p.copy()
@@ -211,15 +221,16 @@ def train_head(scenes, variant: str, epochs: int = 30, lr: float = 0.05,
             if mining:
                 g_blocks = (head_w[:, block:].reshape(2, -1, block)
                             .transpose(1, 2, 0) @ g)
+                # f's picked rows are the selected flats, cast exactly
                 grad_w, grad_b = scorer_gradient(
-                    g_blocks, feats[i].flats[picked], config.lambda_ctx)
+                    g_blocks, f[block:].reshape(-1, block), config.lambda_ctx)
                 with np.errstate(over="ignore", invalid="ignore"):
                     scorer.weights = (scorer.weights.astype(np.float64)
                                       - lr * grad_w).astype(np.float32)
                     scorer.bias = float(scorer.bias - lr * grad_b)
-                    finite = np.isfinite(np.append(scorer.weights,
-                                                   np.float32(scorer.bias)))
-                if not finite.all():
+                    finite = (np.isfinite(scorer.weights).all()
+                              and np.isfinite(np.float32(scorer.bias)))
+                if not finite:
                     raise TrainingError(f"training diverged at epoch {epoch}: "
                                         "scorer not finite in float32")
             head_w -= lr * np.outer(g, f)

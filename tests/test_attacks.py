@@ -122,6 +122,14 @@ def test_patch_with_wrong_channel_count_rejected():
                     adversarial_patch()[:2])
 
 
+@pytest.mark.parametrize("shape", [(3, 0, 4), (3, 5, 0), (3, 0, 0)])
+def test_patch_of_zero_extent_rejected(shape):
+    """A patch with no rows or no columns has no pixel to resize from."""
+    with pytest.raises(ShapeError, match="incompatible"):
+        apply_patch(golden_image(), BOXES[0], "adversarial", SEED,
+                    np.zeros(shape, dtype=np.float32))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_region_outside_image_rejected(kind):
     with pytest.raises(DegenerateBoxError):

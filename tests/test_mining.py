@@ -588,6 +588,14 @@ class TestScoreCandidates:
         want = flats.astype(np.float64) @ w.astype(np.float64) + 0.25
         assert np.allclose(scores, want, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(), (75,), (2, 5, 15), (2, 75, 1),
+                                       (4, 74)])
+    def test_not_a_k_by_n_matrix_rejected(self, shape):
+        msg = re.escape(f"scorer expects a (K, 75) feature matrix, got shape "
+                        f"{shape}")
+        with pytest.raises(ShapeError, match=msg):
+            ContextScorer.zeros(3, 5, 5).score_flat(np.zeros(shape, np.float32))
+
 
 class TestContextScorerZeros:
     def test_zero_scorer_of_d_ph_pw(self):
@@ -618,6 +626,20 @@ class TestFirstMax:
                 for k in rng.permutation(len(segs))]
         starts = np.cumsum([0] + [len(s) for s in segs[:-1]])
         want = starts + np.array([np.argmax(s) for s in segs])
+        got = mining._first_max(np.concatenate(segs), starts)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("segs", [
+        [[2.0]], [[1.0, 3.0, -0.0, 3.0]], [[-np.inf, -np.inf]],
+        [[1.0, 4.0, 4.0], [5.0]], [[0.0], [-0.0, 7.0], [-1.0]]],
+        ids=["one-element", "one-segment", "one-tied-segment",
+             "trailing-one", "ones-around"])
+    def test_single_and_trailing_one_element_segments(self, segs):
+        """The last segment's length comes from starts and the values'
+        length alone."""
+        segs = [np.asarray(seg, dtype=np.float64) for seg in segs]
+        starts = np.cumsum([0] + [len(seg) for seg in segs[:-1]])
+        want = starts + np.array([np.argmax(seg) for seg in segs])
         got = mining._first_max(np.concatenate(segs), starts)
         assert np.array_equal(got, want)
 

@@ -742,6 +742,29 @@ class TestRangeMaxTable:
         assert after - built <= 3 * level + out.nbytes + slack
         assert query_peak <= 5 * level + slack
 
+    def test_one_channel_rows(self):
+        """At D=1 each gathered row is one 4-byte float: query gives the
+        direct max and pool_boxes roi_pool's maps, byte for byte."""
+        rng = np.random.default_rng(58)
+        for H, W in [(1, 1), (1, 6), (7, 1), (9, 17), (16, 15)]:
+            rects = np.array([(y0, y1, x0, x1)
+                              for y0 in range(H) for y1 in range(y0 + 1, H + 1)
+                              for x0 in range(W) for x1 in range(x0 + 1, W + 1)])
+            for F in (rng.normal(0, 1, (1, H, W)).astype(np.float32),
+                      rng.integers(-3, 2, (1, H, W)).astype(np.float32)):
+                got = RangeMaxTable(F).query(*rects.T)
+                want = np.stack([F[:, y0:y1, x0:x1].max(axis=(1, 2))
+                                 for y0, y1, x0, x1 in rects])
+                assert got.shape == (len(rects), 1)
+                assert got.tobytes() == want.tobytes()
+        F = rng.normal(0, 1, (1, 23, 19)).astype(np.float32)
+        boxes = [random_roi(rng, 19, 23, min_size=1.0).clip(19, 23)
+                 for _ in range(60)]
+        got = RangeMaxTable(F).pool_boxes(as_xyxy(boxes), 5, 4)
+        want = np.stack([roi_pool(F, b, 5, 4).data for b in boxes])
+        assert got.shape == (60, 1, 5, 4)
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
     def test_pool_boxes_bit_equals_roi_pool(self):
         rng = np.random.default_rng(59)
         F = rng.normal(0, 1, (4, 32, 32)).astype(np.float32)

@@ -6,8 +6,10 @@ from roictx.errors import TrainingError
 from roictx.geometry import Box
 from roictx.gradcheck import check
 from roictx.losses import softmax
-from roictx.mining import DIRECTIONS, ContextScorer, build_layout, \
-    candidate_pool_for_cell, fixed_context_variant
+from roictx import mining
+from roictx.mining import DIRECTIONS, ENUMERATE_BLOCK, CandidateGridSpec, \
+    ContextScorer, build_layout, candidate_pool_for_cell, \
+    fixed_context_variant
 from roictx.roi_ops import RangeMaxTable
 from roictx.synth import DEFAULT_SYNTH, SynthConfig, _MiningFeatures, \
     generate, train_head
@@ -127,7 +129,7 @@ class TestTrainHead:
         assert len(steps) == 2 and not steps[0][0].any()
         grad = np.append(*steps[1])
 
-        feats = _MiningFeatures(scene, cfg)
+        feats = _MiningFeatures.of_scenes([scene], cfg)[0]
         picked = feats.select(ContextScorer.zeros(cfg.channels, cfg.ph,
                                                   cfg.pw))
         x = feats.flats[picked].astype(np.float64)
@@ -159,8 +161,9 @@ class TestMiningFeatures:
         mc = DEFAULT_SYNTH.mining_config()
         size = (DEFAULT_SYNTH.map_size,) * 2
         rng = np.random.default_rng(seed)
-        for scene in generate(seed, 3):
-            mf = _MiningFeatures(scene, DEFAULT_SYNTH)
+        scenes = generate(seed, ENUMERATE_BLOCK + 2)
+        for scene, mf in zip(scenes,
+                             _MiningFeatures.of_scenes(scenes, DEFAULT_SYNTH)):
             table = RangeMaxTable(scene.feature)
             r = scene.object_roi
             cells = build_layout([[r.x1, r.y1, r.x2, r.y2]])[0].tolist()
@@ -181,3 +184,38 @@ class TestMiningFeatures:
                 want = [o + int(np.argmax(scorer.score_flat(r)))
                         for o, r in zip(offsets, rows)]
                 assert mf.select(scorer).tolist() == want
+
+
+# A grid other than synth's: other offsets, sizes and bounds, and pools
+# whose candidates the map border clips more often.
+OTHER_GRID = SynthConfig(grid=CandidateGridSpec(
+    offset_fracs=(-0.3, -0.1, 0.0, 0.2, 0.35), size_fracs=(0.4, 0.75, 1.0),
+    anchor_iou_min=0.25, short_edge_frac=0.3))
+
+
+class TestBlockEnumeration:
+    """of_scenes enumerates ENUMERATE_BLOCK scenes per call; each scene
+    gets the features it gets enumerated alone, bit for bit."""
+
+    @pytest.mark.parametrize("cfg", [DEFAULT_SYNTH, OTHER_GRID],
+                             ids=["default", "other-grid"])
+    def test_each_scene_as_enumerated_alone(self, cfg, monkeypatch):
+        # 2 full blocks and a short one
+        scenes = generate(23, 2 * ENUMERATE_BLOCK + 1, cfg)
+        calls = []
+        real = mining._candidate_arrays
+
+        def counting(cells, *args):
+            calls.append(len(cells))
+            return real(cells, *args)
+
+        monkeypatch.setattr(mining, "_candidate_arrays", counting)
+        together = _MiningFeatures.of_scenes(scenes, cfg)
+        assert calls == [8 * ENUMERATE_BLOCK, 8 * ENUMERATE_BLOCK, 8]
+        assert len(together) == len(scenes)
+        for scene, got in zip(scenes, together):
+            alone = _MiningFeatures.of_scenes([scene], cfg)[0]
+            for name in ("boxes", "starts", "flats", "object_flat"):
+                a, b = getattr(got, name), getattr(alone, name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+                assert a.tobytes() == b.tobytes(), name
