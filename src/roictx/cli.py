@@ -311,8 +311,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (RoictxError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (RoictxError, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

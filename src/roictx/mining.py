@@ -47,18 +47,15 @@ VARIANTS = ("none", "local", "global", "neigh4", "neigh8")
 
 FALLBACK = -1
 
-# Most candidates one mine_many chunk holds.  The pool filter keeps the
-# (K, ph*pw) int64 bin-rectangle rows of a chunk's K candidates alive:
-# 12.8 MB at 7x7 bins.
+# Most candidates one chunk holds, bounding its enumeration (about 160 bytes
+# per candidate) and its filter: the pool filter keeps the (K, ph*pw) int64
+# bin-rectangle rows of a chunk's K candidates alive, 12.8 MB at 7x7 bins.
 CANDIDATE_BUDGET = 1 << 15
 # Rows per step of the pool filter's sliced work (the float64 copy of the
 # maxima for V @ W, the per-candidate gathers) and of rescoring, so their
 # temporaries do not grow with the chunk.  The align bin sums step by
 # roi_ops.ALIGN_SUM_BLOCK candidates instead.
 SLICE = 128
-# Object RoIs per enumeration pass of mine_many: its memory, about twenty
-# (8 * ENUMERATE_BLOCK, 188) float64 arrays, does not grow with the RoIs.
-ENUMERATE_BLOCK = 4
 
 
 def build_layout(rois: np.ndarray) -> np.ndarray:
@@ -97,6 +94,7 @@ class CandidateGridSpec:
     anchor of at least anchor_iou_min, judged on the cell's shape (see
     candidate_pool_for_cell).  include_anchor=False drops the anchor from
     the pool (used to pin pools to explicit candidates, e.g. the full cell).
+    A value that is not finite raises DegenerateBoxError naming its field.
     """
 
     offset_fracs: tuple = (-0.25, -0.125, 0.0, 0.125, 0.25)
@@ -104,6 +102,11 @@ class CandidateGridSpec:
     anchor_iou_min: float = 0.3
     short_edge_frac: float = 1.0 / 3.0
     include_anchor: bool = True
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not np.isfinite(value).all():
+                raise DegenerateBoxError(f"{name} must be finite, got {value}")
 
 
 def _clip_like_box(boxes: np.ndarray, width, height) -> np.ndarray:
@@ -197,14 +200,20 @@ def _candidate_arrays(cells: np.ndarray, grid: CandidateGridSpec,
                                   axis=0), keep.sum(axis=1))
 
 
-def _block_pools(rois: list, grid: CandidateGridSpec, map_bounds):
-    """Each RoI's candidates (a copy, not a view pinning the block's) and
-    counts, as ContextMiner._enumerate gives them, from one enumeration."""
+def _chunk_size(grid: CandidateGridSpec) -> int:
+    """RoIs per chunk: how many pool bounds of the grid (8 cells of 1 + its
+    kept combos) CANDIDATE_BUDGET holds, at least 1."""
+    return max(1, CANDIDATE_BUDGET // (8 * (1 + _grid_combos(grid)[0].size)))
+
+
+def _chunk_pools(rois: list, grid, map_bounds) -> CandidatePools:
+    """The pools of the RoIs' cells, in RoI then DIRECTIONS order, with
+    (R, 8) counts, from one build_layout and one _candidate_arrays call."""
     pools = _candidate_arrays(build_layout(_xyxy(rois)).reshape(-1, 4), grid,
                               map_bounds)
-    counts = pools.counts.reshape(len(rois), len(DIRECTIONS))
-    rows = np.split(pools.candidates, np.cumsum(counts.sum(1))[:-1])
-    return [r.copy() for r in rows], counts
+    # copied once the call has freed its temporaries, so that the chunk's rows
+    # do not pin the heap top above the space those leave
+    return CandidatePools(pools.candidates.copy(), pools.counts.reshape(-1, 8))
 
 
 def candidate_pool_for_cell(cell: Box, grid: CandidateGridSpec,
@@ -372,28 +381,26 @@ def _require_finite(F: np.ndarray) -> None:
 class ContextMiner:
     """Reusable mining engine for one feature map.
 
-    Builds what selection needs once per map, then mines any number of
-    RoIs against it.  The unit of work is a chunk of RoIs: mine() mines a
-    chunk of one, and mine_many() puts consecutive RoIs in one chunk up to
-    CANDIDATE_BUDGET candidates (a RoI with more is a chunk of its own).
-    Pools are enumerated for a block of RoIs at once (see mine_many), as
-    rows of one array.  The candidates of every non-fallback cell of a
-    chunk go through one table pass (pool) or one call of
-    roi_align_bin_sums (align), one filter pass, and
-    ContextScorer.score_flat on the rows the filter keeps, SLICE rows per
-    call: one call for a chunk of up to SLICE cells
-    without near ties, and bounded memory when whole pools tie.  The chunk
-    can change which near-ties of a cell are rescored, as the rounding of
-    s~ below may depend on what else is in the chunk, but never the
-    selection, its score or its map.  Mining is pure: the map and the
-    scorer are only read, and a table only builds the levels its queries
-    need.  A map or a scorer holding NaN or inf raises NumericError.  On
-    both backbones the object maps are read from the miner's one
-    pixel-major copy of the map (see _roi_map), bit for bit as from F.
-    A kept map is the winner's rescored row, copied, and computes its
-    argmax from that copy on first read (see RoIMap), so only a backward
-    pass pools it again; a row holding a zero is pooled by roi_pool at
-    once, as the table may keep the other zero's sign (see _pool_map).
+    Builds what selection needs once per map, then mines any number of RoIs
+    against it.  The unit of work is a chunk of RoIs: mine() mines a chunk of
+    one, mine_many() chunks of _chunk_size(grid) RoIs, at most
+    CANDIDATE_BUDGET candidates unless one RoI's pools exceed it.  A chunk's
+    pools are enumerated at once, and the candidates of its non-fallback
+    cells go through one table pass (pool) or one call of roi_align_bin_sums
+    (align), one filter pass, and ContextScorer.score_flat on the rows the
+    filter keeps, SLICE rows per call: one call for a chunk of up to SLICE
+    cells without near ties, and bounded memory when whole pools tie.  The
+    chunk can change which near-ties of a cell are rescored, as the rounding
+    of s~ below may depend on what else is in the chunk, but never the
+    selection, its score or its map.  Mining is pure: the map and the scorer
+    are only read, and a table only builds the levels its queries need.  A
+    map or a scorer holding NaN or inf raises NumericError.  On both
+    backbones the object maps are read from the miner's one pixel-major copy
+    of the map (see _roi_map), bit for bit as from F.  A kept map is the
+    winner's rescored row, copied, and computes its argmax from that copy on
+    first read (see RoIMap), so only a backward pass pools it again; a row
+    holding a zero is pooled by roi_pool at once, as the table may keep the
+    other zero's sign (see _pool_map).
 
     Selection filters, then rescores, each cell on its own.  Each
     candidate k of a cell gets an approximate score s~_k and a bound
@@ -626,26 +633,19 @@ class ContextMiner:
         return [(int(picks[j]) - start, maps[j], float(scores[j]))
                 for start, j in zip(starts.tolist(), best.tolist())]
 
-    def _enumerate(self, rois: list) -> list:
-        """(object map, candidates, counts) of each RoI of a block, from
-        one enumeration: the 8 cells' pools in DIRECTIONS order as rows,
-        and their sizes (0 for a fallback cell)."""
+    def _mine_chunk(self, rois: list) -> list[MinedRoIFeature]:
+        """Mine a chunk of RoIs: one enumeration and one _best_of_pools
+        pass over the pools of its non-fallback cells."""
         _, H, W = self.F.shape
-        maps = [self._roi_map(r) for r in rois]
-        return list(zip(maps, *_block_pools(rois, self.config.grid, (W, H))))
-
-    def _mine_chunk(self, chunk: list) -> list[MinedRoIFeature]:
-        """Mine the RoIs of a chunk, given as _enumerate entries."""
-        counts = np.concatenate([c for _, _, c in chunk])
+        object_maps = [self._roi_map(r) for r in rois]
+        xyxy, counts = _chunk_pools(rois, self.config.grid, (W, H))
         sizes = counts[counts > 0]
-        picks = iter(self._best_of_pools(
-            np.concatenate([xyxy for _, xyxy, _ in chunk]), sizes)
-            if sizes.size else ())
+        picks = iter(self._best_of_pools(xyxy, sizes) if sizes.size else ())
         out = []
-        for object_map, _, cell_counts in chunk:
+        for object_map, cell_counts in zip(object_maps, counts.tolist()):
             selected = [SelectionRecord(d, *next(picks), n) if n else
                         SelectionRecord(d, FALLBACK, None, None, 0)
-                        for d, n in zip(DIRECTIONS, cell_counts.tolist())]
+                        for d, n in zip(DIRECTIONS, cell_counts)]
             maps = _block_maps(object_map, selected)
             out.append(MinedRoIFeature(concat_channels([m.data for m in maps]),
                                        object_map, selected))
@@ -653,7 +653,7 @@ class ContextMiner:
 
     def mine(self, r: Box) -> MinedRoIFeature:
         """Mine one RoI, as a chunk of one."""
-        return self._mine_chunk(self._enumerate([r]))[0]
+        return self._mine_chunk([r])[0]
 
 
 def _sliced(fn, rows: np.ndarray) -> np.ndarray:
@@ -681,25 +681,15 @@ def mine_many(F: np.ndarray, rois, scorer: ContextScorer,
               config: MiningConfig = DEFAULT_CONFIG) -> list[MinedRoIFeature]:
     """Mine many RoIs against one shared table, in input order.
 
-    rois may be any iterable, read ENUMERATE_BLOCK RoIs at a time, each
-    block enumerated by one build_layout and one _candidate_arrays call.
-    Consecutive RoIs share a chunk while their candidates number at most
-    CANDIDATE_BUDGET; each chunk makes one table pass, one filter pass and
-    one score_flat call per SLICE rescored candidates (see ContextMiner).
-    Results equal mine_context's for each RoI, bit for bit.
+    rois may be any iterable, read one chunk (see ContextMiner) at a time,
+    so memory does not grow with the number of RoIs.  Results equal
+    mine_context's for each RoI, bit for bit.
     """
     miner = ContextMiner(F, scorer, config)
-    out, chunk, size = [], [], 0
-    rois = iter(rois)
-    while block := list(islice(rois, ENUMERATE_BLOCK)):
-        for entry in miner._enumerate(block):
-            count = int(entry[2].sum())
-            if chunk and size + count > CANDIDATE_BUDGET:
-                out += miner._mine_chunk(chunk)
-                chunk, size = [], 0
-            chunk.append(entry)
-            size += count
-    return out + (miner._mine_chunk(chunk) if chunk else [])
+    rois, size, out = iter(rois), _chunk_size(config.grid), []
+    while chunk := list(islice(rois, size)):
+        out += miner._mine_chunk(chunk)
+    return out
 
 
 def _backward_one(grad_block: np.ndarray, roi_map: RoIMap, F_dims,

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TrainingError
+from .errors import DegenerateBoxError, TrainingError
 from .geometry import Box, iou
 from .losses import softmax
 from .mining import CandidateGridSpec, ContextScorer, MiningConfig, \
-    DIRECTIONS, ENUMERATE_BLOCK, _block_pools, _box_at, _first_max, _xyxy, \
+    DIRECTIONS, _box_at, _chunk_pools, _chunk_size, _first_max, _xyxy, \
     build_layout, fixed_context_variant, roi_map, scorer_gradient
 from .roi_ops import RangeMaxTable
 
@@ -34,7 +34,8 @@ class SynthConfig:
     """Geometry and signal levels of the synthetic task.
 
     The object box is placed so the whole 3x3 cell grid stays inside the
-    map (no boundary fallback in the demo).
+    map (no boundary fallback in the demo).  A grid that cannot fit, or a
+    blob larger than a cell, raises DegenerateBoxError.
     """
 
     channels: int = 2
@@ -50,6 +51,13 @@ class SynthConfig:
     lambda_ctx: float = 1.0
     grid: CandidateGridSpec = field(default_factory=lambda: CandidateGridSpec(
         size_fracs=(1.0 / 3.0, 0.5, 2.0 / 3.0)))
+
+    def __post_init__(self):
+        obj = self.object_size
+        if not self.blob_size <= obj <= self.map_size - 2.0 * obj:
+            raise DegenerateBoxError(
+                "need blob_size <= object_size <= map_size - 2 * object_size, "
+                f"got {self.blob_size}, {obj}, {self.map_size}")
 
     def mining_config(self) -> MiningConfig:
         return MiningConfig(ph=self.ph, pw=self.pw, backbone="pool",
@@ -121,10 +129,9 @@ class _MiningFeatures:
     """Per-scene candidate matrix, pooled once and reused every epoch.
 
     Candidate pools do not depend on the scorer.  of_scenes enumerates
-    ENUMERATE_BLOCK scenes per build_layout and _candidate_arrays call, as
-    mine_many does, so temporaries stay bounded and each scene's pools are
-    its own bit for bit: the 8 cells' pools as the rows of boxes (cell c's
-    from starts[c], in DIRECTIONS order; no cell falls back in a scene).
+    scenes in mine_many's chunks, so temporaries stay bounded, and gives
+    each scene its own pools bit for bit: boxes holds its 8 cells' pools,
+    cell c's from starts[c] in DIRECTIONS order (no cell falls back).
     One RangeMaxTable.pool_boxes call per scene pools them into flats.
     Each step only scores flats and picks each cell's first maximum.
     """
@@ -142,11 +149,12 @@ class _MiningFeatures:
     @classmethod
     def of_scenes(cls, scenes, cfg: SynthConfig) -> list:
         """The features of each scene of a sequence, in order."""
-        out, size = [], (cfg.map_size,) * 2
-        for i in range(0, len(scenes), ENUMERATE_BLOCK):
-            block = scenes[i:i + ENUMERATE_BLOCK]
-            pools = _block_pools([s.object_roi for s in block], cfg.grid, size)
-            out += map(cls, block, [cfg] * len(block), *pools)
+        out, size, step = [], (cfg.map_size,) * 2, _chunk_size(cfg.grid)
+        for chunk in (scenes[i:i + step] for i in range(0, len(scenes), step)):
+            rois = [s.object_roi for s in chunk]
+            boxes, counts = _chunk_pools(rois, cfg.grid, size)
+            rows = np.split(boxes, np.cumsum(counts.sum(axis=1))[:-1])
+            out += map(cls, chunk, [cfg] * len(chunk), rows, counts)
         return out
 
     def select(self, scorer: ContextScorer) -> np.ndarray:

@@ -159,6 +159,27 @@ class TestCtxmine:
         assert not (tmp / "m.ften").exists()
         assert not (tmp / "r.json").exists()
 
+    @pytest.mark.parametrize("message,line", [
+        ("Unable to allocate {} floats", "Unable to allocate 147 floats"),
+        ("", "MemoryError")])
+    def test_memory_error_exits_1(self, inputs, capsys, monkeypatch, message,
+                                  line):
+        """An allocation the machine refuses, such as the default scorer of
+        huge extents, is an error line, not a traceback.  The allocation is
+        patched to fail: the test allocates nothing large."""
+        def refuse(d, ph, pw):
+            raise MemoryError(message.format(d * ph * pw))
+
+        monkeypatch.setattr(mining.ContextScorer, "zeros", staticmethod(refuse))
+        tmp, _ = inputs
+        args = (["ctxmine", "--report", str(tmp / "r.json")]
+                + _io(tmp, "m.ften"))
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == (
+            f"error: {line}\n")
+        assert not (tmp / "m.ften").exists()
+        assert not (tmp / "r.json").exists()
+
     @pytest.mark.parametrize("grid,extents", [("--pw=-3", "7x-3"),
                                               ("--ph=0", "0x7")])
     def test_grid_below_one_exits_1(self, inputs, capsys, grid, extents):

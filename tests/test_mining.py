@@ -982,15 +982,18 @@ class TestMineMany:
 
     @pytest.mark.parametrize("backbone", ["pool", "align"])
     def test_small_budget_many_chunks(self, backbone, monkeypatch):
-        """A budget below one interior RoI's candidates: such a RoI is a
-        chunk of its own, and border RoIs share chunks."""
+        """A budget below one RoI's pool bound: every RoI is a chunk of its
+        own, border RoIs with fewer candidates too, and each RoI with
+        candidates makes one filter pass."""
         F, scorer, config, rois = self._case(backbone, 9)
         rois[4:4] = [Box(0.5, 30.0, 6.0, 39.5), Box(34.0, 0.5, 39.5, 6.0)]
         monkeypatch.setattr(mining, "CANDIDATE_BUDGET", 1200)
+        assert mining._chunk_size(config.grid) == 1
         per_roi = [sum(self._candidates(F, [r], config)) for r in rois]
         assert max(per_roi) > 1200 and per_roi.count(0) == 1
+        assert sum(0 < n <= 600 for n in per_roi) >= 2
         chunks = self._check(F, rois, scorer, config, monkeypatch)
-        assert 2 <= chunks < sum(n > 0 for n in per_roi)
+        assert chunks == sum(n > 0 for n in per_roi)
 
     @pytest.mark.parametrize("backbone", ["pool", "align"])
     def test_rescoring_bounded_when_every_candidate_ties(self, backbone,
@@ -1043,29 +1046,34 @@ class TestMineMany:
     @pytest.mark.parametrize("n_rois", [8, 200])
     def test_enumeration_memory_does_not_grow_with_rois(self, n_rois,
                                                          monkeypatch):
-        """mine_many enumerates ENUMERATE_BLOCK = 4 RoIs per pass, so each
-        pass peaks near 1.7 MB, under 3 MiB, however many RoIs the call
-        mines.  Enumerating 200 RoIs at once would need 50 times that."""
+        """mine_many enumerates one chunk of RoIs per _candidate_arrays
+        call, and each call peaks below 192 bytes per candidate it
+        enumerates (about 160), at most a chunk's, however many RoIs the
+        call mines.  Enumerating 200 RoIs at once would need ten times a
+        chunk's."""
         rng = np.random.default_rng(223)
         F = rng.normal(0, 1, (2, 64, 64)).astype(np.float32)
         scorer = ContextScorer(rng.normal(0, 1, 50).astype(np.float32), 0.1)
         rois = [interior_roi(rng, 64) for _ in range(n_rois)]
         peaks = []
-        real = ContextMiner._enumerate
+        real = mining._candidate_arrays
 
-        def measured(self, block):
+        def measured(*args):
             tracemalloc.start()
             try:
-                return real(self, block)
+                pools = real(*args)
             finally:
                 peaks.append(tracemalloc.get_traced_memory()[1])
                 tracemalloc.stop()
+            peaks[-1] /= pools.candidates.shape[0]
+            return pools
 
-        monkeypatch.setattr(ContextMiner, "_enumerate", measured)
-        mined = mine_many(F, rois, scorer, MiningConfig(ph=5, pw=5))
+        monkeypatch.setattr(mining, "_candidate_arrays", measured)
+        config = MiningConfig(ph=5, pw=5)
+        mined = mine_many(F, rois, scorer, config)
         assert len(mined) == n_rois
-        assert len(peaks) == -(-n_rois // mining.ENUMERATE_BLOCK)
-        assert max(peaks) <= 3 << 20
+        assert len(peaks) == -(-n_rois // mining._chunk_size(config.grid))
+        assert max(peaks) <= 192
 
     def test_full_align_chunk_filter_memory(self):
         """A chunk of nearly CANDIDATE_BUDGET align candidates on a 50x50
@@ -1081,7 +1089,9 @@ class TestMineMany:
         pools = []
         while True:
             r = interior_roi(rng, 50, min_wh=4.0, max_wh=8.0)
-            cells = [xyxy for _, xyxy, _ in miner._enumerate([r])]
+            cells = [mining._candidate_arrays(
+                build_layout([[r.x1, r.y1, r.x2, r.y2]])[0],
+                miner.config.grid, (50, 50)).candidates]
             if sum(map(len, pools + cells)) > mining.CANDIDATE_BUDGET:
                 break
             pools += cells
@@ -1094,6 +1104,50 @@ class TestMineMany:
         finally:
             tracemalloc.stop()
         assert peak <= 112 * xyxy.shape[0]
+
+
+# A grid whose pool bound, 8 cells of 1 + 9 * 9 * 8 * 8 combos, exceeds
+# CANDIDATE_BUDGET: each RoI is a chunk of its own.
+DENSE_GRID = CandidateGridSpec(
+    offset_fracs=tuple(np.linspace(-0.3, 0.3, 9).tolist()),
+    size_fracs=tuple(np.linspace(0.35, 1.0, 8).tolist()), anchor_iou_min=0.0)
+
+
+class TestChunkRule:
+    """A chunk holds as many RoIs as CANDIDATE_BUDGET holds pool bounds of
+    the grid, at least one, so no filter pass gets more candidates than
+    the budget or one RoI's pools."""
+
+    @pytest.mark.parametrize("grid,size", [
+        (CandidateGridSpec(), 21), (DEFAULT_SYNTH.grid, 41),
+        (DENSE_GRID, 1)], ids=["default", "synth", "dense"])
+    def test_chunk_rows_bounded(self, grid, size, monkeypatch):
+        assert mining._chunk_size(grid) == size
+        rng = np.random.default_rng(229)
+        F = rng.normal(0, 1, (2, 48, 48)).astype(np.float32)
+        scorer = ContextScorer(rng.normal(0, 1, 50).astype(np.float32), 0.2)
+        config = MiningConfig(ph=5, pw=5, grid=grid)
+        rois = [interior_roi(rng, 48) for _ in range(3 if size == 1 else 45)]
+        per_roi = [int(mining._chunk_pools([r], grid, (48, 48)).counts.sum())
+                   for r in rois]
+        if size == 1:
+            assert min(per_roi) > mining.CANDIDATE_BUDGET
+        rows = []
+        real = ContextMiner._best_of_pools
+
+        def counting(self, xyxy, sizes):
+            rows.append(xyxy.shape[0])
+            return real(self, xyxy, sizes)
+
+        monkeypatch.setattr(ContextMiner, "_best_of_pools", counting)
+        many = mine_many(F, rois, scorer, config)
+        monkeypatch.undo()
+        assert rows == [sum(per_roi[i:i + size])
+                        for i in range(0, len(rois), size)]
+        assert max(rows) <= max(mining.CANDIDATE_BUDGET, max(per_roi))
+        if size > 1:
+            for r, a in zip(rois[size - 1:size + 1], many[size - 1:size + 1]):
+                assert_same_mined(a, mine_context(F, r, scorer, config))
 
 
 class TestAlignSelection:
@@ -1866,6 +1920,24 @@ class TestMiningConfig:
             MiningConfig(local_scale=scale)
 
 
+class TestCandidateGridSpec:
+    """A grid value that is not finite would make every cell fall back
+    (short_edge_frac) or fail untyped on first use (the others)."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["offset_fracs", "size_fracs"])
+    def test_fracs_not_finite_rejected(self, name, bad):
+        value = getattr(CandidateGridSpec(), name)[:-1] + (bad,)
+        with pytest.raises(DegenerateBoxError, match=name):
+            CandidateGridSpec(**{name: value})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["anchor_iou_min", "short_edge_frac"])
+    def test_bound_not_finite_rejected(self, name, bad):
+        with pytest.raises(DegenerateBoxError, match=name):
+            CandidateGridSpec(**{name: bad})
+
+
 class TestFixedVariants:
     def _data(self, seed=73):
         rng = np.random.default_rng(seed)
@@ -2006,3 +2078,28 @@ def test_lib_matrix_digests_repeat(tmp_path):
                  for name in outputs}
     assert len(cli_names) == 59
     assert not cli_names & set(first)
+
+
+def test_matrix_chunk_case_splits_unlike_packing():
+    """tools/matrix.py's chunk_case mines three chunks of 21 RoIs or fewer,
+    where packing consecutive RoIs up to CANDIDATE_BUDGET candidates, as
+    mine_many once did, would split after RoI 26: its digests compare the
+    two chunkings."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "matrix", root / "tools" / "matrix.py")
+    matrix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(matrix)
+    F, rois, _ = matrix.chunk_inputs(20261025)
+    grid = MiningConfig().grid
+    counts = [int(mining._chunk_pools([r], grid, F.shape[:0:-1]).counts.sum())
+              for r in rois]
+    splits, total = [], 0
+    for i, n in enumerate(counts):
+        if total + n > mining.CANDIDATE_BUDGET:
+            splits.append(i)
+            total = 0
+        total += n
+    size = mining._chunk_size(grid)
+    assert size == 21 and len(rois) == matrix.CHUNK_ROIS == 48
+    assert splits == [26]

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from roictx import synth
-from roictx.errors import TrainingError
+from roictx.errors import DegenerateBoxError, TrainingError
 from roictx.geometry import Box
 from roictx.gradcheck import check
 from roictx.losses import softmax
 from roictx import mining
-from roictx.mining import DIRECTIONS, ENUMERATE_BLOCK, CandidateGridSpec, \
-    ContextScorer, build_layout, candidate_pool_for_cell, \
-    fixed_context_variant
+from roictx.mining import DIRECTIONS, CandidateGridSpec, ContextScorer, \
+    build_layout, candidate_pool_for_cell, fixed_context_variant
 from roictx.roi_ops import RangeMaxTable
 from roictx.synth import DEFAULT_SYNTH, SynthConfig, _MiningFeatures, \
     generate, train_head
@@ -53,6 +52,19 @@ class TestGenerate:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             generate(0, 0)
+
+    @pytest.mark.parametrize("geometry", [
+        {"object_size": 16.5}, {"map_size": 35}, {"blob_size": 14.0},
+        {"object_size": float("nan")}, {"blob_size": float("inf")}])
+    def test_config_geometry_that_cannot_fit_rejected(self, geometry):
+        """A 3x3 grid larger than the map, or a blob larger than a cell,
+        would fail inside generate with numpy's ValueError."""
+        with pytest.raises(DegenerateBoxError, match="object_size"):
+            SynthConfig(**geometry)
+
+    def test_config_geometry_that_just_fits_generates(self):
+        cfg = SynthConfig(object_size=16.0, blob_size=16.0)
+        assert len(generate(6, 4, cfg)) == 4
 
 
 class TestTrainHead:
@@ -152,16 +164,25 @@ class TestTrainHead:
         assert report.max_rel_error <= 1e-3
 
 
+def four_scene_chunks(monkeypatch, cfg):
+    """Shrink CANDIDATE_BUDGET so that a chunk holds 4 of cfg's scenes."""
+    bound = 8 * (1 + mining._grid_combos(cfg.grid)[0].size)
+    monkeypatch.setattr(mining, "CANDIDATE_BUDGET", 4 * bound)
+    assert mining._chunk_size(cfg.grid) == 4
+    return 4
+
+
 class TestMiningFeatures:
     """One candidate matrix per scene against the per-cell rule: each
     cell's pool pooled alone and its first argmax."""
 
     @pytest.mark.parametrize("seed", [3, 8])
-    def test_matches_per_cell_oracle(self, seed):
+    def test_matches_per_cell_oracle(self, seed, monkeypatch):
         mc = DEFAULT_SYNTH.mining_config()
         size = (DEFAULT_SYNTH.map_size,) * 2
         rng = np.random.default_rng(seed)
-        scenes = generate(seed, ENUMERATE_BLOCK + 2)
+        scenes = generate(seed, four_scene_chunks(monkeypatch,
+                                                  DEFAULT_SYNTH) + 2)
         for scene, mf in zip(scenes,
                              _MiningFeatures.of_scenes(scenes, DEFAULT_SYNTH)):
             table = RangeMaxTable(scene.feature)
@@ -194,14 +215,15 @@ OTHER_GRID = SynthConfig(grid=CandidateGridSpec(
 
 
 class TestBlockEnumeration:
-    """of_scenes enumerates ENUMERATE_BLOCK scenes per call; each scene
-    gets the features it gets enumerated alone, bit for bit."""
+    """of_scenes enumerates one chunk of scenes per call; each scene gets
+    the features it gets enumerated alone, bit for bit."""
 
     @pytest.mark.parametrize("cfg", [DEFAULT_SYNTH, OTHER_GRID],
                              ids=["default", "other-grid"])
     def test_each_scene_as_enumerated_alone(self, cfg, monkeypatch):
-        # 2 full blocks and a short one
-        scenes = generate(23, 2 * ENUMERATE_BLOCK + 1, cfg)
+        # 2 full chunks and a short one
+        chunk = four_scene_chunks(monkeypatch, cfg)
+        scenes = generate(23, 2 * chunk + 1, cfg)
         calls = []
         real = mining._candidate_arrays
 
@@ -211,7 +233,7 @@ class TestBlockEnumeration:
 
         monkeypatch.setattr(mining, "_candidate_arrays", counting)
         together = _MiningFeatures.of_scenes(scenes, cfg)
-        assert calls == [8 * ENUMERATE_BLOCK, 8 * ENUMERATE_BLOCK, 8]
+        assert calls == [8 * chunk, 8 * chunk, 8]
         assert len(together) == len(scenes)
         for scene, got in zip(scenes, together):
             alone = _MiningFeatures.of_scenes([scene], cfg)[0]
@@ -219,3 +241,18 @@ class TestBlockEnumeration:
                 a, b = getattr(got, name), getattr(alone, name)
                 assert (a.dtype, a.shape) == (b.dtype, b.shape), name
                 assert a.tobytes() == b.tobytes(), name
+
+    def test_default_budget_chunks_scenes_like_mine_many(self, monkeypatch):
+        """At the default budget a chunk holds 41 scenes of synth's grid,
+        as many as mine_many puts in a chunk there: 80 scenes take 2
+        calls."""
+        calls = []
+        real = mining._candidate_arrays
+
+        def counting(cells, *args):
+            calls.append(len(cells))
+            return real(cells, *args)
+
+        monkeypatch.setattr(mining, "_candidate_arrays", counting)
+        _MiningFeatures.of_scenes(generate(29, 80), DEFAULT_SYNTH)
+        assert calls == [8 * 41, 8 * 39]

@@ -1,4 +1,4 @@
-"""Bit-identity matrix of roictx: 59 CLI outputs and 96 library digests.
+"""Bit-identity matrix of roictx: 59 CLI outputs and 100 library digests.
 
     python tools/matrix.py [--src DIR] [--out digests.json]
 
@@ -55,6 +55,11 @@ f64 maps:
   - roi_align_backward of those maps, and align mine_context_backward,
     for an upstream gradient of +-1e-45 values, whose tiny sums cast to
     signed float32 zeros.
+Last (chunk_case), mine_many over CHUNK_ROIS RoIs of one f32 map, on both
+backbones: its features and each cell's (index, score, pool_size) (4).
+Border RoIs hold fewer candidates than the grid's bound, so chunks of a
+fixed number of RoIs and chunks packed up to CANDIDATE_BUDGET candidates
+split the list at different places.
 """
 
 from __future__ import annotations
@@ -81,6 +86,7 @@ ROI_FRACS = [(0.26, 0.28, 0.47, 0.49), (0.01, 0.03, 0.18, 0.23),
              (0.08, 0.50, 0.32, 0.69), (-0.05, 0.40, 0.15, 0.62)]
 KINDS = ("f32", "ties", "pad", "f64")
 D, (H, W) = 4, MAPS[4]
+CHUNK_ROIS = 48
 
 
 def import_roictx(src: Path) -> None:
@@ -307,8 +313,39 @@ def layout_case(kind: str, seed: int) -> dict:
             f"{name}-tiny-mined-backward": digest(*grads)}
 
 
+def chunk_inputs(seed: int):
+    """The f32 map and the CHUNK_ROIS RoIs, 3 to 8 pixels a side anywhere
+    on it, of chunk_case."""
+    from roictx.geometry import Box
+    rng = np.random.default_rng(seed)
+    F = make_map("f32", rng)
+    x1, y1 = rng.uniform(0.0, W - 3.0, (2, CHUNK_ROIS))
+    w, h = rng.uniform(3.0, 8.0, (2, CHUNK_ROIS))
+    rois = [Box(*map(float, box)) for box in zip(x1, y1, x1 + w, y1 + h)]
+    return F, rois, rng
+
+
+def chunk_case(seed: int) -> dict:
+    """mine_many's features and records over many chunks of RoIs."""
+    from roictx import mining
+    F, rois, rng = chunk_inputs(seed)
+    out = {}
+    for backbone in ("pool", "align"):
+        config = mining.MiningConfig(backbone=backbone)
+        scorer = mining.ContextScorer(
+            rng.normal(0.0, 1.0, D * config.ph * config.pw).astype(np.float32),
+            float(rng.normal()))
+        many = mining.mine_many(F, rois, scorer, config)
+        out[f"chunks-{backbone}-mine_many"] = digest(*(m.feature for m in many))
+        out[f"chunks-{backbone}-records"] = digest([
+            [(rec.index, rec.score, rec.pool_size) for rec in m.selected]
+            for m in many])
+    return out
+
+
 def lib_digests() -> dict:
-    """Every library digest, by <map>-<backbone>-<output> name."""
+    """Every library digest but chunk_case's, by <map>-<backbone>-<output>
+    name."""
     digests = {}
     for k, kind in enumerate(KINDS):
         for backbone in ("pool", "align"):
@@ -325,7 +362,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", help="JSON output path; standard output if absent")
     args = ap.parse_args(argv)
     import_roictx(args.src)
-    digests = {**cli_digests(), **lib_digests()}
+    digests = {**cli_digests(), **lib_digests(), **chunk_case(20261025)}
     text = json.dumps(digests, indent=1, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
