@@ -398,9 +398,10 @@ class ContextMiner:
     backbones the object maps are read from the miner's one pixel-major copy
     of the map (see _roi_map), bit for bit as from F.  A kept map is the
     winner's rescored row, copied, and computes its argmax from that copy on
-    first read (see RoIMap), so only a backward pass pools it again; a row
-    holding a zero is pooled by roi_pool at once, as the table may keep the
-    other zero's sign (see _pool_map).
+    first read (see RoIMap), so only a backward pass pools it again.  On a
+    map whose float32 copy holds a -0.0, a row holding a zero is pooled by
+    roi_pool at once, as the table may keep the other zero's sign (see
+    _pool_map).
 
     Selection filters, then rescores, each cell on its own.  Each
     candidate k of a cell gets an approximate score s~_k and a bound
@@ -503,7 +504,7 @@ class ContextMiner:
         self.F = F
         self.scorer = scorer
         self.config = config
-        self._table = None
+        self._table = self._signed_zeros = None
         self._source = F.transpose(1, 2, 0).copy().transpose(2, 0, 1)
         w = scorer.weights.astype(np.float64).reshape(d, -1)
         if config.backbone == "pool":
@@ -543,11 +544,17 @@ class ContextMiner:
         row's values are roi_pool's (level 0 of a map of another dtype
         rounds to float32, and rounding is monotone, so it keeps the
         rounded maximum), but a zero maximum may hold the other zero's sign
-        (see RangeMaxTable), so a row holding a zero is pooled by roi_pool
-        instead."""
+        (see RangeMaxTable).  So where the table's level 0 holds a -0.0, a
+        row holding a zero is pooled by roi_pool instead.  Without one every
+        zero maximum is +0.0 on both paths, as are the empty bins of both,
+        so post-ReLU maps keep their rows.  Level 0 is read once per miner,
+        at the first kept row holding a zero."""
         box = _box_at(xyxy, j)
         if not rows[j].all():
-            return self._roi_map(box)
+            if self._signed_zeros is None:
+                self._signed_zeros = self._table.holds_negative_zero()
+            if self._signed_zeros:
+                return self._roi_map(box)
         cfg = self.config
         return RoIMap(rows[j].reshape(-1, cfg.ph, cfg.pw).copy(), box,
                       self.F.shape[1:], pool_from=self._source)

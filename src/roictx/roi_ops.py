@@ -4,9 +4,11 @@ Both operators turn an arbitrary box on a D x H x W feature map into a
 fixed D x ph x pw map.  Pooling quantizes bin boundaries to the integer
 grid and takes per-bin maxima; align samples a regular sub-grid per bin
 with bilinear interpolation and averages.  Forward passes retain the
-routing records (argmax indices, sample coordinates) their backward
-passes need.  Both forwards gather a pixel-major F (F.transpose(1, 2,
-0) C-contiguous) as whole D-rows and any other F per element, with the
+routing records their backward passes need: argmax indices, or sample
+coordinates plus the bilinear taps (corner indices and weights) align
+computed from them once, which its backward reads instead of computing
+them again.  Both forwards gather a pixel-major F (F.transpose(1, 2, 0)
+C-contiguous) as whole D-rows and any other F per element, with the
 same bits: the layout picks only the gather.  Every row gather is np.take
 along axis 0, not fancy indexing, which copies narrow rows one at a time.
 """
@@ -32,7 +34,13 @@ class RoIMap:
     data is D x ph x pw float32.  For pooling, argmax holds per-element
     flat spatial indices y*W + x into the source map (EMPTY_BIN for empty
     bins).  For align, samples holds the clamped (y, x) sample coordinates
-    per bin, shape ph x pw x S^2 x 2.
+    per bin, shape ph x pw x S^2 x 2, and taps what roi_align read at them:
+    (rows, cols, weights), the grid rows and columns of each sample's
+    corners (y0, x0), (y0, x1), (y1, x0), (y1, x1) on a leading axis of 4,
+    broadcasting to 4 x ph x pw x s x s, and their (4, ph*pw*S^2) float64
+    bilinear weights, samples in the order of samples.reshape(-1, 2).
+    roi_align_backward reads taps when a map has them and computes the
+    same bits from samples when it has not (taps=None).
 
     A map made with pool_from instead of argmax computes its argmax on
     first read, as roi_pool(pool_from, source_roi, ph, pw).argmax, and
@@ -46,11 +54,13 @@ class RoIMap:
     def __init__(self, data: np.ndarray, source_roi: Box,
                  map_hw: tuple[int, int], argmax: np.ndarray | None = None,
                  samples: np.ndarray | None = None,
-                 pool_from: np.ndarray | None = None):
+                 pool_from: np.ndarray | None = None,
+                 taps: tuple | None = None):
         self.data = data
         self.source_roi = source_roi
         self.map_hw = map_hw
         self.samples = samples
+        self.taps = taps
         self._argmax = argmax
         self._pool_from = pool_from
 
@@ -236,6 +246,22 @@ def _align_axis_coords(lo, hi, bins: int, s: int, limit: int) -> np.ndarray:
     return np.clip(c, 0.0, float(limit - 1))
 
 
+def _box_axis_coords(lo, hi, bins: int, s: int, limit: int) -> np.ndarray:
+    """_align_axis_coords of one box, flat (bins*s,), computed with the
+    same float64 operations on Python floats, which skips numpy's per-call
+    cost.  The clamp is np.clip's: a -0.0 stays -0.0.  A coordinate that
+    is not finite sends the box to _align_axis_coords and its halves
+    rule."""
+    lo, hi = float(lo), float(hi)
+    extent, top = hi - lo, float(limit - 1)
+    c = [lo + (i + (a + 0.5) / s) * extent / bins
+         for i in range(bins) for a in range(s)]
+    if not all(map(math.isfinite, c)):
+        return _align_axis_coords(np.array([lo]), np.array([hi]), bins, s,
+                                  limit).reshape(-1)
+    return np.array([0.0 if v < 0.0 else top if v > top else v for v in c])
+
+
 def _linear_taps(c: np.ndarray, limit: int):
     """Lower and upper grid neighbours of coordinates c in [0, limit-1],
     and the upper neighbour's interpolation weight."""
@@ -243,13 +269,18 @@ def _linear_taps(c: np.ndarray, limit: int):
     return lo, np.minimum(lo + 1, limit - 1), c - lo
 
 
-def _bilinear_corners(samples: np.ndarray, H: int, W: int):
-    """Corner indices and weights for a flat (N, 2) array of (y, x) points."""
-    y0, y1, ly = _linear_taps(samples[:, 0], H)
-    x0, x1, lx = _linear_taps(samples[:, 1], W)
-    weights = ((1 - ly) * (1 - lx), (1 - ly) * lx, ly * (1 - lx), ly * lx)
-    corners = ((y0, x0), (y0, x1), (y1, x0), (y1, x1))
-    return corners, weights
+def _bilinear_corners(ys: np.ndarray, xs: np.ndarray, H: int, W: int):
+    """Taps of bilinear samples at (ys, xs), two coordinate arrays that
+    broadcast against each other: the rows and columns of the corners
+    (y0, x0), (y0, x1), (y1, x0), (y1, x1), stacked on a leading axis of
+    4 and broadcasting to 4 x the samples' shape, and their (4, N)
+    weights, N the number of samples."""
+    y0, y1, ly = _linear_taps(ys, H)
+    x0, x1, lx = _linear_taps(xs, W)
+    uy, ux = 1 - ly, 1 - lx
+    rows, cols = np.array([y0, y0, y1, y1]), np.array([x0, x1, x0, x1])
+    weights = np.array([uy, uy, ly, ly]) * np.array([ux, lx, ux, lx])
+    return rows, cols, weights.reshape(4, -1)
 
 
 def roi_align(F: np.ndarray, r: Box, ph: int, pw: int,
@@ -258,9 +289,17 @@ def roi_align(F: np.ndarray, r: Box, ph: int, pw: int,
 
     Bins follow the unclipped RoI; sample coordinates falling outside the
     map are clamped to the border, so boundary RoIs still produce (and
-    later receive) gradient.  A pixel-major F is read with one np.take of
-    D-rows per corner and summed transposed; np.mean runs on a contiguous
-    (D, ph, pw, S^2) array for either layout, so the layout moves no bit.
+    later receive) gradient.  Each axis's s coordinates per bin are
+    computed once, and the map keeps them and the taps (see RoIMap).
+
+    A sample sums its four weighted corners in float64 from zero in
+    corner order, samples-major as (samples, D): a pixel-major F is read
+    with one np.take of D-rows, any other F per element.  A bin's mean of
+    S^2 = s*s samples is, for S^2 < 8, an np.add.reduce over the strided
+    sample axis divided by S^2, which equals np.mean, as numpy sums fewer
+    than 8 elements in order on any axis.  From 8 on np.mean sums a
+    contiguous axis pairwise, so it runs on a contiguous (D, ph*pw, S^2)
+    copy.  Either way F's layout moves no bit.
     """
     D, H, W = _check_feature_map(F)
     _check_grid(ph, pw)
@@ -268,33 +307,42 @@ def roi_align(F: np.ndarray, r: Box, ph: int, pw: int,
         raise ShapeError(f"samples_per_bin must be >= 1, got {samples_per_bin}")
     _clipped_or_raise(r, W, H)
 
-    s = samples_per_bin
-    y1, x1, y2, x2 = np.array([[r.y1, r.x1, r.y2, r.x2]], dtype=np.float64).T
+    s, S = samples_per_bin, samples_per_bin ** 2
+    ys = _box_axis_coords(r.y1, r.y2, ph, s, H).reshape(ph, 1, s, 1)
+    xs = _box_axis_coords(r.x1, r.x2, pw, s, W).reshape(1, pw, 1, s)
     samples = np.empty((ph, pw, s, s, 2), dtype=np.float64)
-    samples[..., 0] = _align_axis_coords(y1, y2, ph, s, H)[0][:, None, :, None]
-    samples[..., 1] = _align_axis_coords(x1, x2, pw, s, W)[0][None, :, None, :]
-    samples = samples.reshape(ph, pw, s * s, 2)
-    flat = samples.reshape(-1, 2)
-    corners, weights = _bilinear_corners(flat, H, W)
+    samples[..., 0] = ys
+    samples[..., 1] = xs
+    taps = _bilinear_corners(ys, xs, H, W)
+    rows, cols, weights = taps
     pixels = F.transpose(1, 2, 0)
-    pixel_major = pixels.flags.c_contiguous
-    acc = (np.zeros((flat.shape[0], D)).T if pixel_major
-           else np.zeros((D, flat.shape[0])))
-    for (cy, cx), wgt in zip(corners, weights):
-        at = (np.take(pixels.reshape(H * W, D), cy * W + cx, axis=0).T
-              if pixel_major else F[:, cy, cx])
-        acc += at.astype(np.float64) * wgt[None, :]
-    per_bin = np.ascontiguousarray(acc).reshape(D, ph, pw, s * s).mean(axis=3)
-    return RoIMap(per_bin.astype(np.float32), r, (H, W), samples=samples)
+    if pixels.flags.c_contiguous:
+        at = np.take(pixels.reshape(H * W, D),
+                     (rows * W + cols).reshape(-1), axis=0)
+    else:
+        at = F[:, rows, cols].reshape(D, -1).T
+    terms = (at * weights.reshape(-1, 1)).reshape(4, -1, D)
+    acc = np.add.reduce(terms, axis=0, initial=0.0)     # (ph*pw*S, D)
+    if S < 8:
+        per_bin = np.add.reduce(acc.reshape(ph * pw, S, D), axis=1,
+                                initial=0.0).T / S
+    else:
+        per_bin = np.ascontiguousarray(acc.T).reshape(D, ph * pw, S).mean(
+            axis=2)
+    return RoIMap(np.ascontiguousarray(per_bin, dtype=np.float32).reshape(
+        D, ph, pw), r, (H, W), samples=samples.reshape(ph, pw, S, 2),
+        taps=taps)
 
 
 def roi_align_backward(grad_out: np.ndarray, roi_map: RoIMap, F_dims,
                        out: np.ndarray | None = None) -> np.ndarray:
     """Distribute each sample's share of the bin gradient to its 4 corners.
 
-    Written into a float32 zero map, or with out (float32, D x H x W)
-    added into out and out returned: out + the map, bit for bit, except
-    that out's -0.0 outside the corners' window stays -0.0."""
+    The corners are the map's taps when it carries them (roi_align's
+    maps do), and are computed from its samples otherwise, with the same
+    bits.  Written into a float32 zero map, or with out (float32, D x H x
+    W) added into out and out returned: out + the map, bit for bit,
+    except that out's -0.0 outside the corners' window stays -0.0."""
     D, H, W = F_dims
     if roi_map.samples is None:
         raise ShapeError("RoIMap carries no sample records (not from roi_align)")
@@ -303,8 +351,9 @@ def roi_align_backward(grad_out: np.ndarray, roi_map: RoIMap, F_dims,
         raise ShapeError(f"out must be float32 {(D, H, W)}, got {out.dtype} "
                          f"{out.shape}")
     ph, pw, s2, _ = roi_map.samples.shape
-    flat = roi_map.samples.reshape(-1, 2)
-    corners, weights = _bilinear_corners(flat, H, W)
+    rows, cols, weights = roi_map.taps or _bilinear_corners(
+        roi_map.samples[..., 0].reshape(-1), roi_map.samples[..., 1].reshape(-1),
+        H, W)
     g = np.repeat(grad_out.reshape(D, ph * pw).T.astype(np.float64) / s2, s2,
                   axis=0)
     # One bincount over the four corners in turn, each in C order over
@@ -313,13 +362,12 @@ def roi_align_backward(grad_out: np.ndarray, roi_map: RoIMap, F_dims,
     # np.add.at per corner, so the sums are bit-identical.  It spans only
     # the window [ya, yb) x [xa, xb) of the corners: a bincount sum is
     # never -0.0, so the zeros outside would have been +0.0 too.
-    (y0, x0), (y1, x1) = corners[0], corners[3]
-    ya, yb = int(y0.min()), int(y1.max()) + 1
-    xa, xb = int(x0.min()), int(x1.max()) + 1
+    ya, yb = int(rows.min()), int(rows.max()) + 1
+    xa, xb = int(cols.min()), int(cols.max()) + 1
     h, w = yb - ya, xb - xa
-    pixel = np.concatenate([(cy - ya) * w + (cx - xa) for cy, cx in corners])
+    pixel = ((rows - ya) * w + (cols - xa)).reshape(-1)
     index = (pixel[:, None] * D + np.arange(D)).reshape(-1)
-    terms = (np.stack(weights)[:, :, None] * g).reshape(-1)
+    terms = (weights[:, :, None] * g).reshape(-1)
     window = np.bincount(index, weights=terms, minlength=h * w * D).reshape(
         h, w, D).transpose(2, 0, 1)
     if out is not None:
@@ -376,11 +424,15 @@ def roi_align_bin_sums(planes: np.ndarray, xyxy: np.ndarray,
     out = np.empty((C, xyxy.shape[0]))
     B = ALIGN_SUM_BLOCK
     for k in range(0, xyxy.shape[0], B):
-        keys, ids = _dedupe(gx[k:k + B, None] * n + rows[gy[k:k + B]],
-                            cols.shape[0] * n)
+        # keys rank the block's own x-geometries, so the table _dedupe may
+        # mark spans the block, not every span of xyxy
+        used, local = _dedupe(gx[k:k + B], cols.shape[0])
+        keys, ids = _dedupe(local[:, None] * n + rows[gy[k:k + B]],
+                            used.shape[0] * n)
         XS = np.empty((C, keys.shape[0]))
         for q in range(0, keys.shape[0], B):
             g, row = np.divmod(keys[q:q + B], n)
+            g = used[g]
             taps = start[row][:, None] + cols[g]
             for c in range(C):
                 XS[c, q:q + B] = np.einsum("kt,kt->k", np.take(flat[c], taps),
@@ -460,6 +512,13 @@ class RangeMaxTable:
             half, n = 1 << (a - 1), H - (1 << a) + 1
             prev = levels[a - 1]
             np.maximum(prev[:, :n], prev[:, half:half + n], out=levels[a, :, :n])
+
+    def holds_negative_zero(self) -> bool:
+        """Whether level 0, the map cast to float32, holds a -0.0.  If it
+        does not, every zero maximum the table gives is +0.0, as roi_pool's
+        are, bit for bit."""
+        level = self._levels[0, 0]
+        return bool(np.signbit(level[level == 0.0]).any())
 
     def query(self, y0, y1, x0, x1) -> np.ndarray:
         """Per-channel max over rectangles [y0,y1) x [x0,x1); returns (N, D).

@@ -67,15 +67,17 @@ def combo_iou(combo):
     return inter / (sw * sh + (2 * q) ** 2 - inter)
 
 
+@cache
 def oracle_pool_entries(cell, grid, bounds):
-    """Independent scalar re-derivation of the pool rule, as (box, combo,
-    rechecked) entries with the anchor first (combo None), or None for a
-    lost anchor.  Nested loops in the documented (oy, ox, sh, sw) order;
-    the IoU bound decided exactly (combo_iou), the edge bounds on the
-    float sides sw * cw and sh * ch; with bounds, a clipped candidate
-    without area is dropped, and one that clipping moved, or any of a
-    cell whose anchor clipping moved, is re-checked on its corners
-    against the stored anchor (rechecked True)."""
+    """Independent scalar re-derivation of the pool rule, as a tuple of
+    (box, combo, rechecked) entries with the anchor first (combo None),
+    or None for a lost anchor; memoized, so the tests of this module
+    share each cell's pool.  Nested loops in the documented (oy, ox, sh,
+    sw) order; the IoU bound decided exactly (combo_iou), the edge bounds
+    on the float sides sw * cw and sh * ch; with bounds, a clipped
+    candidate without area is dropped, and one that clipping moved, or
+    any of a cell whose anchor clipping moved, is re-checked on its
+    corners against the stored anchor (rechecked True)."""
     cw = cell.x2 - cell.x1
     ch = cell.y2 - cell.y1
     if not (0 < cw < math.inf and 0 < ch < math.inf):
@@ -123,8 +125,8 @@ def oracle_pool_entries(cell, grid, bounds):
                 continue
         kept.append((b, combo, recheck))
     if grid.include_anchor:
-        return [(stored_anchor, None, False)] + kept
-    return kept or None
+        return ((stored_anchor, None, False), *kept)
+    return tuple(kept) or None
 
 
 def pool_oracle_for_cell(cell, grid, bounds):
@@ -1242,7 +1244,7 @@ class TestAlignSelection:
                    Box(29.5, 16.0, 36.0, 22.5), Box(16.0, 29.5, 22.5, 36.0))
 
     @pytest.mark.parametrize("kind", ["int-ties", "constant", "1e30",
-                                      "subnormal"])
+                                      "subnormal", "post-relu"])
     def test_map_kinds_match_exhaustive_scoring(self, kind):
         """Each map kind, with an interior RoI and one RoI against each
         border: selections, scores and maps equal exhaustive roi_align and
@@ -1258,6 +1260,8 @@ class TestAlignSelection:
             F = np.full((3, 40, 40), -2.5)
         elif kind == "1e30":
             F = 1e30 * rng.normal(0, 1, (3, 40, 40))
+        elif kind == "post-relu":
+            F = np.maximum(rng.normal(0, 1, (3, 40, 40)), 0.0)
         else:
             F = 1e-41 * rng.normal(0, 1, (3, 40, 40))
         F = F.astype(np.float32)
@@ -1359,6 +1363,21 @@ class TestPoolSelection:
             scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32),
                                    float(rng.normal()))
             self._check_oracle(F, interior_roi(rng, 40), scorer)
+
+    def test_post_relu_map_matches_exhaustive_scoring(self):
+        """A post-ReLU map, max(N(0, 1), 0), with an interior RoI and one
+        RoI against each border: selections, scores, maps and argmax equal
+        exhaustive roi_pool and score_flat scoring, with zero maxima in
+        most kept maps."""
+        rng = np.random.default_rng(173)
+        F = np.maximum(rng.normal(0, 1, (3, 40, 40)), 0.0).astype(np.float32)
+        scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), 0.3)
+        zero_maps = 0
+        for r in (interior_roi(rng, 40),) + TestAlignSelection.BORDER_ROIS:
+            mined = self._check_oracle(F, r, scorer)
+            zero_maps += sum(not rec.roi_map.data.all()
+                             for rec in mined.selected if not rec.fallback)
+        assert zero_maps > 20
 
     def test_rows_longer_than_einsum_buffer(self):
         """D*ph*pw = 8232 > 8192: a lone exactly-scored row must still get
@@ -1595,6 +1614,12 @@ class TestKeptPoolMaps:
             return rng.normal(0, 1, (3, 40, 40)).astype(np.float32)
         if kind == "float64":
             return rng.normal(0, 1, (3, 40, 40))
+        if kind.startswith("post-relu"):
+            F = np.maximum(rng.normal(0, 1, (3, 40, 40)), 0.0).astype(
+                np.float32)
+            if kind == "post-relu-one-negative-zero":
+                F[1, 20, 20] = -0.0
+            return F
         # zero maxima and ties: the table may keep the other zero's sign
         return rng.choice(np.float32([-1.0, -0.0, 0.0, 1.0]), (3, 40, 40))
 
@@ -1611,10 +1636,13 @@ class TestKeptPoolMaps:
         return [mined.object_map] + [rec.roi_map for rec in mined.selected
                                      if not rec.fallback]
 
-    @pytest.mark.parametrize("kind", ["float32", "float64", "ties"])
+    @pytest.mark.parametrize("kind", ["float32", "float64", "ties",
+                                      "post-relu",
+                                      "post-relu-one-negative-zero"])
     def test_maps_equal_roi_pool(self, kind, monkeypatch):
         """Byte for byte, argmax included; mining pools only the object
-        maps and the kept rows holding a zero."""
+        maps, and on a map holding a -0.0 the kept rows holding a zero.
+        Post-ReLU kept rows hold zeros, and keep them without one."""
         _, F, scorer, rois = self._case(kind)
         calls = []
         real = mining.roi_pool
@@ -1627,16 +1655,41 @@ class TestKeptPoolMaps:
         out = mine_many(F, rois, scorer, self.CONFIG)
         monkeypatch.undo()
         kept = sum(len(self._maps(m)) for m in out) - len(rois)
-        if kind == "ties":
+        if kind in ("ties", "post-relu-one-negative-zero"):
             assert len(calls) > len(rois)
         else:
             assert calls == rois
         assert kept > 30
+        if kind.startswith("post-relu"):
+            assert sum(not m.data.all() for mined in out
+                       for m in self._maps(mined)[1:]) > 10
         for mined in out:
             for m in self._maps(mined):
                 want = roi_pool(F, m.source_roi, 5, 5)
                 assert m.data.tobytes() == want.data.tobytes()
                 assert m.argmax.tobytes() == want.argmax.tobytes()
+
+    @pytest.mark.parametrize("kind, reads", [
+        ("float32", []), ("post-relu", [False]),
+        ("post-relu-one-negative-zero", [True])])
+    def test_level_zero_read_once_per_miner(self, kind, reads, monkeypatch):
+        """The table's level 0 is searched for a -0.0 at the first kept
+        row holding a zero, once per miner however many RoIs it mines,
+        and never on a map without zero maxima."""
+        _, F, scorer, rois = self._case(kind)
+        got = []
+        real = RangeMaxTable.holds_negative_zero
+
+        def counting(self):
+            got.append(real(self))
+            return got[-1]
+
+        monkeypatch.setattr(RangeMaxTable, "holds_negative_zero", counting)
+        miner = ContextMiner(F, scorer, self.CONFIG)
+        for r in rois:
+            miner.mine(r)
+        mine_many(F, rois, scorer, self.CONFIG)
+        assert got == reads * 2
 
     @pytest.mark.parametrize("kind", ["float32", "float64"])
     def test_map_changed_after_mining(self, kind):

@@ -642,6 +642,100 @@ class TestRoiAlignLayouts:
         assert int(np.signbit(g).sum()) == 36
 
 
+# (lo, hi) spans of one axis of a 13-long map: -0.0 corners (the last
+# gives -0.0 coordinates, which the clamp keeps), clamped at the low, the
+# high and both borders, and wide enough (>= 2.5e307) for the halves rule
+ALIGN_AXES = [(-0.0, 5.5), (-0.0, 5e-324), (-0.0, -5e-324), (-3.0, 4.0),
+              (9.0, 16.0), (-4.0, 17.0), (2.0, 7.25), (1.3, 1.3 + 2.0 ** -40),
+              (-2.61e307, 9e305), (0.0, 5e307), (-1e308, 1e308)]
+
+
+class TestAlignTaps:
+    """roi_align computes each axis's sample coordinates on Python floats
+    and keeps the corner taps it read on the map for roi_align_backward:
+    both give the bits of the array path they replace."""
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_scalar_axis_coords_match_array_path(self, s):
+        wide = negative_zero = 0
+        for lo, hi in ALIGN_AXES:
+            for bins in (1, 3, 7):
+                want = roi_ops._align_axis_coords(
+                    np.array([lo]), np.array([hi]), bins, s, 13).reshape(-1)
+                got = roi_ops._box_axis_coords(lo, hi, bins, s, 13)
+                assert got.tobytes() == want.tobytes()
+                wide += not math.isfinite((bins - 0.5 / s) * (hi - lo))
+                negative_zero += bool(np.signbit(got[got == 0.0]).any())
+        assert wide >= 4 and negative_zero >= 1
+
+    def test_scalar_axis_coords_on_clamped_boxes(self):
+        """Every ALIGN_CLAMPED box, on both axes, at 1 to 7 bins."""
+        for s in (1, 2, 3, 4):
+            for r in ALIGN_CLAMPED:
+                for (lo, hi), limit in (((r.x1, r.x2), 13), ((r.y1, r.y2), 11)):
+                    for bins in range(1, 8):
+                        want = roi_ops._align_axis_coords(
+                            np.array([lo], dtype=np.float64),
+                            np.array([hi], dtype=np.float64), bins, s, limit)
+                        got = roi_ops._box_axis_coords(lo, hi, bins, s, limit)
+                        assert got.tobytes() == want.reshape(-1).tobytes()
+
+    @pytest.mark.parametrize("kind", ALIGN_LAYOUT_KINDS)
+    def test_backward_from_taps_equals_backward_from_samples(
+            self, kind, monkeypatch):
+        """A map carrying roi_align's taps and the same map with samples
+        alone give the same gradient bytes, standalone and added into out;
+        only the latter computes taps."""
+        rng = np.random.default_rng([99, ALIGN_LAYOUT_KINDS.index(kind)])
+        calls = []
+        real = roi_ops._bilinear_corners
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return real(*args)
+
+        for k in range(25):
+            F = align_layout_map(rng, kind)
+            r = (random_roi(rng, 13, 11) if k < 20
+                 else ALIGN_CLAMPED[k % len(ALIGN_CLAMPED)])
+            m = roi_align(layouts(F)[k % 2], r, 3, 4, k % 4 + 1)
+            bare = roi_ops.RoIMap(m.data, r, m.map_hw, samples=m.samples)
+            assert m.taps is not None and bare.taps is None
+            g = rng.normal(0, 1, m.data.shape).astype(np.float32)
+            if k % 3 == 0:
+                g = rng.choice(np.float32([-1e-45, 1e-45]), g.shape)
+            o = rng.normal(0, 1, F.shape).astype(np.float32)
+            o[rng.random(F.shape) < 0.3] = -0.0
+            o_bare = o.copy()
+            monkeypatch.setattr(roi_ops, "_bilinear_corners", counting)
+            got = [roi_align_backward(g, m, F.shape),
+                   roi_align_backward(g, m, F.shape, out=o)]
+            assert calls == []
+            want = [roi_align_backward(g, bare, F.shape),
+                    roi_align_backward(g, bare, F.shape, out=o_bare)]
+            assert len(calls) == 2
+            calls.clear()
+            monkeypatch.undo()
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+    def test_four_sample_mean_sums_in_order(self):
+        """One bin of Box(0, 0, 8, 8) at 2 x 2 samples reads the map at
+        (2, 6)^2 with weight 1.  In order, 1e16 + 1 - 1e16 + 1e-16 sums to
+        1e-16, as np.mean sums 4 elements; pairwise or in reverse it sums
+        to 0.  The strided mean of either layout must give np.mean's."""
+        values = np.array([1e16, 1.0, -1e16, 1e-16])
+        F = np.zeros((2, 9, 9))
+        F[:, 2::4, 2::4] = values.reshape(2, 2) * np.array([1.0, -1.0])[
+            :, None, None]
+        want = np.float32(values.reshape(1, 4).mean(axis=1)) * np.float32(
+            [1.0, -1.0])
+        assert want[0] == np.float32(2.5e-17)
+        for G in layouts(F):
+            got = roi_align(G, Box(0.0, 0.0, 8.0, 8.0), 1, 1, 2)
+            assert got.data.reshape(-1).tobytes() == want.tobytes()
+
+
 def query_maps():
     """(F, rects) for the maps of the query tests: level counts and extents
     at and next to powers of two, and negative data, so a read of a cell
@@ -802,6 +896,38 @@ class TestRangeMaxTable:
         assert (bin_edges(3.0, x2 - 3.0, 7, 12)[1] == 3).any()
         assert np.array_equal(table.pool_boxes(as_xyxy([box]), 7, 7)[0],
                               roi_pool(F, box, 7, 7).data)
+
+    def test_empty_bins_are_positive_zeros_on_both_paths(self):
+        """roi_pool's empty bins and the table's empty rectangles are both
+        +0.0, so an empty bin never tells the paths apart, even on a map
+        of negatives and -0.0."""
+        F = -np.abs(np.random.default_rng(63).normal(0, 1, (2, 12, 12)))
+        F = F.astype(np.float32)
+        F[:, ::3, ::3] = -0.0
+        x2 = np.nextafter(np.nextafter(3.0, 4.0), 4.0)
+        box = Box(3.0, 3.0, x2, 9.0)
+        pooled = roi_pool(F, box, 7, 7)
+        empty = pooled.argmax == EMPTY_BIN
+        assert empty.any() and not np.signbit(pooled.data[empty]).any()
+        V, ids = RangeMaxTable(F).pool_xyxy(as_xyxy([box]), 7, 7)
+        rows = np.take(V, ids[0], axis=0).T.reshape(2, 7, 7)
+        assert rows[empty].tobytes() == pooled.data[empty].tobytes()
+
+    def test_holds_negative_zero_reads_level_zero(self):
+        """True exactly when the map cast to float32 holds a -0.0: a
+        float64 value too small for float32 casts to a zero of its sign."""
+        rng = np.random.default_rng(67)
+        gauss = rng.normal(0, 1, (3, 9, 11))
+        relu = np.maximum(gauss, 0.0)
+        one = relu.astype(np.float32)
+        one[1, 4, 5] = -0.0
+        tiny = relu.copy()
+        tiny[2, 0, 0] = -1e-50
+        for F, want in ((gauss.astype(np.float32), False),
+                        (relu.astype(np.float32), False), (relu, False),
+                        (one, True), (tiny, True), (-tiny * 1e-300, True),
+                        (np.zeros((1, 2, 2), dtype=np.float32), False)):
+            assert RangeMaxTable(F).holds_negative_zero() is want
 
     def test_pool_boxes_equals_pool_xyxy_rows(self):
         """pool_xyxy gives one row of V per distinct bin rectangle, and

@@ -1,4 +1,4 @@
-"""Bit-identity matrix of roictx: 59 CLI outputs and 100 library digests.
+"""Bit-identity matrix of roictx: 59 CLI outputs and 122 library digests.
 
     python tools/matrix.py [--src DIR] [--out digests.json]
 
@@ -60,6 +60,9 @@ backbones: its features and each cell's (index, score, pool_size) (4).
 Border RoIs hold fewer candidates than the grid's bound, so chunks of a
 fixed number of RoIs and chunks packed up to CANDIDATE_BUDGET candidates
 split the list at different places.
+After it (relu_case), the outputs of lib_case on a post-ReLU f32 map,
+max(N(0, 1), 0), on both backbones (22): zero maxima are common there, and
+the pool miner keeps the rows holding them without pooling them again.
 """
 
 from __future__ import annotations
@@ -226,6 +229,8 @@ def make_map(kind: str, rng) -> np.ndarray:
     F = rng.normal(0.0, 1.0, (D, H, W))
     if kind == "pad":
         F[:, :, :W // 4] = 0.0
+    if kind == "relu":
+        F = np.maximum(F, 0.0)
     return F if kind == "f64" else F.astype(np.float32)
 
 
@@ -343,9 +348,14 @@ def chunk_case(seed: int) -> dict:
     return out
 
 
+def relu_case(seed: int) -> dict:
+    """lib_case's digests of a post-ReLU map, on both backbones."""
+    return {**lib_case("relu", "pool", seed), **lib_case("relu", "align", seed)}
+
+
 def lib_digests() -> dict:
-    """Every library digest but chunk_case's, by <map>-<backbone>-<output>
-    name."""
+    """Every library digest but chunk_case's and relu_case's, by
+    <map>-<backbone>-<output> name."""
     digests = {}
     for k, kind in enumerate(KINDS):
         for backbone in ("pool", "align"):
@@ -362,7 +372,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", help="JSON output path; standard output if absent")
     args = ap.parse_args(argv)
     import_roictx(args.src)
-    digests = {**cli_digests(), **lib_digests(), **chunk_case(20261025)}
+    digests = {**cli_digests(), **lib_digests(), **chunk_case(20261025),
+               **relu_case(20261026)}
     text = json.dumps(digests, indent=1, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
