@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateBoxError, NumericError, ShapeError
 from .geometry import Box, iou
-from .roi_ops import RangeMaxTable, RoIMap, _check_grid, roi_align, \
+from .roi_ops import RangeMaxTable, RoIMap, _check_extents, roi_align, \
     roi_align_backward, roi_align_bin_sums, roi_pool, roi_pool_backward
 from .tensor import concat_channels
 
@@ -260,9 +260,8 @@ class ContextScorer:
 
     @staticmethod
     def zeros(d: int, ph: int, pw: int) -> "ContextScorer":
-        """An extent below 1 raises ShapeError."""
-        if min(d, ph, pw) < 1:
-            raise ShapeError(f"scorer extents must be >= 1, got {d}x{ph}x{pw}")
+        """An extent that is not an integer >= 1 raises ShapeError."""
+        _check_extents("scorer extents", d, ph, pw)
         return ContextScorer(np.zeros(d * ph * pw, dtype=np.float32), 0.0)
 
     def score_flat(self, flat_feats: np.ndarray) -> np.ndarray:
@@ -285,9 +284,10 @@ class ContextScorer:
 
 @dataclass(frozen=True)
 class MiningConfig:
-    """Knobs of the mining operator and the fixed-context variants; ph or
-    pw below 1 raise ShapeError, a local_scale not finite and > 0 (a
-    flipped or empty local box) DegenerateBoxError."""
+    """Knobs of the mining operator and the fixed-context variants; a ph,
+    pw or samples_per_bin (on both backbones) that is not an integer >= 1
+    raises ShapeError, a local_scale not finite and > 0 (a flipped or
+    empty local box) DegenerateBoxError."""
 
     ph: int = 7
     pw: int = 7
@@ -299,7 +299,8 @@ class MiningConfig:
     def __post_init__(self):
         if self.backbone not in ("pool", "align"):
             raise ValueError(f"backbone must be pool|align, got {self.backbone!r}")
-        _check_grid(self.ph, self.pw)
+        _check_extents("grid extents", self.ph, self.pw)
+        _check_extents("samples per bin", self.samples_per_bin)
         if not (np.isfinite(self.local_scale) and self.local_scale > 0.0):
             raise DegenerateBoxError(
                 f"local_scale must be finite and > 0, got {self.local_scale}")
@@ -471,13 +472,14 @@ class ContextMiner:
     path rounds a chain of at most m operations per term, so it errs by
     at most gamma_m times the bin sums of A: m is about D + 2s(ph + pw)
     on the s~ path (G, then the x taps of a bin row, then its y taps;
-    see roi_align_bin_sums) and n + s^2 + 4 on the exact path (four
-    corners and the mean of s^2 samples in roi_align, then score_flat).
-    Both together stay below 2^-24 times the sums while each m is well
-    under 2^28, so for any scorer much smaller than 2^28 weights (1 GiB
-    of float32).  The |c| term covers the rounding of adding the bias,
-    the last term the absolute error (at most 2^-150) of rounding a
-    subnormal element.
+    see roi_align_bin_sums) and n + 2s(ph + pw + 2) + 2 on the exact
+    path (roi_align's weights and its sums over at most 2s ph touched
+    rows and 2s pw columns, then score_flat; see roi_align).  Both
+    together stay below 2^-24 times the sums while each m is well under
+    2^28, so for any scorer much smaller than 2^28 weights (1 GiB of
+    float32) and s (ph + pw) well under 2^26.  The |c| term covers the
+    rounding of adding the bias, the last term the absolute error (at
+    most 2^-150) of rounding a subnormal element.
 
     G and A hold 2*ph*pw*H*W float64 values, one plane after the other as
     roi_align_bin_sums reads them.  Per chunk the filter holds the (K, 2)

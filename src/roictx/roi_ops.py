@@ -4,10 +4,9 @@ Both operators turn an arbitrary box on a D x H x W feature map into a
 fixed D x ph x pw map.  Pooling quantizes bin boundaries to the integer
 grid and takes per-bin maxima; align samples a regular sub-grid per bin
 with bilinear interpolation and averages.  Forward passes retain the
-routing records their backward passes need: argmax indices, or sample
-coordinates plus the bilinear taps (corner indices and weights) align
-computed from them once, which its backward reads instead of computing
-them again.  Both forwards gather a pixel-major F (F.transpose(1, 2, 0)
+routing records their backward passes need: argmax indices, or the
+grid lines align's samples touch and each bin's per-axis weights on
+them.  Both forwards gather a pixel-major F (F.transpose(1, 2, 0)
 C-contiguous) as whole D-rows and any other F per element, with the
 same bits: the layout picks only the gather.  Every row gather is np.take
 along axis 0, not fancy indexing, which copies narrow rows one at a time.
@@ -34,13 +33,10 @@ class RoIMap:
     data is D x ph x pw float32.  For pooling, argmax holds per-element
     flat spatial indices y*W + x into the source map (EMPTY_BIN for empty
     bins).  For align, samples holds the clamped (y, x) sample coordinates
-    per bin, shape ph x pw x S^2 x 2, and taps what roi_align read at them:
-    (rows, cols, weights), the grid rows and columns of each sample's
-    corners (y0, x0), (y0, x1), (y1, x0), (y1, x1) on a leading axis of 4,
-    broadcasting to 4 x ph x pw x s x s, and their (4, ph*pw*S^2) float64
-    bilinear weights, samples in the order of samples.reshape(-1, 2).
-    roi_align_backward reads taps when a map has them and computes the
-    same bits from samples when it has not (taps=None).
+    per bin, shape ph x pw x S^2 x 2, and taps what roi_align_backward
+    reads: (rows, Ky, cols, Kx), the ascending grid rows and columns the
+    samples touch and the (ph, rows) and (pw, cols) float64 matrices of
+    each bin's mean linear weight on them.
 
     A map made with pool_from instead of argmax computes its argmax on
     first read, as roi_pool(pool_from, source_roi, ph, pw).argmax, and
@@ -80,9 +76,12 @@ def _check_feature_map(F: np.ndarray) -> tuple[int, int, int]:
     return F.shape
 
 
-def _check_grid(ph: int, pw: int) -> None:
-    if ph < 1 or pw < 1:
-        raise ShapeError(f"grid extents must be >= 1, got {ph}x{pw}")
+def _check_extents(what: str, *extents) -> None:
+    """Each extent must be an int or a numpy integer (not a bool) >= 1."""
+    for v in extents:
+        if not (type(v) is int or isinstance(v, np.integer)) or v < 1:
+            raise ShapeError(f"{what} must be integers >= 1, got "
+                             + "x".join(map(str, extents)))
 
 
 def _check_grad(grad_out: np.ndarray, roi_map: RoIMap, F_dims) -> None:
@@ -145,7 +144,7 @@ def roi_pool(F: np.ndarray, r: Box, ph: int, pw: int) -> RoIMap:
     ph*pw, D), any other as (D, slots, ph*pw), so neither is copied whole.
     """
     D, H, W = _check_feature_map(F)
-    _check_grid(ph, pw)
+    _check_extents("grid extents", ph, pw)
     clipped = _clipped_or_raise(r, W, H)
 
     ys, ye = bin_edges(clipped.y1, clipped.h, ph, H)
@@ -262,25 +261,23 @@ def _box_axis_coords(lo, hi, bins: int, s: int, limit: int) -> np.ndarray:
     return np.array([0.0 if v < 0.0 else top if v > top else v for v in c])
 
 
-def _linear_taps(c: np.ndarray, limit: int):
-    """Lower and upper grid neighbours of coordinates c in [0, limit-1],
-    and the upper neighbour's interpolation weight."""
-    lo = np.floor(c).astype(np.int64)
-    return lo, np.minimum(lo + 1, limit - 1), c - lo
-
-
-def _bilinear_corners(ys: np.ndarray, xs: np.ndarray, H: int, W: int):
-    """Taps of bilinear samples at (ys, xs), two coordinate arrays that
-    broadcast against each other: the rows and columns of the corners
-    (y0, x0), (y0, x1), (y1, x0), (y1, x1), stacked on a leading axis of
-    4 and broadcasting to 4 x the samples' shape, and their (4, N)
-    weights, N the number of samples."""
-    y0, y1, ly = _linear_taps(ys, H)
-    x0, x1, lx = _linear_taps(xs, W)
-    uy, ux = 1 - ly, 1 - lx
-    rows, cols = np.array([y0, y0, y1, y1]), np.array([x0, x1, x0, x1])
-    weights = np.array([uy, uy, ly, ly]) * np.array([ux, lx, ux, lx])
-    return rows, cols, weights.reshape(4, -1)
+def _axis_weights(c: np.ndarray, bins: int, s: int, limit: int):
+    """The ascending grid lines that one axis's bins*s sample coordinates
+    c (clamped to [0, limit-1]) touch, at most 2*s*bins of them, and the
+    (bins, lines) float64 matrix K of each bin's mean linear weight on
+    each line: from zero, a bin's 2*s weights added in (sample,
+    lower/upper neighbour) order, then divided by s.  On Python floats,
+    which skips numpy's per-call cost on these few values."""
+    taps = []
+    for v in c.tolist():
+        lo = math.floor(v)
+        taps += [(lo, 1.0 - (v - lo)), (min(lo + 1, limit - 1), v - lo)]
+    lines = sorted({line for line, _ in taps})
+    at = {line: k for k, line in enumerate(lines)}
+    K = [[0.0] * len(lines) for _ in range(bins)]
+    for k, (line, w) in enumerate(taps):
+        K[k // (2 * s)][at[line]] += w
+    return np.array(lines), np.array(K) / s
 
 
 def roi_align(F: np.ndarray, r: Box, ph: int, pw: int,
@@ -289,92 +286,84 @@ def roi_align(F: np.ndarray, r: Box, ph: int, pw: int,
 
     Bins follow the unclipped RoI; sample coordinates falling outside the
     map are clamped to the border, so boundary RoIs still produce (and
-    later receive) gradient.  Each axis's s coordinates per bin are
-    computed once, and the map keeps them and the taps (see RoIMap).
+    later receive) gradient.  A bilinear weight is a row weight times a
+    column weight, so the map is Ky F Kx^T over the grid lines that the
+    samples touch, with Ky and Kx each bin's mean linear weights (see
+    _axis_weights); it keeps its samples and taps (see RoIMap).  The
+    patch F[rows][:, cols] is gathered as C-contiguous float64 (rows,
+    cols, D), whatever F's layout, and reduced by np.einsum's own loops,
+    so the layout moves no bit and outputs repeat from run to run.
 
-    A sample sums its four weighted corners in float64 from zero in
-    corner order, samples-major as (samples, D): a pixel-major F is read
-    with one np.take of D-rows, any other F per element.  A bin's mean of
-    S^2 = s*s samples is, for S^2 < 8, an np.add.reduce over the strided
-    sample axis divided by S^2, which equals np.mean, as numpy sums fewer
-    than 8 elements in order on any axis.  From 8 on np.mean sums a
-    contiguous axis pairwise, so it runs on a contiguous (D, ph*pw, S^2)
-    copy.  Either way F's layout moves no bit.
+    Precision contract (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3): with R the exact RoIAlign of F at the samples and
+    A that of |F|, each output is within 2^-24 |R| + 2 gamma_m A + 2^-150
+    of R, where gamma_m = m u / (1 - m u), u = 2^-53 and m = 2s(ph + pw
+    + 2) + 2.  A weight rounds at most 2s + 1 times, a term once in its
+    product, and the sums once per touched line (at most 2s ph rows and
+    2s pw columns); the float32 cast errs by 2^-24 |value|, or by 2^-150
+    below the normal range.  A NaN or inf on a touched line makes its
+    channel's outputs NaN or inf.
     """
     D, H, W = _check_feature_map(F)
-    _check_grid(ph, pw)
-    if samples_per_bin < 1:
-        raise ShapeError(f"samples_per_bin must be >= 1, got {samples_per_bin}")
+    _check_extents("grid extents", ph, pw)
+    _check_extents("samples per bin", samples_per_bin)
     _clipped_or_raise(r, W, H)
 
-    s, S = samples_per_bin, samples_per_bin ** 2
-    ys = _box_axis_coords(r.y1, r.y2, ph, s, H).reshape(ph, 1, s, 1)
-    xs = _box_axis_coords(r.x1, r.x2, pw, s, W).reshape(1, pw, 1, s)
+    s = samples_per_bin
+    ys = _box_axis_coords(r.y1, r.y2, ph, s, H)
+    xs = _box_axis_coords(r.x1, r.x2, pw, s, W)
     samples = np.empty((ph, pw, s, s, 2), dtype=np.float64)
-    samples[..., 0] = ys
-    samples[..., 1] = xs
-    taps = _bilinear_corners(ys, xs, H, W)
-    rows, cols, weights = taps
+    samples[..., 0] = ys.reshape(ph, 1, s, 1)
+    samples[..., 1] = xs.reshape(1, pw, 1, s)
+    rows, Ky = _axis_weights(ys, ph, s, H)
+    cols, Kx = _axis_weights(xs, pw, s, W)
     pixels = F.transpose(1, 2, 0)
     if pixels.flags.c_contiguous:
-        at = np.take(pixels.reshape(H * W, D),
-                     (rows * W + cols).reshape(-1), axis=0)
+        patch = np.take(pixels.reshape(H * W, D),
+                        (rows[:, None] * W + cols).reshape(-1), axis=0)
     else:
-        at = F[:, rows, cols].reshape(D, -1).T
-    terms = (at * weights.reshape(-1, 1)).reshape(4, -1, D)
-    acc = np.add.reduce(terms, axis=0, initial=0.0)     # (ph*pw*S, D)
-    if S < 8:
-        per_bin = np.add.reduce(acc.reshape(ph * pw, S, D), axis=1,
-                                initial=0.0).T / S
-    else:
-        per_bin = np.ascontiguousarray(acc.T).reshape(D, ph * pw, S).mean(
-            axis=2)
-    return RoIMap(np.ascontiguousarray(per_bin, dtype=np.float32).reshape(
-        D, ph, pw), r, (H, W), samples=samples.reshape(ph, pw, S, 2),
-        taps=taps)
+        patch = F[:, rows[:, None], cols].reshape(D, -1).T
+    patch = np.ascontiguousarray(patch, dtype=np.float64).reshape(
+        rows.size, cols.size, D)
+    per_bin = np.einsum("ia,ajd->ijd", Ky, np.einsum("jb,abd->ajd", Kx, patch))
+    return RoIMap(np.ascontiguousarray(per_bin.transpose(2, 0, 1),
+                                       dtype=np.float32), r, (H, W),
+                  samples=samples.reshape(ph, pw, s * s, 2),
+                  taps=(rows, Ky, cols, Kx))
 
 
 def roi_align_backward(grad_out: np.ndarray, roi_map: RoIMap, F_dims,
                        out: np.ndarray | None = None) -> np.ndarray:
-    """Distribute each sample's share of the bin gradient to its 4 corners.
+    """The adjoint of roi_align, Ky^T g Kx on the map's touched lines,
+    from the taps roi_align kept (see RoIMap).
 
-    The corners are the map's taps when it carries them (roi_align's
-    maps do), and are computed from its samples otherwise, with the same
-    bits.  Written into a float32 zero map, or with out (float32, D x H x
-    W) added into out and out returned: out + the map, bit for bit,
-    except that out's -0.0 outside the corners' window stays -0.0."""
+    g is each channel's bins in float64, reduced by np.einsum's own loops
+    and cast to float32.  Written into a float32 zero map, or with out
+    (float32, D x H x W) added into out on the touched lines, one float32
+    addition per element, and out returned: there out + the map bit for
+    bit, and every other element of out, -0.0 included, left as it was.
+
+    Precision contract: with R the exact adjoint and A that of |g|, each
+    element of the map is within 2^-24 |R| + 2 gamma_m A + 2^-150 of R,
+    with roi_align's gamma_m: the weights round as there, a term once in
+    its product and the sums once per bin row and per bin column.
+    """
     D, H, W = F_dims
-    if roi_map.samples is None:
-        raise ShapeError("RoIMap carries no sample records (not from roi_align)")
+    if roi_map.taps is None:
+        raise ShapeError("RoIMap carries no align taps (not from roi_align)")
     _check_grad(grad_out, roi_map, F_dims)
     if out is not None and (out.shape, out.dtype) != ((D, H, W), np.float32):
         raise ShapeError(f"out must be float32 {(D, H, W)}, got {out.dtype} "
                          f"{out.shape}")
-    ph, pw, s2, _ = roi_map.samples.shape
-    rows, cols, weights = roi_map.taps or _bilinear_corners(
-        roi_map.samples[..., 0].reshape(-1), roi_map.samples[..., 1].reshape(-1),
-        H, W)
-    g = np.repeat(grad_out.reshape(D, ph * pw).T.astype(np.float64) / s2, s2,
-                  axis=0)
-    # One bincount over the four corners in turn, each in C order over
-    # (samples, D), indexed pixel-major: each element sums the same
-    # float64 terms from zero in the same corner, sample order as one
-    # np.add.at per corner, so the sums are bit-identical.  It spans only
-    # the window [ya, yb) x [xa, xb) of the corners: a bincount sum is
-    # never -0.0, so the zeros outside would have been +0.0 too.
-    ya, yb = int(rows.min()), int(rows.max()) + 1
-    xa, xb = int(cols.min()), int(cols.max()) + 1
-    h, w = yb - ya, xb - xa
-    pixel = ((rows - ya) * w + (cols - xa)).reshape(-1)
-    index = (pixel[:, None] * D + np.arange(D)).reshape(-1)
-    terms = (weights[:, :, None] * g).reshape(-1)
-    window = np.bincount(index, weights=terms, minlength=h * w * D).reshape(
-        h, w, D).transpose(2, 0, 1)
+    rows, Ky, cols, Kx = roi_map.taps
+    g = np.ascontiguousarray(grad_out.transpose(1, 2, 0), dtype=np.float64)
+    lines = np.einsum("ia,ibd->dab", Ky, np.einsum("ijd,jb->ibd", g, Kx))
+    at = (slice(None), rows[:, None], cols)
     if out is not None:
-        out[:, ya:yb, xa:xb] += window.astype(np.float32)
+        out[at] += lines.astype(np.float32)
         return out
     grad = np.zeros((D, H, W), dtype=np.float32)
-    grad[:, ya:yb, xa:xb] = window
+    grad[at] = lines
     return grad
 
 
@@ -451,11 +440,11 @@ def _axis_taps(lo, hi, bins: int, s: int, limit: int, stride: int):
     index of each box's span among the n."""
     spans, index = np.unique(np.stack([lo, hi], axis=1).view(np.complex128),
                              return_inverse=True)
-    c0, c1, frac = _linear_taps(_align_axis_coords(
-        spans.real, spans.imag, bins, s, limit), limit)
-    taps = (np.stack([c0, c1], axis=-1)
+    c = _align_axis_coords(spans.real, spans.imag, bins, s, limit)
+    lo = np.floor(c).astype(np.int64)
+    taps = (np.stack([lo, np.minimum(lo + 1, limit - 1)], axis=-1)
             + (np.arange(bins, dtype=np.int64) * stride)[:, None, None])
-    weights = np.stack([1 - frac, frac], axis=-1)
+    weights = np.stack([1 - (c - lo), c - lo], axis=-1)
     return (taps.reshape(-1, 2 * s * bins), weights.reshape(-1, 2 * s * bins),
             index.reshape(-1))
 

@@ -190,9 +190,22 @@ class TestCtxmine:
                 + _io(tmp, "m.ften"))
         assert cli.main(args) == 1
         assert capsys.readouterr().err == (
-            f"error: grid extents must be >= 1, got {extents}\n")
+            f"error: grid extents must be integers >= 1, got {extents}\n")
         assert not (tmp / "m.ften").exists()
         assert not (tmp / "r.json").exists()
+
+    @pytest.mark.parametrize("command", [["ctxmine"],
+                                         ["variant", "--variant", "neigh8"]],
+                             ids=["ctxmine", "variant"])
+    def test_samples_below_one_exits_1_on_pool(self, inputs, capsys, command):
+        """The pool backbone does not sample, but checks --samples too."""
+        tmp, _ = inputs
+        args = command + ["--backbone", "pool", "--samples", "0"] + _io(
+            tmp, "m.ften")
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == (
+            "error: samples per bin must be integers >= 1, got 0\n")
+        assert not (tmp / "m.ften").exists()
 
 
 class TestVariant:

@@ -604,9 +604,10 @@ class TestContextScorerZeros:
         scorer = ContextScorer.zeros(2, 7, 3)
         assert scorer.weights.shape == (42,) and not scorer.weights.any()
 
-    @pytest.mark.parametrize("dims", [(2, 7, -3), (0, 7, 7), (2, 0, 7)])
+    @pytest.mark.parametrize("dims", [(2, 7, -3), (0, 7, 7), (2, 0, 7),
+                                      (2.5, 7, 7), (2, 7, 2.0), (True, 7, 7)])
     def test_extent_below_one_rejected(self, dims):
-        msg = re.escape("scorer extents must be >= 1, got "
+        msg = re.escape("scorer extents must be integers >= 1, got "
                         + "x".join(map(str, dims)))
         with pytest.raises(ShapeError, match=msg):
             ContextScorer.zeros(*dims)
@@ -1958,11 +1959,21 @@ class TestScorerGradient:
 
 
 class TestMiningConfig:
-    @pytest.mark.parametrize("ph,pw", [(7, -3), (0, 7), (0, 0)])
+    @pytest.mark.parametrize("ph,pw", [(7, -3), (0, 7), (0, 0), (2.5, 7),
+                                       (7, 2.0), (True, 7)])
     def test_grid_below_one_rejected(self, ph, pw):
         with pytest.raises(ShapeError, match=re.escape(
-                f"grid extents must be >= 1, got {ph}x{pw}")):
+                f"grid extents must be integers >= 1, got {ph}x{pw}")):
             MiningConfig(ph=ph, pw=pw)
+
+    @pytest.mark.parametrize("backbone", ["pool", "align"])
+    @pytest.mark.parametrize("s", [0, -1, 2.5, 2.0, True])
+    def test_samples_per_bin_not_an_integer_from_one_rejected(self, s,
+                                                               backbone):
+        """On both backbones, though only align samples."""
+        with pytest.raises(ShapeError, match=re.escape(
+                f"samples per bin must be integers >= 1, got {s}")):
+            MiningConfig(backbone=backbone, samples_per_bin=s)
 
     @pytest.mark.parametrize("scale", [0.0, -0.0, -1.0, math.nan, math.inf,
                                        -math.inf])

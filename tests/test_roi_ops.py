@@ -356,6 +356,28 @@ class TestRoiAlignForward:
             with pytest.raises(DegenerateBoxError):
                 roi_align(F, box, 2, 2, 2)
 
+    @pytest.mark.parametrize("ph, pw, s", [
+        (2.5, 3, 2), (3, 2.0, 2), (True, 3, 2), (3, 0, 2),
+        (3, 3, 2.5), (3, 3, 2.0), (3, 3, True), (3, 3, 0)])
+    def test_extents_not_integers_from_one_rejected(self, ph, pw, s):
+        """roi_align's ph, pw and samples_per_bin, and roi_pool's ph and
+        pw, must be integers (not bools) >= 1."""
+        F = np.zeros((1, 8, 8), dtype=np.float32)
+        with pytest.raises(ShapeError, match="must be integers >= 1"):
+            roi_align(F, Box(1, 1, 7, 7), ph, pw, s)
+        if (ph, pw) != (3, 3):
+            with pytest.raises(ShapeError,
+                               match="grid extents must be integers >= 1"):
+                roi_pool(F, Box(1, 1, 7, 7), ph, pw)
+
+    def test_numpy_integer_extents_accepted(self):
+        F = np.random.default_rng(59).normal(0, 1, (2, 8, 8)).astype(np.float32)
+        r = Box(1.5, 0.5, 6.5, 7.0)
+        got = roi_align(F, r, np.int64(3), np.int32(2), np.int64(2))
+        assert got.data.tobytes() == roi_align(F, r, 3, 2, 2).data.tobytes()
+        got = roi_pool(F, r, np.int64(3), np.int32(2))
+        assert got.data.tobytes() == roi_pool(F, r, 3, 2).data.tobytes()
+
     @pytest.mark.parametrize("wide, near", [
         (Box(-2.61e307, 0.0, 9e305, 5.0), Box(-2.0, 0.0, 0.05, 5.0)),
         (Box(0.0, 0.0, 5e307, 5e307), Box(9.5, 9.5, 10.0, 10.0))],
@@ -496,40 +518,22 @@ class TestRoiAlignBackward:
         report = check(f, F, analytic, h=1e-2, probes=150)
         assert report.max_rel_error <= 1e-3
 
-    def test_bit_identical_to_add_at_accumulation(self):
-        """The documented summation: per corner, np.add.at in C order over
-        (D, samples), starting from zero, over the whole map.  Random RoIs,
-        RoIs clamped at the left, top, right and bottom border, and
-        whole-map RoIs, whose windows reach every border."""
-        rng = np.random.default_rng(53)
-        clamped = [Box(-3.0, 2.0, 4.0, 8.0), Box(2.0, -3.0, 8.0, 4.0),
-                   Box(9.0, 2.0, 16.0, 8.0), Box(2.0, 7.0, 8.0, 14.0),
-                   Box(0.0, 0.0, 13.0, 11.0), Box(-4.0, -4.0, 17.0, 15.0)]
-        for k in range(20 + len(clamped)):
-            F = rng.normal(0, 1, (3, 11, 13)).astype(np.float32)
-            r = random_roi(rng, 13, 11) if k < 20 else clamped[k - 20]
-            m = roi_align(F, r, 4, 3, 2)
-            g = (rng.normal(0, 1, (3, 4, 3))
-                 * 10.0 ** rng.integers(-4, 5, (3, 4, 3))).astype(np.float32)
-            y, x = m.samples.reshape(-1, 2).T
-            y0 = np.minimum(np.floor(y).astype(np.int64), 10)
-            x0 = np.minimum(np.floor(x).astype(np.int64), 12)
-            y1, x1 = np.minimum(y0 + 1, 10), np.minimum(x0 + 1, 12)
-            ly, lx = y - y0, x - x0
-            corners = [(y0, x0, (1 - ly) * (1 - lx)), (y0, x1, (1 - ly) * lx),
-                       (y1, x0, ly * (1 - lx)), (y1, x1, ly * lx)]
-            per_sample = np.repeat(g.reshape(3, 12).astype(np.float64) / 4, 4, axis=1)
-            want = np.zeros((3, 11, 13))
-            for cy, cx, wgt in corners:
-                np.add.at(want, (slice(None), cy, cx), per_sample * wgt[None, :])
-            got = roi_align_backward(g, m, F.shape)
-            assert got.tobytes() == want.astype(np.float32).tobytes()
-
     def test_shape_mismatch_rejected(self):
         F = np.zeros((1, 8, 8), dtype=np.float32)
         m = roi_align(F, Box(0, 0, 8, 8), 2, 2, 2)
         with pytest.raises(ShapeError):
             roi_align_backward(np.zeros((2, 2, 2), dtype=np.float32), m, (1, 8, 8))
+
+    def test_map_without_taps_rejected(self):
+        """A pooled map, or an align map rebuilt from its samples alone."""
+        F = np.ones((1, 8, 8), dtype=np.float32)
+        m = roi_align(F, Box(1, 1, 7, 7), 2, 2, 2)
+        bare = roi_ops.RoIMap(m.data, m.source_roi, m.map_hw,
+                              samples=m.samples)
+        g = np.ones((1, 2, 2), dtype=np.float32)
+        for other in (roi_pool(F, Box(1, 1, 7, 7), 2, 2), bare):
+            with pytest.raises(ShapeError, match="no align taps"):
+                roi_align_backward(g, other, F.shape)
 
     @pytest.mark.parametrize("out", [np.zeros((1, 8, 9), dtype=np.float32),
                                      np.zeros((1, 8, 8))],
@@ -557,6 +561,8 @@ def align_layout_map(rng, kind):
     if kind == "constant":
         return np.full(shape, rng.normal(), dtype=np.float32)
     F = rng.normal(0, 1, shape)
+    if kind == "1e30":
+        return (F * 1e30).astype(np.float32)
     if kind == "subnormal":  # float32 values below 2^-126
         return (F * 2.0 ** -135).astype(np.float32)
     return F if kind == "float64" else F.astype(np.float32)
@@ -566,6 +572,68 @@ ALIGN_CLAMPED = [Box(-3.0, 2.0, 4.0, 8.0), Box(2.0, -3.0, 8.0, 4.0),
                  Box(9.0, 2.0, 16.0, 8.0), Box(2.0, 7.0, 8.0, 14.0),
                  Box(-4.0, -4.0, 17.0, 15.0)]
 
+# Boxes whose (bin + offset) * extent overflows float64, as in
+# test_overflowing_sample_grid_clamps_right
+ALIGN_OVERFLOWING = [Box(-2.61e307, 0.0, 9e305, 5.0),
+                     Box(0.0, 0.0, 5e307, 5e307),
+                     Box(-1e308, -1e308, 1e308, 1e308)]
+
+
+def on_lines(m, shape):
+    """Mask of the elements of a D x H x W map on m's touched lines."""
+    rows, _, cols, _ = m.taps
+    mask = np.zeros(shape, dtype=bool)
+    mask[:, rows[:, None], cols] = True
+    return mask
+
+
+def sample_corners(m, H, W):
+    """The four bilinear corners of each of m's samples, as flat pixels
+    y*W + x, and their float64 weights, both 4 x (ph*pw*s*s)."""
+    y, x = m.samples.reshape(-1, 2).T
+    y0, x0 = np.floor(y).astype(np.int64), np.floor(x).astype(np.int64)
+    y1, x1 = np.minimum(y0 + 1, H - 1), np.minimum(x0 + 1, W - 1)
+    ly, lx = y - y0, x - x0
+    return (np.stack([y0 * W + x0, y0 * W + x1, y1 * W + x0, y1 * W + x1]),
+            np.stack([(1 - ly) * (1 - lx), (1 - ly) * lx, ly * (1 - lx),
+                      ly * lx]))
+
+
+def align_oracle64(F, m):
+    """RoIAlign of F at m's samples in float64, before the float32 cast:
+    per bin, the mean over its samples of the four weighted corners."""
+    D, H, W = F.shape
+    ph, pw, S, _ = m.samples.shape
+    pixels, weights = sample_corners(m, H, W)
+    terms = F.reshape(D, -1).astype(np.float64)[:, pixels] * weights
+    return terms.sum(axis=1).reshape(D, ph, pw, S).mean(axis=3)
+
+
+def align_adjoint64(g, m, shape):
+    """The float64 adjoint of align_oracle64: each bin's gradient over its
+    s*s samples, added into their corners by weight."""
+    D, H, W = shape
+    ph, pw, S, _ = m.samples.shape
+    pixels, weights = sample_corners(m, H, W)
+    per_sample = np.repeat(g.reshape(D, -1).astype(np.float64) / S, S, axis=1)
+    grad = np.zeros((D, H * W))
+    for p, w in zip(pixels, weights):
+        np.add.at(grad, (slice(None), p), per_sample * w)
+    return grad.reshape(shape)
+
+
+def contract_bound(ph, pw, s, want, scale):
+    """The precision contract of roi_align and roi_align_backward about
+    an oracle value want, with scale the oracle's value on |F| or |g|.
+    The oracles round a chain of at most k = ph*pw*s*s + 8 operations, so
+    both the value and the scale may be off by gamma_k scale."""
+    def gamma(n):
+        return n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+
+    m, k = 2 * s * (ph + pw + 2) + 2, ph * pw * s * s + 8
+    return 2.0 ** -24 * np.abs(want) + 3 * (gamma(m) + gamma(k)) * scale \
+        + 2.0 ** -150
+
 
 class TestRoiAlignLayouts:
     """roi_align gives the same bits on a D-major map and its pixel-major
@@ -574,8 +642,7 @@ class TestRoiAlignLayouts:
 
     @pytest.mark.parametrize("kind", ALIGN_LAYOUT_KINDS)
     def test_layouts_give_the_same_bits(self, kind):
-        """1-4 samples per bin (a mean over 9 or 16 samples sums pairwise
-        only on a contiguous axis), random and border-clamped boxes."""
+        """1-4 samples per bin, random and border-clamped boxes."""
         rng = np.random.default_rng([97, ALIGN_LAYOUT_KINDS.index(kind)])
         for k in range(40):
             F = align_layout_map(rng, kind)
@@ -588,29 +655,12 @@ class TestRoiAlignLayouts:
             assert got.data.tobytes() == want.data.tobytes()
             assert got.samples.tobytes() == want.samples.tobytes()
 
-    def test_sixteen_sample_mean_is_taken_on_a_contiguous_axis(self):
-        """One bin of Box(0, 0, 8, 8) at 4 x 4 samples reads the map at
-        (1, 3, 5, 7)^2 with weight 1.  These 16 values sum to just above
-        16 * (1 + 2^-24) in numpy's pairwise order on a contiguous axis,
-        and to that float32 midpoint sequentially (as a mean over the
-        transposed layout sums them), so the cast rounds them apart."""
-        e = [-2.0 ** -50, 2.0 ** -50, 2.0 ** -49, 0.0, 16.0, 2.0 ** -20]
-        values = np.array([e[i] for i in (0, 1, 4, 0, 2, 0, 3, 3, 2, 1, 1, 0,
-                                          5, 2, 1, 1)])
-        F = np.zeros((2, 9, 9))
-        F[:, 1::2, 1::2] = values.reshape(4, 4) * np.array([1.0, -1.0])[
-            :, None, None]
-        want = np.float32(values.reshape(1, 16).mean(axis=1)) * np.float32(
-            [1.0, -1.0])
-        assert want[0] == np.float32(1.0 + 2.0 ** -23)
-        for G in layouts(F):
-            got = roi_align(G, Box(0.0, 0.0, 8.0, 8.0), 1, 1, 4)
-            assert got.data.reshape(-1).tobytes() == want.tobytes()
-
     @pytest.mark.parametrize("kind", ALIGN_LAYOUT_KINDS)
     def test_backward_out_adds_the_standalone_pass(self, kind):
-        """out holding random values and zeros of both signs inside the
-        window; tiny gradients whose sums cast to -0.0 too."""
+        """out holding random values and zeros of both signs: on the
+        touched lines out= adds the standalone pass, and off them it keeps
+        out's bits, -0.0 included; tiny gradients whose sums cast to -0.0
+        too."""
         rng = np.random.default_rng([98, ALIGN_LAYOUT_KINDS.index(kind)])
         for k in range(30):
             F = align_layout_map(rng, kind)
@@ -623,17 +673,14 @@ class TestRoiAlignLayouts:
             alone = roi_align_backward(g, m, F.shape)
             o = rng.normal(0, 1, F.shape).astype(np.float32)
             o[rng.random(F.shape) < 0.2] = 0.0
-            y, x = np.floor(m.samples.reshape(-1, 2).T).astype(int)
-            window = np.zeros(F.shape, dtype=bool)
-            window[:, y.min():y.max() + 2, x.min():x.max() + 2] = True
-            o[window & (rng.random(F.shape) < 0.3)] = -0.0
-            want = o + alone
+            o[rng.random(F.shape) < 0.2] = -0.0
+            want = np.where(on_lines(m, F.shape), o + alone, o)
             assert roi_align_backward(g, m, F.shape, out=o) is o
             assert o.tobytes() == want.tobytes()
 
     def test_tiny_negative_gradient_keeps_negative_zeros(self):
-        """A -1e-45 gradient sums to tiny negatives over the 6 x 6 window,
-        each cast to -0.0, which the standalone pass keeps."""
+        """A -1e-45 gradient sums to tiny negatives on the 6 x 6 touched
+        lines, each cast to -0.0, which the standalone pass keeps."""
         m = roi_align(np.zeros((1, 8, 8), dtype=np.float32),
                       Box(1.3, 1.3, 5.7, 5.7), 2, 2, 2)
         g = roi_align_backward(np.full((1, 2, 2), -1e-45, dtype=np.float32),
@@ -651,9 +698,8 @@ ALIGN_AXES = [(-0.0, 5.5), (-0.0, 5e-324), (-0.0, -5e-324), (-3.0, 4.0),
 
 
 class TestAlignTaps:
-    """roi_align computes each axis's sample coordinates on Python floats
-    and keeps the corner taps it read on the map for roi_align_backward:
-    both give the bits of the array path they replace."""
+    """roi_align computes each axis's sample coordinates on Python floats,
+    with the bits of the array path they replace."""
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_scalar_axis_coords_match_array_path(self, s):
@@ -680,60 +726,109 @@ class TestAlignTaps:
                         got = roi_ops._box_axis_coords(lo, hi, bins, s, limit)
                         assert got.tobytes() == want.reshape(-1).tobytes()
 
-    @pytest.mark.parametrize("kind", ALIGN_LAYOUT_KINDS)
-    def test_backward_from_taps_equals_backward_from_samples(
-            self, kind, monkeypatch):
-        """A map carrying roi_align's taps and the same map with samples
-        alone give the same gradient bytes, standalone and added into out;
-        only the latter computes taps."""
-        rng = np.random.default_rng([99, ALIGN_LAYOUT_KINDS.index(kind)])
-        calls = []
-        real = roi_ops._bilinear_corners
+# ALIGN_LAYOUT_KINDS and float32 noise of magnitude 1e30
+ALIGN_CONTRACT_KINDS = ALIGN_LAYOUT_KINDS + ("1e30",)
 
-        def counting(*args):
-            calls.append(args[0].shape)
-            return real(*args)
 
-        for k in range(25):
-            F = align_layout_map(rng, kind)
-            r = (random_roi(rng, 13, 11) if k < 20
-                 else ALIGN_CLAMPED[k % len(ALIGN_CLAMPED)])
-            m = roi_align(layouts(F)[k % 2], r, 3, 4, k % 4 + 1)
-            bare = roi_ops.RoIMap(m.data, r, m.map_hw, samples=m.samples)
-            assert m.taps is not None and bare.taps is None
-            g = rng.normal(0, 1, m.data.shape).astype(np.float32)
+def contract_cases(rng, kind):
+    """(F, box, ph, pw, s) on maps of one ALIGN_CONTRACT_KINDS kind: at
+    1-4 samples per bin, random, border-clamped, whole-map and
+    overflowing boxes."""
+    boxes = ([random_roi(rng, 13, 11) for _ in range(6)] + ALIGN_CLAMPED
+             + [Box(0.0, 0.0, 13.0, 11.0)] + ALIGN_OVERFLOWING)
+    for s in (1, 2, 3, 4):
+        for r in boxes:
+            ph, pw = (int(v) for v in rng.integers(1, 6, 2))
+            yield align_layout_map(rng, kind), r, ph, pw, s
+
+
+class TestAlignContract:
+    """The precision contract of roi_align and roi_align_backward, each
+    element against a float64 oracle read at the map's own samples."""
+
+    @pytest.mark.parametrize("kind", ALIGN_CONTRACT_KINDS)
+    def test_forward_within_oracle_bound(self, kind):
+        """Both layouts, with the same bits."""
+        rng = np.random.default_rng([100, ALIGN_CONTRACT_KINDS.index(kind)])
+        for F, r, ph, pw, s in contract_cases(rng, kind):
+            got = [roi_align(G, r, ph, pw, s) for G in layouts(F)]
+            assert got[0].data.tobytes() == got[1].data.tobytes()
+            want = align_oracle64(F, got[0])
+            scale = align_oracle64(np.abs(F), got[0])
+            assert np.all(np.abs(got[0].data - want)
+                          <= contract_bound(ph, pw, s, want, scale))
+
+    @pytest.mark.parametrize("kind", ALIGN_CONTRACT_KINDS)
+    def test_backward_within_adjoint_bound(self, kind):
+        """Gradients of random magnitudes, and of +-1e-45 whose sums are
+        subnormal; the maps of both layouts give the same bits."""
+        rng = np.random.default_rng([101, ALIGN_CONTRACT_KINDS.index(kind)])
+        for k, (F, r, ph, pw, s) in enumerate(contract_cases(rng, kind)):
+            maps = [roi_align(G, r, ph, pw, s) for G in layouts(F)]
+            g = (rng.normal(0, 1, (F.shape[0], ph, pw))
+                 * 10.0 ** rng.integers(-4, 5, (F.shape[0], ph, pw)))
             if k % 3 == 0:
-                g = rng.choice(np.float32([-1e-45, 1e-45]), g.shape)
-            o = rng.normal(0, 1, F.shape).astype(np.float32)
-            o[rng.random(F.shape) < 0.3] = -0.0
-            o_bare = o.copy()
-            monkeypatch.setattr(roi_ops, "_bilinear_corners", counting)
-            got = [roi_align_backward(g, m, F.shape),
-                   roi_align_backward(g, m, F.shape, out=o)]
-            assert calls == []
-            want = [roi_align_backward(g, bare, F.shape),
-                    roi_align_backward(g, bare, F.shape, out=o_bare)]
-            assert len(calls) == 2
-            calls.clear()
-            monkeypatch.undo()
-            for a, b in zip(got, want):
-                assert a.tobytes() == b.tobytes()
+                g = rng.choice([-1e-45, 1e-45], g.shape)
+            g = g.astype(np.float32)
+            got = [roi_align_backward(g, m, F.shape) for m in maps]
+            assert got[0].tobytes() == got[1].tobytes()
+            want = align_adjoint64(g, maps[0], F.shape)
+            scale = align_adjoint64(np.abs(g), maps[0], F.shape)
+            assert np.all(np.abs(got[0] - want)
+                          <= contract_bound(ph, pw, s, want, scale))
 
-    def test_four_sample_mean_sums_in_order(self):
-        """One bin of Box(0, 0, 8, 8) at 2 x 2 samples reads the map at
-        (2, 6)^2 with weight 1.  In order, 1e16 + 1 - 1e16 + 1e-16 sums to
-        1e-16, as np.mean sums 4 elements; pairwise or in reverse it sums
-        to 0.  The strided mean of either layout must give np.mean's."""
-        values = np.array([1e16, 1.0, -1e16, 1e-16])
+    @pytest.mark.parametrize("s", [2, 4])
+    def test_cancelling_sums_within_bound(self, s):
+        """One bin of Box(0, 0, 8, 8) reads the map at s*s points with
+        weight 1, and terms 1e16, 1, -1e16, 1e-16 cancel in its mean.  At
+        2 x 2 bins of a box of 1e-3 px, each bin's samples read the same
+        corner, so the same gradients cancel in its sum.  Their sum is
+        within the bound, which grows with the terms' magnitudes, not
+        with their sum."""
+        values = np.resize([1e16, 1.0, -1e16, 1e-16], s * s)
         F = np.zeros((2, 9, 9))
-        F[:, 2::4, 2::4] = values.reshape(2, 2) * np.array([1.0, -1.0])[
-            :, None, None]
-        want = np.float32(values.reshape(1, 4).mean(axis=1)) * np.float32(
-            [1.0, -1.0])
-        assert want[0] == np.float32(2.5e-17)
+        step = 8 // s
+        F[:, step // 2::step, step // 2::step] = values.reshape(s, s) \
+            * np.array([1.0, -1.0])[:, None, None]
         for G in layouts(F):
-            got = roi_align(G, Box(0.0, 0.0, 8.0, 8.0), 1, 1, 2)
-            assert got.data.reshape(-1).tobytes() == want.tobytes()
+            m = roi_align(G, Box(0.0, 0.0, 8.0, 8.0), 1, 1, s)
+            want = align_oracle64(F, m)
+            assert np.all(np.abs(m.data - want) <= contract_bound(
+                1, 1, s, want, align_oracle64(np.abs(F), m)))
+        m = roi_align(np.zeros((1, 9, 9), dtype=np.float32),
+                      Box(3.0, 3.0, 3.001, 3.001), 2, 2, s)
+        g = np.float32(values[:4]).reshape(1, 2, 2)
+        want = align_adjoint64(g, m, (1, 9, 9))
+        assert want[0, 3, 3] != 0.0
+        got = roi_align_backward(g, m, (1, 9, 9))
+        assert np.all(np.abs(got - want) <= contract_bound(
+            2, 2, s, want, align_adjoint64(np.abs(g), m, (1, 9, 9))))
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_touched_lines_are_bounded(self, s):
+        """At most 2*s*ph rows and 2*s*pw columns, ascending, whatever the
+        box's extent: whole-map boxes on a 200 x 200 map and the boxes of
+        ALIGN_OVERFLOWING on a 10 x 10 map.  Out= leaves every element
+        off those lines untouched, -0.0 included."""
+        rng = np.random.default_rng([102, s])
+        cases = [((2, 200, 200), Box(0.0, 0.0, 200.0, 200.0)),
+                 ((2, 200, 200), Box(-50.0, -50.0, 250.0, 250.0))]
+        cases += [((2, 10, 10), r) for r in ALIGN_OVERFLOWING]
+        for shape, r in cases:
+            F = rng.normal(0, 1, shape).astype(np.float32)
+            for ph, pw in ((7, 7), (1, 5), (3, 2)):
+                m = roi_align(F, r, ph, pw, s)
+                rows, Ky, cols, Kx = m.taps
+                assert rows.size <= 2 * s * ph and cols.size <= 2 * s * pw
+                assert Ky.shape == (ph, rows.size)
+                assert Kx.shape == (pw, cols.size)
+                assert np.all(np.diff(rows) > 0) and np.all(np.diff(cols) > 0)
+                o = rng.choice(np.float32([-0.0, 0.0, 1.5]), shape)
+                before = o.copy()
+                g = rng.normal(0, 1, m.data.shape).astype(np.float32)
+                roi_align_backward(g, m, shape, out=o)
+                off = ~on_lines(m, shape)
+                assert o[off].tobytes() == before[off].tobytes()
 
 
 def query_maps():

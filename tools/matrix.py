@@ -1,4 +1,4 @@
-"""Bit-identity matrix of roictx: 59 CLI outputs and 122 library digests.
+"""Bit-identity matrix of roictx: 59 CLI outputs and 134 library digests.
 
     python tools/matrix.py [--src DIR] [--out digests.json]
 
@@ -63,6 +63,10 @@ split the list at different places.
 After it (relu_case), the outputs of lib_case on a post-ReLU f32 map,
 max(N(0, 1), 0), on both backbones (22): zero maxima are common there, and
 the pool miner keeps the rows holding them without pooling them again.
+Last (align_contract_case), roi_align's data and roi_align_backward's
+map, standalone and with out=, at 1-4 samples per bin on 1e30-magnitude
+and subnormal f32 maps, for a whole-map and an overhanging box (12):
+outputs that roi_align's precision contract bounds, not pins.
 """
 
 from __future__ import annotations
@@ -353,6 +357,38 @@ def relu_case(seed: int) -> dict:
     return {**lib_case("relu", "pool", seed), **lib_case("relu", "align", seed)}
 
 
+def align_contract_case(seed: int) -> dict:
+    """roi_align's data, and roi_align_backward's map standalone and added
+    with out= into a map of signed zeros and ones, on a 1e30-magnitude and
+    a subnormal f32 map, for a whole-map and an overhanging box at 1-4
+    samples per bin (12)."""
+    from roictx import roi_ops
+    from roictx.geometry import Box
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(0.0, 1.0, (2, D, H, W))
+    maps = {"1e30": (noise[0] * 1e30).astype(np.float32),
+            "subnormal": (noise[1] * 2.0 ** -135).astype(np.float32)}
+    boxes = {"whole": Box(0.0, 0.0, W, H),
+             "overhanging": Box(-6.5, 31.2, 12.3, 47.9)}
+    out = {}
+    for kind, F in maps.items():
+        for where, r in boxes.items():
+            data, alone, added = [], [], []
+            for s in (1, 2, 3, 4):
+                m = roi_ops.roi_align(F, r, 7, 7, s)
+                g = rng.normal(0.0, 1.0, m.data.shape).astype(np.float32)
+                into = rng.choice(np.float32([-0.0, 0.0, 1.0]), F.shape)
+                data.append(m.data)
+                alone.append(roi_ops.roi_align_backward(g, m, F.shape))
+                added.append(roi_ops.roi_align_backward(g, m, F.shape,
+                                                        out=into))
+            name = f"contract-{kind}-{where}"
+            out[f"{name}-data"] = digest(*data)
+            out[f"{name}-backward"] = digest(*alone)
+            out[f"{name}-backward-out"] = digest(*added)
+    return out
+
+
 def lib_digests() -> dict:
     """Every library digest but chunk_case's and relu_case's, by
     <map>-<backbone>-<output> name."""
@@ -373,7 +409,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     import_roictx(args.src)
     digests = {**cli_digests(), **lib_digests(), **chunk_case(20261025),
-               **relu_case(20261026)}
+               **relu_case(20261026), **align_contract_case(20261027)}
     text = json.dumps(digests, indent=1, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
