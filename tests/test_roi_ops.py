@@ -518,6 +518,28 @@ class TestRoiAlignBackward:
         report = check(f, F, analytic, h=1e-2, probes=150)
         assert report.max_rel_error <= 1e-3
 
+    def test_within_bound_of_add_at_accumulation(self):
+        """Within the precision contract of the float64 adjoint, which adds
+        each sample's share per corner with np.add.at.  Random RoIs, RoIs
+        clamped at the left, top, right and bottom border, and whole-map
+        RoIs, whose lines reach every border; gradients of magnitudes
+        1e-4 to 1e4."""
+        rng = np.random.default_rng(53)
+        clamped = [Box(-3.0, 2.0, 4.0, 8.0), Box(2.0, -3.0, 8.0, 4.0),
+                   Box(9.0, 2.0, 16.0, 8.0), Box(2.0, 7.0, 8.0, 14.0),
+                   Box(0.0, 0.0, 13.0, 11.0), Box(-4.0, -4.0, 17.0, 15.0)]
+        for k in range(20 + len(clamped)):
+            F = rng.normal(0, 1, (3, 11, 13)).astype(np.float32)
+            r = random_roi(rng, 13, 11) if k < 20 else clamped[k - 20]
+            m = roi_align(F, r, 4, 3, 2)
+            g = (rng.normal(0, 1, (3, 4, 3))
+                 * 10.0 ** rng.integers(-4, 5, (3, 4, 3))).astype(np.float32)
+            want = align_adjoint64(g, m, F.shape)
+            scale = align_adjoint64(np.abs(g), m, F.shape)
+            got = roi_align_backward(g, m, F.shape)
+            assert np.all(np.abs(got - want)
+                          <= contract_bound(4, 3, 2, want, scale))
+
     def test_shape_mismatch_rejected(self):
         F = np.zeros((1, 8, 8), dtype=np.float32)
         m = roi_align(F, Box(0, 0, 8, 8), 2, 2, 2)
