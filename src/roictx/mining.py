@@ -29,8 +29,9 @@ import numpy as np
 
 from .errors import DegenerateBoxError, NumericError, ShapeError
 from .geometry import Box, iou
-from .roi_ops import RangeMaxTable, RoIMap, _check_extents, roi_align, \
-    roi_align_backward, roi_align_bin_sums, roi_pool, roi_pool_backward
+from .roi_ops import RangeMaxTable, RoIMap, _check_extents, _roi_align_many, \
+    roi_align, roi_align_backward, roi_align_bin_sums, roi_pool, \
+    roi_pool_backward
 from .tensor import concat_channels
 
 DIRECTIONS = ("left-top", "top", "right-top", "left", "right",
@@ -481,6 +482,11 @@ class ContextMiner:
     rounding of adding the bias, the last term the absolute error (at
     most 2^-150) of rounding a subnormal element.
 
+    The exact stage makes the rescored candidates' maps SLICE at a time
+    with roi_ops._roi_align_many, on the miner's pixel-major copy of the
+    map: roi_align bit for bit, with the per-box axis setup done once
+    per slice.  The object maps stay on roi_map and roi_align.
+
     G and A hold 2*ph*pw*H*W float64 values, one plane after the other as
     roi_align_bin_sums reads them.  Per chunk the filter holds the (K, 2)
     bin sums of G and A, each candidate's x- and y-geometry (its x1, x2
@@ -573,7 +579,8 @@ class ContextMiner:
             peaks = np.abs(V).max(axis=1).astype(np.float64)
             P = _sliced(lambda v: v.astype(np.float64) @ self._w, V)
             bins = np.arange(ids.shape[1])
-            approx = _sliced(lambda i: P[i, bins].sum(axis=1), ids)
+            approx = _sliced(lambda i: np.take(
+                P.reshape(-1), i * bins.size + bins).sum(axis=1), ids)
             mags = _sliced(lambda i: np.take(peaks, i) @ self._w_norms, ids)
             slack = (3.0 * self._gamma * mags
                      + np.where(mags > 0.0, abs(bias) * 2.0 ** -51, 0.0))
@@ -591,8 +598,8 @@ class ContextMiner:
 
         def exact(keep):
             for i in range(0, keep.shape[0], SLICE):
-                maps = [self._roi_map(_box_at(xyxy, k))
-                        for k in keep[i:i + SLICE]]
+                maps = _roi_align_many(self._source, xyxy[keep[i:i + SLICE]],
+                                       cfg.ph, cfg.pw, cfg.samples_per_bin)
                 yield (np.stack([m.data.reshape(-1) for m in maps]),
                        maps.__getitem__)
 

@@ -10,6 +10,9 @@ them.  Both forwards gather a pixel-major F (F.transpose(1, 2, 0)
 C-contiguous) as whole D-rows and any other F per element, with the
 same bits: the layout picks only the gather.  Every row gather is np.take
 along axis 0, not fancy indexing, which copies narrow rows one at a time.
+Element gathers are np.take on a flat or 1-D array too: it outruns fancy
+indexing once a gather holds a few thousand elements, and on smaller
+ones its Python wrapper costs about 1 us more.
 """
 
 from __future__ import annotations
@@ -315,21 +318,97 @@ def roi_align(F: np.ndarray, r: Box, ph: int, pw: int,
     samples = np.empty((ph, pw, s, s, 2), dtype=np.float64)
     samples[..., 0] = ys.reshape(ph, 1, s, 1)
     samples[..., 1] = xs.reshape(1, pw, 1, s)
-    rows, Ky = _axis_weights(ys, ph, s, H)
-    cols, Kx = _axis_weights(xs, pw, s, W)
+    taps = (*_axis_weights(ys, ph, s, H), *_axis_weights(xs, pw, s, W))
+    return RoIMap(_align_data(F, _pixel_rows(F), *taps), r, (H, W),
+                  samples=samples.reshape(ph, pw, s * s, 2), taps=taps)
+
+
+def _roi_align_many(F: np.ndarray, xyxy: np.ndarray, ph: int, pw: int,
+                    samples_per_bin: int = 2) -> list[RoIMap]:
+    """roi_align of each row of an (N, 4) x1,y1,x2,y2 float64 array, bit
+    for bit, with numpy's per-call cost of the axis setup paid once for
+    all N boxes instead of once per box.
+
+    Each axis's sample coordinates come from _align_axis_coords (the
+    values _box_axis_coords gives), their lines and weights from
+    _linear_taps, and _axis_folds folds them into each box's lines and
+    K.  The gather and the two einsums are roi_align's own (_align_data).
+    Each map owns its arrays, so a map kept alone does not hold the
+    others' alive.  The first box roi_align would refuse is refused with
+    its error.
+    """
+    D, H, W = _check_feature_map(F)
+    _check_extents("grid extents", ph, pw)
+    _check_extents("samples per bin", samples_per_bin)
+    xyxy = np.asarray(xyxy, dtype=np.float64).reshape(-1, 4)
+    # Box.clip's area, and the box _clipped_or_raise refuses first
+    lo = np.minimum(np.maximum(xyxy[:, :2], 0.0), (W, H))
+    hi = np.minimum(np.maximum(xyxy[:, 2:], 0.0), (W, H))
+    inside = (np.maximum(lo, hi) - lo).prod(axis=1) > 0.0
+    for k in np.flatnonzero(~(np.isfinite(xyxy).all(axis=1) & inside))[:1]:
+        _clipped_or_raise(Box(*xyxy[k].tolist()), W, H)
+    s, N = samples_per_bin, xyxy.shape[0]
+    ys = _align_axis_coords(xyxy[:, 1], xyxy[:, 3], ph, s, H)
+    xs = _align_axis_coords(xyxy[:, 0], xyxy[:, 2], pw, s, W)
+    samples = np.empty((N, ph, pw, s, s, 2), dtype=np.float64)
+    samples[..., 0] = ys[:, :, None, :, None]
+    samples[..., 1] = xs[:, None, :, None, :]
+    pixel_rows = _pixel_rows(F)
+    return [RoIMap(_align_data(F, pixel_rows, *ty, *tx), Box(*box), (H, W),
+                   samples=S.reshape(ph, pw, s * s, 2).copy(), taps=(*ty, *tx))
+            for box, S, ty, tx in zip(xyxy.tolist(), samples,
+                                      _axis_folds(ys, H), _axis_folds(xs, W))]
+
+
+def _axis_folds(c: np.ndarray, limit: int) -> list:
+    """_axis_weights of N boxes at once, from their (N, bins, s) sample
+    coordinates c along one axis: each box's (lines, K).
+
+    One _dedupe of (box, line) codes gives each box's ascending lines
+    and each tap's column of K; one np.add.at adds the taps in
+    _axis_weights' (bin, sample, lower/upper) order from zero, and the
+    sums are divided by s.  K is built padded to the most lines of any
+    box, and each box's columns copied out C-contiguous.
+    """
+    N, bins, s = c.shape
+    lines, weights = _linear_taps(c, limit)
+    box = np.arange(N)[:, None, None, None]
+    codes, at = _dedupe(box * limit + lines, N * limit)
+    first = np.searchsorted(codes, np.arange(N + 1) * limit).tolist()
+    n = max((b - a for a, b in zip(first, first[1:])), default=0)
+    K = np.zeros((N, bins, n))
+    np.add.at(K.reshape(-1), ((box * bins + np.arange(bins)[:, None, None]) * n
+                              + at - np.take(first, box)).reshape(-1),
+              weights.reshape(-1))
+    K /= s
+    return [(codes[a:b] - k * limit, K[k, :, :b - a].copy())
+            for k, (a, b) in enumerate(zip(first, first[1:]))]
+
+
+def _pixel_rows(F: np.ndarray) -> np.ndarray | None:
+    """F's pixels as (H*W, D) rows when F is pixel-major (F.transpose(1,
+    2, 0) C-contiguous), else None."""
     pixels = F.transpose(1, 2, 0)
     if pixels.flags.c_contiguous:
-        patch = np.take(pixels.reshape(H * W, D),
-                        (rows[:, None] * W + cols).reshape(-1), axis=0)
+        return pixels.reshape(-1, F.shape[0])
+    return None
+
+
+def _align_data(F: np.ndarray, pixel_rows: np.ndarray | None,
+                rows: np.ndarray, Ky: np.ndarray, cols: np.ndarray,
+                Kx: np.ndarray) -> np.ndarray:
+    """roi_align's float32 D x ph x pw data, Ky F[rows][:, cols] Kx^T,
+    gathered from pixel_rows (see _pixel_rows) when given, else from F."""
+    D, _, W = F.shape
+    if pixel_rows is not None:
+        patch = np.take(pixel_rows, (rows[:, None] * W + cols).reshape(-1),
+                        axis=0)
     else:
         patch = F[:, rows[:, None], cols].reshape(D, -1).T
     patch = np.ascontiguousarray(patch, dtype=np.float64).reshape(
         rows.size, cols.size, D)
     per_bin = np.einsum("ia,ajd->ijd", Ky, np.einsum("jb,abd->ajd", Kx, patch))
-    return RoIMap(np.ascontiguousarray(per_bin.transpose(2, 0, 1),
-                                       dtype=np.float32), r, (H, W),
-                  samples=samples.reshape(ph, pw, s * s, 2),
-                  taps=(rows, Ky, cols, Kx))
+    return np.ascontiguousarray(per_bin.transpose(2, 0, 1), dtype=np.float32)
 
 
 def roi_align_backward(grad_out: np.ndarray, roi_map: RoIMap, F_dims,
@@ -394,7 +473,9 @@ def roi_align_bin_sums(planes: np.ndarray, xyxy: np.ndarray,
     in steps of as many.  A box reads 2*s*ph values of XS and a key
     2*s*pw values of the planes, so there are never more taps than the
     (2*s)^2*ph*pw per box of summing each box on its own, and the
-    temporaries do not grow with K.
+    temporaries do not grow with K.  Every gather is np.take (see the
+    module docstring), and a step's x weights are gathered once for all
+    C columns.
     """
     if planes.ndim != 5:
         raise ShapeError(
@@ -416,19 +497,21 @@ def roi_align_bin_sums(planes: np.ndarray, xyxy: np.ndarray,
         # keys rank the block's own x-geometries, so the table _dedupe may
         # mark spans the block, not every span of xyxy
         used, local = _dedupe(gx[k:k + B], cols.shape[0])
-        keys, ids = _dedupe(local[:, None] * n + rows[gy[k:k + B]],
+        gyk = gy[k:k + B]
+        keys, ids = _dedupe(local[:, None] * n + np.take(rows, gyk, axis=0),
                             used.shape[0] * n)
         XS = np.empty((C, keys.shape[0]))
         for q in range(0, keys.shape[0], B):
             g, row = np.divmod(keys[q:q + B], n)
-            g = used[g]
-            taps = start[row][:, None] + cols[g]
+            g = np.take(used, g)
+            taps = np.take(start, row)[:, None] + np.take(cols, g, axis=0)
+            wg = np.take(wx, g, axis=0)
             for c in range(C):
                 XS[c, q:q + B] = np.einsum("kt,kt->k", np.take(flat[c], taps),
-                                           wx[g])
-        w = wy[gy[k:k + B]]
+                                           wg)
+        w = np.take(wy, gyk, axis=0)
         for c in range(C):
-            out[c, k:k + B] = np.einsum("kt,kt->k", XS[c, ids], w)
+            out[c, k:k + B] = np.einsum("kt,kt->k", np.take(XS[c], ids), w)
     out /= s * s
     return out.T
 
@@ -440,13 +523,20 @@ def _axis_taps(lo, hi, bins: int, s: int, limit: int, stride: int):
     index of each box's span among the n."""
     spans, index = np.unique(np.stack([lo, hi], axis=1).view(np.complex128),
                              return_inverse=True)
-    c = _align_axis_coords(spans.real, spans.imag, bins, s, limit)
-    lo = np.floor(c).astype(np.int64)
-    taps = (np.stack([lo, np.minimum(lo + 1, limit - 1)], axis=-1)
-            + (np.arange(bins, dtype=np.int64) * stride)[:, None, None])
-    weights = np.stack([1 - (c - lo), c - lo], axis=-1)
+    taps, weights = _linear_taps(
+        _align_axis_coords(spans.real, spans.imag, bins, s, limit), limit)
+    taps += (np.arange(bins, dtype=np.int64) * stride)[:, None, None]
     return (taps.reshape(-1, 2 * s * bins), weights.reshape(-1, 2 * s * bins),
             index.reshape(-1))
+
+
+def _linear_taps(c: np.ndarray, limit: int):
+    """The lower and upper grid neighbours of clamped coordinates c and
+    their linear weights, each stacked on a new last axis of 2, with
+    _axis_weights' bits."""
+    lo = np.floor(c).astype(np.int64)
+    return (np.stack([lo, np.minimum(lo + 1, limit - 1)], axis=-1),
+            np.stack([1 - (c - lo), c - lo], axis=-1))
 
 
 class RangeMaxTable:
@@ -595,4 +685,4 @@ def _dedupe(codes: np.ndarray, size: int):
         return values, index.reshape(codes.shape)
     used = np.zeros(size, dtype=bool)
     used[codes] = True
-    return np.flatnonzero(used), (np.cumsum(used) - 1)[codes]
+    return np.flatnonzero(used), np.take(np.cumsum(used) - 1, codes)

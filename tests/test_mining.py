@@ -1279,7 +1279,10 @@ class TestAlignSelection:
 
     def test_roi_align_calls_bounded_by_near_ties(self, monkeypatch):
         """1 object map plus one map per cell, plus one per near-tie: a
-        fall-back to scoring every candidate would make hundreds."""
+        fall-back to scoring every candidate would make hundreds.  Exact
+        align maps are made by roi_align (the object map) and by the
+        batched _roi_align_many (the rescored candidates), so both are
+        counted, one per box."""
         rng = np.random.default_rng(109)
         F = rng.normal(0, 1, (3, 40, 40)).astype(np.float32)
         scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), 0.1)
@@ -1295,13 +1298,18 @@ class TestAlignSelection:
             near_ties.append(ties)
         miner = ContextMiner(F, scorer, self.CONFIG)
         calls = []
-        real = mining.roi_align
+        real, real_many = mining.roi_align, mining._roi_align_many
 
         def counting(*args, **kwargs):
             calls.append(args[1])
             return real(*args, **kwargs)
 
+        def counting_many(F, xyxy, *args, **kwargs):
+            calls.extend(xyxy)
+            return real_many(F, xyxy, *args, **kwargs)
+
         monkeypatch.setattr(mining, "roi_align", counting)
+        monkeypatch.setattr(mining, "_roi_align_many", counting_many)
         for r, ties in zip(rois, near_ties):
             calls.clear()
             miner.mine(r)

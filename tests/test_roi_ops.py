@@ -748,6 +748,80 @@ class TestAlignTaps:
                         got = roi_ops._box_axis_coords(lo, hi, bins, s, limit)
                         assert got.tobytes() == want.reshape(-1).tobytes()
 
+# Boxes on a 13 x 11 map for _roi_align_many: interior; sub-pixel, whose
+# samples share grid lines; border-clamped and negative; one wider than
+# the map; and ALIGN_OVERFLOWING, which takes the halves rule
+ALIGN_MANY_BOXES = ([Box(2.0, 3.0, 9.5, 8.25), Box(4.3, 1.7, 10.1, 9.9)]
+                    + [Box(5.2, 4.1, 5.45, 4.3), Box(6.01, 6.01, 6.02, 6.5),
+                       Box(-0.0, -0.0, 5e-324, 5.5)]
+                    + ALIGN_CLAMPED + [Box(-6.5, -2.0, 3.0, 4.0)]
+                    + [Box(-20.0, -1.0, 40.0, 12.0)] + ALIGN_OVERFLOWING)
+
+
+def assert_same_align_map(got, want):
+    """data, samples and the four taps arrays, with their dtypes and
+    shapes, byte for byte; and the same box and map size."""
+    for a, b in [(got.data, want.data), (got.samples, want.samples),
+                 *zip(got.taps, want.taps, strict=True)]:
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+    assert (got.source_roi, got.map_hw) == (want.source_roi, want.map_hw)
+
+
+class TestAlignMany:
+    """_roi_align_many, the miner's batched roi_align, equals roi_align
+    box by box, byte for byte."""
+
+    @pytest.mark.parametrize("kind", ["float32", "subnormal"])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_equals_roi_align_box_by_box(self, kind, s):
+        """Every ALIGN_MANY_BOXES box alone (N = 1), then all of them
+        among random boxes, more than one mining.SLICE, in both layouts."""
+        from roictx.mining import SLICE
+        rng = np.random.default_rng([131, s, kind == "subnormal"])
+        F = align_layout_map(rng, kind)
+        boxes = ALIGN_MANY_BOXES + [random_roi(rng, 13, 11)
+                                    for _ in range(SLICE)]
+        xyxy = np.array([(r.x1, r.y1, r.x2, r.y2) for r in boxes])
+        shared = 0
+        for G in layouts(F):
+            for k, r in enumerate(ALIGN_MANY_BOXES):
+                got, = roi_ops._roi_align_many(G, xyxy[k:k + 1], 5, 3, s)
+                assert_same_align_map(got, roi_align(G, r, 5, 3, s))
+                shared += got.taps[2].size < 2 * s * 3
+            maps = roi_ops._roi_align_many(G, xyxy, 5, 3, s)
+            assert len(maps) == len(boxes) > SLICE
+            for got, r in zip(maps, boxes):
+                assert_same_align_map(got, roi_align(G, r, 5, 3, s))
+        assert shared >= 2
+
+    def test_no_boxes(self):
+        F = np.ones((2, 11, 13), dtype=np.float32)
+        assert roi_ops._roi_align_many(F, np.zeros((0, 4)), 7, 7, 2) == []
+
+    def test_maps_own_their_arrays(self):
+        """No map's arrays view another's, so one kept map holds only its
+        own."""
+        F = align_layout_map(np.random.default_rng(132), "float32")
+        xyxy = np.array([(r.x1, r.y1, r.x2, r.y2) for r in ALIGN_CLAMPED])
+        for m in roi_ops._roi_align_many(F, xyxy, 4, 4, 2):
+            for a in (m.data, m.samples, *m.taps):
+                assert a.base is None or a.base.size == a.size
+
+    @pytest.mark.parametrize("bad", [Box(14.0, 2.0, 20.0, 8.0),
+                                     Box(2.0, math.nan, 8.0, 8.0),
+                                     Box(2.0, 2.0, math.inf, 8.0)])
+    def test_refuses_what_roi_align_refuses(self, bad):
+        F = np.ones((2, 11, 13), dtype=np.float32)
+        xyxy = np.array([(1.0, 1.0, 5.0, 5.0), (bad.x1, bad.y1, bad.x2,
+                                                  bad.y2)])
+        with pytest.raises(DegenerateBoxError) as want:
+            roi_align(F, bad, 7, 7, 2)
+        with pytest.raises(DegenerateBoxError) as got:
+            roi_ops._roi_align_many(F, xyxy, 7, 7, 2)
+        assert str(got.value) == str(want.value)
+
+
 # ALIGN_LAYOUT_KINDS and float32 noise of magnitude 1e30
 ALIGN_CONTRACT_KINDS = ALIGN_LAYOUT_KINDS + ("1e30",)
 

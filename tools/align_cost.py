@@ -11,8 +11,12 @@ backward pass calls it.  Shapes: the benchmark's fixed ones, D=64 at
 50x50 with a 6 px box and D=256 at 38x38 with a 9 px box, and whole-map
 boxes, D=256 at 38x38 and at 200x200 and D=512 at 64x64.  Each line
 gives the shape, the layout and the median microseconds per call of the
-forward and the backward over N timed calls after 3 untimed ones.  Run
-it on two source trees to compare them.
+forward and the backward over N timed calls after 3 untimed ones.  A
+last line times the 16 boxes that mining two 6 px RoIs keeps on a D=64
+50x50 map, as a round of the benchmark's train-align-d64 does: a loop of
+roi_align calls against one call of the miner's batched _roi_align_many
+(pixel-major; "-" on a tree without it).  Run it on two source trees to
+compare them.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ def main(argv=None) -> int:
                     help="timed calls per shape, layout and pass")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.src))
+    from roictx import mining, roi_ops
     from roictx.geometry import Box
     from roictx.roi_ops import roi_align, roi_align_backward
 
@@ -73,6 +78,30 @@ def main(argv=None) -> int:
                             args.repeats)
             print(f"{label} D={D} {H}x{W}".ljust(24)
                   + f" {layout:<12} {fwd:>11.1f} {bwd:>12.1f}")
+
+    # a smoothed map, scorer and two RoIs like train-align-d64's
+    F = rng.normal(0.0, 1.0, (64, 50, 50))
+    F = ((F + np.roll(F, 1, axis=1) + np.roll(F, 1, axis=2)) / 3.0).astype(
+        np.float32)
+    scorer = mining.ContextScorer(
+        rng.normal(0.0, 1.0, 64 * BINS * BINS).astype(np.float32), 0.5)
+    config = mining.MiningConfig(ph=BINS, pw=BINS, backbone="align",
+                                 samples_per_bin=SAMPLES)
+    rois = [Box(10.0, 10.25, 16.0, 16.25), Box(33.875, 22.0, 39.875, 28.0)]
+    boxes = [rec.box for m in mining.mine_many(F, rois, scorer, config)
+             for rec in m.selected if not rec.fallback]
+    pixel = F.transpose(1, 2, 0).copy().transpose(2, 0, 1)
+    loop = median_us(lambda: [roi_align(pixel, b, BINS, BINS, SAMPLES)
+                              for b in boxes], args.repeats)
+    many = getattr(roi_ops, "_roi_align_many", None)
+    batched = "-"
+    if many is not None:
+        xyxy = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes])
+        us = median_us(lambda: many(pixel, xyxy, BINS, BINS, SAMPLES),
+                       args.repeats)
+        batched = f"{us:.1f}"
+    print(f"kept {len(boxes)} D=64 50x50".ljust(24)
+          + f" {'pixel-major':<12} loop_us {loop:.1f} batched_us {batched}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Bit-identity matrix of roictx: 59 CLI outputs and 134 library digests.
+"""Bit-identity matrix of roictx: 59 CLI outputs and 138 library digests.
 
     python tools/matrix.py [--src DIR] [--out digests.json]
 
@@ -63,10 +63,15 @@ split the list at different places.
 After it (relu_case), the outputs of lib_case on a post-ReLU f32 map,
 max(N(0, 1), 0), on both backbones (22): zero maxima are common there, and
 the pool miner keeps the rows holding them without pooling them again.
-Last (align_contract_case), roi_align's data and roi_align_backward's
+After it (align_contract_case), roi_align's data and roi_align_backward's
 map, standalone and with out=, at 1-4 samples per bin on 1e30-magnitude
 and subnormal f32 maps, for a whole-map and an overhanging box (12):
 outputs that roi_align's precision contract bounds, not pins.
+Last (align_ties_case), mine_many on the align backbone over the RoIs of
+ROI_FRACS on a constant f32 map, where every candidate of a pool is a
+near tie and is rescored, so the kept maps span several slices of
+mining.SLICE: its features, each cell's (index, score, pool_size), and
+the object and kept maps' data, samples and taps (4).
 """
 
 from __future__ import annotations
@@ -389,6 +394,32 @@ def align_contract_case(seed: int) -> dict:
     return out
 
 
+def align_ties_case(seed: int) -> dict:
+    """mine_many on the align backbone over a constant map, whose pools
+    are all near ties (4)."""
+    from roictx import mining
+    from roictx.geometry import Box
+    rng = np.random.default_rng(seed)
+    F = np.full((D, H, W), rng.normal(), dtype=np.float32)
+    config = mining.MiningConfig(backbone="align")
+    scorer = mining.ContextScorer(
+        rng.normal(0.0, 1.0, D * config.ph * config.pw).astype(np.float32),
+        float(rng.normal()))
+    rois = [Box(fx1 * W, fy1 * H, fx2 * W, fy2 * H)
+            for fx1, fy1, fx2, fy2 in ROI_FRACS]
+    many = mining.mine_many(F, rois, scorer, config)
+    maps = [m for mined in many for m in [mined.object_map] + [
+        rec.roi_map for rec in mined.selected if not rec.fallback]]
+    return {
+        "ties-const-align-mine_many": digest(*(m.feature for m in many)),
+        "ties-const-align-records": digest([
+            [(rec.index, rec.score, rec.pool_size) for rec in m.selected]
+            for m in many]),
+        "ties-const-align-kept-data": digest(*(m.data for m in maps)),
+        "ties-const-align-kept-routing": digest(*(
+            a for m in maps for a in (m.samples, *m.taps)))}
+
+
 def lib_digests() -> dict:
     """Every library digest but chunk_case's and relu_case's, by
     <map>-<backbone>-<output> name."""
@@ -409,7 +440,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     import_roictx(args.src)
     digests = {**cli_digests(), **lib_digests(), **chunk_case(20261025),
-               **relu_case(20261026), **align_contract_case(20261027)}
+               **relu_case(20261026), **align_contract_case(20261027),
+               **align_ties_case(20261029)}
     text = json.dumps(digests, indent=1, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
