@@ -341,7 +341,8 @@ def _roi_align_many(F: np.ndarray, xyxy: np.ndarray, ph: int, pw: int,
     _check_extents("grid extents", ph, pw)
     _check_extents("samples per bin", samples_per_bin)
     xyxy = np.asarray(xyxy, dtype=np.float64).reshape(-1, 4)
-    # Box.clip's area, and the box _clipped_or_raise refuses first
+    # each box's area inside the map, as Box.clip leaves it; the first
+    # box without one or with a non-finite corner raises roi_align's error
     lo = np.minimum(np.maximum(xyxy[:, :2], 0.0), (W, H))
     hi = np.minimum(np.maximum(xyxy[:, 2:], 0.0), (W, H))
     inside = (np.maximum(lo, hi) - lo).prod(axis=1) > 0.0
