@@ -542,7 +542,7 @@ class ContextMiner:
         pooled map V[ids[k]] (ph*pw x D) as one D-major row, as roi_pool
         lays it out, and kept_map(j) the RoIMap of the slice's j-th box."""
         for i in range(0, ids.shape[0], SLICE):
-            maps = np.take(V, ids[i:i + SLICE], axis=0)
+            maps = V.take(ids[i:i + SLICE], axis=0)
             rows = maps.transpose(0, 2, 1).reshape(maps.shape[0], -1)
             yield rows, partial(self._pool_map, rows, xyxy[i:i + SLICE])
 
@@ -579,9 +579,9 @@ class ContextMiner:
             peaks = np.abs(V).max(axis=1).astype(np.float64)
             P = _sliced(lambda v: v.astype(np.float64) @ self._w, V)
             bins = np.arange(ids.shape[1])
-            approx = _sliced(lambda i: np.take(
-                P.reshape(-1), i * bins.size + bins).sum(axis=1), ids)
-            mags = _sliced(lambda i: np.take(peaks, i) @ self._w_norms, ids)
+            approx = _sliced(lambda i: P.reshape(-1).take(
+                i * bins.size + bins).sum(axis=1), ids)
+            mags = _sliced(lambda i: peaks.take(i) @ self._w_norms, ids)
             slack = (3.0 * self._gamma * mags
                      + np.where(mags > 0.0, abs(bias) * 2.0 ** -51, 0.0))
 
@@ -589,7 +589,7 @@ class ContextMiner:
                 # exact rows are the maxima the filter read; only the rows of
                 # V that keep reads outlive the caller's reference to exact
                 used, local = np.unique(ids[keep], return_inverse=True)
-                return self._pool_slices(np.take(V, used, axis=0),
+                return self._pool_slices(V.take(used, axis=0),
                                          local.reshape(ids[keep].shape),
                                          xyxy[keep])
 
@@ -598,8 +598,9 @@ class ContextMiner:
 
         def exact(keep):
             for i in range(0, keep.shape[0], SLICE):
-                maps = _roi_align_many(self._source, xyxy[keep[i:i + SLICE]],
-                                       cfg.ph, cfg.pw, cfg.samples_per_bin)
+                boxes = [Box(*b) for b in xyxy[keep[i:i + SLICE]].tolist()]
+                maps = _roi_align_many(self._source, boxes, cfg.ph, cfg.pw,
+                                       cfg.samples_per_bin)
                 yield (np.stack([m.data.reshape(-1) for m in maps]),
                        maps.__getitem__)
 

@@ -8,11 +8,12 @@ routing records their backward passes need: argmax indices, or the
 grid lines align's samples touch and each bin's per-axis weights on
 them.  Both forwards gather a pixel-major F (F.transpose(1, 2, 0)
 C-contiguous) as whole D-rows and any other F per element, with the
-same bits: the layout picks only the gather.  Every row gather is np.take
-along axis 0, not fancy indexing, which copies narrow rows one at a time.
-Element gathers are np.take on a flat or 1-D array too: it outruns fancy
-indexing once a gather holds a few thousand elements, and on smaller
-ones its Python wrapper costs about 1 us more.
+same bits: the layout picks only the gather.  Every gather is the
+ndarray take method: rows along axis 0, where fancy indexing copies
+narrow rows one at a time, and elements from a flat or 1-D array, where
+take outruns fancy indexing once a gather holds a few thousand elements
+and matches it on smaller ones.  The np.take function gives the same
+bits, but its Python wrapper adds about 1 us a call.
 """
 
 from __future__ import annotations
@@ -158,13 +159,13 @@ def roi_pool(F: np.ndarray, r: Box, ph: int, pw: int) -> RoIMap:
         ph * pw, -1)
     pixels = F.transpose(1, 2, 0)
     if pixels.flags.c_contiguous:
-        windows = np.take(pixels.reshape(H * W, D), slots.T, axis=0)
+        windows = pixels.reshape(H * W, D).take(slots.T, axis=0)
         data, first = _first_max_slot(windows, 0)      # (ph*pw, D)
         data, first = np.ascontiguousarray(data.T), first.T
     else:
-        windows = np.take(F.reshape(D, H * W), slots.T, axis=1)
+        windows = F.reshape(D, H * W).take(slots.T, axis=1)
         data, first = _first_max_slot(windows, 1)      # (D, ph*pw)
-    argmax = np.take(slots, first + slots.shape[1] * np.arange(ph * pw))
+    argmax = slots.take(first + slots.shape[1] * np.arange(ph * pw))
     empty = ((ye <= ys)[:, None] | (xe <= xs)[None, :]).reshape(-1)
     data = data.astype(np.float32, copy=False)
     data[:, empty] = 0.0
@@ -323,31 +324,32 @@ def roi_align(F: np.ndarray, r: Box, ph: int, pw: int,
                   samples=samples.reshape(ph, pw, s * s, 2), taps=taps)
 
 
-def _roi_align_many(F: np.ndarray, xyxy: np.ndarray, ph: int, pw: int,
+def _roi_align_many(F: np.ndarray, boxes: list[Box], ph: int, pw: int,
                     samples_per_bin: int = 2) -> list[RoIMap]:
-    """roi_align of each row of an (N, 4) x1,y1,x2,y2 float64 array, bit
-    for bit, with numpy's per-call cost of the axis setup paid once for
-    all N boxes instead of once per box.
+    """roi_align of each of boxes, bit for bit, with numpy's per-call cost
+    of the axis setup paid once for all of them instead of once per box.
 
     Each axis's sample coordinates come from _align_axis_coords (the
     values _box_axis_coords gives), their lines and weights from
     _linear_taps, and _axis_folds folds them into each box's lines and
     K.  The gather and the two einsums are roi_align's own (_align_data).
     Each map owns its arrays, so a map kept alone does not hold the
-    others' alive.  The first box roi_align would refuse is refused with
+    others' alive.  Every box is checked as roi_align checks it before
+    any work, so the first box roi_align would refuse is refused with
     its error.
+
+    roi_align keeps its own setup on Python floats: on one box it takes
+    about half of this routine's time, while on the 16 boxes of a
+    mining round this routine takes about half the time of a roi_align
+    loop (tools/align_cost.py times both).
     """
     D, H, W = _check_feature_map(F)
     _check_extents("grid extents", ph, pw)
     _check_extents("samples per bin", samples_per_bin)
-    xyxy = np.asarray(xyxy, dtype=np.float64).reshape(-1, 4)
-    # each box's area inside the map, as Box.clip leaves it; the first
-    # box without one or with a non-finite corner raises roi_align's error
-    lo = np.minimum(np.maximum(xyxy[:, :2], 0.0), (W, H))
-    hi = np.minimum(np.maximum(xyxy[:, 2:], 0.0), (W, H))
-    inside = (np.maximum(lo, hi) - lo).prod(axis=1) > 0.0
-    for k in np.flatnonzero(~(np.isfinite(xyxy).all(axis=1) & inside))[:1]:
-        _clipped_or_raise(Box(*xyxy[k].tolist()), W, H)
+    for r in boxes:
+        _clipped_or_raise(r, W, H)
+    xyxy = np.array([(r.x1, r.y1, r.x2, r.y2) for r in boxes],
+                    dtype=np.float64).reshape(-1, 4)
     s, N = samples_per_bin, xyxy.shape[0]
     ys = _align_axis_coords(xyxy[:, 1], xyxy[:, 3], ph, s, H)
     xs = _align_axis_coords(xyxy[:, 0], xyxy[:, 2], pw, s, W)
@@ -355,10 +357,10 @@ def _roi_align_many(F: np.ndarray, xyxy: np.ndarray, ph: int, pw: int,
     samples[..., 0] = ys[:, :, None, :, None]
     samples[..., 1] = xs[:, None, :, None, :]
     pixel_rows = _pixel_rows(F)
-    return [RoIMap(_align_data(F, pixel_rows, *ty, *tx), Box(*box), (H, W),
+    return [RoIMap(_align_data(F, pixel_rows, *ty, *tx), r, (H, W),
                    samples=S.reshape(ph, pw, s * s, 2).copy(), taps=(*ty, *tx))
-            for box, S, ty, tx in zip(xyxy.tolist(), samples,
-                                      _axis_folds(ys, H), _axis_folds(xs, W))]
+            for r, S, ty, tx in zip(boxes, samples, _axis_folds(ys, H),
+                                    _axis_folds(xs, W))]
 
 
 def _axis_folds(c: np.ndarray, limit: int) -> list:
@@ -375,13 +377,14 @@ def _axis_folds(c: np.ndarray, limit: int) -> list:
     lines, weights = _linear_taps(c, limit)
     box = np.arange(N)[:, None, None, None]
     codes, at = _dedupe(box * limit + lines, N * limit)
-    first = np.searchsorted(codes, np.arange(N + 1) * limit).tolist()
-    n = max((b - a for a, b in zip(first, first[1:])), default=0)
+    first = np.searchsorted(codes, np.arange(N + 1) * limit)
+    n = int(np.diff(first).max(initial=0))
     K = np.zeros((N, bins, n))
     np.add.at(K.reshape(-1), ((box * bins + np.arange(bins)[:, None, None]) * n
-                              + at - np.take(first, box)).reshape(-1),
+                              + at - first.take(box)).reshape(-1),
               weights.reshape(-1))
     K /= s
+    first = first.tolist()
     return [(codes[a:b] - k * limit, K[k, :, :b - a].copy())
             for k, (a, b) in enumerate(zip(first, first[1:]))]
 
@@ -402,8 +405,7 @@ def _align_data(F: np.ndarray, pixel_rows: np.ndarray | None,
     gathered from pixel_rows (see _pixel_rows) when given, else from F."""
     D, _, W = F.shape
     if pixel_rows is not None:
-        patch = np.take(pixel_rows, (rows[:, None] * W + cols).reshape(-1),
-                        axis=0)
+        patch = pixel_rows.take((rows[:, None] * W + cols).reshape(-1), axis=0)
     else:
         patch = F[:, rows[:, None], cols].reshape(D, -1).T
     patch = np.ascontiguousarray(patch, dtype=np.float64).reshape(
@@ -474,7 +476,7 @@ def roi_align_bin_sums(planes: np.ndarray, xyxy: np.ndarray,
     in steps of as many.  A box reads 2*s*ph values of XS and a key
     2*s*pw values of the planes, so there are never more taps than the
     (2*s)^2*ph*pw per box of summing each box on its own, and the
-    temporaries do not grow with K.  Every gather is np.take (see the
+    temporaries do not grow with K.  Every gather is a take (see the
     module docstring), and a step's x weights are gathered once for all
     C columns.
     """
@@ -499,20 +501,19 @@ def roi_align_bin_sums(planes: np.ndarray, xyxy: np.ndarray,
         # mark spans the block, not every span of xyxy
         used, local = _dedupe(gx[k:k + B], cols.shape[0])
         gyk = gy[k:k + B]
-        keys, ids = _dedupe(local[:, None] * n + np.take(rows, gyk, axis=0),
+        keys, ids = _dedupe(local[:, None] * n + rows.take(gyk, axis=0),
                             used.shape[0] * n)
         XS = np.empty((C, keys.shape[0]))
         for q in range(0, keys.shape[0], B):
             g, row = np.divmod(keys[q:q + B], n)
-            g = np.take(used, g)
-            taps = np.take(start, row)[:, None] + np.take(cols, g, axis=0)
-            wg = np.take(wx, g, axis=0)
+            g = used.take(g)
+            taps = start.take(row)[:, None] + cols.take(g, axis=0)
+            wg = wx.take(g, axis=0)
             for c in range(C):
-                XS[c, q:q + B] = np.einsum("kt,kt->k", np.take(flat[c], taps),
-                                           wg)
-        w = np.take(wy, gyk, axis=0)
+                XS[c, q:q + B] = np.einsum("kt,kt->k", flat[c].take(taps), wg)
+        w = wy.take(gyk, axis=0)
         for c in range(C):
-            out[c, k:k + B] = np.einsum("kt,kt->k", np.take(XS[c], ids), w)
+            out[c, k:k + B] = np.einsum("kt,kt->k", XS[c].take(ids), w)
     out /= s * s
     return out.T
 
@@ -627,9 +628,9 @@ class RangeMaxTable:
         top = ((ka * self._levels.shape[1] + kb) * H + y0) * W
         low = top + (ya - y0) * W
         flat = self._levels.reshape(-1, D)
-        out = np.take(flat, top + x0, axis=0)
+        out = flat.take(top + x0, axis=0)
         for corner in (top + xb, low + x0, low + xb):
-            np.maximum(out, np.take(flat, corner, axis=0), out=out)
+            np.maximum(out, flat.take(corner, axis=0), out=out)
         out[empty] = 0.0
         return out
 
@@ -664,7 +665,7 @@ class RangeMaxTable:
         synthetic trainer; it stays because ctxbench's tracer wraps it by
         name and the synth-train workload expects its span."""
         V, ids = self.pool_xyxy(xyxy, ph, pw)
-        maps = np.take(V, ids, axis=0).reshape(len(ids), ph, pw, V.shape[1])
+        maps = V.take(ids, axis=0).reshape(len(ids), ph, pw, V.shape[1])
         return maps.transpose(0, 3, 1, 2)
 
 
@@ -686,4 +687,4 @@ def _dedupe(codes: np.ndarray, size: int):
         return values, index.reshape(codes.shape)
     used = np.zeros(size, dtype=bool)
     used[codes] = True
-    return np.flatnonzero(used), np.take(np.cumsum(used) - 1, codes)
+    return np.flatnonzero(used), (np.cumsum(used) - 1).take(codes)

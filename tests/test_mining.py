@@ -1304,9 +1304,9 @@ class TestAlignSelection:
             calls.append(args[1])
             return real(*args, **kwargs)
 
-        def counting_many(F, xyxy, *args, **kwargs):
-            calls.extend(xyxy)
-            return real_many(F, xyxy, *args, **kwargs)
+        def counting_many(F, boxes, *args, **kwargs):
+            calls.extend(boxes)
+            return real_many(F, boxes, *args, **kwargs)
 
         monkeypatch.setattr(mining, "roi_align", counting)
         monkeypatch.setattr(mining, "_roi_align_many", counting_many)

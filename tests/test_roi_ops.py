@@ -782,14 +782,13 @@ class TestAlignMany:
         F = align_layout_map(rng, kind)
         boxes = ALIGN_MANY_BOXES + [random_roi(rng, 13, 11)
                                     for _ in range(SLICE)]
-        xyxy = np.array([(r.x1, r.y1, r.x2, r.y2) for r in boxes])
         shared = 0
         for G in layouts(F):
-            for k, r in enumerate(ALIGN_MANY_BOXES):
-                got, = roi_ops._roi_align_many(G, xyxy[k:k + 1], 5, 3, s)
+            for r in ALIGN_MANY_BOXES:
+                got, = roi_ops._roi_align_many(G, [r], 5, 3, s)
                 assert_same_align_map(got, roi_align(G, r, 5, 3, s))
                 shared += got.taps[2].size < 2 * s * 3
-            maps = roi_ops._roi_align_many(G, xyxy, 5, 3, s)
+            maps = roi_ops._roi_align_many(G, boxes, 5, 3, s)
             assert len(maps) == len(boxes) > SLICE
             for got, r in zip(maps, boxes):
                 assert_same_align_map(got, roi_align(G, r, 5, 3, s))
@@ -797,14 +796,13 @@ class TestAlignMany:
 
     def test_no_boxes(self):
         F = np.ones((2, 11, 13), dtype=np.float32)
-        assert roi_ops._roi_align_many(F, np.zeros((0, 4)), 7, 7, 2) == []
+        assert roi_ops._roi_align_many(F, [], 7, 7, 2) == []
 
     def test_maps_own_their_arrays(self):
         """No map's arrays view another's, so one kept map holds only its
         own."""
         F = align_layout_map(np.random.default_rng(132), "float32")
-        xyxy = np.array([(r.x1, r.y1, r.x2, r.y2) for r in ALIGN_CLAMPED])
-        for m in roi_ops._roi_align_many(F, xyxy, 4, 4, 2):
+        for m in roi_ops._roi_align_many(F, ALIGN_CLAMPED, 4, 4, 2):
             for a in (m.data, m.samples, *m.taps):
                 assert a.base is None or a.base.size == a.size
 
@@ -813,12 +811,10 @@ class TestAlignMany:
                                      Box(2.0, 2.0, math.inf, 8.0)])
     def test_refuses_what_roi_align_refuses(self, bad):
         F = np.ones((2, 11, 13), dtype=np.float32)
-        xyxy = np.array([(1.0, 1.0, 5.0, 5.0), (bad.x1, bad.y1, bad.x2,
-                                                  bad.y2)])
         with pytest.raises(DegenerateBoxError) as want:
             roi_align(F, bad, 7, 7, 2)
         with pytest.raises(DegenerateBoxError) as got:
-            roi_ops._roi_align_many(F, xyxy, 7, 7, 2)
+            roi_ops._roi_align_many(F, [Box(1.0, 1.0, 5.0, 5.0), bad], 7, 7, 2)
         assert str(got.value) == str(want.value)
 
 

@@ -11,8 +11,9 @@ backward pass calls it.  Shapes: the benchmark's fixed ones, D=64 at
 50x50 with a 6 px box and D=256 at 38x38 with a 9 px box, and whole-map
 boxes, D=256 at 38x38 and at 200x200 and D=512 at 64x64.  Each line
 gives the shape, the layout and the median microseconds per call of the
-forward and the backward over N timed calls after 3 untimed ones.  A
-last line times the 16 boxes that mining two 6 px RoIs keeps on a D=64
+forward, of the miner's batched _roi_align_many on that one box ("-" on
+a tree without it) and of the backward, over N timed calls after 3
+untimed ones.  A last line times the 16 boxes that mining two 6 px RoIs keeps on a D=64
 50x50 map, as a round of the benchmark's train-align-d64 does: a loop of
 roi_align calls against one call of the miner's batched _roi_align_many
 (pixel-major; "-" on a tree without it).  Run it on two source trees to
@@ -62,8 +63,10 @@ def main(argv=None) -> int:
     from roictx.geometry import Box
     from roictx.roi_ops import roi_align, roi_align_backward
 
+    many = getattr(roi_ops, "_roi_align_many", None)
     rng = np.random.default_rng(20261020)
-    print(f"{'shape':<24} {'layout':<12} {'forward_us':>11} {'backward_us':>12}")
+    print(f"{'shape':<24} {'layout':<12} {'forward_us':>11} {'one_batched_us':>15}"
+          f" {'backward_us':>12}")
     for label, D, H, W, box in SHAPES:
         F = rng.normal(0.0, 1.0, (D, H, W)).astype(np.float32)
         g = rng.normal(0.0, 1.0, (D, BINS, BINS)).astype(np.float32)
@@ -74,10 +77,15 @@ def main(argv=None) -> int:
             m = roi_align(G, r, BINS, BINS, SAMPLES)
             fwd = median_us(lambda: roi_align(G, r, BINS, BINS, SAMPLES),
                             args.repeats)
+            one = "-"
+            if many is not None:
+                us = median_us(lambda: many(G, [r], BINS, BINS, SAMPLES),
+                               args.repeats)
+                one = f"{us:.1f}"
             bwd = median_us(lambda: roi_align_backward(g, m, F.shape, out=out),
                             args.repeats)
             print(f"{label} D={D} {H}x{W}".ljust(24)
-                  + f" {layout:<12} {fwd:>11.1f} {bwd:>12.1f}")
+                  + f" {layout:<12} {fwd:>11.1f} {one:>15} {bwd:>12.1f}")
 
     # a smoothed map, scorer and two RoIs like train-align-d64's
     F = rng.normal(0.0, 1.0, (64, 50, 50))
@@ -93,11 +101,9 @@ def main(argv=None) -> int:
     pixel = F.transpose(1, 2, 0).copy().transpose(2, 0, 1)
     loop = median_us(lambda: [roi_align(pixel, b, BINS, BINS, SAMPLES)
                               for b in boxes], args.repeats)
-    many = getattr(roi_ops, "_roi_align_many", None)
     batched = "-"
     if many is not None:
-        xyxy = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes])
-        us = median_us(lambda: many(pixel, xyxy, BINS, BINS, SAMPLES),
+        us = median_us(lambda: many(pixel, boxes, BINS, BINS, SAMPLES),
                        args.repeats)
         batched = f"{us:.1f}"
     print(f"kept {len(boxes)} D=64 50x50".ljust(24)
