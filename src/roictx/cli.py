@@ -20,8 +20,13 @@ from .geometry import Box, load_roi_csv, save_roi_csv
 from .tensor import load_ften, save_ften
 
 
-def _boxes(path) -> list[Box]:
-    return [row[0] for row in load_roi_csv(path)]
+def _boxes(path, allow_empty: bool = False) -> list[Box]:
+    """The boxes of a RoI CSV; one with no rows is a FormatError unless
+    allow_empty, as the map commands have nothing to write for it."""
+    boxes = [row[0] for row in load_roi_csv(path)]
+    if not (boxes or allow_empty):
+        raise FormatError(f"{path}: holds no RoIs")
+    return boxes
 
 
 def _parse_floats(text, n, what):
@@ -143,7 +148,7 @@ def _cmd_attack(args) -> int:
         root = attacks.SplitMix64(args.seed)
         for i, entry in enumerate(entries):
             image = load_ften(entry["in"])
-            boxes = _boxes(entry["boxes"])
+            boxes = _boxes(entry["boxes"], allow_empty=True)
             seed_i = root.split(i).next_u64()
             save_ften(entry["out"],
                       attacks.apply_patches(image, boxes, args.kind, seed_i, patch))
@@ -151,7 +156,7 @@ def _cmd_attack(args) -> int:
     if not (args.infile and args.out and args.boxes):
         raise FormatError("attack needs --in/--boxes/--out (or --manifest)")
     image = load_ften(args.infile)
-    boxes = _boxes(args.boxes)
+    boxes = _boxes(args.boxes, allow_empty=True)
     save_ften(args.out,
               attacks.apply_patches(image, boxes, args.kind, args.seed, patch))
     return 0

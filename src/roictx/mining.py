@@ -484,8 +484,9 @@ class ContextMiner:
 
     The exact stage makes the rescored candidates' maps SLICE at a time
     with roi_ops._roi_align_many, on the miner's pixel-major copy of the
-    map: roi_align bit for bit, with the per-box axis setup done once
-    per slice.  The object maps stay on roi_map and roi_align.
+    map, so the axis setup runs once per slice.  roi_align is that
+    routine on one box, so these maps equal roi_align's bit for bit.
+    The object maps stay on roi_map and roi_align.
 
     G and A hold 2*ph*pw*H*W float64 values, one plane after the other as
     roi_align_bin_sums reads them.  Per chunk the filter holds the (K, 2)

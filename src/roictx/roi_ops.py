@@ -157,9 +157,9 @@ def roi_pool(F: np.ndarray, r: Box, ph: int, pw: int) -> RoIMap:
     cols = _window_slots(xs, xe, W)                    # (pw, mw)
     slots = (rows[:, None, :, None] * W + cols[None, :, None, :]).reshape(
         ph * pw, -1)
-    pixels = F.transpose(1, 2, 0)
-    if pixels.flags.c_contiguous:
-        windows = pixels.reshape(H * W, D).take(slots.T, axis=0)
+    pixel_rows = _pixel_rows(F)
+    if pixel_rows is not None:
+        windows = pixel_rows.take(slots.T, axis=0)
         data, first = _first_max_slot(windows, 0)      # (ph*pw, D)
         data, first = np.ascontiguousarray(data.T), first.T
     else:
@@ -249,41 +249,6 @@ def _align_axis_coords(lo, hi, bins: int, s: int, limit: int) -> np.ndarray:
     return np.clip(c, 0.0, float(limit - 1))
 
 
-def _box_axis_coords(lo, hi, bins: int, s: int, limit: int) -> np.ndarray:
-    """_align_axis_coords of one box, flat (bins*s,), computed with the
-    same float64 operations on Python floats, which skips numpy's per-call
-    cost.  The clamp is np.clip's: a -0.0 stays -0.0.  A coordinate that
-    is not finite sends the box to _align_axis_coords and its halves
-    rule."""
-    lo, hi = float(lo), float(hi)
-    extent, top = hi - lo, float(limit - 1)
-    c = [lo + (i + (a + 0.5) / s) * extent / bins
-         for i in range(bins) for a in range(s)]
-    if not all(map(math.isfinite, c)):
-        return _align_axis_coords(np.array([lo]), np.array([hi]), bins, s,
-                                  limit).reshape(-1)
-    return np.array([0.0 if v < 0.0 else top if v > top else v for v in c])
-
-
-def _axis_weights(c: np.ndarray, bins: int, s: int, limit: int):
-    """The ascending grid lines that one axis's bins*s sample coordinates
-    c (clamped to [0, limit-1]) touch, at most 2*s*bins of them, and the
-    (bins, lines) float64 matrix K of each bin's mean linear weight on
-    each line: from zero, a bin's 2*s weights added in (sample,
-    lower/upper neighbour) order, then divided by s.  On Python floats,
-    which skips numpy's per-call cost on these few values."""
-    taps = []
-    for v in c.tolist():
-        lo = math.floor(v)
-        taps += [(lo, 1.0 - (v - lo)), (min(lo + 1, limit - 1), v - lo)]
-    lines = sorted({line for line, _ in taps})
-    at = {line: k for k, line in enumerate(lines)}
-    K = [[0.0] * len(lines) for _ in range(bins)]
-    for k, (line, w) in enumerate(taps):
-        K[k // (2 * s)][at[line]] += w
-    return np.array(lines), np.array(K) / s
-
-
 def roi_align(F: np.ndarray, r: Box, ph: int, pw: int,
               samples_per_bin: int = 2) -> RoIMap:
     """Average bilinear samples on a regular per-bin grid; no quantization.
@@ -292,11 +257,14 @@ def roi_align(F: np.ndarray, r: Box, ph: int, pw: int,
     map are clamped to the border, so boundary RoIs still produce (and
     later receive) gradient.  A bilinear weight is a row weight times a
     column weight, so the map is Ky F Kx^T over the grid lines that the
-    samples touch, with Ky and Kx each bin's mean linear weights (see
-    _axis_weights); it keeps its samples and taps (see RoIMap).  The
-    patch F[rows][:, cols] is gathered as C-contiguous float64 (rows,
-    cols, D), whatever F's layout, and reduced by np.einsum's own loops,
-    so the layout moves no bit and outputs repeat from run to run.
+    samples touch.  Ky and Kx hold each bin's mean linear weight on each
+    line: from zero, the bin's 2*s weights along the axis added in
+    (sample, lower/upper neighbour) order, then divided by s.  The map
+    keeps its samples and taps (see RoIMap).  The patch F[rows][:, cols]
+    is gathered as C-contiguous float64 (rows, cols, D), whatever F's
+    layout, and reduced by np.einsum's own loops, so the layout moves no
+    bit and outputs repeat from run to run.  It is _roi_align_many on
+    the one box.
 
     Precision contract (Higham, Accuracy and Stability of Numerical
     Algorithms, ch. 3): with R the exact RoIAlign of F at the samples and
@@ -308,40 +276,23 @@ def roi_align(F: np.ndarray, r: Box, ph: int, pw: int,
     below the normal range.  A NaN or inf on a touched line makes its
     channel's outputs NaN or inf.
     """
-    D, H, W = _check_feature_map(F)
-    _check_extents("grid extents", ph, pw)
-    _check_extents("samples per bin", samples_per_bin)
-    _clipped_or_raise(r, W, H)
-
-    s = samples_per_bin
-    ys = _box_axis_coords(r.y1, r.y2, ph, s, H)
-    xs = _box_axis_coords(r.x1, r.x2, pw, s, W)
-    samples = np.empty((ph, pw, s, s, 2), dtype=np.float64)
-    samples[..., 0] = ys.reshape(ph, 1, s, 1)
-    samples[..., 1] = xs.reshape(1, pw, 1, s)
-    taps = (*_axis_weights(ys, ph, s, H), *_axis_weights(xs, pw, s, W))
-    return RoIMap(_align_data(F, _pixel_rows(F), *taps), r, (H, W),
-                  samples=samples.reshape(ph, pw, s * s, 2), taps=taps)
+    return _roi_align_many(F, [r], ph, pw, samples_per_bin)[0]
 
 
 def _roi_align_many(F: np.ndarray, boxes: list[Box], ph: int, pw: int,
                     samples_per_bin: int = 2) -> list[RoIMap]:
-    """roi_align of each of boxes, bit for bit, with numpy's per-call cost
-    of the axis setup paid once for all of them instead of once per box.
+    """roi_align of each of boxes, with numpy's per-call cost of the axis
+    setup paid once for all of them instead of once per box.
 
-    Each axis's sample coordinates come from _align_axis_coords (the
-    values _box_axis_coords gives), their lines and weights from
-    _linear_taps, and _axis_folds folds them into each box's lines and
-    K.  The gather and the two einsums are roi_align's own (_align_data).
-    Each map owns its arrays, so a map kept alone does not hold the
-    others' alive.  Every box is checked as roi_align checks it before
-    any work, so the first box roi_align would refuse is refused with
-    its error.
-
-    roi_align keeps its own setup on Python floats: on one box it takes
-    about half of this routine's time, while on the 16 boxes of a
-    mining round this routine takes about half the time of a roi_align
-    loop (tools/align_cost.py times both).
+    Each axis's sample coordinates come from _align_axis_coords, their
+    lower and upper lines and weights from _linear_taps, and _axis_folds
+    folds them into each box's ascending lines and K: from zero, a bin's
+    2*s weights in (sample, lower/upper neighbour) order, then divided by
+    s.  _align_data gathers the patch and runs the two einsums.  Each map
+    owns its arrays, so a map kept alone does not hold the others' alive.
+    The map, the grid and every box are checked before any work, so the
+    first box with a non-finite corner or no area inside the map is
+    refused with its error.
     """
     D, H, W = _check_feature_map(F)
     _check_extents("grid extents", ph, pw)
@@ -364,14 +315,17 @@ def _roi_align_many(F: np.ndarray, boxes: list[Box], ph: int, pw: int,
 
 
 def _axis_folds(c: np.ndarray, limit: int) -> list:
-    """_axis_weights of N boxes at once, from their (N, bins, s) sample
-    coordinates c along one axis: each box's (lines, K).
+    """Each box's (lines, K) along one axis, from N boxes' (N, bins, s)
+    sample coordinates c: the ascending grid lines its samples touch and
+    the (bins, lines) float64 matrix of each bin's mean linear weight on
+    each line.
 
-    One _dedupe of (box, line) codes gives each box's ascending lines
-    and each tap's column of K; one np.add.at adds the taps in
-    _axis_weights' (bin, sample, lower/upper) order from zero, and the
-    sums are divided by s.  K is built padded to the most lines of any
-    box, and each box's columns copied out C-contiguous.
+    One _dedupe of (box, line) codes gives each box's lines and each
+    tap's column of K.  One np.add.at, which applies its indices one
+    after another, adds the taps from zero in (bin, sample, lower/upper
+    neighbour) order, and the sums are divided by s.  K is built padded
+    to the most lines of any box, and each box's columns copied out
+    C-contiguous.
     """
     N, bins, s = c.shape
     lines, weights = _linear_taps(c, limit)
@@ -533,9 +487,11 @@ def _axis_taps(lo, hi, bins: int, s: int, limit: int, stride: int):
 
 
 def _linear_taps(c: np.ndarray, limit: int):
-    """The lower and upper grid neighbours of clamped coordinates c and
-    their linear weights, each stacked on a new last axis of 2, with
-    _axis_weights' bits."""
+    """The lower and upper grid neighbours of clamped coordinates c,
+    floor(c) and floor(c) + 1 capped at limit - 1, and their linear
+    weights 1 - (c - floor(c)) and c - floor(c), each stacked on a new
+    last axis of 2: flattened, an axis's taps run in (bin, sample,
+    lower/upper neighbour) order."""
     lo = np.floor(c).astype(np.int64)
     return (np.stack([lo, np.minimum(lo + 1, limit - 1)], axis=-1),
             np.stack([1 - (c - lo), c - lo], axis=-1))

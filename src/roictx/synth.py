@@ -9,7 +9,7 @@ shared context scorer) is trained by plain SGD on the classification
 loss.  The blob is much smaller than a cell, so that whole-cell pooling
 dilutes it while a mined candidate box could cover it.  That is the
 design intent only: whether learned mining localizes the blob, and beats
-the fixed layouts, is an open experiment (ROADMAP item 5).
+the fixed layouts, is an open experiment (ROADMAP item 7).
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ class _MiningFeatures:
         return _first_max(scorer.score_flat(self.flats), self.starts)
 
     def feature(self, picked: np.ndarray) -> np.ndarray:
-        rows = np.take(self.flats, picked, axis=0).reshape(-1)
+        rows = self.flats.take(picked, axis=0).reshape(-1)
         return np.concatenate([self.object_flat, rows]).astype(np.float64)
 
 

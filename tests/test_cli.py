@@ -90,6 +90,33 @@ class TestNonFiniteRois:
         assert not (tmp / "o.ften").exists()
 
 
+class TestEmptyRois:
+    """A RoI CSV without rows (here only a comment) is a format error
+    naming the file for every command that writes one map per RoI, and
+    attack copies the image unchanged."""
+
+    @pytest.mark.parametrize("case", ["roipool", "roialign", "ctxmine-pool",
+                                      "variant-neigh8-pool"])
+    def test_exits_1(self, inputs, capsys, case):
+        tmp, _ = inputs
+        with open(tmp / "rois.csv", "w", encoding="utf-8") as fh:
+            fh.write("# no boxes\n")
+        args = [a.format(scorer=tmp / "scorer.ften", report=tmp / "r.json")
+                for a in RUN_CASES[case]]
+        assert cli.main(args + _io(tmp, "o.ften")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp / 'rois.csv'}: holds no RoIs\n")
+        assert not (tmp / "o.ften").exists()
+
+    def test_attack_copies_the_image(self, inputs):
+        tmp, F = inputs
+        (tmp / "none.csv").write_text("", encoding="utf-8")
+        assert cli.main(["attack", "--kind", "black", "--in",
+                         str(tmp / "F.ften"), "--boxes", str(tmp / "none.csv"),
+                         "--out", str(tmp / "a.ften")]) == 0
+        assert load_ften(tmp / "a.ften").tobytes() == F.tobytes()
+
+
 class TestRoiOpCommands:
     def test_roipool_equals_library(self, inputs):
         tmp, F = inputs

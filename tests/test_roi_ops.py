@@ -719,18 +719,62 @@ ALIGN_AXES = [(-0.0, 5.5), (-0.0, 5e-324), (-0.0, -5e-324), (-3.0, 4.0),
               (-2.61e307, 9e305), (0.0, 5e307), (-1e308, 1e308)]
 
 
+# Boxes on a 13 x 11 map: interior; sub-pixel, whose samples share grid
+# lines; border-clamped and negative; one wider than the map; and
+# ALIGN_OVERFLOWING, which takes the halves rule
+ALIGN_MANY_BOXES = ([Box(2.0, 3.0, 9.5, 8.25), Box(4.3, 1.7, 10.1, 9.9)]
+                    + [Box(5.2, 4.1, 5.45, 4.3), Box(6.01, 6.01, 6.02, 6.5),
+                       Box(-0.0, -0.0, 5e-324, 5.5)]
+                    + ALIGN_CLAMPED + [Box(-6.5, -2.0, 3.0, 4.0)]
+                    + [Box(-20.0, -1.0, 40.0, 12.0)] + ALIGN_OVERFLOWING)
+
+
+def scalar_axis_coords(lo, hi, bins, s, limit):
+    """The clamped sample coordinates of one axis, flat (bins*s,), on
+    Python floats: lo + (t * (hi - lo)) / bins with t the bin index plus
+    (a + 0.5) / s for sample a; where that is not finite, (lo/2 + (t /
+    bins) * (hi/2 - lo/2)) * 2; then clamped to [0, limit - 1], where a
+    -0.0 stays -0.0."""
+    lo, hi, top = float(lo), float(hi), float(limit - 1)
+    out = []
+    for i in range(bins):
+        for a in range(s):
+            t = i + (a + 0.5) / s
+            c = lo + t * (hi - lo) / bins
+            if not math.isfinite(c):
+                c = (lo / 2 + (t / bins) * (hi / 2 - lo / 2)) * 2
+            out.append(0.0 if c < 0.0 else top if c > top else c)
+    return np.array(out)
+
+
+def scalar_axis_taps(c, bins, s, limit):
+    """The ascending grid lines that one axis's flat sample coordinates
+    c touch, and the (bins, lines) matrix of each bin's mean linear
+    weight on them: from zero, a bin's 2*s weights added in (sample,
+    lower/upper neighbour) order, then divided by s."""
+    taps = []
+    for v in c.tolist():
+        lo = math.floor(v)
+        taps += [(lo, 1.0 - (v - lo)), (min(lo + 1, limit - 1), v - lo)]
+    lines = sorted({line for line, _ in taps})
+    K = [[0.0] * len(lines) for _ in range(bins)]
+    for k, (line, w) in enumerate(taps):
+        K[k // (2 * s)][lines.index(line)] += w
+    return np.array(lines), np.array(K) / s
+
+
 class TestAlignTaps:
-    """roi_align computes each axis's sample coordinates on Python floats,
-    with the bits of the array path they replace."""
+    """roi_align's sample coordinates, samples and taps equal scalar
+    oracles on Python floats, byte for byte."""
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_scalar_axis_coords_match_array_path(self, s):
         wide = negative_zero = 0
         for lo, hi in ALIGN_AXES:
             for bins in (1, 3, 7):
-                want = roi_ops._align_axis_coords(
+                got = roi_ops._align_axis_coords(
                     np.array([lo]), np.array([hi]), bins, s, 13).reshape(-1)
-                got = roi_ops._box_axis_coords(lo, hi, bins, s, 13)
+                want = scalar_axis_coords(lo, hi, bins, s, 13)
                 assert got.tobytes() == want.tobytes()
                 wide += not math.isfinite((bins - 0.5 / s) * (hi - lo))
                 negative_zero += bool(np.signbit(got[got == 0.0]).any())
@@ -742,20 +786,31 @@ class TestAlignTaps:
             for r in ALIGN_CLAMPED:
                 for (lo, hi), limit in (((r.x1, r.x2), 13), ((r.y1, r.y2), 11)):
                     for bins in range(1, 8):
-                        want = roi_ops._align_axis_coords(
+                        got = roi_ops._align_axis_coords(
                             np.array([lo], dtype=np.float64),
                             np.array([hi], dtype=np.float64), bins, s, limit)
-                        got = roi_ops._box_axis_coords(lo, hi, bins, s, limit)
-                        assert got.tobytes() == want.reshape(-1).tobytes()
+                        want = scalar_axis_coords(lo, hi, bins, s, limit)
+                        assert got.reshape(-1).tobytes() == want.tobytes()
 
-# Boxes on a 13 x 11 map for _roi_align_many: interior; sub-pixel, whose
-# samples share grid lines; border-clamped and negative; one wider than
-# the map; and ALIGN_OVERFLOWING, which takes the halves rule
-ALIGN_MANY_BOXES = ([Box(2.0, 3.0, 9.5, 8.25), Box(4.3, 1.7, 10.1, 9.9)]
-                    + [Box(5.2, 4.1, 5.45, 4.3), Box(6.01, 6.01, 6.02, 6.5),
-                       Box(-0.0, -0.0, 5e-324, 5.5)]
-                    + ALIGN_CLAMPED + [Box(-6.5, -2.0, 3.0, 4.0)]
-                    + [Box(-20.0, -1.0, 40.0, 12.0)] + ALIGN_OVERFLOWING)
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_samples_and_taps_match_scalar_fold(self, s):
+        """Every ALIGN_MANY_BOXES box at 5 x 3 and 1 x 7 bins: samples and
+        the four taps arrays, with their dtypes and shapes."""
+        F = np.zeros((2, 11, 13), dtype=np.float32)
+        for r in ALIGN_MANY_BOXES:
+            for ph, pw in ((5, 3), (1, 7)):
+                m = roi_align(F, r, ph, pw, s)
+                ys = scalar_axis_coords(r.y1, r.y2, ph, s, 11)
+                xs = scalar_axis_coords(r.x1, r.x2, pw, s, 13)
+                samples = np.empty((ph, pw, s, s, 2))
+                samples[..., 0] = ys.reshape(ph, 1, s, 1)
+                samples[..., 1] = xs.reshape(1, pw, 1, s)
+                taps = (*scalar_axis_taps(ys, ph, s, 11),
+                        *scalar_axis_taps(xs, pw, s, 13))
+                for got, want in [(m.samples, samples.reshape(ph, pw, -1, 2)),
+                                  *zip(m.taps, taps, strict=True)]:
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                    assert got.tobytes() == want.tobytes()
 
 
 def assert_same_align_map(got, want):
@@ -769,14 +824,15 @@ def assert_same_align_map(got, want):
 
 
 class TestAlignMany:
-    """_roi_align_many, the miner's batched roi_align, equals roi_align
-    box by box, byte for byte."""
+    """_roi_align_many, the miner's batched roi_align, gives each box the
+    map roi_align gives it alone, byte for byte, however many boxes
+    share the call."""
 
     @pytest.mark.parametrize("kind", ["float32", "subnormal"])
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_equals_roi_align_box_by_box(self, kind, s):
-        """Every ALIGN_MANY_BOXES box alone (N = 1), then all of them
-        among random boxes, more than one mining.SLICE, in both layouts."""
+        """ALIGN_MANY_BOXES among random boxes, more than one mining.SLICE
+        in one call, in both layouts."""
         from roictx.mining import SLICE
         rng = np.random.default_rng([131, s, kind == "subnormal"])
         F = align_layout_map(rng, kind)
@@ -784,14 +840,12 @@ class TestAlignMany:
                                     for _ in range(SLICE)]
         shared = 0
         for G in layouts(F):
-            for r in ALIGN_MANY_BOXES:
-                got, = roi_ops._roi_align_many(G, [r], 5, 3, s)
-                assert_same_align_map(got, roi_align(G, r, 5, 3, s))
-                shared += got.taps[2].size < 2 * s * 3
             maps = roi_ops._roi_align_many(G, boxes, 5, 3, s)
             assert len(maps) == len(boxes) > SLICE
             for got, r in zip(maps, boxes):
                 assert_same_align_map(got, roi_align(G, r, 5, 3, s))
+            shared += sum(m.taps[2].size < 2 * s * 3
+                          for m in maps[:len(ALIGN_MANY_BOXES)])
         assert shared >= 2
 
     def test_no_boxes(self):

@@ -11,13 +11,12 @@ backward pass calls it.  Shapes: the benchmark's fixed ones, D=64 at
 50x50 with a 6 px box and D=256 at 38x38 with a 9 px box, and whole-map
 boxes, D=256 at 38x38 and at 200x200 and D=512 at 64x64.  Each line
 gives the shape, the layout and the median microseconds per call of the
-forward, of the miner's batched _roi_align_many on that one box ("-" on
-a tree without it) and of the backward, over N timed calls after 3
-untimed ones.  A last line times the 16 boxes that mining two 6 px RoIs keeps on a D=64
-50x50 map, as a round of the benchmark's train-align-d64 does: a loop of
-roi_align calls against one call of the miner's batched _roi_align_many
-(pixel-major; "-" on a tree without it).  Run it on two source trees to
-compare them.
+forward and of the backward, over N timed calls after 3 untimed ones.
+A last line times the 16 boxes that mining two 6 px RoIs keeps on a
+D=64 50x50 map, as a round of the benchmark's train-align-d64 does: a
+loop of roi_align calls against one call of the miner's batched
+_roi_align_many (pixel-major; "-" on a tree without it).  Run it on two
+source trees to compare them.
 """
 
 from __future__ import annotations
@@ -65,8 +64,7 @@ def main(argv=None) -> int:
 
     many = getattr(roi_ops, "_roi_align_many", None)
     rng = np.random.default_rng(20261020)
-    print(f"{'shape':<24} {'layout':<12} {'forward_us':>11} {'one_batched_us':>15}"
-          f" {'backward_us':>12}")
+    print(f"{'shape':<24} {'layout':<12} {'forward_us':>11} {'backward_us':>12}")
     for label, D, H, W, box in SHAPES:
         F = rng.normal(0.0, 1.0, (D, H, W)).astype(np.float32)
         g = rng.normal(0.0, 1.0, (D, BINS, BINS)).astype(np.float32)
@@ -77,15 +75,10 @@ def main(argv=None) -> int:
             m = roi_align(G, r, BINS, BINS, SAMPLES)
             fwd = median_us(lambda: roi_align(G, r, BINS, BINS, SAMPLES),
                             args.repeats)
-            one = "-"
-            if many is not None:
-                us = median_us(lambda: many(G, [r], BINS, BINS, SAMPLES),
-                               args.repeats)
-                one = f"{us:.1f}"
             bwd = median_us(lambda: roi_align_backward(g, m, F.shape, out=out),
                             args.repeats)
             print(f"{label} D={D} {H}x{W}".ljust(24)
-                  + f" {layout:<12} {fwd:>11.1f} {one:>15} {bwd:>12.1f}")
+                  + f" {layout:<12} {fwd:>11.1f} {bwd:>12.1f}")
 
     # a smoothed map, scorer and two RoIs like train-align-d64's
     F = rng.normal(0.0, 1.0, (64, 50, 50))
