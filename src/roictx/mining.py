@@ -29,9 +29,9 @@ import numpy as np
 
 from .errors import DegenerateBoxError, NumericError, ShapeError
 from .geometry import Box, iou
-from .roi_ops import RangeMaxTable, RoIMap, _check_extents, _roi_align_many, \
-    roi_align, roi_align_backward, roi_align_bin_sums, roi_pool, \
-    roi_pool_backward
+from .roi_ops import RangeMaxTable, RoIMap, _check_extents, \
+    _check_feature_map, _roi_align_many, roi_align, roi_align_backward, \
+    roi_align_bin_sums, roi_pool, roi_pool_backward
 from .tensor import concat_channels
 
 DIRECTIONS = ("left-top", "top", "right-top", "left", "right",
@@ -93,18 +93,20 @@ class CandidateGridSpec:
     edge of at least short_edge_frac of the cell's short edge, a long
     edge no longer than the cell's long edge, and IoU with the cell
     anchor of at least anchor_iou_min, judged on the cell's shape (see
-    candidate_pool_for_cell).  include_anchor=False drops the anchor from
-    the pool (used to pin pools to explicit candidates, e.g. the full cell).
-    A value that is not finite raises DegenerateBoxError naming its field.
+    candidate_pool_for_cell).  Every pool holds the anchor first.
+    offset_fracs and size_fracs are stored as tuples, so a spec given
+    lists equals, and hashes as, the spec given the same tuples.  A value
+    that is not finite raises DegenerateBoxError naming its field.
     """
 
     offset_fracs: tuple = (-0.25, -0.125, 0.0, 0.125, 0.25)
     size_fracs: tuple = (1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0)
     anchor_iou_min: float = 0.3
     short_edge_frac: float = 1.0 / 3.0
-    include_anchor: bool = True
 
     def __post_init__(self):
+        for name in ("offset_fracs", "size_fracs"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for name, value in vars(self).items():
             if not np.isfinite(value).all():
                 raise DegenerateBoxError(f"{name} must be finite, got {value}")
@@ -171,7 +173,7 @@ def _candidate_arrays(cells: np.ndarray, grid: CandidateGridSpec,
         floor = grid.short_edge_frac * np.minimum(cw, ch)
         ceil = np.maximum(cw, ch)
         keep = (np.minimum(w, h) >= floor) & (np.maximum(w, h) <= ceil)
-        keep[:, 0] = grid.include_anchor
+        keep[:, 0] = True
         valid = (np.isfinite(size) & (size > 0.0)).all(axis=1)
         if map_bounds is not None:
             raw, rows = rows, _clip_like_box(rows, *map_bounds)
@@ -220,8 +222,7 @@ def _chunk_pools(rois: list, grid, map_bounds) -> CandidatePools:
 def candidate_pool_for_cell(cell: Box, grid: CandidateGridSpec,
                             map_bounds) -> list[Box] | None:
     """Enumerate and filter the candidate pool of one cell, as a list of
-    boxes with the anchor first when grid.include_anchor is set: a
-    one-cell Box view of _candidate_arrays.
+    boxes with the anchor first: a one-cell Box view of _candidate_arrays.
 
     Raw candidates come from the offset x size grid in the documented
     nested order (oy, ox, sh, sw).  A combo is kept when its IoU with the
@@ -485,8 +486,10 @@ class ContextMiner:
     The exact stage makes the rescored candidates' maps SLICE at a time
     with roi_ops._roi_align_many, on the miner's pixel-major copy of the
     map, so the axis setup runs once per slice.  roi_align is that
-    routine on one box, so these maps equal roi_align's bit for bit.
-    The object maps stay on roi_map and roi_align.
+    routine on one box and gathers every layout of a map in one way, so
+    these maps equal roi_align's on F bit for bit; the copy is
+    pixel-major only because that layout gathers fastest.  The object
+    maps stay on roi_map and roi_align.
 
     G and A hold 2*ph*pw*H*W float64 values, one plane after the other as
     roi_align_bin_sums reads them.  Per chunk the filter holds the (K, 2)
@@ -499,10 +502,8 @@ class ContextMiner:
 
     def __init__(self, F: np.ndarray, scorer: ContextScorer,
                  config: MiningConfig = DEFAULT_CONFIG):
-        if F.ndim != 3:
-            raise ShapeError(f"feature map must be rank 3, got {F.shape}")
+        d, H, W = _check_feature_map(F)
         _require_finite(F)
-        d, H, W = F.shape
         if scorer.weights.shape != (d * config.ph * config.pw,):
             raise ShapeError(
                 f"scorer weight length {scorer.weights.shape} does not match "
@@ -532,8 +533,9 @@ class ContextMiner:
 
     def _roi_map(self, box: Box) -> RoIMap:
         """roi_map of box on the miner's one copy of F, taken once in F's
-        dtype and pixel-major, the layout roi_pool and roi_align gather
-        fastest (bit for bit as on F).  Being a copy, it keeps no block of
+        dtype and pixel-major, the layout both operators gather fastest:
+        roi_pool as whole D-rows, roi_align in its one gather for every
+        layout (bit for bit as on F).  Being a copy, it keeps no block of
         the table alive, and a caller changing F after mining cannot change
         the argmax a kept map computes from it later."""
         return roi_map(self._source, box, self.config)

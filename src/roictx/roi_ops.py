@@ -6,9 +6,11 @@ grid and takes per-bin maxima; align samples a regular sub-grid per bin
 with bilinear interpolation and averages.  Forward passes retain the
 routing records their backward passes need: argmax indices, or the
 grid lines align's samples touch and each bin's per-axis weights on
-them.  Both forwards gather a pixel-major F (F.transpose(1, 2, 0)
+them.  roi_pool gathers a pixel-major F (F.transpose(1, 2, 0)
 C-contiguous) as whole D-rows and any other F per element, with the
-same bits: the layout picks only the gather.  Every gather is the
+same bits: the layout picks only its gather.  roi_align gathers its
+patch by one fancy index of F.transpose(1, 2, 0) in every layout.
+Pixel-major is the fastest layout for both.  Every other gather is the
 ndarray take method: rows along axis 0, where fancy indexing copies
 narrow rows one at a time, and elements from a flat or 1-D array, where
 take outruns fancy indexing once a gather holds a few thousand elements
@@ -75,8 +77,12 @@ class RoIMap:
 
 
 def _check_feature_map(F: np.ndarray) -> tuple[int, int, int]:
+    """F's (D, H, W); a map of another rank, or with an extent < 1,
+    raises ShapeError."""
     if F.ndim != 3:
         raise ShapeError(f"feature map must be rank 3 (D,H,W), got {F.shape}")
+    if min(F.shape) < 1:
+        raise ShapeError(f"feature map extents must be >= 1, got {F.shape}")
     return F.shape
 
 
@@ -157,9 +163,9 @@ def roi_pool(F: np.ndarray, r: Box, ph: int, pw: int) -> RoIMap:
     cols = _window_slots(xs, xe, W)                    # (pw, mw)
     slots = (rows[:, None, :, None] * W + cols[None, :, None, :]).reshape(
         ph * pw, -1)
-    pixel_rows = _pixel_rows(F)
-    if pixel_rows is not None:
-        windows = pixel_rows.take(slots.T, axis=0)
+    pixels = F.transpose(1, 2, 0)
+    if pixels.flags.c_contiguous:
+        windows = pixels.reshape(-1, D).take(slots.T, axis=0)
         data, first = _first_max_slot(windows, 0)      # (ph*pw, D)
         data, first = np.ascontiguousarray(data.T), first.T
     else:
@@ -261,10 +267,10 @@ def roi_align(F: np.ndarray, r: Box, ph: int, pw: int,
     line: from zero, the bin's 2*s weights along the axis added in
     (sample, lower/upper neighbour) order, then divided by s.  The map
     keeps its samples and taps (see RoIMap).  The patch F[rows][:, cols]
-    is gathered as C-contiguous float64 (rows, cols, D), whatever F's
-    layout, and reduced by np.einsum's own loops, so the layout moves no
-    bit and outputs repeat from run to run.  It is _roi_align_many on
-    the one box.
+    is gathered by one fancy index of F.transpose(1, 2, 0) in every
+    layout, copied to C-contiguous float64 (rows, cols, D) and reduced by
+    np.einsum's own loops, so the layout moves no bit and outputs repeat
+    from run to run.  It is _roi_align_many on the one box.
 
     Precision contract (Higham, Accuracy and Stability of Numerical
     Algorithms, ch. 3): with R the exact RoIAlign of F at the samples and
@@ -288,7 +294,8 @@ def _roi_align_many(F: np.ndarray, boxes: list[Box], ph: int, pw: int,
     lower and upper lines and weights from _linear_taps, and _axis_folds
     folds them into each box's ascending lines and K: from zero, a bin's
     2*s weights in (sample, lower/upper neighbour) order, then divided by
-    s.  _align_data gathers the patch and runs the two einsums.  Each map
+    s.  _align_data gathers the patch, in one way for every layout of F,
+    and runs the two einsums.  Each map
     owns its arrays, so a map kept alone does not hold the others' alive.
     The map, the grid and every box are checked before any work, so the
     first box with a non-finite corner or no area inside the map is
@@ -307,8 +314,7 @@ def _roi_align_many(F: np.ndarray, boxes: list[Box], ph: int, pw: int,
     samples = np.empty((N, ph, pw, s, s, 2), dtype=np.float64)
     samples[..., 0] = ys[:, :, None, :, None]
     samples[..., 1] = xs[:, None, :, None, :]
-    pixel_rows = _pixel_rows(F)
-    return [RoIMap(_align_data(F, pixel_rows, *ty, *tx), r, (H, W),
+    return [RoIMap(_align_data(F, *ty, *tx), r, (H, W),
                    samples=S.reshape(ph, pw, s * s, 2).copy(), taps=(*ty, *tx))
             for r, S, ty, tx in zip(boxes, samples, _axis_folds(ys, H),
                                     _axis_folds(xs, W))]
@@ -343,27 +349,13 @@ def _axis_folds(c: np.ndarray, limit: int) -> list:
             for k, (a, b) in enumerate(zip(first, first[1:]))]
 
 
-def _pixel_rows(F: np.ndarray) -> np.ndarray | None:
-    """F's pixels as (H*W, D) rows when F is pixel-major (F.transpose(1,
-    2, 0) C-contiguous), else None."""
-    pixels = F.transpose(1, 2, 0)
-    if pixels.flags.c_contiguous:
-        return pixels.reshape(-1, F.shape[0])
-    return None
-
-
-def _align_data(F: np.ndarray, pixel_rows: np.ndarray | None,
-                rows: np.ndarray, Ky: np.ndarray, cols: np.ndarray,
-                Kx: np.ndarray) -> np.ndarray:
+def _align_data(F: np.ndarray, rows: np.ndarray, Ky: np.ndarray,
+                cols: np.ndarray, Kx: np.ndarray) -> np.ndarray:
     """roi_align's float32 D x ph x pw data, Ky F[rows][:, cols] Kx^T,
-    gathered from pixel_rows (see _pixel_rows) when given, else from F."""
-    D, _, W = F.shape
-    if pixel_rows is not None:
-        patch = pixel_rows.take((rows[:, None] * W + cols).reshape(-1), axis=0)
-    else:
-        patch = F[:, rows[:, None], cols].reshape(D, -1).T
-    patch = np.ascontiguousarray(patch, dtype=np.float64).reshape(
-        rows.size, cols.size, D)
+    over the (rows, cols, D) patch of F's pixels, one gather in any
+    layout."""
+    patch = np.ascontiguousarray(F.transpose(1, 2, 0)[rows[:, None], cols],
+                                 dtype=np.float64)
     per_bin = np.einsum("ia,ajd->ijd", Ky, np.einsum("jb,abd->ajd", Kx, patch))
     return np.ascontiguousarray(per_bin.transpose(2, 0, 1), dtype=np.float32)
 
@@ -431,8 +423,9 @@ def roi_align_bin_sums(planes: np.ndarray, xyxy: np.ndarray,
     2*s*pw values of the planes, so there are never more taps than the
     (2*s)^2*ph*pw per box of summing each box on its own, and the
     temporaries do not grow with K.  Every gather is a take (see the
-    module docstring), and a step's x weights are gathered once for all
-    C columns.
+    module docstring).  A step gathers the values of all C columns in
+    one take, (C, keys, taps) or (C, boxes, taps), and sums them against
+    its weights in one np.einsum, over each row's taps in their order.
     """
     if planes.ndim != 5:
         raise ShapeError(
@@ -462,12 +455,10 @@ def roi_align_bin_sums(planes: np.ndarray, xyxy: np.ndarray,
             g, row = np.divmod(keys[q:q + B], n)
             g = used.take(g)
             taps = start.take(row)[:, None] + cols.take(g, axis=0)
-            wg = wx.take(g, axis=0)
-            for c in range(C):
-                XS[c, q:q + B] = np.einsum("kt,kt->k", flat[c].take(taps), wg)
-        w = wy.take(gyk, axis=0)
-        for c in range(C):
-            out[c, k:k + B] = np.einsum("kt,kt->k", XS[c].take(ids), w)
+            XS[:, q:q + B] = np.einsum("ckt,kt->ck", flat.take(taps, axis=1),
+                                       wx.take(g, axis=0))
+        out[:, k:k + B] = np.einsum("ckt,kt->ck", XS.take(ids, axis=1),
+                                    wy.take(gyk, axis=0))
     out /= s * s
     return out.T
 

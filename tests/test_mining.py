@@ -124,9 +124,7 @@ def oracle_pool_entries(cell, grid, bounds):
             if recheck and not corners_ok(b, stored_anchor):
                 continue
         kept.append((b, combo, recheck))
-    if grid.include_anchor:
-        return ((stored_anchor, None, False), *kept)
-    return tuple(kept) or None
+    return ((stored_anchor, None, False), *kept)
 
 
 def pool_oracle_for_cell(cell, grid, bounds):
@@ -290,17 +288,6 @@ class TestCandidatePool:
                                                None)
                 assert len(pool) == 5
 
-    def test_singleton_grid_without_anchor_pins_full_cell(self):
-        grid = CandidateGridSpec(offset_fracs=(0.0,), size_fracs=(1.0,),
-                                 anchor_iou_min=0.0, include_anchor=False)
-        cell = Box(12.0, 8.0, 20.0, 14.0)
-        pool = candidate_pool_for_cell(cell, grid, (64, 64))
-        assert len(pool) == 1
-        got = pool[0]
-        for a, b in zip((got.x1, got.y1, got.x2, got.y2),
-                        (cell.x1, cell.y1, cell.x2, cell.y2)):
-            assert a == pytest.approx(b, abs=1e-12)
-
 
 def oracle_pools(cells, grid, bounds):
     """The oracle's pools of (N, 4) cells, concatenated, and their sizes."""
@@ -336,8 +323,7 @@ class TestCandidateArrays:
         "iou-third": CandidateGridSpec(anchor_iou_min=1.0 / 3.0),
         "short-half": CandidateGridSpec(short_edge_frac=0.5,
                                         anchor_iou_min=0.25),
-        "no-anchor": CandidateGridSpec(include_anchor=False,
-                                       anchor_iou_min=0.6),
+        "no-anchor": CandidateGridSpec(anchor_iou_min=0.6),
         "wide": CandidateGridSpec(size_fracs=(0.25, 0.5, 1.0, 1.5),
                                   short_edge_frac=0.4, anchor_iou_min=0.2),
     }
@@ -2009,6 +1995,62 @@ class TestCandidateGridSpec:
         with pytest.raises(DegenerateBoxError, match=name):
             CandidateGridSpec(**{name: bad})
 
+    @pytest.mark.parametrize("backbone", ["pool", "align"])
+    def test_list_fields_equal_tuple_spec(self, backbone):
+        """Lists of fractions give the spec of the same tuples, which
+        enumerates and mines bit-identically."""
+        fracs = {"offset_fracs": [-0.3, -0.1, 0.0, 0.2, 0.35],
+                 "size_fracs": [0.4, 0.75, 1.0]}
+        listed = CandidateGridSpec(**fracs, anchor_iou_min=0.25)
+        tupled = CandidateGridSpec(
+            **{k: tuple(v) for k, v in fracs.items()}, anchor_iou_min=0.25)
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert isinstance(listed.offset_fracs, tuple)
+        cell = Box(3.0, 4.0, 15.0, 12.0)
+        assert candidate_pool_for_cell(cell, listed, (40, 40)) == \
+            candidate_pool_for_cell(cell, tupled, (40, 40))
+        rng = np.random.default_rng(2001)
+        F = rng.normal(0, 1, (3, 40, 40)).astype(np.float32)
+        scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), 0.1)
+        rois = [Box(12.5, 14.0, 20.0, 22.5), Box(2.0, 30.0, 9.0, 38.0)]
+        got, want = (
+            mine_many(F, rois, scorer,
+                      MiningConfig(ph=5, pw=5, backbone=backbone, grid=grid))
+            for grid in (listed, tupled))
+        for a, b in zip(got, want, strict=True):
+            assert_same_mined(a, b)
+
+
+def zero_scorer(F):
+    """A zero scorer of 7 x 7 bins of F's channels, none included."""
+    return ContextScorer(np.zeros(F.shape[0] * 49, dtype=np.float32))
+
+
+# Each entry point that reads a feature map F.
+ZERO_EXTENT_CALLS = {
+    "roi_pool": lambda F: roi_pool(F, Box(0.0, 0.0, 2.0, 2.0), 2, 2),
+    "roi_align": lambda F: roi_align(F, Box(0.0, 0.0, 2.0, 2.0), 2, 2),
+    "RangeMaxTable.query": lambda F: RangeMaxTable(F).query([0], [1], [0],
+                                                            [1]),
+    "mine_many-pool": lambda F: mine_many(
+        F, [Box(1.0, 1.0, 3.0, 3.0)], zero_scorer(F)),
+    "mine_many-align": lambda F: mine_many(
+        F, [Box(1.0, 1.0, 3.0, 3.0)], zero_scorer(F),
+        MiningConfig(backbone="align")),
+    "fixed_context_variant": lambda F: fixed_context_variant(
+        F, Box(1.0, 1.0, 3.0, 3.0), "neigh8"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(ZERO_EXTENT_CALLS))
+@pytest.mark.parametrize("shape", [(0, 6, 6), (3, 0, 6), (3, 6, 0)],
+                         ids=["D0", "H0", "W0"])
+def test_zero_extent_map_rejected(shape, call):
+    """A map with no channels, rows or columns raises ShapeError, not a
+    numpy error."""
+    with pytest.raises(ShapeError, match="extents must be >= 1"):
+        ZERO_EXTENT_CALLS[call](np.zeros(shape, dtype=np.float32))
+
 
 class TestFixedVariants:
     def _data(self, seed=73):
@@ -2047,14 +2089,26 @@ class TestFixedVariants:
             assert np.array_equal(got[4:], want)
 
     def test_neigh8_equals_mining_with_forced_full_cell(self):
+        """A grid of the full cell alone pools the anchor and the full
+        cell.  A scorer and its negation pick the full cell in every cell
+        between them, and each block that holds it is neigh8's block."""
         rng, F, r = self._data(79)
         grid = CandidateGridSpec(offset_fracs=(0.0,), size_fracs=(1.0,),
-                                 anchor_iou_min=0.0, include_anchor=False)
+                                 anchor_iou_min=0.0)
         config = MiningConfig(ph=7, pw=7, grid=grid)
-        scorer = ContextScorer(rng.normal(0, 1, 4 * 49).astype(np.float32), 0.3)
-        mined = mine_context(F, r, scorer, config)
-        fixed = fixed_context_variant(F, r, "neigh8")
-        assert np.array_equal(mined.feature, fixed)
+        w = rng.normal(0, 1, 4 * 49).astype(np.float32)
+        fixed = fixed_context_variant(F, r, "neigh8").reshape(9, 4, 7, 7)
+        full = []
+        for sign in (1.0, -1.0):
+            mined = mine_context(F, r, ContextScorer(sign * w, 0.3), config)
+            blocks = mined.feature.reshape(9, 4, 7, 7)
+            assert np.array_equal(blocks[0], fixed[0])
+            for k, rec in enumerate(mined.selected, 1):
+                assert rec.pool_size == 2
+                if rec.index == 1:
+                    full.append(k)
+                    assert np.array_equal(blocks[k], fixed[k])
+        assert sorted(full) == list(range(1, 9))
 
     def test_unknown_variant_rejected(self):
         _, F, r = self._data()

@@ -68,11 +68,17 @@ POOL_CASE_KINDS = ("ints", "signed-zeros", "nan-inf", "float64", "whole-map",
 
 
 def layouts(F):
-    """F in both memory layouts roi_pool gathers differently: D-major as
-    given, and a pixel-major copy, laid out like the miner's copy."""
+    """F in three memory layouts: D-major as given, a pixel-major copy,
+    laid out like the miner's copy, and a Fortran-ordered copy, which is
+    neither (unless an extent is 1).  roi_pool gathers the first two
+    differently; every operator must give the same bits on all three."""
     pixel = np.ascontiguousarray(F.transpose(1, 2, 0)).transpose(2, 0, 1)
+    fortran = np.asfortranarray(F)
     assert F.flags.c_contiguous and pixel.transpose(1, 2, 0).flags.c_contiguous
-    return F, pixel
+    assert min(F.shape) < 2 or not (
+        fortran.flags.c_contiguous
+        or fortran.transpose(1, 2, 0).flags.c_contiguous)
+    return F, pixel, fortran
 
 
 def non_finite_boxes(bad):
@@ -156,7 +162,7 @@ class TestRoiPoolForward:
 
     @pytest.mark.parametrize("kind", POOL_CASE_KINDS)
     def test_bit_identical_to_oracle(self, kind):
-        """Both layouts of every map; "many-slots" needs a slot rank wider
+        """Every layout of every map; "many-slots" needs a slot rank wider
         than 8 bits in the pixel-major reduction."""
         rng = np.random.default_rng(90 + POOL_CASE_KINDS.index(kind))
         empty = 0
@@ -440,12 +446,14 @@ def as_xyxy(boxes):
 
 
 class TestRoiAlignBinSums:
+    @pytest.mark.parametrize("C", [1, 2, 3], ids="C{}".format)
     @pytest.mark.parametrize("s", [1, 2, 3])
-    def test_matches_scalar_oracle(self, s):
+    def test_matches_scalar_oracle(self, s, C):
         """Every box, clamped samples included, sums to the scalar
-        re-derivation up to float64 rounding of the sums over |planes|."""
+        re-derivation up to float64 rounding of the sums over |planes|,
+        for one plane column, the miner's two, and three."""
         rng = np.random.default_rng(57 + s)
-        C, ph, pw, H, W = 2, 3, 4, 17, 19
+        ph, pw, H, W = 3, 4, 17, 19
         planes = (rng.normal(0, 1, (C, ph, pw, H, W))
                   * 10.0 ** rng.integers(-3, 4, (C, ph, pw, H, W)))
         boxes = bin_sum_boxes(rng, W, H)
@@ -576,7 +584,7 @@ ALIGN_LAYOUT_KINDS = ("float32", "float64", "subnormal", "signed-zeros",
 
 def align_layout_map(rng, kind):
     """A D x 11 x 13 map of one ALIGN_LAYOUT_KINDS kind, D >= 2 so its
-    two layouts differ."""
+    three layouts differ."""
     shape = (int(rng.integers(2, 6)), 11, 13)
     if kind == "signed-zeros":
         return rng.choice(np.float32([-1.0, -0.0, 0.0, 1.0]), shape)
@@ -658,9 +666,9 @@ def contract_bound(ph, pw, s, want, scale):
 
 
 class TestRoiAlignLayouts:
-    """roi_align gives the same bits on a D-major map and its pixel-major
-    copy, and roi_align_backward(out=) adds into out what the standalone
-    pass returns."""
+    """roi_align gives the same bits on a D-major map, its pixel-major
+    copy and its Fortran-ordered copy, and roi_align_backward(out=) adds
+    into out what the standalone pass returns."""
 
     @pytest.mark.parametrize("kind", ALIGN_LAYOUT_KINDS)
     def test_layouts_give_the_same_bits(self, kind):
@@ -673,9 +681,10 @@ class TestRoiAlignLayouts:
             ph, pw = (int(v) for v in rng.integers(1, 6, 2))
             s = k % 4 + 1
             want = roi_align(F, r, ph, pw, s)
-            got = roi_align(layouts(F)[1], r, ph, pw, s)
-            assert got.data.tobytes() == want.data.tobytes()
-            assert got.samples.tobytes() == want.samples.tobytes()
+            for G in layouts(F)[1:]:
+                got = roi_align(G, r, ph, pw, s)
+                assert got.data.tobytes() == want.data.tobytes()
+                assert got.samples.tobytes() == want.samples.tobytes()
 
     @pytest.mark.parametrize("kind", ALIGN_LAYOUT_KINDS)
     def test_backward_out_adds_the_standalone_pass(self, kind):
@@ -688,7 +697,7 @@ class TestRoiAlignLayouts:
             F = align_layout_map(rng, kind)
             r = (random_roi(rng, 13, 11) if k < 20
                  else ALIGN_CLAMPED[k % len(ALIGN_CLAMPED)])
-            m = roi_align(layouts(F)[k % 2], r, 3, 4, k % 4 + 1)
+            m = roi_align(layouts(F)[k % 3], r, 3, 4, k % 4 + 1)
             g = rng.normal(0, 1, m.data.shape).astype(np.float32)
             if k % 3 == 0:
                 g = rng.choice(np.float32([-1e-45, 1e-45]), g.shape)
@@ -832,7 +841,7 @@ class TestAlignMany:
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_equals_roi_align_box_by_box(self, kind, s):
         """ALIGN_MANY_BOXES among random boxes, more than one mining.SLICE
-        in one call, in both layouts."""
+        in one call, in every layout."""
         from roictx.mining import SLICE
         rng = np.random.default_rng([131, s, kind == "subnormal"])
         F = align_layout_map(rng, kind)
@@ -894,11 +903,11 @@ class TestAlignContract:
 
     @pytest.mark.parametrize("kind", ALIGN_CONTRACT_KINDS)
     def test_forward_within_oracle_bound(self, kind):
-        """Both layouts, with the same bits."""
+        """Every layout, with the same bits."""
         rng = np.random.default_rng([100, ALIGN_CONTRACT_KINDS.index(kind)])
         for F, r, ph, pw, s in contract_cases(rng, kind):
             got = [roi_align(G, r, ph, pw, s) for G in layouts(F)]
-            assert got[0].data.tobytes() == got[1].data.tobytes()
+            assert len({m.data.tobytes() for m in got}) == 1
             want = align_oracle64(F, got[0])
             scale = align_oracle64(np.abs(F), got[0])
             assert np.all(np.abs(got[0].data - want)
@@ -907,7 +916,7 @@ class TestAlignContract:
     @pytest.mark.parametrize("kind", ALIGN_CONTRACT_KINDS)
     def test_backward_within_adjoint_bound(self, kind):
         """Gradients of random magnitudes, and of +-1e-45 whose sums are
-        subnormal; the maps of both layouts give the same bits."""
+        subnormal; the maps of every layout give the same bits."""
         rng = np.random.default_rng([101, ALIGN_CONTRACT_KINDS.index(kind)])
         for k, (F, r, ph, pw, s) in enumerate(contract_cases(rng, kind)):
             maps = [roi_align(G, r, ph, pw, s) for G in layouts(F)]
@@ -917,7 +926,7 @@ class TestAlignContract:
                 g = rng.choice([-1e-45, 1e-45], g.shape)
             g = g.astype(np.float32)
             got = [roi_align_backward(g, m, F.shape) for m in maps]
-            assert got[0].tobytes() == got[1].tobytes()
+            assert len({grad.tobytes() for grad in got}) == 1
             want = align_adjoint64(g, maps[0], F.shape)
             scale = align_adjoint64(np.abs(g), maps[0], F.shape)
             assert np.all(np.abs(got[0] - want)

@@ -4,19 +4,26 @@
 
 Imports the `roictx` package under DIR (by default the `src/` next to
 this directory) and times one box per shape on a seeded float32 map, at
-7 x 7 bins and 2 samples per bin, in both layouts roi_align gathers
-differently: pixel-major (F.transpose(1, 2, 0) C-contiguous, the miner's
-copy) and D-major.  The backward adds into an out= map, as the miner's
-backward pass calls it.  Shapes: the benchmark's fixed ones, D=64 at
-50x50 with a 6 px box and D=256 at 38x38 with a 9 px box, and whole-map
-boxes, D=256 at 38x38 and at 200x200 and D=512 at 64x64.  Each line
-gives the shape, the layout and the median microseconds per call of the
-forward and of the backward, over N timed calls after 3 untimed ones.
-A last line times the 16 boxes that mining two 6 px RoIs keeps on a
-D=64 50x50 map, as a round of the benchmark's train-align-d64 does: a
-loop of roi_align calls against one call of the miner's batched
-_roi_align_many (pixel-major; "-" on a tree without it).  Run it on two
-source trees to compare them.
+7 x 7 bins and 2 samples per bin, in two layouts: pixel-major
+(F.transpose(1, 2, 0) C-contiguous, the miner's copy) and D-major.  The
+backward adds into an out= map, as the miner's backward pass calls it.
+Shapes: the benchmark's fixed ones, D=64 at 50x50 with a 6 px box and
+D=256 at 38x38 with a 9 px box, and whole-map boxes, D=256 at 38x38 and
+at 200x200 and D=512 at 64x64.  Each line gives the shape, the layout
+and the median microseconds per call of the forward and of the
+backward, over N timed calls after 3 untimed ones.  A last line times
+the 16 boxes that mining two 6 px RoIs keeps on a D=64 50x50 map, as a
+round of the benchmark's train-align-d64 does: a loop of roi_align
+calls against one call of the miner's batched _roi_align_many
+(pixel-major; "-" on a tree without it).
+
+Every median is host-normalised, as the benchmark's times are: the
+`interp` kernel of `ctxbench/hostspeed.py` is timed before and after
+each timed block, and the median is printed as its ratio to the mean of
+those two kernel times, times the kernel's quiet reference time
+`REF_S["interp"]`.  The figures are thus microseconds on the reference
+machine at quiet speed, so runs on two source trees, minutes apart on a
+shared host, can be compared.
 """
 
 from __future__ import annotations
@@ -29,6 +36,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "ctxbench"))
+
+import hostspeed  # noqa: E402
 
 # (label, D, H, W, box as x1, y1, x2, y2)
 SHAPES = [("fixed", 64, 50, 50, (20.3, 17.6, 26.3, 23.6)),
@@ -40,14 +50,18 @@ BINS, SAMPLES = 7, 2
 
 
 def median_us(call, repeats: int) -> float:
+    """The host-normalised median microseconds of call (see above)."""
     for _ in range(3):
         call()
+    before = hostspeed.sample("interp")
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter_ns()
         call()
         times.append(time.perf_counter_ns() - t0)
-    return float(np.median(times)) / 1e3
+    after = hostspeed.sample("interp")
+    return (float(np.median(times)) / 1e3 / ((before + after) / 2)
+            * hostspeed.REF_S["interp"])
 
 
 def main(argv=None) -> int:
