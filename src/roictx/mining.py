@@ -800,12 +800,13 @@ def fixed_context_variant(F: np.ndarray, r: Box, variant: str,
 
     A cell with no area inside the map repeats the object map; mining falls
     back when the anchor is lost, so a sliver it drops is pooled here.  A
-    map holding NaN or inf raises NumericError.
+    map not of rank 3 or with an extent < 1 raises ShapeError, and a map
+    holding NaN or inf NumericError.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    _, H, W = _check_feature_map(F)
     _require_finite(F)
-    _, H, W = F.shape
     obj = roi_map(F, r, config).data
     if variant == "none":
         return obj.copy()

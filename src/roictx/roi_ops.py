@@ -295,11 +295,10 @@ def _roi_align_many(F: np.ndarray, boxes: list[Box], ph: int, pw: int,
     folds them into each box's ascending lines and K: from zero, a bin's
     2*s weights in (sample, lower/upper neighbour) order, then divided by
     s.  _align_data gathers the patch, in one way for every layout of F,
-    and runs the two einsums.  Each map
-    owns its arrays, so a map kept alone does not hold the others' alive.
-    The map, the grid and every box are checked before any work, so the
-    first box with a non-finite corner or no area inside the map is
-    refused with its error.
+    and runs the two einsums.  Each map owns its arrays, so a map kept
+    alone does not hold the others' alive.  The map, the grid and every
+    box are checked before any work, so the first box with a non-finite
+    corner or no area inside the map is refused with its error.
     """
     D, H, W = _check_feature_map(F)
     _check_extents("grid extents", ph, pw)
@@ -425,7 +424,7 @@ def roi_align_bin_sums(planes: np.ndarray, xyxy: np.ndarray,
     temporaries do not grow with K.  Every gather is a take (see the
     module docstring).  A step gathers the values of all C columns in
     one take, (C, keys, taps) or (C, boxes, taps), and sums them against
-    its weights in one np.einsum, over each row's taps in their order.
+    its weights in one np.einsum.
     """
     if planes.ndim != 5:
         raise ShapeError(

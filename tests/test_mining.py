@@ -323,6 +323,7 @@ class TestCandidateArrays:
         "iou-third": CandidateGridSpec(anchor_iou_min=1.0 / 3.0),
         "short-half": CandidateGridSpec(short_edge_frac=0.5,
                                         anchor_iou_min=0.25),
+        # anchored like every grid: the name seeds the case's cells
         "no-anchor": CandidateGridSpec(anchor_iou_min=0.6),
         "wide": CandidateGridSpec(size_fracs=(0.25, 0.5, 1.0, 1.5),
                                   short_edge_frac=0.4, anchor_iou_min=0.2),
@@ -2022,12 +2023,13 @@ class TestCandidateGridSpec:
 
 
 def zero_scorer(F):
-    """A zero scorer of 7 x 7 bins of F's channels, none included."""
+    """A zero scorer of F's channels at 7 x 7 bins; at D = 0 it holds no
+    weights, which ContextScorer.zeros would refuse."""
     return ContextScorer(np.zeros(F.shape[0] * 49, dtype=np.float32))
 
 
 # Each entry point that reads a feature map F.
-ZERO_EXTENT_CALLS = {
+MAP_READERS = {
     "roi_pool": lambda F: roi_pool(F, Box(0.0, 0.0, 2.0, 2.0), 2, 2),
     "roi_align": lambda F: roi_align(F, Box(0.0, 0.0, 2.0, 2.0), 2, 2),
     "RangeMaxTable.query": lambda F: RangeMaxTable(F).query([0], [1], [0],
@@ -2042,14 +2044,14 @@ ZERO_EXTENT_CALLS = {
 }
 
 
-@pytest.mark.parametrize("call", sorted(ZERO_EXTENT_CALLS))
-@pytest.mark.parametrize("shape", [(0, 6, 6), (3, 0, 6), (3, 6, 0)],
-                         ids=["D0", "H0", "W0"])
-def test_zero_extent_map_rejected(shape, call):
-    """A map with no channels, rows or columns raises ShapeError, not a
-    numpy error."""
-    with pytest.raises(ShapeError, match="extents must be >= 1"):
-        ZERO_EXTENT_CALLS[call](np.zeros(shape, dtype=np.float32))
+@pytest.mark.parametrize("call", sorted(MAP_READERS))
+@pytest.mark.parametrize("shape", [(0, 6, 6), (3, 0, 6), (3, 6, 0), (6, 6)],
+                         ids=["D0", "H0", "W0", "rank2"])
+def test_malformed_map_rejected(shape, call):
+    """A map with no channels, rows or columns, or not of rank 3, raises
+    ShapeError, not a numpy error."""
+    with pytest.raises(ShapeError, match="^feature map"):
+        MAP_READERS[call](np.zeros(shape, dtype=np.float32))
 
 
 class TestFixedVariants:
