@@ -54,8 +54,7 @@ FALLBACK = -1
 CANDIDATE_BUDGET = 1 << 15
 # Rows per step of the pool filter's sliced work (the float64 copy of the
 # maxima for V @ W, the per-candidate gathers) and of rescoring, so their
-# temporaries do not grow with the chunk.  The align bin sums step by
-# roi_ops.ALIGN_SUM_BLOCK candidates instead.
+# temporaries do not grow with the chunk.
 SLICE = 128
 
 
@@ -461,8 +460,9 @@ class ContextMiner:
 
     Align backbone: roi_align and the scorer are both linear in F, so a
     candidate's score is sum over bins b of mean_s bilinear(G_b, p_s) + c,
-    with G = W_b^T F one float64 plane per bin.  The miner builds G and
-    the bound planes A = |W_b|^T |F| once, and s~_k comes from G with
+    with G = W_b^T F one float64 plane per bin.  Per chunk the miner
+    builds G and the bound planes A = |W_b|^T |F| on the window of lines
+    its candidates touch (_AlignPlanes), and s~_k comes from G with
 
         t_k = 2^-22 * sum_b mean_s bilinear(A_b) + |c| * 2^-50
               + sum_i |w_i| * 2^-149.
@@ -472,16 +472,18 @@ class ContextMiner:
     bounds that sum four times over.  The spare factor of 3 covers the
     float64 rounding of both paths, in whatever order they sum.  Each
     path rounds a chain of at most m operations per term, so it errs by
-    at most gamma_m times the bin sums of A: m is about D + 2s(ph + pw)
-    on the s~ path (G, then the x taps of a bin row, then its y taps;
-    see roi_align_bin_sums) and n + 2s(ph + pw + 2) + 2 on the exact
-    path (roi_align's weights and its sums over at most 2s ph touched
-    rows and 2s pw columns, then score_flat; see roi_align).  Both
-    together stay below 2^-24 times the sums while each m is well under
-    2^28, so for any scorer much smaller than 2^28 weights (1 GiB of
-    float32) and s (ph + pw) well under 2^26.  The |c| term covers the
-    rounding of adding the bias, the last term the absolute error (at
-    most 2^-150) of rounding a subnormal element.
+    at most gamma_m times the bin sums of A: m is about D + ph*rows +
+    pw*cols + 4s + 3 on the s~ path (G; the folded weights on each axis;
+    then the dense sums over a group's window of rows x cols lines, in
+    any order BLAS takes; see roi_align_bin_sums) and n + 2s(ph + pw +
+    2) + 2 on the exact path (roi_align's weights and its sums over at
+    most 2s ph touched rows and 2s pw columns, then score_flat; see
+    roi_align).  Both together stay below 2^-24 times the sums while each
+    m is well under 2^28, so for any scorer much smaller than 2^28
+    weights (1 GiB of float32), s (ph + pw) well under 2^26 and ph*H +
+    pw*W, which bounds ph*rows + pw*cols, well under 2^27.  The |c| term
+    covers the rounding of adding the bias, the last term the absolute
+    error (at most 2^-150) of rounding a subnormal element.
 
     The exact stage makes the rescored candidates' maps SLICE at a time
     with roi_ops._roi_align_many, on the miner's pixel-major copy of the
@@ -491,13 +493,12 @@ class ContextMiner:
     pixel-major only because that layout gathers fastest.  The object
     maps stay on roi_map and roi_align.
 
-    G and A hold 2*ph*pw*H*W float64 values, one plane after the other as
-    roi_align_bin_sums reads them.  Per chunk the filter holds the (K, 2)
-    bin sums of G and A, each candidate's x- and y-geometry (its x1, x2
-    and its y1, y2) and the taps and weights of each distinct geometry;
-    the keys of a block of roi_ops.ALIGN_SUM_BLOCK candidates and their
-    XS values come and go with the block, so the temporaries do not grow
-    with the chunk.
+    The filter's groups are RoIs.  G and A hold 2*ph*pw*h*w float64
+    values on the chunk's h x w window, at most the whole map's, built
+    from a float64 copy of its pixels; per group the filter copies its
+    window's planes and holds its folds and products, per chunk the
+    (K, 2) bin sums.  One 30-40 px RoI on a D=64 100x100 map at 7x7 bins
+    peaks below 2.5 times the whole map's planes.
     """
 
     def __init__(self, F: np.ndarray, scorer: ContextScorer,
@@ -523,12 +524,8 @@ class ContextMiner:
             nu = w.size * 2.0 ** -53
             self._gamma = nu / (1.0 - nu)
             return
-        flat = F.reshape(d, H * W).astype(np.float64)
-        planes = np.empty((2, w.shape[1], H * W))
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(w.T, flat, out=planes[0])
-            np.matmul(np.abs(w).T, np.abs(flat, out=flat), out=planes[1])
-        self._planes = planes.reshape(2, config.ph, config.pw, H, W)
+        self._planes = _AlignPlanes(self._source.transpose(1, 2, 0), w,
+                                    config.ph, config.pw)
         self._w_abs_sum = float(np.abs(w).sum())
 
     def _roi_map(self, box: Box) -> RoIMap:
@@ -570,11 +567,10 @@ class ContextMiner:
         return RoIMap(rows[j].reshape(-1, cfg.ph, cfg.pw).copy(), box,
                       self.F.shape[1:], pool_from=self._source)
 
-    def _bounds(self, xyxy: np.ndarray):
-        """(s~, t, exact) of every candidate (see the class docstring):
-        exact(keep) yields, for consecutive slices of SLICE candidates of
-        keep, their exact flat maps and a function giving the RoIMap of
-        the slice's j-th candidate."""
+    def _bounds(self, xyxy: np.ndarray, counts: np.ndarray):
+        """(s~, t, exact) of the candidates of pools of (RoIs, cells) sizes
+        counts (see the class docstring): exact(keep) yields per SLICE of
+        keep their exact flat maps and a function giving the j-th RoIMap."""
         cfg = self.config
         bias = float(self.scorer.bias)
         if self._table is not None:
@@ -597,7 +593,9 @@ class ContextMiner:
                                          xyxy[keep])
 
             return approx + bias, slack, exact
-        sums = roi_align_bin_sums(self._planes, xyxy, cfg.samples_per_bin)
+        groups = np.sum(counts, axis=1)
+        sums = roi_align_bin_sums(self._planes, xyxy, groups[groups > 0],
+                                  cfg.samples_per_bin)
 
         def exact(keep):
             for i in range(0, keep.shape[0], SLICE):
@@ -610,15 +608,16 @@ class ContextMiner:
         return (sums[:, 0] + bias, 2.0 ** -22 * sums[:, 1]
                 + abs(bias) * 2.0 ** -50 + self._w_abs_sum * 2.0 ** -149, exact)
 
-    def _best_of_pools(self, xyxy: np.ndarray, sizes: np.ndarray) -> list:
-        """(index, map, score) of each pool's best-scoring candidate, the
-        first in pool order among equal scores, given the pools one after
-        the other as xyxy rows and their (nonzero) sizes; one filter pass
+    def _best_of_pools(self, xyxy: np.ndarray, counts: np.ndarray) -> list:
+        """(index, map, score) of each nonempty pool's best candidate, the
+        first in pool order among equal scores, given the pools in turn as
+        xyxy rows and their (RoIs, cells) sizes counts; one filter pass
         and one score_flat call per SLICE rescored candidates."""
+        sizes = counts[counts > 0]
         starts = np.cumsum(sizes) - sizes
         seg = np.repeat(np.arange(sizes.shape[0]), sizes)
         with np.errstate(over="ignore", invalid="ignore"):
-            approx, slack, exact = self._bounds(xyxy)
+            approx, slack, exact = self._bounds(xyxy, counts)
             lo, hi = approx - slack, approx + slack
             finite = np.logical_and.reduceat(np.isfinite(lo) & np.isfinite(hi),
                                              starts)
@@ -659,8 +658,7 @@ class ContextMiner:
         _, H, W = self.F.shape
         object_maps = [self._roi_map(r) for r in rois]
         xyxy, counts = _chunk_pools(rois, self.config.grid, (W, H))
-        sizes = counts[counts > 0]
-        picks = iter(self._best_of_pools(xyxy, sizes) if sizes.size else ())
+        picks = iter(self._best_of_pools(xyxy, counts) if counts.any() else ())
         out = []
         for object_map, cell_counts in zip(object_maps, counts.tolist()):
             selected = [SelectionRecord(d, *next(picks), n) if n else
@@ -674,6 +672,24 @@ class ContextMiner:
     def mine(self, r: Box) -> MinedRoIFeature:
         """Mine one RoI, as a chunk of one."""
         return self._mine_chunk([r])[0]
+
+
+class _AlignPlanes:
+    """G and A (see ContextMiner) of the (H, W, D) pixels for the (D,
+    ph*pw) float64 scorer w, as a 2 x ph x pw x H x W array whose
+    [:, :, :, ys, xs] builds them on the lines ys x xs only."""
+
+    def __init__(self, pixels: np.ndarray, w: np.ndarray, ph: int, pw: int):
+        self._pixels, self._w = pixels, w.T
+        self.shape = (2, ph, pw) + pixels.shape[:2]
+
+    def __getitem__(self, index) -> np.ndarray:
+        window = self._pixels[index[3:]].astype(np.float64)
+        flat = window.reshape(-1, window.shape[2]).T
+        planes = np.empty((2, self._w.shape[0], flat.shape[1]))
+        np.matmul(self._w, flat, out=planes[0])
+        np.matmul(np.abs(self._w), np.abs(flat, out=flat), out=planes[1])
+        return planes.reshape(self.shape[:3] + window.shape[:2])
 
 
 def _sliced(fn, rows: np.ndarray) -> np.ndarray:

@@ -11,11 +11,9 @@ C-contiguous) as whole D-rows and any other F per element, with the
 same bits: the layout picks only its gather.  roi_align gathers its
 patch by one fancy index of F.transpose(1, 2, 0) in every layout.
 Pixel-major is the fastest layout for both.  Every other gather is the
-ndarray take method: rows along axis 0, where fancy indexing copies
-narrow rows one at a time, and elements from a flat or 1-D array, where
-take outruns fancy indexing once a gather holds a few thousand elements
-and matches it on smaller ones.  The np.take function gives the same
-bits, but its Python wrapper adds about 1 us a call.
+ndarray take method (rows along axis 0, where fancy indexing copies
+narrow rows one at a time, or elements of a 1-D array): np.take gives
+the same bits, but its Python wrapper adds about 1 us a call.
 """
 
 from __future__ import annotations
@@ -28,10 +26,6 @@ from .errors import DegenerateBoxError, ShapeError
 from .geometry import Box
 
 EMPTY_BIN = -1
-
-# Boxes, and distinct keys, per step of roi_align_bin_sums (see there).
-ALIGN_SUM_BLOCK = 512
-
 
 class RoIMap:
     """Fixed-size map pooled from one RoI.
@@ -326,26 +320,32 @@ def _axis_folds(c: np.ndarray, limit: int) -> list:
     each line.
 
     One _dedupe of (box, line) codes gives each box's lines and each
-    tap's column of K.  One np.add.at, which applies its indices one
-    after another, adds the taps from zero in (bin, sample, lower/upper
-    neighbour) order, and the sums are divided by s.  K is built padded
-    to the most lines of any box, and each box's columns copied out
+    tap's column of K, and _fold folds the taps.  K is built padded to
+    the most lines of any box, and each box's columns copied out
     C-contiguous.
     """
-    N, bins, s = c.shape
+    N = c.shape[0]
     lines, weights = _linear_taps(c, limit)
     box = np.arange(N)[:, None, None, None]
     codes, at = _dedupe(box * limit + lines, N * limit)
     first = np.searchsorted(codes, np.arange(N + 1) * limit)
-    n = int(np.diff(first).max(initial=0))
-    K = np.zeros((N, bins, n))
-    np.add.at(K.reshape(-1), ((box * bins + np.arange(bins)[:, None, None]) * n
-                              + at - first.take(box)).reshape(-1),
-              weights.reshape(-1))
-    K /= s
+    K = _fold(at - first.take(box), weights,
+              int(np.diff(first).max(initial=0)))
     first = first.tolist()
     return [(codes[a:b] - k * limit, K[k, :, :b - a].copy())
             for k, (a, b) in enumerate(zip(first, first[1:]))]
+
+
+def _fold(at: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """(N, bins, n) mean linear weights of N boxes' bins on n lines from
+    their (N, bins, s, 2) taps' columns at and weights: one np.add.at adds
+    them from zero in (bin, sample, neighbour) order, then / s."""
+    N, bins, s, _ = at.shape
+    K = np.zeros((N, bins, n))
+    np.add.at(K.reshape(-1), (np.arange(N * bins).reshape(N, bins, 1, 1) * n
+                              + at).reshape(-1), weights.reshape(-1))
+    K /= s
+    return K
 
 
 def _align_data(F: np.ndarray, rows: np.ndarray, Ky: np.ndarray,
@@ -394,86 +394,69 @@ def roi_align_backward(grad_out: np.ndarray, roi_map: RoIMap, F_dims,
     return grad
 
 
-def roi_align_bin_sums(planes: np.ndarray, xyxy: np.ndarray,
+def roi_align_bin_sums(planes, xyxy: np.ndarray, groups,
                        samples_per_bin: int = 2) -> np.ndarray:
     """RoIAlign of K boxes in which each bin samples its own plane, summed
     over the bins.
 
-    planes is C x ph x pw x H x W float64: bin (i, j) of column c reads
-    planes[c, i, j], with the sample coordinates and bilinear weights of
-    roi_align.  xyxy is an (K, 4) x1,y1,x2,y2 array.  Returns (K, C):
-    for each box and column, the sum over bins of the bin's mean sample.
-    RoIAlign is linear in the map, so with planes[c, i, j] =
-    sum_d w[d, i, j] * F[d] a row equals <w, roi_align(F, box).data> up
-    to rounding.
+    planes is C x ph x pw x H x W float64, or any object of that shape
+    whose [:, :, :, y0:y1, x0:x1] is such an array of those lines; it is
+    sliced once, to the lines the boxes touch.  Bin (i, j) of column c
+    reads planes[c, i, j], with roi_align's samples and weights.  xyxy is
+    an (K, 4) x1,y1,x2,y2 array, groups the lengths (each >= 1) of runs of
+    consecutive boxes.  Returns (K, C): per box and column, the sum over
+    bins of the bin's mean sample.  RoIAlign is linear in the map, so
+    with planes[c, i, j] = sum_d w[d, i, j] * F[d] a row equals
+    <w, roi_align(F, box).data> up to rounding.
 
-    Bilinear weights factor per axis, and the y weights of bin row i do
-    not depend on the bin column j.  With g a box's x-geometry (its x1
-    and x2), a and b the samples of a bin, and u and v the lower and
-    upper grid neighbours, a column's sum is
-
-        (1/s^2) sum_i sum_{a,u} wy[i, a, u] XS[g, i, y(i, a, u)],
-        XS[g, i, y] = sum_j sum_{b,v} wx[g, j, b, v]
-                                      * planes[i, j, y, x(g, j, b, v)].
-
-    Each XS value is computed once per block of ALIGN_SUM_BLOCK boxes
-    that reads it, as one distinct (g, i, y) key, and the keys of a block
-    in steps of as many.  A box reads 2*s*ph values of XS and a key
-    2*s*pw values of the planes, so there are never more taps than the
-    (2*s)^2*ph*pw per box of summing each box on its own, and the
-    temporaries do not grow with K.  Every gather is a take (see the
-    module docstring).  A step gathers the values of all C columns in
-    one take, (C, keys, taps) or (C, boxes, taps), and sums them against
-    its weights in one np.einsum.
+    Bilinear weights factor per axis.  A group's Gy distinct y-geometries
+    (y1, y2) fold by _fold, as roi_align's Ky, into a dense (Gy, ph*rows)
+    matrix Ky over its window of touched lines, its x-geometries into Kx,
+    (Gx, pw*cols), and its window's planes, copied in (i, y, j, x) order,
+    are a (ph*rows, pw*cols) matrix P per column.  A box with geometries
+    (g, h) sums to (Ky P Kx^T)[g, h], summed as BLAS sums.
     """
-    if planes.ndim != 5:
+    if len(planes.shape) != 5:
         raise ShapeError(
             f"planes must be rank 5 (C,ph,pw,H,W), got {planes.shape}")
-    C, ph, pw, H, W = planes.shape
-    s = samples_per_bin
+    (C, ph, pw, H, W), s = planes.shape, samples_per_bin
     xyxy = np.asarray(xyxy, dtype=np.float64)
-    cols, wx, gx = _axis_taps(xyxy[:, 0], xyxy[:, 2], pw, s, W, H * W)
-    rows, wy, gy = _axis_taps(xyxy[:, 1], xyxy[:, 3], ph, s, H, H)
-    # a key is g * ph*H + i*H + y; row i*H + y of plane column j starts
-    # at flat offset start[i*H + y] + j*H*W
-    n = ph * H
-    i, y = np.divmod(np.arange(n), H)
-    start = (i * (pw * H) + y) * W
-    flat = planes.reshape(C, -1)
     out = np.empty((C, xyxy.shape[0]))
-    B = ALIGN_SUM_BLOCK
-    for k in range(0, xyxy.shape[0], B):
-        # keys rank the block's own x-geometries, so the table _dedupe may
-        # mark spans the block, not every span of xyxy
-        used, local = _dedupe(gx[k:k + B], cols.shape[0])
-        gyk = gy[k:k + B]
-        keys, ids = _dedupe(local[:, None] * n + rows.take(gyk, axis=0),
-                            used.shape[0] * n)
-        XS = np.empty((C, keys.shape[0]))
-        for q in range(0, keys.shape[0], B):
-            g, row = np.divmod(keys[q:q + B], n)
-            g = used.take(g)
-            taps = start.take(row)[:, None] + cols.take(g, axis=0)
-            XS[:, q:q + B] = np.einsum("ckt,kt->ck", flat.take(taps, axis=1),
-                                       wx.take(g, axis=0))
-        out[:, k:k + B] = np.einsum("ckt,kt->ck", XS.take(ids, axis=1),
-                                    wy.take(gyk, axis=0))
-    out /= s * s
+    if not out.size:
+        return out.T
+    y0, y1 = _touched_lines(xyxy[:, 1], xyxy[:, 3], H)
+    x0, x1 = _touched_lines(xyxy[:, 0], xyxy[:, 2], W)
+    window = planes[:, :, :, y0:y1, x0:x1]
+    ends = np.cumsum(groups).tolist()
+    for a, b in zip([0] + ends, ends):
+        ya, yb, Ky, iy = _window_fold(xyxy[a:b, 1], xyxy[a:b, 3], ph, s, H)
+        xa, xb, Kx, ix = _window_fold(xyxy[a:b, 0], xyxy[a:b, 2], pw, s, W)
+        P = window[:, :, :, ya - y0:yb - y0, xa - x0:xb - x0]
+        P = P.transpose(0, 1, 3, 2, 4).reshape(C, Ky.shape[1], Kx.shape[1])
+        out[:, a:b] = (Ky @ P @ Kx.T)[:, iy, ix]
     return out.T
 
 
-def _axis_taps(lo, hi, bins: int, s: int, limit: int, stride: int):
-    """Bilinear taps along one axis of K boxes spanning lo to hi, per
-    distinct span: (n, 2*s*bins) grid coordinates plus bin * stride, and
-    weights, in (bin, sample, lower/upper neighbour) order; and the (K,)
-    index of each box's span among the n."""
+def _touched_lines(lo, hi, limit: int):
+    """The window, first line and one past the last, holding every grid
+    line that samples of boxes from lo to hi along one axis touch: rounded
+    and clamped, a sample stays between lo and hi while s*bins < 2^49."""
+    first, last = np.clip([min(lo.min(), hi.min()), max(lo.max(), hi.max())],
+                          0.0, limit - 1.0)
+    return int(first), min(int(last) + 2, limit)
+
+
+def _window_fold(lo, hi, bins: int, s: int, limit: int):
+    """Boxes from lo to hi along one axis: their window's first line, one
+    past its last, the _fold of their distinct spans over it as a dense
+    (spans, bins*lines) matrix, and each box's row of it."""
     spans, index = np.unique(np.stack([lo, hi], axis=1).view(np.complex128),
                              return_inverse=True)
-    taps, weights = _linear_taps(
+    lines, weights = _linear_taps(
         _align_axis_coords(spans.real, spans.imag, bins, s, limit), limit)
-    taps += (np.arange(bins, dtype=np.int64) * stride)[:, None, None]
-    return (taps.reshape(-1, 2 * s * bins), weights.reshape(-1, 2 * s * bins),
-            index.reshape(-1))
+    first, end = int(lines.min()), int(lines.max()) + 1
+    K = _fold(lines - first, weights, end - first)
+    return first, end, K.reshape(spans.size, -1), index.reshape(-1)
 
 
 def _linear_taps(c: np.ndarray, limit: int):

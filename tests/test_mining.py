@@ -944,9 +944,9 @@ class TestMineMany:
         calls = []
         real = ContextMiner._bounds
 
-        def counting(self, xyxy):
+        def counting(self, xyxy, *args):
             calls.append(xyxy.shape[0])
-            return real(self, xyxy)
+            return real(self, xyxy, *args)
 
         monkeypatch.setattr(ContextMiner, "_bounds", counting)
         many = mine_many(F, rois, scorer, config)
@@ -1068,9 +1068,8 @@ class TestMineMany:
     def test_full_align_chunk_filter_memory(self):
         """A chunk of nearly CANDIDATE_BUDGET align candidates on a 50x50
         map at 7x7 bins: the filter peaks below 112 bytes per candidate.
-        Its (K, 2) bin sums, per-candidate geometry indices and their
-        dedupe take most of that; the keys and taps of a block of
-        roi_ops.ALIGN_SUM_BLOCK candidates take a fixed share."""
+        G and A on the chunk's window, its (K, 2) bin sums and one RoI's
+        copy of its window's planes take most of that."""
         rng = np.random.default_rng(211)
         F = rng.normal(0, 1, (2, 50, 50)).astype(np.float32)
         scorer = ContextScorer(rng.normal(0, 1, 98).astype(np.float32), 0.1)
@@ -1089,11 +1088,35 @@ class TestMineMany:
         assert xyxy.shape[0] > 0.95 * mining.CANDIDATE_BUDGET
         tracemalloc.start()
         try:
-            miner._bounds(xyxy)
+            miner._bounds(xyxy, [[len(p)] for p in pools])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 112 * xyxy.shape[0]
+
+    @pytest.mark.parametrize("side", [30.0, 40.0])
+    def test_align_filter_memory_bounded_by_window(self, side):
+        """One 30-40 px RoI on a D=64 100x100 map at 7x7 bins, whose
+        window of touched lines is about the whole map: the filter, with
+        the G and A planes it builds on the chunk's window, its copy of
+        the RoI's window of them and its products, peaks below 2.5 times
+        the whole map's planes, 2*ph*pw*H*W float64 values."""
+        rng = np.random.default_rng(229)
+        F = rng.normal(0, 1, (64, 100, 100)).astype(np.float32)
+        scorer = ContextScorer(
+            rng.normal(0, 1, 64 * 49).astype(np.float32), 0.1)
+        miner = ContextMiner(F, scorer, MiningConfig(ph=7, pw=7,
+                                                     backbone="align"))
+        r = Box(50.3 - side / 2, 49.8 - side / 2, 50.3 + side / 2,
+                49.8 + side / 2)
+        xyxy, _ = mining._chunk_pools([r], miner.config.grid, (100, 100))
+        tracemalloc.start()
+        try:
+            miner._bounds(xyxy, [[len(xyxy)]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (2 * 49 * 100 * 100 * 8)
 
 
 # A grid whose pool bound, 8 cells of 1 + 9 * 9 * 8 * 8 combos, exceeds
@@ -1125,9 +1148,9 @@ class TestChunkRule:
         rows = []
         real = ContextMiner._best_of_pools
 
-        def counting(self, xyxy, sizes):
+        def counting(self, xyxy, *args):
             rows.append(xyxy.shape[0])
-            return real(self, xyxy, sizes)
+            return real(self, xyxy, *args)
 
         monkeypatch.setattr(ContextMiner, "_best_of_pools", counting)
         many = mine_many(F, rois, scorer, config)
@@ -1263,6 +1286,43 @@ class TestAlignSelection:
                      for cell in cells_of(r).values()]
             assert any(min(b.x1, b.y1) == 0.0 or max(b.x2, b.y2) == 40.0
                        for pool in pools for b in pool)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "int-ties", "subnormal",
+                                      "1e30", "post-relu"])
+    def test_bound_covers_exact_scores(self, kind):
+        """|score_k - s~_k| <= t_k for every candidate of one chunk, with
+        score_k the exact roi_align map's score_flat: a RoI whose grid
+        crosses the left border and two RoIs whose windows of touched
+        lines are disjoint, each a group of the filter."""
+        rng = np.random.default_rng(137)
+        scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), 0.25)
+        if kind == "int-ties":
+            F = np.kron(rng.integers(-1, 2, (3, 5, 5)), np.ones((8, 8)))
+            scorer = ContextScorer(
+                rng.integers(-1, 2, 75).astype(np.float32), 1.0)
+        elif kind == "subnormal":
+            F = 1e-41 * rng.normal(0, 1, (3, 40, 40))
+        elif kind == "1e30":
+            F = 1e30 * rng.normal(0, 1, (3, 40, 40))
+        elif kind == "post-relu":
+            F = np.maximum(rng.normal(0, 1, (3, 40, 40)), 0.0)
+        else:
+            F = rng.normal(0, 1, (3, 40, 40))
+        F = F.astype(np.float32)
+        cfg = self.CONFIG
+        rois = [Box(1.0, 16.5, 7.5, 22.0), Box(5.5, 5.0, 10.0, 9.5),
+                Box(29.5, 30.0, 34.0, 34.5)]
+        xyxy, counts = mining._chunk_pools(rois, cfg.grid, (40, 40))
+        groups = counts.sum(axis=1)
+        a, b = np.split(xyxy[groups[0]:], [groups[1]])
+        assert a[:, 2:].max() + 2 < b[:, :2].min()
+        assert xyxy[:groups[0], 0].min() == 0.0
+        miner = ContextMiner(F, scorer, cfg)
+        approx, slack, _ = miner._bounds(xyxy, counts)
+        maps = mining._roi_align_many(F, [Box(*r) for r in xyxy.tolist()],
+                                      cfg.ph, cfg.pw, cfg.samples_per_bin)
+        exact = scorer.score_flat(np.stack([m.data.reshape(-1) for m in maps]))
+        assert np.all(np.abs(exact - approx) <= slack)
 
     def test_roi_align_calls_bounded_by_near_ties(self, monkeypatch):
         """1 object map plus one map per cell, plus one per near-tie: a
@@ -1440,7 +1500,7 @@ class TestPoolSelection:
             xyxy = mining._candidate_arrays(
                 np.array([[cell.x1, cell.y1, cell.x2, cell.y2]]),
                 self.CONFIG.grid, (40, 40)).candidates
-            approx, slack, _ = miner._bounds(xyxy)
+            approx, slack, _ = miner._bounds(xyxy, [[len(xyxy)]])
             feats = np.stack([roi_pool(F, Box(*b), 5, 5).data.reshape(-1)
                               for b in xyxy.tolist()])
             assert np.all(np.abs(scorer.score_flat(feats) - approx) <= slack)
@@ -1465,7 +1525,7 @@ class TestPoolSelection:
             xyxy = mining._candidate_arrays(
                 np.array([[cell.x1, cell.y1, cell.x2, cell.y2]]),
                 self.CONFIG.grid, (40, 40)).candidates
-            approx, slack, _ = miner._bounds(xyxy)
+            approx, slack, _ = miner._bounds(xyxy, [[len(xyxy)]])
             kept = slack[approx + slack >= (approx - slack).max()]
             mixed += bool((kept == 0).any() and (kept > 0).any())
         assert mixed >= 2

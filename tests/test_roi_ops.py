@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -445,61 +446,95 @@ def as_xyxy(boxes):
     return np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes])
 
 
+def groupings(n):
+    """Three ways to group n boxes for roi_align_bin_sums: one box per
+    group, all in one group, and uneven runs of 1 to 5."""
+    uneven = []
+    for run in itertools.cycle([3, 1, 5, 2, 4]):
+        if sum(uneven) == n:
+            return [[1] * n, [n], uneven]
+        uneven.append(min(run, n - sum(uneven)))
+
+
 class TestRoiAlignBinSums:
     @pytest.mark.parametrize("C", [1, 2, 3], ids="C{}".format)
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_matches_scalar_oracle(self, s, C):
         """Every box, clamped samples included, sums to the scalar
         re-derivation up to float64 rounding of the sums over |planes|,
-        for one plane column, the miner's two, and three."""
+        for one plane column, the miner's two, and three, in every
+        grouping."""
         rng = np.random.default_rng(57 + s)
         ph, pw, H, W = 3, 4, 17, 19
         planes = (rng.normal(0, 1, (C, ph, pw, H, W))
                   * 10.0 ** rng.integers(-3, 4, (C, ph, pw, H, W)))
         boxes = bin_sum_boxes(rng, W, H)
-        got = roi_align_bin_sums(planes, as_xyxy(boxes), s)
-        assert got.shape == (len(boxes), C)
-        for row, box in zip(got, boxes):
-            want, scale = bin_sums_oracle(planes, box, s)
-            assert np.all(np.abs(row - want) <= 1e-13 * scale)
+        oracle = [bin_sums_oracle(planes, box, s) for box in boxes]
+        for groups in groupings(len(boxes)):
+            got = roi_align_bin_sums(planes, as_xyxy(boxes), groups, s)
+            assert got.shape == (len(boxes), C)
+            for row, (want, scale) in zip(got, oracle):
+                assert np.all(np.abs(row - want) <= 1e-13 * scale)
 
     def test_linear_scores_of_every_box(self):
         """planes[c, i, j] = sum_d w[d, i, j] F[d] gives <w, roi_align(F,
         box)> for every box, in float64 up to rounding; a negated column
-        gives the negated sums exactly."""
+        gives the negated sums exactly; in every grouping."""
         rng = np.random.default_rng(47)
         D, H, W, ph, pw = 4, 17, 19, 3, 4
         F = rng.normal(0, 1, (D, H, W)).astype(np.float32)
         w = rng.normal(0, 1, (D, ph, pw))
         G = np.einsum("dij,dyx->ijyx", w, F.astype(np.float64))
+        planes = np.stack([G, -G])
         boxes = bin_sum_boxes(rng, W, H)
         for s in (1, 2, 3):
-            got = roi_align_bin_sums(np.stack([G, -G]), as_xyxy(boxes), s)
             want = [float((w * roi_align(F, b, ph, pw, s).data).sum())
                     for b in boxes]
-            assert got.shape == (len(boxes), 2)
-            assert np.allclose(got[:, 0], want, rtol=1e-6, atol=1e-6)
-            assert np.array_equal(got[:, 1], -got[:, 0])
+            for groups in groupings(len(boxes)):
+                got = roi_align_bin_sums(planes, as_xyxy(boxes), groups, s)
+                assert got.shape == (len(boxes), 2)
+                assert np.allclose(got[:, 0], want, rtol=1e-6, atol=1e-6)
+                assert np.array_equal(got[:, 1], -got[:, 0])
 
-    def test_blocks_of_boxes_and_keys(self, monkeypatch):
-        """Stepping through boxes and keys three at a time gives the sums
-        of one step, up to rounding."""
+    def test_grouping_invariance(self):
+        """One box per group, all boxes in one group and uneven runs give
+        the same sums up to rounding, on boxes that repeat, so groups
+        share spans and windows."""
         rng = np.random.default_rng(61)
         planes = rng.normal(0, 1, (2, 2, 3, 13, 11))
         xyxy = as_xyxy(bin_sum_boxes(rng, 11, 13) * 2)
-        whole = roi_align_bin_sums(planes, xyxy, 2)
-        monkeypatch.setattr(roi_ops, "ALIGN_SUM_BLOCK", 3)
-        stepped = roi_align_bin_sums(planes, xyxy, 2)
-        scale = roi_align_bin_sums(np.abs(planes), xyxy, 2)
-        assert np.all(np.abs(stepped - whole) <= 1e-13 * scale)
+        single, whole, uneven = (roi_align_bin_sums(planes, xyxy, groups, 2)
+                                 for groups in groupings(len(xyxy)))
+        scale = roi_align_bin_sums(np.abs(planes), xyxy, [len(xyxy)], 2)
+        for got in (whole, uneven):
+            assert np.all(np.abs(got - single) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_window_holds_every_touched_line(self, s):
+        """The window the planes are sliced to holds every grid line a
+        box's samples touch, on boxes with integer edges, clamped,
+        flipped, sub-pixel and overflowing ones, at 1 to 7 bins."""
+        rng = np.random.default_rng(67 + s)
+        boxes = (bin_sum_boxes(rng, 19, 17) + ALIGN_CLAMPED + ALIGN_OVERFLOWING
+                 + [Box(3.0, 4.0, 9.0, 12.0), Box(9.0, 12.0, 3.0, 4.0),
+                    Box(5.5, 6.25, 5.5000001, 6.25), Box(0.0, 0.0, 19.0, 17.0)])
+        for row in as_xyxy(boxes):
+            for lo, hi, limit in ((row[:1], row[2:3], 19),
+                                  (row[1:2], row[3:], 17)):
+                first, end = roi_ops._touched_lines(lo, hi, limit)
+                for bins in range(1, 8):
+                    lines, _ = roi_ops._linear_taps(
+                        roi_ops._align_axis_coords(lo, hi, bins, s, limit),
+                        limit)
+                    assert first <= lines.min() and lines.max() < end
 
     def test_no_boxes(self):
         planes = np.zeros((2, 3, 2, 5, 6))
-        assert roi_align_bin_sums(planes, np.zeros((0, 4)), 2).shape == (0, 2)
+        assert roi_align_bin_sums(planes, np.zeros((0, 4)), [], 2).shape == (0, 2)
 
     def test_planes_rank_checked(self):
         with pytest.raises(ShapeError):
-            roi_align_bin_sums(np.zeros((3, 2, 5, 6)), np.zeros((1, 4)), 2)
+            roi_align_bin_sums(np.zeros((3, 2, 5, 6)), np.zeros((1, 4)), [1], 2)
 
 
 class TestRoiAlignBackward:
