@@ -49,12 +49,12 @@ VARIANTS = ("none", "local", "global", "neigh4", "neigh8")
 FALLBACK = -1
 
 # Most candidates one chunk holds, bounding its enumeration (about 160 bytes
-# per candidate) and its filter: the pool filter keeps the (K, ph*pw) int64
-# bin-rectangle rows of a chunk's K candidates alive, 12.8 MB at 7x7 bins.
+# per candidate) and its filter: the pool filter keeps the (ph*pw, K) int64
+# bin-rectangle ids of a chunk's K candidates alive, 12.8 MB at 7x7 bins.
 CANDIDATE_BUDGET = 1 << 15
-# Rows per step of the pool filter's sliced work (the float64 copy of the
-# maxima for V @ W, the per-candidate gathers) and of rescoring, so their
-# temporaries do not grow with the chunk.
+# Bin rectangles per query of the pool filter's streamed pass, and candidates
+# per step of its exact stage and of rescoring: the maxima a step holds, and
+# their float64 copy for V @ W, grow with D but not with the chunk.
 SLICE = 128
 
 
@@ -384,26 +384,26 @@ class ContextMiner:
     """Reusable mining engine for one feature map.
 
     Builds what selection needs once per map, then mines any number of RoIs
-    against it.  The unit of work is a chunk of RoIs: mine() mines a chunk of
-    one, mine_many() chunks of _chunk_size(grid) RoIs, at most
+    against it.  The unit of work is a chunk of RoIs: mine() mines a chunk
+    of one, mine_many() chunks of _chunk_size(grid) RoIs, at most
     CANDIDATE_BUDGET candidates unless one RoI's pools exceed it.  A chunk's
     pools are enumerated at once, and the candidates of its non-fallback
-    cells go through one table pass (pool) or one call of roi_align_bin_sums
-    (align), one filter pass, and ContextScorer.score_flat on the rows the
-    filter keeps, SLICE rows per call: one call for a chunk of up to SLICE
-    cells without near ties, and bounded memory when whole pools tie.  The
-    chunk can change which near-ties of a cell are rescored, as the rounding
-    of s~ below may depend on what else is in the chunk, but never the
-    selection, its score or its map.  Mining is pure: the map and the scorer
-    are only read, and a table only builds the levels its queries need.  A
-    map or a scorer holding NaN or inf raises NumericError.  On both
-    backbones the object maps are read from the miner's one pixel-major copy
-    of the map (see _roi_map), bit for bit as from F.  A kept map is the
-    winner's rescored row, copied, and computes its argmax from that copy on
-    first read (see RoIMap), so only a backward pass pools it again.  On a
-    map whose float32 copy holds a -0.0, a row holding a zero is pooled by
-    roi_pool at once, as the table may keep the other zero's sign (see
-    _pool_map).
+    cells go through one streamed table pass (pool) or one call of
+    roi_align_bin_sums (align), one filter pass, and
+    ContextScorer.score_flat on the rows the filter keeps, SLICE rows per
+    call: one call for a chunk of up to SLICE cells without near ties, and
+    bounded memory when whole pools tie.  The chunk can change which
+    near-ties of a cell are rescored, as the rounding of s~ below may depend
+    on what else is in the chunk, but never the selection, its score or its
+    map.  Mining is pure: the map and the scorer are only read, and a table
+    only builds the levels its rectangles need.  A map or a scorer holding
+    NaN or inf raises NumericError.  On both backbones the object maps are
+    read from the miner's one pixel-major copy of the map (see _roi_map),
+    bit for bit as from F.  A kept map is the winner's rescored row, copied,
+    and computes its argmax from that copy on first read (see RoIMap), so
+    only a backward pass pools it again.  On a map whose float32 copy holds
+    a -0.0, a row holding a zero is pooled by roi_pool at once, as the table
+    may keep the other zero's sign (see _pool_map).
 
     Selection filters, then rescores, each cell on its own.  Each
     candidate k of a cell gets an approximate score s~_k and a bound
@@ -432,9 +432,11 @@ class ContextMiner:
     Numerical Algorithms, ch. 3-4), a sum in any order errs by at most
     gamma_{n-1} S and adding c by a further u (|sum| + |c|), so each
     scoring errs by at most gamma_n S + u |c|.  Per chunk the miner
-    queries each distinct bin rectangle of its pools once (R rectangles,
-    V their R x D maxima), computes P = V W with W = [W_b] the
-    D x (ph*pw) scorer, and sets
+    queries the R distinct bin rectangles of its pools SLICE at a time;
+    from each slice's maxima V (SLICE x D) it computes the slice's rows of
+    P = V W, with W = [W_b] the D x (ph*pw) scorer, and of max_d |V|, and
+    drops V.  Adding up bin by bin the rows it gathers from P^T and from
+    the weighted peaks, it sets
 
         s~_k = sum_b P[rect(k, b), b] + c,
         t_k = 3 * gamma_n * M_k + |c| * 2^-51   (t_k = 0 when M_k = 0),
@@ -448,9 +450,14 @@ class ContextMiner:
     term of t_k exceeds 2 gamma_n S with room for its own rounding, and
     the second is 2 u |c| twice over.  The bound needs the ph*pw float64
     column norms ||W_b||_1 beside the D*ph*pw float64 values of W, and per
-    chunk one max over D of each of the R rectangles.  The rescored maps
-    are rows of V, so a chunk's bin rectangles are pooled once, and the
-    winners' rows are the kept maps.
+    chunk one max over D of each of the R rectangles.  Beside the
+    (ph*pw, K) ids and the 2*ph*pw*R float64 terms, the filter holds one
+    slice of maxima, so its memory grows with D only through W and SLICE
+    rows: mine_many of 8 RoIs of 20 px on a D=512 38x38 map peaks below
+    16 times the map, 9 of them the table's levels.  The exact stage
+    queries again the distinct rectangles of each SLICE of rescored
+    candidates; a query is deterministic, so their rows are the maxima
+    the filter read, and the winners' rows are the kept maps.
 
     The computed M_k is 0 only when all its terms are: a nonzero term is
     at least 2^-149 * 2^-149, above float64's underflow, and a rounded sum
@@ -537,13 +544,19 @@ class ContextMiner:
         the argmax a kept map computes from it later."""
         return roi_map(self._source, box, self.config)
 
-    def _pool_slices(self, V: np.ndarray, ids: np.ndarray, xyxy: np.ndarray):
-        """(rows, kept_map) for consecutive slices of SLICE boxes: box k's
-        pooled map V[ids[k]] (ph*pw x D) as one D-major row, as roi_pool
-        lays it out, and kept_map(j) the RoIMap of the slice's j-th box."""
-        for i in range(0, ids.shape[0], SLICE):
-            maps = V.take(ids[i:i + SLICE], axis=0)
-            rows = maps.transpose(0, 2, 1).reshape(maps.shape[0], -1)
+    def _pool_slices(self, rects: np.ndarray, ids: np.ndarray,
+                     xyxy: np.ndarray):
+        """(rows, kept_map) for consecutive slices of SLICE boxes, given
+        by their bins-major ids into rects (see pool_xyxy), each slice
+        querying its distinct rectangles once: box k's pooled map as one
+        D-major row, as roi_pool lays it out, and kept_map(j) the RoIMap
+        of the slice's j-th box."""
+        for i in range(0, ids.shape[1], SLICE):
+            part = ids[:, i:i + SLICE]
+            used, local = np.unique(part, return_inverse=True)
+            maps = self._table.query(*rects[:, used]).take(
+                local.reshape(part.shape).T, axis=0)
+            rows = maps.transpose(0, 2, 1).reshape(part.shape[1], -1)
             yield rows, partial(self._pool_map, rows, xyxy[i:i + SLICE])
 
     def _pool_map(self, rows: np.ndarray, xyxy: np.ndarray, j: int) -> RoIMap:
@@ -574,23 +587,23 @@ class ContextMiner:
         cfg = self.config
         bias = float(self.scorer.bias)
         if self._table is not None:
-            V, ids = self._table.pool_xyxy(xyxy, cfg.ph, cfg.pw)
-            peaks = np.abs(V).max(axis=1).astype(np.float64)
-            P = _sliced(lambda v: v.astype(np.float64) @ self._w, V)
-            bins = np.arange(ids.shape[1])
-            approx = _sliced(lambda i: P.reshape(-1).take(
-                i * bins.size + bins).sum(axis=1), ids)
-            mags = _sliced(lambda i: peaks.take(i) @ self._w_norms, ids)
+            rects, ids = self._table.pool_xyxy(xyxy, cfg.ph, cfg.pw)
+            # per bin b, the rectangles' P[:, b] and max_d |V| * ||W_b||_1
+            terms = np.empty((ids.shape[0], rects.shape[1], 2))
+            for i in range(0, rects.shape[1], SLICE):
+                V = self._table.query(*rects[:, i:i + SLICE])
+                terms[:, i:i + SLICE, 0] = (V.astype(np.float64) @ self._w).T
+                terms[:, i:i + SLICE, 1] = np.multiply.outer(
+                    self._w_norms, np.abs(V).max(axis=1))
+            sums = terms[0].take(ids[0], axis=0)
+            for b in range(1, ids.shape[0]):
+                sums += terms[b].take(ids[b], axis=0)
+            approx, mags = sums.T
             slack = (3.0 * self._gamma * mags
                      + np.where(mags > 0.0, abs(bias) * 2.0 ** -51, 0.0))
 
             def exact(keep):
-                # exact rows are the maxima the filter read; only the rows of
-                # V that keep reads outlive the caller's reference to exact
-                used, local = np.unique(ids[keep], return_inverse=True)
-                return self._pool_slices(V.take(used, axis=0),
-                                         local.reshape(ids[keep].shape),
-                                         xyxy[keep])
+                return self._pool_slices(rects, ids[:, keep], xyxy[keep])
 
             return approx + bias, slack, exact
         groups = np.sum(counts, axis=1)
@@ -690,12 +703,6 @@ class _AlignPlanes:
         np.matmul(self._w, flat, out=planes[0])
         np.matmul(np.abs(self._w), np.abs(flat, out=flat), out=planes[1])
         return planes.reshape(self.shape[:3] + window.shape[:2])
-
-
-def _sliced(fn, rows: np.ndarray) -> np.ndarray:
-    """fn applied to consecutive slices of SLICE rows, concatenated."""
-    return np.concatenate([fn(rows[i:i + SLICE])
-                           for i in range(0, rows.shape[0], SLICE)])
 
 
 def _first_max(values: np.ndarray, starts: np.ndarray) -> np.ndarray:

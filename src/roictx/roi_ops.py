@@ -476,20 +476,21 @@ class RangeMaxTable:
     Answers per-channel maxima over integer rectangles in O(1) numpy
     gathers.  Level (a, b) holds the max of each 2^a x 2^b window.  The
     constructor builds only level (0, 0), the map cast to float32 in
-    pixel-major order; query builds the levels its
-    rectangles need, so a table holds (A+1)*(B+1) levels of D*H*W floats
-    for the largest levels A, B queried so far, at most
-    H.bit_length() * W.bit_length() of them.  Maxima equal direct np.max
-    over the same rectangle, bit for bit unless the maximum is a zero:
-    ties of -0.0 and +0.0 keep whichever zero the comparison order gives.
-    So pooled values computed through this table equal roi_pool's in
-    value, and a zero's sign may differ, as roi_pool keeps the first of
-    tied elements.
+    pixel-major order; query builds the levels its rectangles need, and
+    pool_xyxy those of a batch of boxes at once, so a table holds
+    (A+1)*(B+1) levels of D*H*W floats for the largest levels A, B needed
+    so far, at most H.bit_length() * W.bit_length() of them.  Maxima equal
+    direct np.max over the same rectangle, bit for bit unless the maximum
+    is a zero: ties of -0.0 and +0.0 keep whichever zero the comparison
+    order gives.  So pooled values computed through this table equal
+    roi_pool's in value, and a zero's sign may differ, as roi_pool keeps
+    the first of tied elements.
     """
 
     def __init__(self, F: np.ndarray):
         D, H, W = _check_feature_map(F)
         self.dims = (D, H, W)
+        self._limits = np.array([H, H, W, W], dtype=np.uint64)
         # Built in its gather layout: row (level-a, level-b, y, x) holds the
         # D channels, so queries index one flat view and no copy is kept.
         self._levels = np.empty((1, 1, H, W, D), dtype=np.float32)
@@ -533,16 +534,21 @@ class RangeMaxTable:
     def query(self, y0, y1, x0, x1) -> np.ndarray:
         """Per-channel max over rectangles [y0,y1) x [x0,x1); returns (N, D).
 
-        All four arguments are equal-length integer arrays, inside the
-        map.  An empty rectangle (y1 <= y0 or x1 <= x0) gives zeros, as
-        an empty bin of roi_pool does.  Levels the rectangles need and the
-        table lacks are built first.
+        All four arguments are equal-length integer arrays, y0 and y1 in
+        [0, H] and x0 and x1 in [0, W]; any other dtype, or a bound
+        outside the map, raises ShapeError.  An empty rectangle (y1 <= y0
+        or x1 <= x0) gives zeros, as an empty bin of roi_pool does.
+        Levels the rectangles need and the table lacks are built first.
         """
         D, H, W = self.dims
-        y0 = np.asarray(y0, dtype=np.int64)
-        y1 = np.asarray(y1, dtype=np.int64)
-        x0 = np.asarray(x0, dtype=np.int64)
-        x1 = np.asarray(x1, dtype=np.int64)
+        rect = np.asarray((y0, y1, x0, x1)).reshape(4, -1)
+        # read as uint64, a negative bound exceeds every limit
+        if rect.dtype.kind not in "iu" or (
+                rect.astype(np.int64, copy=False).view(np.uint64)
+                .max(axis=1, initial=0) > self._limits).any():
+            raise ShapeError(f"rectangles must be integers in [0, {H}] x "
+                             f"[0, {W}], got {rect.dtype} bounds")
+        y0, y1, x0, x1 = rect.astype(np.int64, copy=False)
         empty = (y1 <= y0) | (x1 <= x0)
         if empty.any():  # read a 1x1 rectangle in the map, zeroed below
             y0, x0 = np.minimum(y0, H - 1), np.minimum(x0, W - 1)
@@ -564,38 +570,45 @@ class RangeMaxTable:
         return out
 
     def pool_xyxy(self, xyxy: np.ndarray, ph: int, pw: int):
-        """Max-pool K boxes given as an (K, 4) x1,y1,x2,y2 float64 array,
-        querying each distinct bin rectangle once.
+        """The distinct bin rectangles of K boxes given as an (K, 4)
+        x1,y1,x2,y2 float64 array, with every level they need built at
+        once; it queries nothing, and querying them in any slices builds
+        no further level.
 
-        Uses the same bin integerization as roi_pool, so an empty bin
-        (of a box narrower than its coordinates' rounding) pools to
-        zeros, as roi_pool's do.  Returns
-        (V, ids): V holds the (R, D) maxima of the R distinct bin
-        rectangles of the K boxes in (y0, y1, x0, x1) lexicographic order,
-        and ids the (K, ph*pw) row of V of each box's bins, so V[ids[k]] is
-        box k's pooled map as (ph*pw, D).  A bin rectangle is a y-interval
-        times an x-interval: the intervals of each axis are deduped on
-        their own and the pairs in use are ranked, so no sort runs over
-        all K*ph*pw bins.
+        Uses the same bin integerization as roi_pool, so an empty bin (of
+        a box narrower than its coordinates' rounding) queries to zeros,
+        as roi_pool's do.  Returns (rects, ids): rects the (4, R) int64
+        y0, y1, x0, x1 of the R rectangles in (y0, y1, x0, x1)
+        lexicographic order, and ids the bins-major (ph*pw, K) index among
+        them of each box's bins, so with V = query(*rects), V[ids[:, k]]
+        is box k's pooled map as (ph*pw, D).  A bin rectangle is a
+        y-interval times an x-interval: the intervals of each axis are
+        deduped on their own and the pairs in use are ranked, so no sort
+        runs over all K*ph*pw bins.
         """
         _, H, W = self.dims
         yu, yi = _bin_intervals(xyxy[:, 1], xyxy[:, 3], ph, H)
         xu, xi = _bin_intervals(xyxy[:, 0], xyxy[:, 2], pw, W)
         nx = xu.shape[0]
-        pairs, ids = _dedupe(yi[:, :, None] * nx + xi[:, None, :],
-                             yu.shape[0] * nx)
-        y0, y1 = np.divmod(yu[pairs // nx], H + 1)
-        x0, x1 = np.divmod(xu[pairs % nx], W + 1)
-        return self.query(y0, y1, x0, x1), ids.reshape(xyxy.shape[0], ph * pw)
+        pairs, ids = _dedupe(np.ascontiguousarray(yi.T)[:, None, :] * nx
+                             + np.ascontiguousarray(xi.T), yu.shape[0] * nx)
+        rects = np.stack(np.divmod(yu.take(pairs // nx), H + 1)
+                         + np.divmod(xu.take(pairs % nx), W + 1))
+        # query reads an empty rectangle at level 0
+        sides = (rects[1::2] - rects[::2]) * (rects[1::2] > rects[::2]).all(0)
+        self._extend(*(int(n).bit_length()
+                       for n in sides.max(axis=1, initial=1).tolist()))
+        return rects, ids.reshape(ph * pw, xyxy.shape[0])
 
     def pool_boxes(self, xyxy: np.ndarray, ph: int, pw: int) -> np.ndarray:
-        """Max-pool an (K, 4) x1,y1,x2,y2 float64 array of boxes through
-        pool_xyxy into (K, D, ph, pw) maps.  Its one caller is the
-        synthetic trainer; it stays because ctxbench's tracer wraps it by
-        name and the synth-train workload expects its span."""
-        V, ids = self.pool_xyxy(xyxy, ph, pw)
-        maps = V.take(ids, axis=0).reshape(len(ids), ph, pw, V.shape[1])
-        return maps.transpose(0, 3, 1, 2)
+        """Max-pool an (K, 4) x1,y1,x2,y2 float64 array of boxes into (K,
+        D, ph, pw) maps: one query of pool_xyxy's rectangles and one take
+        of its ids.  Its one caller is the synthetic trainer; it stays
+        because ctxbench's tracer wraps it by name and the synth-train
+        workload expects its span."""
+        rects, ids = self.pool_xyxy(xyxy, ph, pw)
+        maps = self.query(*rects).take(ids, axis=0)
+        return maps.reshape(ph, pw, ids.shape[1], -1).transpose(2, 3, 0, 1)
 
 
 def _bin_intervals(lo, hi, bins: int, limit: int):

@@ -22,7 +22,7 @@ from roictx.mining import CandidateGridSpec, ContextScorer, DIRECTIONS, \
     fixed_context_variant, mine_context, mine_context_backward, mine_many, \
     mined_to_record, scorer_gradient
 from roictx.synth import DEFAULT_SYNTH
-from roictx.roi_ops import RangeMaxTable, roi_align, roi_pool
+from roictx.roi_ops import RangeMaxTable, bin_edges, roi_align, roi_pool
 
 
 def interior_roi(rng, size, lo_frac=0.34, hi_frac=0.66, min_wh=3.0, max_wh=10.0):
@@ -1119,6 +1119,32 @@ class TestMineMany:
         assert peak <= 2.5 * (2 * 49 * 100 * 100 * 8)
 
 
+    def test_pool_mining_memory_bounded_by_map(self):
+        """mine_many of 8 RoIs of 20 px near the corners of a D=512 38x38
+        map (2.8 MiB) at 7x7 bins, 24 cells and 11,105 distinct bin
+        rectangles, peaks at most 16 times the map: the table's 3x3 block
+        of levels is 9 maps, the miner's copy of the map one, the mined
+        features 2.4, the filter's 2*ph*pw float64 terms per rectangle
+        2.9.  The chunk's maxima, R x D float32, would be 7.7 more."""
+        rng = np.random.default_rng(233)
+        F = rng.normal(0, 1, (512, 38, 38)).astype(np.float32)
+        scorer = ContextScorer(
+            rng.normal(0, 1, 512 * 49).astype(np.float32), 0.1)
+        rois = []
+        for k in range(8):
+            x = rng.uniform(0.5, 2.5) if k % 2 else rng.uniform(15.5, 17.5)
+            y = rng.uniform(0.5, 2.5) if k % 4 < 2 else rng.uniform(15.5, 17.5)
+            rois.append(Box(x, y, x + 20.0, y + 20.0))
+        tracemalloc.start()
+        try:
+            mined = mine_many(F, rois, scorer, MiningConfig(ph=7, pw=7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(not rec.fallback for m in mined for rec in m.selected) == 24
+        assert peak <= 16 * F.nbytes
+
+
 # A grid whose pool bound, 8 cells of 1 + 9 * 9 * 8 * 8 combos, exceeds
 # CANDIDATE_BUDGET: each RoI is a chunk of its own.
 DENSE_GRID = CandidateGridSpec(
@@ -1505,6 +1531,42 @@ class TestPoolSelection:
                               for b in xyxy.tolist()])
             assert np.all(np.abs(scorer.score_flat(feats) - approx) <= slack)
 
+    @pytest.mark.parametrize("kind", ["wide", "post-relu", "ties", "1e30"])
+    def test_bound_covers_exact_scores_over_many_slices(self, kind):
+        """|score_k - s~_k| <= t_k for every candidate of a 6-RoI chunk,
+        whose bin rectangles the filter queries in dozens of slices of
+        SLICE rows, on terms spanning 2^-60 to 2^60, a post-ReLU map, a
+        map of signed zeros and ties and magnitudes near 1e30.  Weights
+        spanning 2^-30 to 2^30 on the first two make the paths round
+        apart (the largest error reads about 0.002 t)."""
+        rng = np.random.default_rng(239)
+        shape = (16, 40, 40)
+        if kind == "wide":
+            F = (rng.choice([-1.0, 1.0], shape)
+                 * 2.0 ** rng.integers(-30, 30, shape)).astype(np.float32)
+        elif kind == "post-relu":
+            F = np.maximum(rng.normal(0, 1, shape), 0.0).astype(np.float32)
+        elif kind == "ties":
+            F = rng.choice(np.float32([-1.0, -0.0, 0.0, 1.0]), shape)
+        else:
+            F = (1e30 * rng.normal(0, 1, shape)).astype(np.float32)
+        w = rng.normal(0, 1, 16 * 25)
+        if kind in ("wide", "ties"):
+            w = rng.choice([-1.0, 1.0], w.shape) * 2.0 ** rng.integers(
+                -30, 30, w.shape)
+        scorer = ContextScorer(w.astype(np.float32),
+                               2.0 ** 20 / 3.0 if kind == "wide" else 0.3)
+        miner = ContextMiner(F, scorer, self.CONFIG)
+        rois = [interior_roi(rng, 40, min_wh=5.0, max_wh=9.0)
+                for _ in range(5)] + [Box(0.5, 1.0, 9.0, 9.5)]
+        xyxy, counts = mining._chunk_pools(rois, self.CONFIG.grid, (40, 40))
+        rects, _ = RangeMaxTable(F).pool_xyxy(xyxy, 5, 5)
+        assert rects.shape[1] > 30 * mining.SLICE
+        approx, slack, _ = miner._bounds(xyxy, counts)
+        feats = np.stack([roi_pool(F, Box(*b), 5, 5).data.reshape(-1)
+                          for b in xyxy.tolist()])
+        assert np.all(np.abs(scorer.score_flat(feats) - approx) <= slack)
+
     def test_zero_region_mixes_zero_and_nonzero_slack(self):
         """Zero bias; the scored channel is zero but in one corner, the
         unscored one in the left half.  Near the RoI every score ties at
@@ -1603,30 +1665,85 @@ class TestPoolSelection:
         assert any((rec.roi_map.argmax == -1).any() for rec in mined.selected
                    if not rec.fallback)
 
-    def test_one_table_pass_per_cell(self, monkeypatch):
-        """A RoI pools the bin rectangles of all its non-fallback cells
-        once: one pool_xyxy and one query call, none for the rescored rows,
-        and none at all when every cell falls back."""
+    @staticmethod
+    def _bin_rects(xyxy, cfg, H, W):
+        """The distinct (y0, y1, x0, x1) bin rectangles of boxes, as a set,
+        from roi_pool's bin_edges."""
+        ys, ye = bin_edges(xyxy[:, 1], xyxy[:, 3] - xyxy[:, 1], cfg.ph, H)
+        xs, xe = bin_edges(xyxy[:, 0], xyxy[:, 2] - xyxy[:, 0], cfg.pw, W)
+        rows = np.broadcast_arrays(ys[:, :, None], ye[:, :, None],
+                                   xs[:, None, :], xe[:, None, :])
+        return set(map(tuple, np.stack(rows, axis=-1).reshape(-1, 4).tolist()))
+
+    def test_streamed_table_pass(self, monkeypatch):
+        """Per chunk: one pool_xyxy call, and the block of levels extended
+        at most once, before any query; filter queries of at most SLICE
+        rows that, in order, are the chunk's distinct bin rectangles, each
+        once; then exact queries only of the rescored candidates'
+        rectangles, each slice's distinct.  A RoI whose cells all fall back
+        makes no call."""
         rng = np.random.default_rng(179)
         F = rng.normal(0, 1, (3, 40, 40)).astype(np.float32)
         scorer = ContextScorer(rng.normal(0, 1, 75).astype(np.float32), 0.1)
-        miner = ContextMiner(F, scorer, self.CONFIG)
-        calls = []
-        for name in ("pool_xyxy", "query"):
-            real = getattr(RangeMaxTable, name)
+        cfg = self.CONFIG
+        events = []
 
-            def counting(self, *args, _name=name, _real=real):
-                calls.append(_name)
-                return _real(self, *args)
+        def record(cls, name, what):
+            real = getattr(cls, name)
 
-            monkeypatch.setattr(RangeMaxTable, name, counting)
-        for r in (interior_roi(rng, 40), Box(0.5, 1.0, 7.0, 9.0),
-                  Box(0.0, 0.0, 40.0, 40.0)):
-            calls.clear()
-            mined = miner.mine(r)
-            cells = sum(not rec.fallback for rec in mined.selected)
-            assert calls == (["pool_xyxy", "query"] if cells else [])
-        assert cells == 0
+            def recording(self, *args):
+                events.append((name, what(*args)))
+                return real(self, *args)
+
+            monkeypatch.setattr(cls, name, recording)
+
+        def extend(self, *args):
+            levels = self._levels
+            real_extend(self, *args)
+            if self._levels is not levels:
+                events.append(("grown", None))
+
+        real_extend = RangeMaxTable._extend
+        monkeypatch.setattr(RangeMaxTable, "_extend", extend)
+        record(ContextMiner, "_bounds", lambda xyxy, counts: xyxy)
+        record(ContextMiner, "_pool_slices",
+               lambda rects, ids, xyxy: (rects, xyxy))
+        record(RangeMaxTable, "pool_xyxy", lambda *args: None)
+        record(RangeMaxTable, "query",
+               lambda *rect: np.stack(rect).astype(np.int64))
+        rois = [interior_roi(rng, 40), Box(0.5, 1.0, 7.0, 9.0),
+                interior_roi(rng, 40, min_wh=8.0, max_wh=12.0)]
+        miner = ContextMiner(F, scorer, cfg)
+        for r in rois:
+            miner.mine(r)
+        mine_many(F, rois, scorer, cfg)
+        starts = [i for i, (name, _) in enumerate(events) if name == "_bounds"]
+        assert len(starts) == 4
+        slices = 0
+        for a, b in zip(starts, starts[1:] + [len(events)]):
+            names = [name for name, _ in events[a:b]]
+            assert names.count("pool_xyxy") == 1 and names.count("grown") <= 1
+            assert "grown" not in names[names.index("query"):]
+            at = a + names.index("_pool_slices")
+            rects, rescored = events[at][1]
+            queries = [(i > at, q) for i, (name, q) in
+                       enumerate(events[a:b], a) if name == "query"]
+            filtered = [q for exact, q in queries if not exact]
+            exact = [q for is_exact, q in queries if is_exact]
+            assert all(q.shape[1] <= mining.SLICE for q in filtered)
+            assert np.array_equal(np.concatenate(filtered, axis=1), rects)
+            want = self._bin_rects(events[a][1], cfg, 40, 40)
+            assert set(map(tuple, rects.T.tolist())) == want
+            assert rects.shape[1] == len(want)
+            assert all(np.unique(q, axis=1).shape == q.shape for q in exact)
+            assert set(map(tuple, np.concatenate(exact, axis=1).T.tolist())) \
+                == self._bin_rects(rescored, cfg, 40, 40)
+            slices = max(slices, len(filtered))
+        assert slices >= 8
+        events.clear()
+        mined = miner.mine(Box(0.0, 0.0, 40.0, 40.0))
+        assert all(rec.fallback for rec in mined.selected)
+        assert events == []
 
     def test_scored_rows_bounded_by_near_ties(self, monkeypatch):
         """One call per RoI, with one row per cell plus one per near-tie: a

@@ -1182,6 +1182,43 @@ class TestRangeMaxTable:
         assert np.array_equal(table.pool_boxes(as_xyxy([box]), 7, 7)[0],
                               roi_pool(F, box, 7, 7).data)
 
+    @pytest.mark.parametrize("rect", [
+        ([0], [25], [0], [5]), ([-3], [5], [0], [5]), ([0], [5], [-1], [5]),
+        ([0], [5], [0], [21]), ([21], [21], [0], [5]), ([0], [5.7], [0], [5]),
+        (np.array([0.0]), np.array([5.0]), np.array([0.0]), np.array([5.0])),
+        ([0, 2], [5, 30], [0, 1], [5, 4]),
+        ([0], [5], [np.iinfo(np.int64).min], [5])],
+        ids=["y1-past-H", "y0-negative", "x0-negative", "x1-past-W",
+             "y0-past-H", "float-bound", "float-dtype", "second-of-two",
+             "int64-min"])
+    def test_query_refuses_rectangles_outside_the_map(self, rect):
+        """A rectangle leaving the map would be read at windows other than
+        its own, and a float bound truncated, without an error: on a 20x20
+        map any bound outside [0, 20], or a non-integer dtype, raises
+        ShapeError and builds no level."""
+        F = np.random.default_rng(73).normal(0, 1, (3, 20, 20)).astype(
+            np.float32)
+        table = RangeMaxTable(F)
+        with pytest.raises(ShapeError):
+            table.query(*rect)
+        assert table._levels.shape[:2] == (1, 1)
+
+    def test_query_accepts_integer_bounds_up_to_the_edges(self):
+        """Bounds at 0 and at H or W, empty edge rectangles and every
+        integer dtype are valid, and give what int64 bounds give."""
+        F = np.random.default_rng(79).normal(0, 1, (3, 20, 12)).astype(
+            np.float32)
+        table = RangeMaxTable(F)
+        rects = np.array([[0, 20, 0, 12], [20, 20, 12, 12], [0, 0, 0, 12],
+                          [19, 20, 11, 12], [5, 9, 0, 1]])
+        want = table.query(*rects.T)
+        assert_direct_max(F, rects[[0, 3, 4]], want[[0, 3, 4]])
+        assert not want[1:3].any()
+        for dtype in (np.int8, np.uint8, np.int32, np.uint64):
+            got = table.query(*rects.T.astype(dtype))
+            assert got.tobytes() == want.tobytes()
+        assert table.query(*rects.T.tolist()).tobytes() == want.tobytes()
+
     def test_empty_bins_are_positive_zeros_on_both_paths(self):
         """roi_pool's empty bins and the table's empty rectangles are both
         +0.0, so an empty bin never tells the paths apart, even on a map
@@ -1194,8 +1231,9 @@ class TestRangeMaxTable:
         pooled = roi_pool(F, box, 7, 7)
         empty = pooled.argmax == EMPTY_BIN
         assert empty.any() and not np.signbit(pooled.data[empty]).any()
-        V, ids = RangeMaxTable(F).pool_xyxy(as_xyxy([box]), 7, 7)
-        rows = np.take(V, ids[0], axis=0).T.reshape(2, 7, 7)
+        table = RangeMaxTable(F)
+        rects, ids = table.pool_xyxy(as_xyxy([box]), 7, 7)
+        rows = table.query(*rects).take(ids[:, 0], axis=0).T.reshape(2, 7, 7)
         assert rows[empty].tobytes() == pooled.data[empty].tobytes()
 
     def test_holds_negative_zero_reads_level_zero(self):
@@ -1215,8 +1253,9 @@ class TestRangeMaxTable:
             assert RangeMaxTable(F).holds_negative_zero() is want
 
     def test_pool_boxes_equals_pool_xyxy_rows(self):
-        """pool_xyxy gives one row of V per distinct bin rectangle, and
-        pool_boxes expands V[ids] to (K, D, ph, pw)."""
+        """pool_xyxy gives one column of rects per distinct bin rectangle,
+        so one row of V = query(*rects), and pool_boxes expands V[ids.T]
+        to (K, D, ph, pw)."""
         rng = np.random.default_rng(61)
         F = rng.normal(0, 1, (5, 29, 31)).astype(np.float32)
         table = RangeMaxTable(F)
@@ -1225,28 +1264,53 @@ class TestRangeMaxTable:
         # repeat boxes so that many bins share a rectangle
         boxes += boxes[:10]
         xyxy = as_xyxy(boxes)
-        V, ids = table.pool_xyxy(xyxy, 6, 4)
-        assert ids.shape == (50, 24) and V.shape[1] == 5
+        rects, ids = table.pool_xyxy(xyxy, 6, 4)
+        V = table.query(*rects)
+        assert ids.shape == (24, 50) and V.shape[1] == 5
+        assert rects.shape == (4, len(V)) and rects.dtype == np.int64
         ys, ye = bin_edges(xyxy[:, 1], xyxy[:, 3] - xyxy[:, 1], 6, 29)
         xs, xe = bin_edges(xyxy[:, 0], xyxy[:, 2] - xyxy[:, 0], 4, 31)
-        rects = [(ys[k, i], ye[k, i], xs[k, j], xe[k, j])
-                 for k in range(50) for i in range(6) for j in range(4)]
+        bins = [(ys[k, i], ye[k, i], xs[k, j], xe[k, j])
+                for k in range(50) for i in range(6) for j in range(4)]
         # a row per distinct rectangle, each holding that rectangle's maxima
-        row_of = dict(zip(rects, ids.reshape(-1).tolist()))
+        row_of = dict(zip(bins, ids.T.reshape(-1).tolist()))
         assert sorted(row_of.values()) == list(range(len(V)))
         assert len(V) < 50 * 24
         for (y0, y1, x0, x1), row in row_of.items():
+            assert rects[:, row].tolist() == [y0, y1, x0, x1]
             assert np.array_equal(V[row], F[:, y0:y1, x0:x1].max(axis=(1, 2)))
         assert all(row_of[rect] == row for rect, row
-                   in zip(rects, ids.reshape(-1).tolist()))
+                   in zip(bins, ids.T.reshape(-1).tolist()))
         got = table.pool_boxes(xyxy, 6, 4)
-        want = V[ids].reshape(50, 6, 4, 5).transpose(0, 3, 1, 2)
+        want = V[ids.T].reshape(50, 6, 4, 5).transpose(0, 3, 1, 2)
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_pool_xyxy_extends_levels_once(self, monkeypatch):
+        """pool_xyxy builds every level its rectangles need, and queries
+        nothing; querying the rectangles in slices then grows nothing, and
+        the levels are those one query of them all builds."""
+        rng = np.random.default_rng(83)
+        F = rng.normal(0, 1, (4, 37, 29)).astype(np.float32)
+        boxes = [random_roi(rng, 29, 37, min_size=1.0).clip(29, 37)
+                 for _ in range(30)]
+        table = RangeMaxTable(F)
+        monkeypatch.setattr(RangeMaxTable, "query", None)
+        rects, ids = table.pool_xyxy(as_xyxy(boxes), 3, 2)
+        monkeypatch.undo()
+        levels = table._levels
+        assert levels.shape[:2] != (1, 1)
+        for i in range(0, rects.shape[1], 7):
+            table.query(*rects[:, i:i + 7])
+        assert table._levels is levels
+        alone = RangeMaxTable(F)
+        alone.query(*rects)
+        assert alone._levels.tobytes() == levels.tobytes()
 
     @staticmethod
     def _unique_codes_oracle(table, xyxy, ph, pw):
         """pool_xyxy as one np.unique over a mixed-radix code per bin
-        rectangle, its (y0, y1, x0, x1) read as digits."""
+        rectangle, its (y0, y1, x0, x1) read as digits, with the maxima of
+        the distinct rectangles and the ids of each box's bins."""
         _, H, W = table.dims
         ys, ye = bin_edges(xyxy[:, 1], xyxy[:, 3] - xyxy[:, 1], ph, H)
         xs, xe = bin_edges(xyxy[:, 0], xyxy[:, 2] - xyxy[:, 0], pw, W)
@@ -1256,12 +1320,14 @@ class TestRangeMaxTable:
         rects, x1 = np.divmod(rects, W + 1)
         rects, x0 = np.divmod(rects, W + 1)
         y0, y1 = np.divmod(rects, H + 1)
-        return table.query(y0, y1, x0, x1), ids.reshape(len(xyxy), ph * pw)
+        return (np.stack([y0, y1, x0, x1]), table.query(y0, y1, x0, x1),
+                ids.reshape(len(xyxy), ph * pw).T)
 
     @pytest.mark.parametrize("H, W", [(1, 37), (37, 1), (23, 23)])
     def test_pool_xyxy_equals_unique_codes_oracle(self, H, W):
-        """Rows of V in the order of the sorted bin codes, so V and ids
-        are bit-identical to the oracle's; few boxes and many, so both the
+        """Rectangles in the order of the sorted bin codes, so rects, the
+        maxima V of a query of them and the bins-major ids are
+        bit-identical to the oracle's; few boxes and many, so both the
         sorting and the table-marking dedupe run."""
         rng = np.random.default_rng(71 + H)
         F = rng.normal(0, 1, (3, H, W)).astype(np.float32)
@@ -1280,8 +1346,9 @@ class TestRangeMaxTable:
             y1, y2 = edges(n, H)
             xyxy = np.stack([x1, y1, x2, y2], axis=1)
             for ph, pw in ((1, 1), (3, 2), (7, 7)):
-                V, ids = table.pool_xyxy(xyxy, ph, pw)
-                want_V, want_ids = self._unique_codes_oracle(table, xyxy,
-                                                             ph, pw)
-                assert V.tobytes() == want_V.tobytes()
+                rects, ids = table.pool_xyxy(xyxy, ph, pw)
+                want_rects, want_V, want_ids = self._unique_codes_oracle(
+                    table, xyxy, ph, pw)
+                assert np.array_equal(rects, want_rects)
+                assert table.query(*rects).tobytes() == want_V.tobytes()
                 assert np.array_equal(ids, want_ids)

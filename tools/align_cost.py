@@ -1,5 +1,5 @@
 """Median per-call times of roi_align, roi_align_backward and the align
-filter of the miner.
+and pool filters of the miner.
 
     python tools/align_cost.py [--src DIR] [--repeats N]
 
@@ -29,6 +29,15 @@ planes are in the time whether a tree builds them per miner or per
 chunk.  Each line gives the candidates, the filter's groups ("-" on a
 tree without them) and the median microseconds.
 
+The pool filter lines time the same call on the pool backbone, where
+the miner's range-max table builds its levels inside the call: the 16
+clustered RoIs of 9 px on a D=256 38x38 map above, and 32 RoIs of 12 px
+on a post-ReLU D=1024 50x75 map, two chunks of mine_many, so a call
+there builds one miner and runs the filter on each chunk.  Each pool
+line gives the candidates and the median microseconds.  Every filter
+line, align and pool, ends with the tracemalloc peak of one more call
+in MiB, made untimed after the timed ones.
+
 Every median is host-normalised, as the benchmark's times are.  The
 calls are timed in blocks of BLOCK, with the `interp` kernel of
 `ctxbench/hostspeed.py` timed before and after each block; each call's
@@ -46,6 +55,7 @@ import argparse
 import os
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 # Before numpy loads: one thread per numeric library, as the benchmark
@@ -79,6 +89,12 @@ FILTER_SHAPES = [
       for k in range(16)]),
     ("4 of 12px", 1024, 50, 75, 12.0,
      [(20.5, 17.25), (52.75, 18.5), (21.0, 33.5), (54.25, 32.75)])]
+# (label, D, H, W, RoI side, RoI centres, post-ReLU map)
+POOL_FILTER_SHAPES = [
+    ("16 clustered 9px", 256, 38, 38, 9.0, FILTER_SHAPES[3][5], False),
+    ("32 of 12px post-ReLU", 1024, 50, 75, 12.0,
+     [(18.0 + 5.5 * i + 0.15 * j, 18.0 + 4.5 * j + 0.1 * i)
+      for j in range(4) for i in range(8)], True)]
 BINS, SAMPLES = 7, 2
 BLOCK = 10
 
@@ -103,7 +119,8 @@ def median_us(call, repeats: int) -> float:
 
 def filter_call(mining, F, scorer, config, rois):
     """(candidates, groups, call): call builds a miner on F and runs its
-    filter with the arguments mine_many gives it on rois."""
+    filter with the arguments mine_many gives it on rois, once per
+    chunk."""
     seen = []
     real = mining.ContextMiner._bounds
 
@@ -116,10 +133,24 @@ def filter_call(mining, F, scorer, config, rois):
         mining.mine_many(F, rois, scorer, config)
     finally:
         mining.ContextMiner._bounds = real
-    [args] = seen
-    groups = "-" if len(args) < 2 else len(args[1])
-    return (args[0].shape[0], groups,
-            lambda: mining.ContextMiner(F, scorer, config)._bounds(*args))
+
+    def call():
+        miner = mining.ContextMiner(F, scorer, config)
+        for args in seen:
+            miner._bounds(*args)
+
+    groups = "-" if len(seen[0]) < 2 else sum(len(a[1]) for a in seen)
+    return sum(a[0].shape[0] for a in seen), groups, call
+
+
+def peak_mib(call) -> float:
+    """The tracemalloc peak of one call, in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def main(argv=None) -> int:
@@ -183,7 +214,23 @@ def main(argv=None) -> int:
         n, groups, call = filter_call(mining, F, scorer, config, rois)
         us = median_us(call, args.repeats)
         print(f"filter {label} D={D} {H}x{W}".ljust(36)
-              + f" candidates {n} groups {groups} filter_us {us:.1f}")
+              + f" candidates {n} groups {groups} filter_us {us:.1f}"
+              + f" peak_mib {peak_mib(call):.1f}")
+
+    pool = mining.MiningConfig(ph=BINS, pw=BINS, backbone="pool")
+    for label, D, H, W, side, centres, relu in POOL_FILTER_SHAPES:
+        F = rng.normal(0.0, 1.0, (D, H, W)).astype(np.float32)
+        if relu:
+            F = np.maximum(F, 0.0)
+        scorer = mining.ContextScorer(
+            rng.normal(0.0, 1.0, D * BINS * BINS).astype(np.float32), 0.5)
+        rois = [Box(cx - side / 2, cy - side / 2, cx + side / 2,
+                    cy + side / 2) for cx, cy in centres]
+        n, _, call = filter_call(mining, F, scorer, pool, rois)
+        us = median_us(call, args.repeats)
+        print(f"pool filter {label} D={D} {H}x{W}".ljust(48)
+              + f" candidates {n} filter_us {us:.1f}"
+              + f" peak_mib {peak_mib(call):.1f}")
     return 0
 
 
